@@ -27,7 +27,7 @@ from .rates import (
     gap_checks,
     r_t1,
 )
-from .sim import decode, deliver, library_for_scheme, worst_case_load
+from .sim import decode, deliver, library_for_scheme
 from .transform import build_scheme, scheme_from_json, scheme_to_json
 from .util import float12, frac_str
 

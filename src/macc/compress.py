@@ -12,10 +12,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FieldTooSmall, NotApplicable, SingularSystem
+from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, SingularSystem
 from .gf2 import GF, cauchy_matrix, field, packet_to_symbols, symbols_to_packet
 from .pda import Pda, star_profile
-from .sim import PacketLibrary, check_demand, constituents, decode_from_messages, deliver, user_view
+from .sim import (
+    PacketLibrary,
+    check_demand,
+    check_user,
+    decode_from_messages,
+    deliver,
+    round_payloads,
+)
 from .transform import Scheme
 from .util import mod1
 
@@ -68,13 +75,15 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
     A superset of reconstructable_messages; the protocol only banks on the
     full-view rounds.
     """
-    out = set()
-    for g in range(1, scheme.params.k + 1):
-        view = user_view(scheme, user, g)
-        for s, cells in constituents(scheme.q(g).grid).items():
-            if all(j in view for j, _ in cells):
-                out.add((g, s))
-    return frozenset(out)
+    k = scheme.params.k
+    check_user(user, k)
+    plan = scheme.plan
+    return frozenset(
+        (g, s)
+        for g in range(1, k + 1)
+        for s, cells in plan.cells.items()
+        if all(j in plan.views[(user - g) % k] for j, _ in cells)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +146,8 @@ def compressed_deliver(
     log = deliver(library, scheme, demand)
     m2 = len(log.messages)
     m1 = (scheme.params.k - prof.total) * scheme.pda.s
-    assert m2 == scheme.params.k * scheme.pda.s
+    if m2 != scheme.params.k * scheme.pda.s:
+        raise DimensionMismatch(f"log holds {m2} messages, K*S is {scheme.params.k * scheme.pda.s}")
     gf = _pick_field(m1, m2, library.packet_bytes, field_width)
     g_mat = mds_matrix(m1, m2, gf)
     x = np.array(
@@ -166,17 +176,16 @@ def compressed_decode(
     gf = field(batch.field_width)
     order = message_order(scheme)
     index = {gs: i for i, gs in enumerate(order)}
-    known = reconstructable_messages(scheme, user)
 
-    # rebuild known message payloads straight from the view
-    msgs: dict[tuple[int, int], int] = {}
-    for g, s in sorted(known):
-        payload = 0
-        for j, c in constituents(scheme.q(g).grid)[s]:
-            payload ^= library.packet(d[c - 1], g, j)
-        msgs[(g, s)] = payload
+    # rebuild the messages of the fully seen rounds straight from the view
+    msgs = {
+        (g, s): payload
+        for g in full_view_rounds(scheme, user)
+        for s, payload in enumerate(round_payloads(library, scheme, d, g), start=1)
+    }
+    known = list(msgs)
 
-    unknown = [i for i, gs in enumerate(order) if gs not in known]
+    unknown = [i for i, gs in enumerate(order) if gs not in msgs]
     if len(unknown) != batch.m1:
         raise SingularSystem(
             f"{len(unknown)} unknowns against {batch.m1} coded rows"
@@ -186,10 +195,10 @@ def compressed_decode(
         [packet_to_symbols(p, batch.packet_bytes, gf.width) for p in batch.payloads],
         dtype=np.uint32,
     )
-    if msgs:
-        known_idx = [index[gs] for gs in sorted(known)]
+    if known:
+        known_idx = [index[gs] for gs in known]
         xk = np.array(
-            [packet_to_symbols(msgs[gs], batch.packet_bytes, gf.width) for gs in sorted(known)],
+            [packet_to_symbols(msgs[gs], batch.packet_bytes, gf.width) for gs in known],
             dtype=np.uint32,
         )
         rhs ^= gf.matmul(g_mat[:, known_idx], xk)

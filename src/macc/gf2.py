@@ -130,11 +130,9 @@ def cauchy_matrix(m1: int, m2: int, gf: GF) -> np.ndarray:
         raise OutOfRange(f"need 1 <= m1 <= m2, got m1={m1} m2={m2}")
     if m1 + m2 > gf.order:
         raise FieldTooSmall(f"m1+m2={m1 + m2} exceeds field order {gf.order}")
-    out = np.zeros((m1, m2), dtype=np.uint32)
-    for i in range(m1):
-        for j in range(m2):
-            out[i, j] = gf.inv(i ^ (m1 + j))
-    return out
+    # x_i + y_j = i ^ (m1 + j) is never 0, so the inverse is exp[-log]
+    sums = np.arange(m1, dtype=np.uint32)[:, None] ^ np.arange(m1, m1 + m2, dtype=np.uint32)
+    return gf._exp[gf.order - 1 - gf._log[sums]]
 
 
 def packet_to_symbols(x: int, packet_bytes: int, width: int) -> list[int]:

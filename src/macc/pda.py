@@ -88,10 +88,10 @@ class ValidationReport:
         }
 
 
-def _positions_by_value(p: Pda) -> dict[int, list[tuple[int, int]]]:
-    """Map integer value -> its 1-based positions in row-major order."""
+def constituents(grid) -> dict[int, list[tuple[int, int]]]:
+    """Map integer value -> its 1-based (row, column) cells in row-major order."""
     out: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(p.entries, start=1):
+    for r, row in enumerate(grid, start=1):
         for c, v in enumerate(row, start=1):
             if v != STAR:
                 out.setdefault(v, []).append((r, c))
@@ -108,7 +108,7 @@ def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
             if not exhaustive:
                 break
 
-    pos = _positions_by_value(p)
+    pos = constituents(p.entries)
     c2 = []
     for v in range(1, p.s + 1):
         if v not in pos:
@@ -219,7 +219,7 @@ def check_c5(p: Pda, l: int) -> bool:
         i = ranked.index(k) + 1
         return k + (i - 1) * (l - 1)
 
-    for positions in _positions_by_value(p).values():
+    for positions in constituents(p.entries).values():
         for (j1, k1), (j2, k2) in combinations(positions, 2):
             if shifted(j1, k1) not in windows[j2 - 1]:
                 return False
@@ -281,7 +281,11 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
         relabel = {old: new for new, old in enumerate(used, start=1)}
         grid = [tuple(relabel[v] if v != STAR else STAR for v in row) for row in grid]
         s = len(used)
-    return Pda(rows=rows, cols=cols, entries=tuple(grid), z=z, s=s), relabel
+    try:
+        p = Pda(rows=rows, cols=cols, entries=tuple(grid), z=z, s=s)
+    except ValueError as e:
+        raise ParseError(f"inconsistent header {lines[0]!r}: {e}") from e
+    return p, relabel
 
 
 def parse_pda(text: str) -> Pda:

@@ -2,7 +2,9 @@
 
 Packets are B-byte values held as ints (XOR is the only server-side
 operation). A file consists of K parts of F' packets each; part g is covered
-by the round-g arrays.
+by the round-g arrays. No round-g array is built: delivery and decoding read
+the scheme's round-1 plan (Scheme.plan) and locate round g by offset
+arithmetic, round-1 column c standing for column mod1(c + g - 1, K).
 """
 
 import random
@@ -11,7 +13,6 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import DemandOutOfRange, DimensionMismatch, UndecodablePacket
-from .pda import STAR
 from .transform import Scheme
 from .util import mod1
 
@@ -79,12 +80,11 @@ def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, 
     _check_dims(library, scheme)
     k = scheme.params.k
     caches: list[set] = [set() for _ in range(k)]
-    for g in range(1, k + 1):
-        grid = scheme.c(g).grid
-        for j, row in enumerate(grid, start=1):
-            for c, starred in enumerate(row, start=1):
-                if starred:
-                    caches[c - 1].add((g, j))
+    for j, row in enumerate(scheme.placement.grid, start=1):
+        for c, starred in enumerate(row):
+            if starred:
+                for g in range(1, k + 1):
+                    caches[(c + g - 1) % k].add((g, j))
     return tuple(frozenset(s) for s in caches)
 
 
@@ -96,8 +96,7 @@ def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:
 def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
     """Rows of part g the user can read through its l consecutive nodes."""
     k = scheme.params.k
-    if not (1 <= user <= k):
-        raise DemandOutOfRange(f"user {user} outside [1, {k}]")
+    check_user(user, k)
     base_col = mod1(user - (g - 1), k)
     return frozenset(
         j for j in range(1, scheme.pda.rows + 1)
@@ -143,13 +142,29 @@ def check_demand(demand, k: int, n_files: int) -> tuple[int, ...]:
     return d
 
 
-def constituents(qgrid) -> dict[int, list[tuple[int, int]]]:
-    """Map integer s -> its (row j, user column c) cells in one delivery grid."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for j, row in enumerate(qgrid, start=1):
-        for c, v in enumerate(row, start=1):
-            if v != STAR:
-                out.setdefault(v, []).append((j, c))
+def check_user(user: int, k: int) -> None:
+    if not (1 <= user <= k):
+        raise DemandOutOfRange(f"user {user} outside [1, {k}]")
+
+
+def _round_parts(library: PacketLibrary, d: tuple[int, ...], k: int, g: int) -> list:
+    """Part g of each user's demanded file, listed by 0-based round-1 column."""
+    data = library.data
+    return [data[d[(c + g - 1) % k] - 1][g - 1] for c in range(k)]
+
+
+def round_payloads(
+    library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], g: int
+) -> list[int]:
+    """Payloads of round g's messages s = 1..S under a checked demand d."""
+    parts = _round_parts(library, d, scheme.params.k, g)
+    cells = scheme.plan.cells
+    out = []
+    for s in range(1, scheme.pda.s + 1):
+        payload = 0
+        for j, c in cells[s]:
+            payload ^= parts[c][j]
+        out.append(payload)
     return out
 
 
@@ -157,15 +172,12 @@ def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
     """XOR the demanded packets cell-group by cell-group, all K rounds."""
     _check_dims(library, scheme)
     d = check_demand(demand, scheme.params.k, library.n_files)
-    messages = []
-    for g in range(1, scheme.params.k + 1):
-        groups = constituents(scheme.q(g).grid)
-        for s in range(1, scheme.pda.s + 1):
-            payload = 0
-            for j, c in groups[s]:
-                payload ^= library.packet(d[c - 1], g, j)
-            messages.append((g, s, payload))
-    return TransmissionLog(messages=tuple(messages), packet_bytes=library.packet_bytes)
+    messages = tuple(
+        (g, s, payload)
+        for g in range(1, scheme.params.k + 1)
+        for s, payload in enumerate(round_payloads(library, scheme, d, g), start=1)
+    )
+    return TransmissionLog(messages=messages, packet_bytes=library.packet_bytes)
 
 
 def decode_from_messages(
@@ -176,30 +188,29 @@ def decode_from_messages(
     messages maps (g, s) -> payload int. Raises UndecodablePacket when a
     needed message is absent or a peer packet is outside the user's view.
     """
-    d = check_demand(demand, scheme.params.k, library.n_files)
-    want = d[user - 1]
+    k = scheme.params.k
+    d = check_demand(demand, k, library.n_files)
+    check_user(user, k)
+    recipes = scheme.plan.recipes
+    want = library.data[d[user - 1] - 1]
     out = []
-    for g in range(1, scheme.params.k + 1):
-        view = user_view(scheme, user, g)
-        groups = constituents(scheme.q(g).grid)
-        qcol = [scheme.q(g).grid[j - 1][user - 1] for j in range(1, scheme.pda.rows + 1)]
-        for j in range(1, scheme.pda.rows + 1):
-            if j in view:
-                out.append(library.packet(want, g, j))
+    for g in range(1, k + 1):
+        parts = _round_parts(library, d, k, g)
+        own = want[g - 1]
+        for j, step in enumerate(recipes[(user - g) % k]):
+            if step is None:
+                out.append(own[j])
                 continue
-            s = qcol[j - 1]
-            assert s != STAR, "non-view rows must carry an integer"
+            s, peers, outside = step
             if (g, s) not in messages:
                 raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
+            if outside is not None:
+                raise UndecodablePacket(
+                    f"peer packet row {outside} outside user {user}'s view in round {g}"
+                )
             val = messages[(g, s)]
-            for jj, cc in groups[s]:
-                if (jj, cc) == (j, user):
-                    continue
-                if jj not in view:
-                    raise UndecodablePacket(
-                        f"peer packet row {jj} outside user {user}'s view in round {g}"
-                    )
-                val ^= library.packet(d[cc - 1], g, jj)
+            for jj, cc in peers:
+                val ^= parts[cc][jj]
             out.append(val)
     return b"".join(p.to_bytes(library.packet_bytes, "big") for p in out)
 

@@ -9,6 +9,7 @@ column shifts of round 1 and are never materialized in files.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -19,8 +20,18 @@ from .errors import (
     OutOfRange,
     ParseError,
     RowCountMismatch,
+    UndecodablePacket,
 )
-from .pda import STAR, Pda, check_c4, check_c5, parse_pda, serialize_pda, star_profile
+from .pda import (
+    STAR,
+    Pda,
+    check_c4,
+    check_c5,
+    constituents,
+    parse_pda,
+    serialize_pda,
+    star_profile,
+)
 from .util import mod1
 
 SCHEME_FORMAT = "macc-scheme-v1"
@@ -157,11 +168,7 @@ def user_retrieve(c: NodePlacementArray, l: int) -> UserRetrieveArray:
 
 def _c3_violation(grid) -> tuple | None:
     """First crossing violation among equal integers of a star/int grid."""
-    pos: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(grid, start=1):
-        for c, v in enumerate(row, start=1):
-            if v != STAR:
-                pos.setdefault(v, []).append((r, c))
+    pos = constituents(grid)
     for v in sorted(pos):
         for (r1, c1), (r2, c2) in combinations(pos[v], 2):
             if (
@@ -215,9 +222,72 @@ def user_delivery(p: Pda, u: UserRetrieveArray) -> UserDeliveryArray:
     return UserDeliveryArray(round=1, grid=tuple(grid))
 
 
+# How a user rebuilds one row outside its view: the integer s of the message
+# that carries it, the other cells (row, column) of s, whose packets it XORs
+# out, and the 1-based row of the first of them outside the view (None when
+# the user sees them all).
+PlanStep = tuple[int, tuple[tuple[int, int], ...], int | None]
+
+
+@dataclass(frozen=True)
+class DeliveryPlan:
+    """Round-1 delivery index that serves every round by offset arithmetic.
+
+    Round g is round 1 with its columns shifted cyclically by g - 1: round-1
+    column c is column mod1(c + g - 1, K) of round g, and user u reads round
+    g through round-1 column mod1(u - (g - 1), K). Rows and columns are
+    0-based here.
+
+    cells[s]: the round-1 cells (row, column) holding integer s, row-major.
+    views[c]: the rows a user at round-1 column c reads from its nodes.
+    recipes[c][j]: None when row j is in views[c], else its PlanStep.
+    """
+
+    cells: dict[int, tuple[tuple[int, int], ...]]
+    views: tuple[frozenset[int], ...]
+    recipes: tuple[tuple[PlanStep | None, ...], ...]
+
+
+def _delivery_plan(scheme: "Scheme") -> DeliveryPlan:
+    """Index the round-1 arrays; a row outside a view must carry an integer."""
+    q1 = scheme.delivery.grid
+    cells = {
+        s: tuple((j - 1, c - 1) for j, c in group)
+        for s, group in constituents(q1).items()
+    }
+    views = tuple(
+        frozenset(j for j, row in enumerate(scheme.retrieve.grid) if row[c])
+        for c in range(scheme.params.k)
+    )
+    recipes = []
+    for c, view in enumerate(views):
+        steps: list[PlanStep | None] = []
+        for j, row in enumerate(q1):
+            if j in view:
+                steps.append(None)
+                continue
+            s = row[c]
+            if s == STAR:
+                raise UndecodablePacket(
+                    f"row {j + 1} of user column {c + 1} is outside the view "
+                    "but carries no integer"
+                )
+            peers = tuple(cell for cell in cells[s] if cell != (j, c))
+            outside = next((jj + 1 for jj, _ in peers if jj not in view), None)
+            steps.append((s, peers, outside))
+        recipes.append(tuple(steps))
+    return DeliveryPlan(cells=cells, views=views, recipes=tuple(recipes))
+
+
 @dataclass(frozen=True)
 class Scheme:
-    """A built multiaccess instance: base array plus the round-1 arrays."""
+    """A built multiaccess instance: base array plus the round-1 arrays.
+
+    Rounds 2..K are never stored. `c`, `u` and `q` build a shifted copy of a
+    round-1 array on request; delivery and decoding instead read `plan`, a
+    round-1 index built on first use and cached on the instance. The plan is
+    not a field, so equality and the JSON form see only the arrays.
+    """
 
     params: MultiaccessParams
     pda: Pda
@@ -233,6 +303,11 @@ class Scheme:
 
     def q(self, g: int) -> UserDeliveryArray:
         return shift_round(self.delivery, g)
+
+    @cached_property
+    def plan(self) -> DeliveryPlan:
+        """Raises UndecodablePacket when a row outside a view has no integer."""
+        return _delivery_plan(self)
 
     @property
     def subpacketization(self) -> int:
@@ -302,6 +377,9 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
         k, l, n = params["k"], params["l"], params["n"]
     except (KeyError, TypeError) as e:
         raise ParseError(f"scheme descriptor missing field: {e}") from e
+    for name, v in (("k", k), ("l", l), ("n", n)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParseError(f"scheme parameter {name}={v!r} is not an integer")
     if "inline" in pref:
         ptext = pref["inline"]
     elif "path" in pref:

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from macc import mn_pda, parse_pda, partition_pda, scheme_from_json, serialize_pda
+from macc import (
+    build_scheme,
+    mn_pda,
+    parse_pda,
+    partition_pda,
+    scheme_from_json,
+    scheme_to_json,
+    serialize_pda,
+)
 from macc.cli import main
 
 
@@ -93,6 +101,26 @@ def test_verify_exit_two_on_bad_input(tmp_path, capsys):
     assert rc == 2 and "empty" in err
     rc, _, _ = run(capsys, "verify", "--pda", str(tmp_path / "nope.pda"))
     assert rc == 2
+
+
+def test_verify_exit_two_on_inconsistent_header(tmp_path, capsys):
+    # Z = 5 exceeds F' = 1: every row parses, the array itself is impossible
+    f = tmp_path / "z.pda"
+    f.write_text("2 1 5 1\n* 1\n")
+    rc, _, err = run(capsys, "verify", "--pda", str(f))
+    assert rc == 2
+    assert "Z=5" in err and "Traceback" not in err
+
+
+def test_simulate_exit_two_on_non_integer_params(tmp_path, capsys):
+    doc = json.loads(scheme_to_json(build_scheme(mn_pda(4, 2), 8, 3)))
+    for bad in ("8", True, 8.0, None):
+        doc["params"]["k"] = bad
+        path = tmp_path / "scheme.json"
+        path.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "simulate", "--scheme", str(path), "--demand", "random:1")
+        assert rc == 2, bad
+        assert "not an integer" in err and "Traceback" not in err
 
 
 def test_transform_and_simulate(tmp_path, capsys):

@@ -105,6 +105,15 @@ def test_cauchy_2x4_minors_nonzero():
             assert det != 0, (c1, c2)
 
 
+@pytest.mark.parametrize("width, m1, m2", [(8, 2, 4), (8, 24, 32), (16, 216, 270)])
+def test_cauchy_matches_entrywise_definition(width, m1, m2):
+    gf = field(width)
+    want = [[gf.inv(i ^ (m1 + j)) for j in range(m2)] for i in range(m1)]
+    got = cauchy_matrix(m1, m2, gf)
+    assert got.dtype == np.uint32
+    assert got.tolist() == want
+
+
 def test_cauchy_random_column_subsets_invertible():
     gf = field(8)
     m = cauchy_matrix(24, 32, gf)

@@ -1,0 +1,215 @@
+"""The plan-based simulator against the loop reference it replaced.
+
+The oracle_* helpers below rebuild every round-g grid with Scheme.q/c and
+walk it cell by cell. The library reads the scheme's round-1 plan instead;
+its results, including which UndecodablePacket it raises, must match the
+loops exactly.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macc import (
+    UndecodablePacket,
+    build_scheme,
+    coverable_messages,
+    decode_from_messages,
+    deliver,
+    demand_suite,
+    library_for_scheme,
+    mn_pda,
+    partition_pda,
+    populate_caches,
+    scheme_to_json,
+)
+from macc.pda import STAR, constituents
+from macc.sim import TransmissionLog, check_demand, user_view
+from macc.transform import UserDeliveryArray, UserRetrieveArray
+
+
+def oracle_deliver(library, scheme, demand) -> TransmissionLog:
+    d = check_demand(demand, scheme.params.k, library.n_files)
+    messages = []
+    for g in range(1, scheme.params.k + 1):
+        groups = constituents(scheme.q(g).grid)
+        for s in range(1, scheme.pda.s + 1):
+            payload = 0
+            for j, c in groups[s]:
+                payload ^= library.packet(d[c - 1], g, j)
+            messages.append((g, s, payload))
+    return TransmissionLog(messages=tuple(messages), packet_bytes=library.packet_bytes)
+
+
+def oracle_decode_from_messages(library, scheme, demand, messages, user) -> bytes:
+    d = check_demand(demand, scheme.params.k, library.n_files)
+    want = d[user - 1]
+    out = []
+    for g in range(1, scheme.params.k + 1):
+        view = user_view(scheme, user, g)
+        qgrid = scheme.q(g).grid
+        groups = constituents(qgrid)
+        for j in range(1, scheme.pda.rows + 1):
+            if j in view:
+                out.append(library.packet(want, g, j))
+                continue
+            s = qgrid[j - 1][user - 1]
+            assert s != STAR, "non-view rows must carry an integer"
+            if (g, s) not in messages:
+                raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
+            val = messages[(g, s)]
+            for jj, cc in groups[s]:
+                if (jj, cc) == (j, user):
+                    continue
+                if jj not in view:
+                    raise UndecodablePacket(
+                        f"peer packet row {jj} outside user {user}'s view in round {g}"
+                    )
+                val ^= library.packet(d[cc - 1], g, jj)
+            out.append(val)
+    return b"".join(p.to_bytes(library.packet_bytes, "big") for p in out)
+
+
+def oracle_populate_caches(scheme) -> tuple[frozenset, ...]:
+    k = scheme.params.k
+    caches: list[set] = [set() for _ in range(k)]
+    for g in range(1, k + 1):
+        for j, row in enumerate(scheme.c(g).grid, start=1):
+            for c, starred in enumerate(row, start=1):
+                if starred:
+                    caches[c - 1].add((g, j))
+    return tuple(frozenset(s) for s in caches)
+
+
+def oracle_coverable_messages(scheme, user) -> frozenset:
+    out = set()
+    for g in range(1, scheme.params.k + 1):
+        view = user_view(scheme, user, g)
+        for s, cells in constituents(scheme.q(g).grid).items():
+            if all(j in view for j, _ in cells):
+                out.add((g, s))
+    return frozenset(out)
+
+
+def outcome(fn, *args):
+    """The decoded bytes, or the UndecodablePacket text."""
+    try:
+        return fn(*args)
+    except UndecodablePacket as e:
+        return f"UndecodablePacket: {e}"
+
+
+# label -> (scheme, files): the worked instance, the plain benchmark instance,
+# the partition instance, no caching (t = 0), and a single user.
+SCHEMES = {
+    "worked": (build_scheme(mn_pda(4, 2), 8, 3), 8),
+    "mn12_2": (build_scheme(mn_pda(12, 2), 16, 3), 16),
+    "part33": (build_scheme(partition_pda(3, 3)[0], 15, 3), 15),
+    "t0": (build_scheme(mn_pda(5, 0), 5, 2), 5),
+    "k1": (build_scheme(mn_pda(1, 0), 1, 1), 2),
+}
+
+
+@pytest.fixture(scope="module", params=list(SCHEMES))
+def case(request):
+    scheme, n = SCHEMES[request.param]
+    return scheme, library_for_scheme(scheme, n_files=n, packet_bytes=3, seed=scheme.params.k)
+
+
+def assert_matches_oracle(scheme, library, demand):
+    log = deliver(library, scheme, demand)
+    assert log == oracle_deliver(library, scheme, demand)
+    msgs = {(g, s): payload for g, s, payload in log.messages}
+    for u in range(1, scheme.params.k + 1):
+        got = decode_from_messages(library, scheme, demand, msgs, u)
+        assert got == oracle_decode_from_messages(library, scheme, demand, msgs, u)
+        assert got == library.file_bytes(demand[u - 1])
+
+
+def test_plan_matches_oracle(case):
+    scheme, library = case
+    k, n = scheme.params.k, library.n_files
+    for demand in demand_suite(k, n, seed=k, n_random=2, exhaustive_cap=0):
+        assert_matches_oracle(scheme, library, demand)
+
+
+def test_caches_and_coverage_match_oracle(case):
+    scheme, library = case
+    assert populate_caches(library, scheme) == oracle_populate_caches(scheme)
+    for u in range(1, scheme.params.k + 1):
+        assert coverable_messages(scheme, u) == oracle_coverable_messages(scheme, u)
+
+
+@pytest.mark.parametrize("label", ["worked", "part33"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_plan_matches_oracle_on_drawn_demands(label, data):
+    scheme, n = SCHEMES[label]
+    library = library_for_scheme(scheme, n_files=n, packet_bytes=2, seed=1)
+    k = scheme.params.k
+    demand = data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k))
+    assert_matches_oracle(scheme, library, demand)
+
+
+def test_missing_message_matches_oracle(scheme832):
+    library = library_for_scheme(scheme832, packet_bytes=1, seed=4)
+    demand = (2, 4, 6, 8, 1, 3, 5, 7)
+    full = {(g, s): payload for g, s, payload in deliver(library, scheme832, demand).messages}
+    missing = 0
+    for g, s in full:
+        msgs = {gs: v for gs, v in full.items() if gs != (g, s)}
+        for u in range(1, scheme832.params.k + 1):
+            got = outcome(decode_from_messages, library, scheme832, demand, msgs, u)
+            assert got == outcome(oracle_decode_from_messages, library, scheme832, demand, msgs, u)
+            missing += got == f"UndecodablePacket: message (g={g}, s={s}) missing from the log"
+    assert missing > 0
+
+
+def _malformed(scheme, retrieve, delivery):
+    return dataclasses.replace(
+        scheme,
+        retrieve=UserRetrieveArray(round=1, grid=tuple(map(tuple, retrieve))),
+        delivery=UserDeliveryArray(round=1, grid=tuple(map(tuple, delivery))),
+    )
+
+
+def test_star_outside_view_is_undecodable(scheme832):
+    retrieve = [list(r) for r in scheme832.retrieve.grid]
+    delivery = [list(r) for r in scheme832.delivery.grid]
+    j, c = next((j, c) for j, row in enumerate(retrieve) for c, v in enumerate(row) if not v)
+    delivery[j][c] = STAR
+    bad = _malformed(scheme832, retrieve, delivery)
+    library = library_for_scheme(bad, packet_bytes=1)
+    with pytest.raises(UndecodablePacket, match="outside the view but carries no integer"):
+        decode_from_messages(library, bad, tuple(range(1, 9)), {}, c + 1)
+
+
+def test_peer_outside_view_is_undecodable(scheme832):
+    # hide a visible row jj of column c and give it the integer of a hidden
+    # row j of the same column: each becomes the other's unseen peer
+    retrieve = [list(r) for r in scheme832.retrieve.grid]
+    delivery = [list(r) for r in scheme832.delivery.grid]
+    c = 0
+    j = next(j for j, row in enumerate(retrieve) if not row[c])
+    jj = next(j for j, row in enumerate(retrieve) if row[c])
+    retrieve[jj][c] = False
+    delivery[jj][c] = delivery[j][c]
+    bad = _malformed(scheme832, retrieve, delivery)
+    library = library_for_scheme(bad, packet_bytes=1)
+    demand = tuple(range(1, 9))
+    msgs = {(g, s): payload for g, s, payload in deliver(library, bad, demand).messages}
+    got = outcome(decode_from_messages, library, bad, demand, msgs, c + 1)
+    assert got == outcome(oracle_decode_from_messages, library, bad, demand, msgs, c + 1)
+    assert got.startswith("UndecodablePacket: peer packet row")
+
+
+def test_plan_is_lazy_and_outside_equality():
+    p = mn_pda(4, 2)
+    scheme = build_scheme(p, 8, 3)
+    assert "plan" not in vars(scheme)
+    text = scheme_to_json(scheme, include_arrays=True)
+    assert scheme.plan is scheme.plan
+    assert scheme == build_scheme(p, 8, 3)
+    assert scheme_to_json(scheme, include_arrays=True) == text

@@ -21,7 +21,8 @@ from macc import (
     user_view_via_nodes,
     worst_case_load,
 )
-from macc.sim import check_demand, constituents, node_cache_bytes
+from macc.pda import constituents
+from macc.sim import check_demand, node_cache_bytes
 
 # per-user part-1 views of the worked (8, 3, 2) instance
 VIEWS_832_G1 = {

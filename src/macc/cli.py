@@ -10,7 +10,6 @@ identical command and seed.
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -20,7 +19,7 @@ from . import __version__
 from .compress import compressed_deliver, compressed_decode, compressed_load, lambda_profile
 from .constructions import MnParams, PartitionParams, mn_pda, partition_pda
 from .errors import MaccError, OutOfRange, ParseError
-from .pda import check_c4, check_c5, parse_pda_with_map, serialize_pda, validate_pda
+from .pda import check_c4, parse_pda_with_map, serialize_pda, validate_pda
 from .rates import (
     comparison_table,
     converse_bound,
@@ -28,7 +27,7 @@ from .rates import (
     r_t1,
 )
 from .sim import decode, deliver, library_for_scheme
-from .transform import build_scheme, scheme_from_json, scheme_to_json
+from .transform import build_scheme, check_c5, scheme_from_json, scheme_to_json
 from .util import float12, frac_str
 
 
@@ -62,7 +61,6 @@ def _report(args, inputs: dict, results: dict, checks: list) -> str:
         "command": args._argv,
         "inputs": inputs,
         "seed": args.seed,
-        "env": {"MACC_THREADS": os.environ.get("MACC_THREADS")},
         "results": _jsonable(results),
         "checks": _jsonable(checks),
     }

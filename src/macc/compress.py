@@ -17,6 +17,7 @@ from .gf2 import GF, cauchy_matrix, field, packet_to_symbols, symbols_to_packet
 from .pda import Pda, star_profile
 from .sim import (
     PacketLibrary,
+    _check_dims,
     check_demand,
     check_user,
     decode_from_messages,
@@ -107,11 +108,6 @@ class CodedBatch:
         }
 
 
-def mds_matrix(m1: int, m2: int, gf: GF) -> np.ndarray:
-    """The deterministic m1 x m2 generator used for compression."""
-    return cauchy_matrix(m1, m2, gf)
-
-
 def _pick_field(m1: int, m2: int, packet_bytes: int, field_width: int | None) -> GF:
     if field_width is None:
         field_width = 8 if m1 + m2 <= 256 else 16
@@ -149,7 +145,7 @@ def compressed_deliver(
     if m2 != scheme.params.k * scheme.pda.s:
         raise DimensionMismatch(f"log holds {m2} messages, K*S is {scheme.params.k * scheme.pda.s}")
     gf = _pick_field(m1, m2, library.packet_bytes, field_width)
-    g_mat = mds_matrix(m1, m2, gf)
+    g_mat = cauchy_matrix(m1, m2, gf)
     x = np.array(
         [packet_to_symbols(p, library.packet_bytes, gf.width) for _, _, p in log.messages],
         dtype=np.uint32,
@@ -172,6 +168,7 @@ def compressed_decode(
     library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
 ) -> bytes:
     """Recover the user's file from its view plus the coded batch."""
+    _check_dims(library, scheme)
     d = check_demand(demand, scheme.params.k, library.n_files)
     gf = field(batch.field_width)
     order = message_order(scheme)

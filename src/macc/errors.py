@@ -26,10 +26,6 @@ class DimensionMismatch(MaccError):
     """Array shapes or derived dimensions are inconsistent."""
 
 
-class C4Violation(MaccError):
-    """Array does not have the uniform per-row star count C4 requires."""
-
-
 class ConditionViolation(MaccError):
     """A named regularity condition failed while assembling a scheme."""
 
@@ -39,12 +35,22 @@ class ConditionViolation(MaccError):
         super().__init__(msg)
 
 
+class C4Violation(ConditionViolation):
+    """Array does not have the uniform per-row star count C4 requires."""
+
+    def __init__(self, detail: str = ""):
+        super().__init__("C4", detail)
+
+
+class C3ViolationInQ(ConditionViolation):
+    """The lifted delivery array breaks the crossing rule, so C5 fails."""
+
+    def __init__(self, detail: str = ""):
+        super().__init__("C5", detail)
+
+
 class RowCountMismatch(MaccError):
     """Two row-indexed structures disagree on the number of rows."""
-
-
-class C3ViolationInQ(MaccError):
-    """A delivery array failed the crossing condition after null filling."""
 
 
 class DemandOutOfRange(MaccError):

@@ -9,7 +9,7 @@ are 1-based; storage is 0-based.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import C4Violation, NonUniformStars, OutOfRange, ParseError
+from .errors import NonUniformStars, ParseError
 
 STAR = 0  # cell value reserved for stars; integers use [1, S]
 
@@ -98,6 +98,31 @@ def constituents(grid) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
+def missing_values(p: Pda) -> list[int]:
+    """Integers of [1, S] that occur in no cell; C2 holds when there are none."""
+    used = {v for row in p.entries for v in row}
+    return [v for v in range(1, p.s + 1) if v not in used]
+
+
+def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
+    """Cell pairs ((r1, c1), (r2, c2)) of equal integers that break the crossing rule.
+
+    Equal integers must sit in distinct rows and columns with stars at
+    (r1, c2) and (r2, c1). The star test alone covers distinctness: a shared
+    row or column puts the integer itself at a crossing. Pairs are listed by
+    ascending integer; only the first is returned unless exhaustive.
+    """
+    out = []
+    pos = constituents(grid)
+    for v in sorted(pos):
+        for (r1, c1), (r2, c2) in combinations(pos[v], 2):
+            if grid[r1 - 1][c2 - 1] != STAR or grid[r2 - 1][c1 - 1] != STAR:
+                out.append(((r1, c1), (r2, c2)))
+                if not exhaustive:
+                    return out
+    return out
+
+
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
     """Check the three defining conditions and report counterexamples."""
     c1 = []
@@ -108,29 +133,10 @@ def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
             if not exhaustive:
                 break
 
-    pos = constituents(p.entries)
-    c2 = []
-    for v in range(1, p.s + 1):
-        if v not in pos:
-            c2.append((v,))
-            if not exhaustive:
-                break
-
-    c3 = []
-    for v in range(1, p.s + 1):
-        for (r1, c1_), (r2, c2_) in combinations(pos.get(v, ()), 2):
-            bad = (
-                r1 == r2
-                or c1_ == c2_
-                or p.entries[r1 - 1][c2_ - 1] != STAR
-                or p.entries[r2 - 1][c1_ - 1] != STAR
-            )
-            if bad:
-                c3.append(((r1, c1_), (r2, c2_)))
-                if not exhaustive:
-                    break
-        if c3 and not exhaustive:
-            break
+    c2 = [(v,) for v in missing_values(p)]
+    if not exhaustive:
+        c2 = c2[:1]
+    c3 = crossing_violations(p.entries, exhaustive)
 
     return ValidationReport(
         c1_ok=not c1,
@@ -186,46 +192,6 @@ def check_c4(p: Pda) -> bool:
         return False
     t = (p.cols * p.z) // p.rows
     return all(sum(1 for v in row if v == STAR) == t for row in p.entries)
-
-
-def retrieve_window(star_cols: tuple[int, ...], l: int) -> frozenset[int]:
-    """Columns reachable around stars at the given access degree.
-
-    The h-th star contributes the block [col + (h-1)(l-1), col + h(l-1)].
-    """
-    out = set()
-    for h, c in enumerate(star_cols, start=1):
-        out.update(range(c + (h - 1) * (l - 1), c + h * (l - 1) + 1))
-    return frozenset(out)
-
-
-def check_c5(p: Pda, l: int) -> bool:
-    """Check the multiaccess crossing condition at access degree l.
-
-    For every pair of equal integers p[j1,k1] = p[j2,k2], the column k1
-    shifted by its rank inside sorted(stars(j1) u {k1}) must fall in row j2's
-    retrieve window, and symmetrically. At l = 1 this reduces to the plain
-    crossing condition.
-    """
-    if l < 1:
-        raise OutOfRange(f"access degree l={l} must be >= 1")
-    if not check_c4(p):
-        raise C4Violation("uniform per-row star count required before this check")
-    prof = star_profile(p)
-    windows = [retrieve_window(s, l) for s in prof.star_sets]
-
-    def shifted(j: int, k: int) -> int:
-        ranked = sorted(set(prof.star_sets[j - 1]) | {k})
-        i = ranked.index(k) + 1
-        return k + (i - 1) * (l - 1)
-
-    for positions in constituents(p.entries).values():
-        for (j1, k1), (j2, k2) in combinations(positions, 2):
-            if shifted(j1, k1) not in windows[j2 - 1]:
-                return False
-            if shifted(j2, k2) not in windows[j1 - 1]:
-                return False
-    return True
 
 
 def serialize_pda(p: Pda) -> str:

@@ -6,7 +6,6 @@ Floats only appear when a table is rendered to CSV.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb
 
 from .errors import EmptyInput, OutOfRange
@@ -150,32 +149,6 @@ def count_sq(k: int, l: int, t: int, q: int) -> int:
     val = Fraction(comb0(q - x, t - 1) * q, t)
     assert val.denominator == 1, (k, l, t, q, val)
     return int(val)
-
-
-def count_sq_oracle(k: int, l: int, t: int, q: int) -> dict[str, int]:
-    """Brute-force the candidate readings of the gap constraint.
-
-    interval_cyclic: pairwise distance around a q-cycle on [1, q]
-    global_cyclic:   pairwise distance around the K-cycle, both orderings
-    global_forward:  Mod(x - y, K) >= l for x > y only
-    """
-    if not (1 <= t <= k // l):
-        raise OutOfRange(f"t={t} outside [1, {k // l}]")
-    if not (t * l <= q <= k):
-        raise OutOfRange(f"q={q} outside [tL, K] = [{t * l}, {k}]")
-    counts = {"interval_cyclic": 0, "global_cyclic": 0, "global_forward": 0}
-    for sub in combinations(range(1, q + 1), t):
-        ok_int = all(
-            min((x - y) % q, (y - x) % q) >= l for x, y in combinations(sub, 2)
-        )
-        ok_glob = all(
-            min((x - y) % k, (y - x) % k) >= l for x, y in combinations(sub, 2)
-        )
-        ok_fwd = all((x - y) % k >= l for y, x in combinations(sub, 2))
-        counts["interval_cyclic"] += ok_int
-        counts["global_cyclic"] += ok_glob
-        counts["global_forward"] += ok_fwd
-    return counts
 
 
 @dataclass(frozen=True)

@@ -88,11 +88,6 @@ def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, 
     return tuple(frozenset(s) for s in caches)
 
 
-def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:
-    """Bytes a node holds: its (g, j) pairs across all files."""
-    return len(cache) * library.n_files * library.packet_bytes
-
-
 def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
     """Rows of part g the user can read through its l consecutive nodes."""
     k = scheme.params.k
@@ -102,18 +97,6 @@ def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
         j for j in range(1, scheme.pda.rows + 1)
         if scheme.retrieve.grid[j - 1][base_col - 1]
     )
-
-
-def user_view_via_nodes(
-    scheme: Scheme, caches: tuple[frozenset, ...], user: int, g: int
-) -> frozenset[int]:
-    """Same view, derived from the node caches instead of the retrieve array."""
-    k = scheme.params.k
-    rows = set()
-    for off in range(scheme.params.l):
-        node = mod1(user + off, k)
-        rows.update(j for (gg, j) in caches[node - 1] if gg == g)
-    return frozenset(rows)
 
 
 @dataclass(frozen=True)
@@ -188,6 +171,7 @@ def decode_from_messages(
     messages maps (g, s) -> payload int. Raises UndecodablePacket when a
     needed message is absent or a peer packet is outside the user's view.
     """
+    _check_dims(library, scheme)
     k = scheme.params.k
     d = check_demand(demand, k, library.n_files)
     check_user(user, k)

@@ -1,16 +1,18 @@
 """Lift a shared-link array to a cyclic multiaccess scheme.
 
 K cache nodes serve K cache-less users; user k reads nodes k..k+L-1
-cyclically. Round 1 arrays are built from the base array in three steps
-(node placement, user retrieve, user delivery); rounds 2..K are cyclic
-column shifts of round 1 and are never materialized in files.
+cyclically. Round 1 comes from the base array by star expansion: each star
+of a base row becomes L cells (L-1 uncached nodes, then the caching node)
+and each integer stays one cell. So the round-1 delivery array is the base
+array with every star widened to L stars, and C5 is the crossing rule C3 on
+it (`check_c5`). Rounds 2..K are cyclic column shifts of round 1 and are
+never materialized in files.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (
     C3ViolationInQ,
@@ -26,11 +28,11 @@ from .pda import (
     STAR,
     Pda,
     check_c4,
-    check_c5,
     constituents,
+    crossing_violations,
+    missing_values,
     parse_pda,
     serialize_pda,
-    star_profile,
 )
 from .util import mod1
 
@@ -72,67 +74,60 @@ def _shift_grid(grid, g: int):
 
 
 @dataclass(frozen=True)
-class NodePlacementArray:
-    """Star grid over nodes: True where the node caches the row."""
+class RoundArray:
+    """One round's F' x K grid, columns indexing nodes or users.
+
+    Placement grids are True where the node caches the row, retrieve grids
+    True where the user can fetch it; delivery grids hold STAR where the row
+    is retrievable, else the integer of the message that carries it.
+    """
 
     round: int
-    grid: tuple[tuple[bool, ...], ...]
+    grid: tuple[tuple, ...]
 
     @property
     def star_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the columns of its True cells (placement and retrieve grids)."""
         return tuple(
             tuple(c for c, v in enumerate(row, start=1) if v) for row in self.grid
         )
 
 
-@dataclass(frozen=True)
-class UserRetrieveArray:
-    """Star grid over users: True where the user can fetch the row."""
-
-    round: int
-    grid: tuple[tuple[bool, ...], ...]
-
-    @property
-    def star_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(c for c, v in enumerate(row, start=1) if v) for row in self.grid
-        )
-
-    @property
-    def null_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(c for c, v in enumerate(row, start=1) if not v) for row in self.grid
-        )
+def _expand(p: Pda, star_cells: tuple, integer_cell) -> tuple[tuple, ...]:
+    """The base rows with each star widened to star_cells and each integer v
+    replaced by the one cell integer_cell(v)."""
+    return tuple(
+        tuple(x for v in row for x in (star_cells if v == STAR else (integer_cell(v),)))
+        for row in p.entries
+    )
 
 
-@dataclass(frozen=True)
-class UserDeliveryArray:
-    """Delivery grid over users: STAR where retrievable, else a message id."""
-
-    round: int
-    grid: tuple[tuple[int, ...], ...]
-
-
-def node_placement(p: Pda, k: int, l: int) -> NodePlacementArray:
-    """Spread the h-th star of each row forward by h(l-1) node positions."""
+def node_placement(p: Pda, k: int, l: int) -> RoundArray:
+    """Widen each base star to l-1 uncached nodes and then one cached node."""
     if k < 1 or l < 1:
         raise OutOfRange(f"k={k}, l={l} must be >= 1")
     if not check_c4(p):
         raise C4Violation("base array must have a uniform per-row star count")
-    prof = star_profile(p)
-    if p.cols + prof.t * (l - 1) != k:
+    t = p.z * p.cols // p.rows
+    if p.cols + t * (l - 1) != k:
         raise DimensionMismatch(
-            f"array has {p.cols} columns, need k - t(l-1) = {k - prof.t * (l - 1)}"
+            f"array has {p.cols} columns, need k - t(l-1) = {k - t * (l - 1)}"
         )
-    grid = []
-    for stars in prof.star_sets:
-        cols = [a + h * (l - 1) for h, a in enumerate(stars, start=1)]
-        assert all(1 <= c <= k for c in cols), cols
-        row = [False] * k
-        for c in cols:
-            row[c - 1] = True
-        grid.append(tuple(row))
-    return NodePlacementArray(round=1, grid=tuple(grid))
+    return RoundArray(round=1, grid=_expand(p, (False,) * (l - 1) + (True,), lambda v: False))
+
+
+def check_c5(p: Pda, l: int) -> bool:
+    """C5: the lift at access degree l keeps the crossing rule.
+
+    True when the round-1 delivery array of the lift, the base array with
+    every star widened to l stars, has no crossing violation. At l = 1 this
+    is the plain crossing condition C3.
+    """
+    if l < 1:
+        raise OutOfRange(f"access degree l={l} must be >= 1")
+    if not check_c4(p):
+        raise C4Violation("uniform per-row star count required before this check")
+    return not crossing_violations(_expand(p, (STAR,) * l, lambda v: v))
 
 
 def shift_round(base, g: int):
@@ -147,41 +142,32 @@ def shift_round(base, g: int):
     return type(base)(round=g, grid=_shift_grid(base.grid, g))
 
 
-def user_retrieve(c: NodePlacementArray, l: int) -> UserRetrieveArray:
-    """Mark, per user, the rows present in any of its l consecutive nodes."""
+def user_retrieve(c: RoundArray, l: int) -> RoundArray:
+    """Mark, per user, the rows present in any of its l consecutive nodes.
+
+    Raises OutOfRange for a cached node in the first l-1 columns and
+    DimensionMismatch when two windows of one row overlap.
+    """
     if c.round != 1:
         raise OutOfRange("user_retrieve expects the round-1 placement")
     if l < 1:
         raise OutOfRange(f"l={l} must be >= 1")
     k = len(c.grid[0])
     grid = []
-    for row in c.grid:
+    for j, row in enumerate(c.grid, start=1):
         stars = [i + 1 for i, v in enumerate(row) if v]
         cover = set()
         for s in stars:
-            assert s - l + 1 >= 1, (s, l)
+            if s < l:
+                raise OutOfRange(f"row {j}: cached node {s} sits before column l={l}")
             cover.update(range(s - l + 1, s + 1))
+        if len(cover) != l * len(stars):
+            raise DimensionMismatch(f"row {j}: retrieve windows of nodes {stars} overlap")
         grid.append(tuple(u in cover for u in range(1, k + 1)))
-        assert sum(grid[-1]) == l * len(stars), "retrieve windows must not overlap"
-    return UserRetrieveArray(round=1, grid=tuple(grid))
+    return RoundArray(round=1, grid=tuple(grid))
 
 
-def _c3_violation(grid) -> tuple | None:
-    """First crossing violation among equal integers of a star/int grid."""
-    pos = constituents(grid)
-    for v in sorted(pos):
-        for (r1, c1), (r2, c2) in combinations(pos[v], 2):
-            if (
-                r1 == r2
-                or c1 == c2
-                or grid[r1 - 1][c2 - 1] != STAR
-                or grid[r2 - 1][c1 - 1] != STAR
-            ):
-                return ((r1, c1), (r2, c2))
-    return None
-
-
-def delivery_fill_maps(p: Pda, u: UserRetrieveArray) -> tuple[tuple[tuple[int, int], ...], ...]:
+def delivery_fill_maps(p: Pda, u: RoundArray) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per row, the (filled user column, source array column) pairs in order.
 
     The h-th null column of a user-retrieve row receives the h-th integer of
@@ -201,11 +187,11 @@ def delivery_fill_maps(p: Pda, u: UserRetrieveArray) -> tuple[tuple[tuple[int, i
     return tuple(maps)
 
 
-def user_delivery(p: Pda, u: UserRetrieveArray) -> UserDeliveryArray:
+def user_delivery(p: Pda, u: RoundArray) -> RoundArray:
     """Fill the null cells of the retrieve grid with the base-array integers.
 
-    The result must satisfy the crossing condition; a failure means the base
-    array lacked the multiaccess crossing property.
+    Raises C3ViolationInQ (condition C5) when the result breaks the
+    crossing rule.
     """
     if u.round != 1:
         raise OutOfRange("user_delivery expects the round-1 retrieve array")
@@ -216,10 +202,10 @@ def user_delivery(p: Pda, u: UserRetrieveArray) -> UserDeliveryArray:
         for fill_col, src_col in maps[j]:
             out[fill_col - 1] = p.entries[j][src_col - 1]
         grid.append(tuple(out))
-    bad = _c3_violation(grid)
-    if bad is not None:
-        raise C3ViolationInQ(f"equal integers clash at {bad[0]} and {bad[1]}")
-    return UserDeliveryArray(round=1, grid=tuple(grid))
+    bad = crossing_violations(grid)
+    if bad:
+        raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
+    return RoundArray(round=1, grid=tuple(grid))
 
 
 # How a user rebuilds one row outside its view: the integer s of the message
@@ -291,17 +277,17 @@ class Scheme:
 
     params: MultiaccessParams
     pda: Pda
-    placement: NodePlacementArray
-    retrieve: UserRetrieveArray
-    delivery: UserDeliveryArray
+    placement: RoundArray
+    retrieve: RoundArray
+    delivery: RoundArray
 
-    def c(self, g: int) -> NodePlacementArray:
+    def c(self, g: int) -> RoundArray:
         return shift_round(self.placement, g)
 
-    def u(self, g: int) -> UserRetrieveArray:
+    def u(self, g: int) -> RoundArray:
         return shift_round(self.retrieve, g)
 
-    def q(self, g: int) -> UserDeliveryArray:
+    def q(self, g: int) -> RoundArray:
         return shift_round(self.delivery, g)
 
     @cached_property
@@ -323,14 +309,18 @@ class Scheme:
 
 
 def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
-    """Assemble the scheme after checking both regularity conditions."""
-    if not check_c4(p):
-        raise ConditionViolation("C4", "per-row star count is not uniform K'Z/F'")
-    if not check_c5(p, l):
-        raise ConditionViolation("C5", f"crossing condition fails at access degree {l}")
-    prof = star_profile(p)
+    """Lift p to K nodes at access degree l.
+
+    Raises ConditionViolation naming the failed condition: "C2" when an
+    integer of [1, S] never occurs, "C4" (C4Violation) from node_placement
+    and "C5" (C3ViolationInQ) from user_delivery; OutOfRange when k, l and
+    n do not fit the array.
+    """
+    missing = missing_values(p)
+    if missing:
+        raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
     params = MultiaccessParams(
-        k=k, l=l, t=prof.t, n=k if n is None else n, k_prime=p.cols
+        k=k, l=l, t=p.z * p.cols // p.rows, n=k if n is None else n, k_prime=p.cols
     )
     c1 = node_placement(p, k, l)
     u1 = user_retrieve(c1, l)

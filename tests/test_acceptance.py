@@ -37,7 +37,7 @@ from macc import (
     validate_pda,
 )
 from macc.cli import main as cli_main
-from macc.rates import count_sq_oracle
+from oracles import count_sq_oracle
 from macc.util import mod1
 
 # stock 6x4 array with three stars per column and four integers

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from macc import (
+    DimensionMismatch,
     NotApplicable,
     SingularSystem,
     build_scheme,
@@ -148,6 +149,15 @@ def test_tampered_batch_is_rejected(scheme832):
     )
     with pytest.raises(SingularSystem):
         compressed_decode(lib, scheme832, demand, bad, 1)
+
+
+def test_compressed_decode_rejects_foreign_library(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
+    demand = tuple(range(1, 9))
+    batch = compressed_deliver(lib, scheme832, demand)
+    big = library_for_scheme(build_scheme(mn_pda(5, 2), 9, 3), packet_bytes=1, seed=1)
+    with pytest.raises(DimensionMismatch):
+        compressed_decode(big, scheme832, demand, batch, 1)
 
 
 def test_square_corner_compressed_load():

@@ -20,7 +20,7 @@ from macc import (
     star_profile,
     validate_pda,
 )
-from macc.pda import retrieve_window
+from oracles import check_c5_by_windows, retrieve_window
 
 from conftest import PNEG_ROWS
 
@@ -154,6 +154,30 @@ def test_retrieve_window():
     assert retrieve_window((1, 2), 3) == frozenset(range(1, 7))
     assert retrieve_window((2, 5), 1) == frozenset({2, 5})
     assert retrieve_window((1,), 4) == frozenset({1, 2, 3, 4})
+
+
+@st.composite
+def c4_arrays(draw):
+    """Arrays of 1..6 rows and columns with a uniform per-row star count."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    z = draw(st.sampled_from([z for z in range(rows + 1) if cols * z % rows == 0]))
+    t = cols * z // rows
+    s = draw(st.integers(min_value=1, max_value=8))
+    entries = []
+    for _ in range(rows):
+        stars = draw(st.permutations(range(cols)))[:t]
+        entries.append(tuple(
+            STAR if c in stars else draw(st.integers(min_value=1, max_value=s))
+            for c in range(cols)
+        ))
+    return Pda(rows=rows, cols=cols, entries=tuple(entries), z=z, s=s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(c4_arrays(), st.integers(min_value=1, max_value=4))
+def test_c5_matches_window_reference(p, l):
+    assert check_c5(p, l) == check_c5_by_windows(p, l)
 
 
 def test_c5_at_degree_one_is_plain_crossing():

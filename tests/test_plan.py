@@ -27,7 +27,7 @@ from macc import (
 )
 from macc.pda import STAR, constituents
 from macc.sim import TransmissionLog, check_demand, user_view
-from macc.transform import UserDeliveryArray, UserRetrieveArray
+from macc.transform import RoundArray
 
 
 def oracle_deliver(library, scheme, demand) -> TransmissionLog:
@@ -170,8 +170,8 @@ def test_missing_message_matches_oracle(scheme832):
 def _malformed(scheme, retrieve, delivery):
     return dataclasses.replace(
         scheme,
-        retrieve=UserRetrieveArray(round=1, grid=tuple(map(tuple, retrieve))),
-        delivery=UserDeliveryArray(round=1, grid=tuple(map(tuple, delivery))),
+        retrieve=RoundArray(round=1, grid=tuple(map(tuple, retrieve))),
+        delivery=RoundArray(round=1, grid=tuple(map(tuple, delivery))),
     )
 
 

@@ -27,7 +27,8 @@ from macc import (
     r_t1,
     r_t3,
 )
-from macc.rates import converse_step, count_sq_oracle, scheme_points
+from macc.rates import converse_step, scheme_points
+from oracles import count_sq_oracle
 
 
 F = Fraction

@@ -18,11 +18,11 @@ from macc import (
     partition_pda,
     populate_caches,
     user_view,
-    user_view_via_nodes,
     worst_case_load,
 )
 from macc.pda import constituents
-from macc.sim import check_demand, node_cache_bytes
+from macc.sim import check_demand
+from oracles import node_cache_bytes, user_view_via_nodes
 
 # per-user part-1 views of the worked (8, 3, 2) instance
 VIEWS_832_G1 = {
@@ -123,6 +123,13 @@ def test_decode_rejects_foreign_library(scheme832):
     small = build_scheme(mn_pda(3, 1), 5, 3)
     with pytest.raises(DimensionMismatch):
         deliver(lib, small, (1, 2, 3, 4, 5))
+    # a 9x10-per-file library fits the demand and every index of the
+    # 8x6 scheme, so only the dimension check can catch it
+    demand = tuple(range(1, 9))
+    log = deliver(lib, scheme832, demand)
+    big = library_for_scheme(build_scheme(mn_pda(5, 2), 9, 3), packet_bytes=1, seed=0)
+    with pytest.raises(DimensionMismatch):
+        decode(big, scheme832, demand, log, 1)
 
 
 def test_check_demand():

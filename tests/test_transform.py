@@ -1,5 +1,6 @@
 """Cyclic multiaccess lift: placement, retrieve and delivery grids."""
 
+import dataclasses
 import json
 
 import pytest
@@ -201,6 +202,26 @@ def test_delivery_rejects_window_breaker(pneg):
 def test_build_scheme_rejects_wrong_k():
     with pytest.raises(OutOfRange):
         build_scheme(mn_pda(4, 2), 9, 3)
+
+
+def test_build_scheme_rejects_uncovered_alphabet():
+    with pytest.raises(ConditionViolation) as err:
+        build_scheme(dataclasses.replace(mn_pda(4, 2), s=5), 8, 3)
+    assert err.value.condition == "C2"
+
+
+def test_user_retrieve_rejects_early_cached_node():
+    c = node_placement(mn_pda(4, 2), 8, 3)
+    early = dataclasses.replace(c, grid=((True,) + (False,) * 7,) + c.grid[1:])
+    with pytest.raises(OutOfRange):
+        user_retrieve(early, 3)
+
+
+def test_user_retrieve_rejects_overlapping_windows():
+    c = node_placement(mn_pda(4, 2), 8, 3)
+    close = dataclasses.replace(c, grid=((False,) * 2 + (True, True) + (False,) * 4,) + c.grid[1:])
+    with pytest.raises(DimensionMismatch):
+        user_retrieve(close, 3)
 
 
 def test_partition_lift():

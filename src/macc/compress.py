@@ -9,11 +9,18 @@ user solves for its unknowns.
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, SingularSystem
-from .gf2 import GF, cauchy_matrix, field, packet_to_symbols, symbols_to_packet
+from .errors import (
+    CodingMatrixMismatch,
+    DimensionMismatch,
+    FieldTooSmall,
+    NotApplicable,
+    SingularSystem,
+)
+from .gf2 import GF, cauchy_matrix, field, packets_to_symbols, symbols_to_packets
 from .pda import Pda, star_profile
 from .sim import (
     PacketLibrary,
@@ -52,13 +59,12 @@ def lambda_profile(p: Pda, l: int) -> LambdaProfile:
 
 
 def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
-    """Rounds whose retrieve column for this user is all stars."""
+    """Rounds in which the user's view holds every row of the part."""
     k = scheme.params.k
-    full_cols = [
-        c for c in range(1, k + 1)
-        if all(row[c - 1] for row in scheme.retrieve.grid)
-    ]
-    return tuple(sorted(mod1(user - c + 1, k) for c in full_cols))
+    rows = scheme.pda.rows
+    return tuple(sorted(
+        mod1(user - c, k) for c, view in enumerate(scheme.plan.views) if len(view) == rows
+    ))
 
 
 def reconstructable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
@@ -89,7 +95,10 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
 
 @dataclass(frozen=True, eq=False)
 class CodedBatch:
-    """Coded transmission: payload rows of G @ messages plus the G parameters."""
+    """Coded transmission: payload rows of G @ messages plus the G parameters.
+
+    compressed_deliver shares one read-only G among the batches of a shape.
+    """
 
     field_width: int
     m1: int
@@ -132,6 +141,14 @@ def message_order(scheme: Scheme) -> tuple[tuple[int, int], ...]:
     )
 
 
+@lru_cache(maxsize=4)
+def _coding_matrix(m1: int, m2: int, width: int) -> np.ndarray:
+    """cauchy_matrix(m1, m2) over GF(2^width), built once and read-only."""
+    g_mat = cauchy_matrix(m1, m2, field(width))
+    g_mat.flags.writeable = False
+    return g_mat
+
+
 def compressed_deliver(
     library: PacketLibrary, scheme: Scheme, demand, field_width: int | None = None
 ) -> CodedBatch:
@@ -145,15 +162,9 @@ def compressed_deliver(
     if m2 != scheme.params.k * scheme.pda.s:
         raise DimensionMismatch(f"log holds {m2} messages, K*S is {scheme.params.k * scheme.pda.s}")
     gf = _pick_field(m1, m2, library.packet_bytes, field_width)
-    g_mat = cauchy_matrix(m1, m2, gf)
-    x = np.array(
-        [packet_to_symbols(p, library.packet_bytes, gf.width) for _, _, p in log.messages],
-        dtype=np.uint32,
-    )
-    coded = gf.matmul(g_mat, x)
-    payloads = tuple(
-        symbols_to_packet(coded[i], library.packet_bytes, gf.width) for i in range(m1)
-    )
+    g_mat = _coding_matrix(m1, m2, gf.width)
+    x = packets_to_symbols((p for _, _, p in log.messages), library.packet_bytes, gf.width)
+    payloads = tuple(symbols_to_packets(gf.matmul(g_mat, x), library.packet_bytes, gf.width))
     return CodedBatch(
         field_width=gf.width,
         m1=m1,
@@ -164,44 +175,72 @@ def compressed_deliver(
     )
 
 
+def _check_batch(batch: CodedBatch, gf: GF, m2: int, packet_bytes: int) -> np.ndarray:
+    """The batch's coding matrix, once its shape and entries are those
+    compressed_deliver sends: cauchy_matrix(m1, m2) over the batch's field."""
+    if batch.m2 != m2 or batch.packet_bytes != packet_bytes or len(batch.payloads) != batch.m1:
+        raise DimensionMismatch(
+            f"batch of {len(batch.payloads)} rows, m1={batch.m1}, m2={batch.m2}, "
+            f"{batch.packet_bytes}-byte packets does not fit K*S={m2}, {packet_bytes}-byte packets"
+        )
+    g_mat = np.asarray(batch.coding_matrix)
+    if g_mat.shape != (batch.m1, m2):
+        raise DimensionMismatch(f"coding matrix is {g_mat.shape}, want {(batch.m1, m2)}")
+    if not np.array_equal(g_mat, _coding_matrix(batch.m1, m2, gf.width)):
+        raise CodingMatrixMismatch(
+            f"coding matrix is not the {batch.m1}x{m2} Cauchy matrix over GF(2^{gf.width})"
+        )
+    return g_mat
+
+
+def messages_read(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
+    """The (g, s) messages whose payloads the user's decode XORs."""
+    k = scheme.params.k
+    check_user(user, k)
+    recipes = scheme.plan.recipes
+    return frozenset(
+        (g, step[0])
+        for g in range(1, k + 1)
+        for step in recipes[(user - g) % k]
+        if step is not None
+    )
+
+
 def compressed_decode(
     library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
 ) -> bytes:
-    """Recover the user's file from its view plus the coded batch."""
+    """Recover the user's file from its view plus the coded batch.
+
+    The fully seen rounds give their messages straight from the view. Of the
+    m1 unknowns, only those the user's decode reads are solved, each as one
+    row of the closed-form inverse of the batch's Cauchy columns, so no
+    elimination runs.
+    """
     _check_dims(library, scheme)
     d = check_demand(demand, scheme.params.k, library.n_files)
+    check_user(user, scheme.params.k)
     gf = field(batch.field_width)
     order = message_order(scheme)
-    index = {gs: i for i, gs in enumerate(order)}
-
-    # rebuild the messages of the fully seen rounds straight from the view
     msgs = {
         (g, s): payload
         for g in full_view_rounds(scheme, user)
         for s, payload in enumerate(round_payloads(library, scheme, d, g), start=1)
     }
-    known = list(msgs)
-
+    known = [i for i, gs in enumerate(order) if gs in msgs]
     unknown = [i for i, gs in enumerate(order) if gs not in msgs]
     if len(unknown) != batch.m1:
         raise SingularSystem(
             f"{len(unknown)} unknowns against {batch.m1} coded rows"
         )
-    g_mat = batch.coding_matrix
-    rhs = np.array(
-        [packet_to_symbols(p, batch.packet_bytes, gf.width) for p in batch.payloads],
-        dtype=np.uint32,
-    )
-    if known:
-        known_idx = [index[gs] for gs in known]
-        xk = np.array(
-            [packet_to_symbols(msgs[gs], batch.packet_bytes, gf.width) for gs in known],
-            dtype=np.uint32,
-        )
-        rhs ^= gf.matmul(g_mat[:, known_idx], xk)
-    solved = gf.solve(g_mat[:, unknown], rhs)
-    for row, i in enumerate(unknown):
-        msgs[order[i]] = symbols_to_packet(solved[row], batch.packet_bytes, gf.width)
+    g_mat = _check_batch(batch, gf, len(order), library.packet_bytes)
+    read = messages_read(scheme, user)
+    rows = [r for r, i in enumerate(unknown) if order[i] in read]
+    b, w = batch.packet_bytes, gf.width
+    rhs = packets_to_symbols(batch.payloads, b, w)
+    rhs ^= gf.matmul(g_mat[:, known], packets_to_symbols((msgs[order[i]] for i in known), b, w))
+    solved = gf.matmul(gf.cauchy_inverse(batch.m1, unknown, rows), rhs)
+    for r, payload in zip(rows, symbols_to_packets(solved, b, w)):
+        msgs[order[unknown[r]]] = payload
     return decode_from_messages(library, scheme, demand, msgs, user)
 
 

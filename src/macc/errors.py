@@ -73,6 +73,10 @@ class SingularSystem(MaccError):
     """A linear system over the field has no unique solution."""
 
 
+class CodingMatrixMismatch(MaccError):
+    """A coded batch carries a matrix other than the Cauchy matrix it names."""
+
+
 class OutOfRange(MaccError):
     """A parameter violates its stated constraint."""
 

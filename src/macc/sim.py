@@ -89,14 +89,10 @@ def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, 
 
 
 def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
-    """Rows of part g the user can read through its l consecutive nodes."""
+    """Rows of part g (1-based) the user can read through its l consecutive nodes."""
     k = scheme.params.k
     check_user(user, k)
-    base_col = mod1(user - (g - 1), k)
-    return frozenset(
-        j for j in range(1, scheme.pda.rows + 1)
-        if scheme.retrieve.grid[j - 1][base_col - 1]
-    )
+    return frozenset(j + 1 for j in scheme.plan.views[(user - g) % k])
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,8 @@ def shift_round(base, g: int):
     """Round-g version of a round-1 array by cyclic column shift."""
     if base.round != 1:
         raise OutOfRange("shift_round expects the round-1 array")
+    if not base.grid:
+        raise DimensionMismatch("shift_round needs a grid with at least one row")
     k = len(base.grid[0])
     if not (1 <= g <= k):
         raise OutOfRange(f"round g={g} outside [1, {k}]")
@@ -146,12 +148,15 @@ def user_retrieve(c: RoundArray, l: int) -> RoundArray:
     """Mark, per user, the rows present in any of its l consecutive nodes.
 
     Raises OutOfRange for a cached node in the first l-1 columns and
-    DimensionMismatch when two windows of one row overlap.
+    DimensionMismatch for an empty grid or when two windows of one row
+    overlap.
     """
     if c.round != 1:
         raise OutOfRange("user_retrieve expects the round-1 placement")
     if l < 1:
         raise OutOfRange(f"l={l} must be >= 1")
+    if not c.grid:
+        raise DimensionMismatch("user_retrieve needs a placement with at least one row")
     k = len(c.grid[0])
     grid = []
     for j, row in enumerate(c.grid, start=1):

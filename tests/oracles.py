@@ -6,9 +6,13 @@ computes another way.
 
 from itertools import combinations
 
-from macc import C4Violation, OutOfRange, Pda, check_c4, star_profile
+import numpy as np
+
+from macc import C4Violation, OutOfRange, Pda, SingularSystem, check_c4, star_profile
+from macc.compress import CodedBatch, message_order
+from macc.gf2 import field, packet_to_symbols, symbols_to_packet
 from macc.pda import constituents
-from macc.sim import PacketLibrary
+from macc.sim import PacketLibrary, check_demand, decode_from_messages, round_payloads
 from macc.transform import Scheme
 from macc.util import mod1
 
@@ -94,3 +98,44 @@ def count_sq_oracle(k: int, l: int, t: int, q: int) -> dict[str, int]:
         counts["global_cyclic"] += ok_glob
         counts["global_forward"] += ok_fwd
     return counts
+
+
+def compressed_decode_by_elimination(
+    library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
+) -> bytes:
+    """The coded decode by Gauss-Jordan elimination on the whole m1 x m1 system.
+
+    Full-view rounds come from the retrieve grid, every unknown is solved
+    with GF.solve against the batch's own matrix, and packets are converted
+    one at a time.
+    """
+    k = scheme.params.k
+    d = check_demand(demand, k, library.n_files)
+    gf = field(batch.field_width)
+    order = message_order(scheme)
+    index = {gs: i for i, gs in enumerate(order)}
+    full_cols = [c for c in range(1, k + 1) if all(row[c - 1] for row in scheme.retrieve.grid)]
+    msgs = {
+        (g, s): payload
+        for g in sorted(mod1(user - c + 1, k) for c in full_cols)
+        for s, payload in enumerate(round_payloads(library, scheme, d, g), start=1)
+    }
+    known = list(msgs)
+    unknown = [i for i, gs in enumerate(order) if gs not in msgs]
+    if len(unknown) != batch.m1:
+        raise SingularSystem(f"{len(unknown)} unknowns against {batch.m1} coded rows")
+    g_mat = batch.coding_matrix
+    rhs = np.array(
+        [packet_to_symbols(p, batch.packet_bytes, gf.width) for p in batch.payloads],
+        dtype=np.uint32,
+    )
+    if known:
+        xk = np.array(
+            [packet_to_symbols(msgs[gs], batch.packet_bytes, gf.width) for gs in known],
+            dtype=np.uint32,
+        )
+        rhs ^= gf.matmul(g_mat[:, [index[gs] for gs in known]], xk)
+    solved = gf.solve(g_mat[:, unknown], rhs)
+    for row, i in enumerate(unknown):
+        msgs[order[i]] = symbols_to_packet(solved[row], batch.packet_bytes, gf.width)
+    return decode_from_messages(library, scheme, demand, msgs, user)

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from macc import (
+    GF,
+    CodingMatrixMismatch,
     DimensionMismatch,
     NotApplicable,
+    OutOfRange,
     SingularSystem,
     build_scheme,
     compressed_decode,
@@ -25,6 +28,8 @@ from macc import (
     r_rk,
     reconstructable_messages,
 )
+from macc.compress import messages_read
+from oracles import compressed_decode_by_elimination
 
 
 def binomial_instances(k_max: int):
@@ -149,6 +154,74 @@ def test_tampered_batch_is_rejected(scheme832):
     )
     with pytest.raises(SingularSystem):
         compressed_decode(lib, scheme832, demand, bad, 1)
+
+
+def test_compressed_decode_rejects_foreign_coding_matrix(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
+    demand = tuple(range(1, 9))
+    batch = compressed_deliver(lib, scheme832, demand)
+    flipped = batch.coding_matrix.copy()
+    flipped[3, 5] ^= 1
+    with pytest.raises(CodingMatrixMismatch):
+        compressed_decode(lib, scheme832, demand, dataclasses.replace(batch, coding_matrix=flipped), 1)
+    with pytest.raises(DimensionMismatch):
+        compressed_decode(
+            lib, scheme832, demand,
+            dataclasses.replace(batch, coding_matrix=batch.coding_matrix[:, :-1]), 1,
+        )
+
+
+def test_compressed_decode_rejects_malformed_payloads(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
+    demand = tuple(range(1, 9))
+    batch = compressed_deliver(lib, scheme832, demand)
+    for first in ("x", 256, -1):
+        bad = dataclasses.replace(batch, payloads=(first,) + batch.payloads[1:])
+        with pytest.raises(OutOfRange):
+            compressed_decode(lib, scheme832, demand, bad, 1)
+
+
+def _coded_cases():
+    p33, _ = partition_pda(3, 3)
+    return {
+        "832": (build_scheme(mn_pda(4, 2), 8, 3), 2, None, dict(n_random=3)),
+        "part33": (build_scheme(p33, 15, 3), 2, None, dict(n_random=1)),
+        "mn21_gf16": (build_scheme(mn_pda(2, 1), 4, 3), 2, 16, {}),
+    }
+
+
+@pytest.mark.parametrize("name", ["832", "part33", "mn21_gf16"])
+def test_compressed_decode_matches_elimination_oracle(name):
+    scheme, packet_bytes, width, suite = _coded_cases()[name]
+    k = scheme.params.k
+    lib = library_for_scheme(scheme, packet_bytes=packet_bytes, seed=5)
+    for demand in demand_suite(k, k, seed=9, **suite):
+        batch = compressed_deliver(lib, scheme, demand, field_width=width)
+        for user in range(1, k + 1):
+            got = compressed_decode(lib, scheme, demand, batch, user)
+            assert got == compressed_decode_by_elimination(lib, scheme, demand, batch, user)
+            assert got == lib.file_bytes(demand[user - 1]), (demand, user)
+
+
+def test_compressed_decode_runs_no_elimination(scheme832, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("GF.solve called")
+
+    monkeypatch.setattr(GF, "solve", no_solve)
+    lib = library_for_scheme(scheme832, packet_bytes=2, seed=4)
+    demand = (2, 7, 1, 8, 2, 8, 1, 8)
+    batch = compressed_deliver(lib, scheme832, demand)
+    for user in range(1, 9):
+        assert compressed_decode(lib, scheme832, demand, batch, user) == lib.file_bytes(demand[user - 1])
+
+
+def test_messages_read_are_unknowns():
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    for user in (1, 8, 15):
+        read = messages_read(scheme, user)
+        assert len(read) == 54
+        assert not read & reconstructable_messages(scheme, user)
 
 
 def test_compressed_decode_rejects_foreign_library(scheme832):

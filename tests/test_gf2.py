@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macc import FieldTooSmall, OutOfRange, SingularSystem
+from macc import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
 from macc.gf2 import (
     GF,
     PRIMITIVE_POLY,
     cauchy_matrix,
     field,
     packet_to_symbols,
+    packets_to_symbols,
     symbols_to_packet,
+    symbols_to_packets,
 )
 
 
@@ -94,6 +96,81 @@ def test_matmul_matches_scalar_loop():
             assert got[i, j] == acc
 
 
+def test_matmul_wide_with_zeros_matches_scalar_loop():
+    gf = field(16)
+    rng = np.random.default_rng(16)
+    a = rng.integers(0, 1 << 16, size=(6, 9), dtype=np.uint32)
+    x = rng.integers(0, 1 << 16, size=(9, 5), dtype=np.uint32)
+    a[rng.random(a.shape) < 0.3] = 0
+    x[rng.random(x.shape) < 0.3] = 0
+    a[2] = 0
+    x[:, 1] = 0
+    got = gf.matmul(a, x)
+    assert got.dtype == np.uint32
+    for i in range(6):
+        for j in range(5):
+            acc = 0
+            for k in range(9):
+                acc ^= gf.mul(int(a[i, k]), int(x[k, j]))
+            assert got[i, j] == acc
+
+
+def test_mul_by_zero_through_the_sentinel():
+    for width in (3, 8, 16):
+        gf = field(width)
+        for a in (0, 1, gf.order - 1):
+            assert gf.mul(a, 0) == gf.mul(0, a) == 0
+        v = np.array([0, 1, gf.order - 1], dtype=np.uint32)
+        assert gf.scale_row(v, 0).tolist() == [0, 0, 0]
+        assert gf.scale_row(v, 1).tolist() == v.tolist()
+
+
+def test_matmul_rejects_shape_mismatch():
+    gf = field(8)
+    with pytest.raises(DimensionMismatch):
+        gf.matmul(np.ones((2, 3), dtype=np.uint32), np.ones((2, 3), dtype=np.uint32))
+
+
+def test_solve_rejects_shape_mismatch():
+    gf = field(8)
+    with pytest.raises(DimensionMismatch):
+        gf.solve(np.ones((2, 3), dtype=np.uint32), np.ones((2, 1), dtype=np.uint32))
+    with pytest.raises(DimensionMismatch):
+        gf.solve(np.eye(2, dtype=np.uint32), np.ones((3, 1), dtype=np.uint32))
+
+
+@pytest.mark.parametrize("width, m1, m2", [(8, 24, 32), (16, 216, 270)])
+def test_cauchy_inverse_matches_identity_and_solve(width, m1, m2):
+    gf = field(width)
+    g = cauchy_matrix(m1, m2, gf)
+    eye = np.eye(m1, dtype=np.uint32)
+    rng = random.Random(m1)
+    for trial in range(3 if width == 16 else 20):
+        cols = sorted(rng.sample(range(m2), m1)) if trial else list(range(m2 - m1, m2))
+        inv = gf.cauchy_inverse(m1, cols)
+        assert inv.dtype == np.uint32
+        assert np.array_equal(gf.matmul(inv, g[:, cols]), eye)
+        assert np.array_equal(gf.matmul(g[:, cols], inv), eye)
+        if trial < 3:
+            assert np.array_equal(inv, gf.solve(g[:, cols], eye))
+        rows = sorted(rng.sample(range(m1), m1 // 4))
+        assert np.array_equal(gf.cauchy_inverse(m1, cols, rows), inv[rows])
+
+
+def test_cauchy_inverse_rejects_bad_columns():
+    gf = field(8)
+    with pytest.raises(DimensionMismatch):
+        gf.cauchy_inverse(3, [0, 1])
+    with pytest.raises(OutOfRange):
+        gf.cauchy_inverse(2, [1, 1])
+    with pytest.raises(OutOfRange):
+        gf.cauchy_inverse(2, [-1, 1])
+    with pytest.raises(OutOfRange):
+        gf.cauchy_inverse(2, [0, 1], rows=[2])
+    with pytest.raises(FieldTooSmall):
+        gf.cauchy_inverse(2, [0, 254])
+
+
 def test_cauchy_2x4_minors_nonzero():
     gf = field(3)
     m = cauchy_matrix(2, 4, gf)
@@ -168,3 +245,43 @@ def test_symbol_packing_small_width():
     syms = packet_to_symbols(0x0102, 2, 3)
     assert syms == [1, 2]
     assert symbols_to_packet(syms, 2, 3) == 0x0102
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_batch_symbol_packing_matches_per_packet(width):
+    rng = random.Random(width)
+    for nbytes in (2, 6, 256):
+        packets = [rng.getrandbits(8 * nbytes) for _ in range(17)] + [0, (1 << 8 * nbytes) - 1]
+        syms = packets_to_symbols(packets, nbytes, width)
+        assert syms.dtype == np.uint32
+        assert syms.tolist() == [packet_to_symbols(p, nbytes, width) for p in packets]
+        assert symbols_to_packets(syms, nbytes, width) == [
+            symbols_to_packet(row, nbytes, width) for row in syms
+        ] == packets
+    assert packets_to_symbols([], 2, width).shape == (0, 2 // (width // 8))
+
+
+def test_symbol_packing_rejects_ragged_packets():
+    with pytest.raises(DimensionMismatch):
+        packet_to_symbols(1, 3, 16)
+    with pytest.raises(DimensionMismatch):
+        packets_to_symbols([1], 3, 16)
+    with pytest.raises(DimensionMismatch):
+        symbols_to_packet([1, 2], 3, 8)
+    with pytest.raises(DimensionMismatch):
+        symbols_to_packets(np.zeros((1, 2), dtype=np.uint32), 3, 8)
+
+
+def test_symbol_packing_rejects_out_of_range():
+    with pytest.raises(OutOfRange):
+        packet_to_symbols(0x0109, 2, 3)
+    with pytest.raises(OutOfRange):
+        packets_to_symbols([0x0109], 2, 3)
+    with pytest.raises(OutOfRange):
+        packet_to_symbols(1 << 16, 2, 8)
+    with pytest.raises(OutOfRange):
+        symbols_to_packet([1, 300], 2, 8)
+    with pytest.raises(OutOfRange):
+        symbols_to_packets(np.array([[1, 300]]), 2, 8)
+    with pytest.raises(OutOfRange):
+        packet_to_symbols(1, 2, 5)

@@ -26,6 +26,7 @@ from macc import (
     user_delivery,
     user_retrieve,
 )
+from macc.transform import RoundArray
 from macc.util import mod1
 
 # Worked (8, 3, 2) goldens: star columns per row of the first two rounds'
@@ -222,6 +223,16 @@ def test_user_retrieve_rejects_overlapping_windows():
     close = dataclasses.replace(c, grid=((False,) * 2 + (True, True) + (False,) * 4,) + c.grid[1:])
     with pytest.raises(DimensionMismatch):
         user_retrieve(close, 3)
+
+
+def test_user_retrieve_rejects_empty_grid():
+    with pytest.raises(DimensionMismatch):
+        user_retrieve(RoundArray(round=1, grid=()), 3)
+
+
+def test_shift_round_rejects_empty_grid():
+    with pytest.raises(DimensionMismatch):
+        shift_round(RoundArray(round=1, grid=()), 1)
 
 
 def test_partition_lift():

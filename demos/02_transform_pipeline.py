@@ -6,7 +6,7 @@ delivery nulls. The full stack of K delivery grids is what the simulator
 replays round by round.
 """
 
-from macc import build_scheme, delivery_fill_maps, mn_pda, node_placement, user_retrieve
+from macc import STAR, build_scheme, mn_pda
 
 
 def render_bool(grid):
@@ -35,10 +35,12 @@ def main():
         print(render_ints(scheme.q(g).grid))
         print()
 
-    maps = delivery_fill_maps(p, user_retrieve(node_placement(p, 8, 3), 3))
+    # The h-th null of a retrieve row receives the h-th integer of the base row.
     print("fill maps (null user column <- base array column), row by row:")
-    for j, pairs in enumerate(maps, start=1):
-        pretty = ", ".join(f"{dst} <- {src}" for dst, src in pairs)
+    for j, (retrieve, base) in enumerate(zip(scheme.retrieve.grid, p.entries), start=1):
+        nulls = [c for c, v in enumerate(retrieve, start=1) if not v]
+        srcs = [c for c, v in enumerate(base, start=1) if v != STAR]
+        pretty = ", ".join(f"{dst} <- {src}" for dst, src in zip(nulls, srcs))
         print(f"  row {j}: {pretty}")
 
 

@@ -68,8 +68,11 @@ def _report(args, inputs: dict, results: dict, checks: list) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except ValueError as e:
+        raise ParseError(f"cannot read {path!r}: {e}") from e
 
 
 def cmd_build_pda(args) -> int:
@@ -137,13 +140,13 @@ def cmd_transform(args) -> int:
 
 
 def _parse_demand(spec: str, k: int, n: int, fallback_seed: int):
-    if spec.startswith("random:"):
-        rng = random.Random(int(spec.split(":", 1)[1]))
-        return tuple(rng.randint(1, n) for _ in range(k))
-    if spec == "random":
-        rng = random.Random(fallback_seed)
-        return tuple(rng.randint(1, n) for _ in range(k))
     try:
+        if spec.startswith("random:"):
+            rng = random.Random(int(spec.split(":", 1)[1]))
+            return tuple(rng.randint(1, n) for _ in range(k))
+        if spec == "random":
+            rng = random.Random(fallback_seed)
+            return tuple(rng.randint(1, n) for _ in range(k))
         return tuple(int(x) for x in spec.split(","))
     except ValueError as e:
         raise ParseError(f"bad demand spec {spec!r}") from e
@@ -197,7 +200,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    step = Fraction(args.step)
+    try:
+        step = Fraction(args.step)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad --step {args.step!r}") from e
     header, rows = comparison_table(args.K, args.L, schemes, step)
     lines = [",".join(header)]
     for row in rows:
@@ -342,7 +348,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         rc = args.fn(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OutOfRange as e:

@@ -61,10 +61,29 @@ class GF:
         """exp at each log-sum; sums reaching the zero sentinel clip to the last entry, 0."""
         return self._exp.take(logs, mode="clip")
 
+    def _check_elements(self, *operands) -> None:
+        """Raise OutOfRange unless every operand holds only elements of the field.
+
+        The log table is indexed by raw values: a negative one would wrap
+        around to a wrong answer, one past the table would raise IndexError.
+        """
+        for x in operands:
+            if isinstance(x, (int, np.integer)):
+                lo = hi = x
+            else:
+                x = np.asarray(x)
+                if not x.size:
+                    continue
+                lo, hi = x.min(), x.max()
+            if lo < 0 or hi >= self.order:
+                raise OutOfRange(f"element outside GF(2^{self.width})")
+
     def mul(self, a: int, b: int) -> int:
+        self._check_elements(a, b)
         return int(self._antilog(self._log[a] + self._log[b]))
 
     def inv(self, a: int) -> int:
+        self._check_elements(a)
         if a == 0:
             raise ZeroDivisionError("no inverse of 0")
         return int(self._exp[self.order - 1 - self._log[a]])
@@ -74,6 +93,7 @@ class GF:
         return self._antilog(self._log[u][:, None] + self._log[v][None, :])
 
     def scale_row(self, v: np.ndarray, s: int) -> np.ndarray:
+        self._check_elements(v, s)
         return self._antilog(self._log[v] + self._log[s])
 
     def matmul(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -85,6 +105,7 @@ class GF:
         """
         if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[0]:
             raise DimensionMismatch(f"cannot multiply {a.shape} by {x.shape}")
+        self._check_elements(a, x)
         m, k = a.shape
         out = np.zeros((m, x.shape[1]), dtype=self._exp.dtype)
         lx = self._log[x]

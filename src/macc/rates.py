@@ -30,11 +30,9 @@ def r_mn(k: int, t: int) -> Fraction:
     return Fraction(k - t, t + 1)
 
 
-def r_hkd(k: int, l: int, t: int, divides: bool | None = None) -> Fraction:
+def r_hkd(k: int, l: int, t: int) -> Fraction:
     """Reduction-to-shared-link scheme; branch depends on whether l | k."""
-    if divides is None:
-        divides = k % l == 0
-    if divides:
+    if k % l == 0:
         _check_klt(k, l, t, k // l)
         return Fraction(k - t * l, t + 1)
     _check_klt(k, l, t, k // (2 * l))

@@ -1,12 +1,14 @@
 """Lift a shared-link array to a cyclic multiaccess scheme.
 
 K cache nodes serve K cache-less users; user k reads nodes k..k+L-1
-cyclically. Round 1 comes from the base array by star expansion: each star
-of a base row becomes L cells (L-1 uncached nodes, then the caching node)
-and each integer stays one cell. So the round-1 delivery array is the base
-array with every star widened to L stars, and C5 is the crossing rule C3 on
-it (`check_c5`). Rounds 2..K are cyclic column shifts of round 1 and are
-never materialized in files.
+cyclically. All three round-1 grids are star expansions of the base array:
+each star of a base row becomes L cells and each integer stays one cell.
+In the placement grid the L cells are L-1 uncached nodes, then the caching
+node; in the retrieve grid they are the L users that reach that node; in the
+delivery grid they are L stars, and the integer cells keep their values. C5
+is the crossing rule C3 on the delivery grid, checked once (`check_c5`, and
+`build_scheme` on the grid it keeps). Rounds 2..K are cyclic column shifts
+of round 1 and are never materialized in files.
 """
 
 import json
@@ -21,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     OutOfRange,
     ParseError,
-    RowCountMismatch,
     UndecodablePacket,
 )
 from .pda import (
@@ -102,6 +103,11 @@ def _expand(p: Pda, star_cells: tuple, integer_cell) -> tuple[tuple, ...]:
     )
 
 
+def _delivery_grid(p: Pda, l: int) -> tuple[tuple, ...]:
+    """The round-1 delivery grid: every star widened to l stars."""
+    return _expand(p, (STAR,) * l, lambda v: v)
+
+
 def node_placement(p: Pda, k: int, l: int) -> RoundArray:
     """Widen each base star to l-1 uncached nodes and then one cached node."""
     if k < 1 or l < 1:
@@ -127,7 +133,7 @@ def check_c5(p: Pda, l: int) -> bool:
         raise OutOfRange(f"access degree l={l} must be >= 1")
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not crossing_violations(_expand(p, (STAR,) * l, lambda v: v))
+    return not crossing_violations(_delivery_grid(p, l))
 
 
 def shift_round(base, g: int):
@@ -142,75 +148,6 @@ def shift_round(base, g: int):
     if g == 1:
         return base
     return type(base)(round=g, grid=_shift_grid(base.grid, g))
-
-
-def user_retrieve(c: RoundArray, l: int) -> RoundArray:
-    """Mark, per user, the rows present in any of its l consecutive nodes.
-
-    Raises OutOfRange for a cached node in the first l-1 columns and
-    DimensionMismatch for an empty grid or when two windows of one row
-    overlap.
-    """
-    if c.round != 1:
-        raise OutOfRange("user_retrieve expects the round-1 placement")
-    if l < 1:
-        raise OutOfRange(f"l={l} must be >= 1")
-    if not c.grid:
-        raise DimensionMismatch("user_retrieve needs a placement with at least one row")
-    k = len(c.grid[0])
-    grid = []
-    for j, row in enumerate(c.grid, start=1):
-        stars = [i + 1 for i, v in enumerate(row) if v]
-        cover = set()
-        for s in stars:
-            if s < l:
-                raise OutOfRange(f"row {j}: cached node {s} sits before column l={l}")
-            cover.update(range(s - l + 1, s + 1))
-        if len(cover) != l * len(stars):
-            raise DimensionMismatch(f"row {j}: retrieve windows of nodes {stars} overlap")
-        grid.append(tuple(u in cover for u in range(1, k + 1)))
-    return RoundArray(round=1, grid=tuple(grid))
-
-
-def delivery_fill_maps(p: Pda, u: RoundArray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per row, the (filled user column, source array column) pairs in order.
-
-    The h-th null column of a user-retrieve row receives the h-th integer of
-    the corresponding base-array row.
-    """
-    if p.rows != len(u.grid):
-        raise RowCountMismatch(f"{p.rows} base rows vs {len(u.grid)} retrieve rows")
-    maps = []
-    for j in range(p.rows):
-        nulls = [c for c, v in enumerate(u.grid[j], start=1) if not v]
-        srcs = [c for c, v in enumerate(p.entries[j], start=1) if v != STAR]
-        if len(nulls) != len(srcs):
-            raise DimensionMismatch(
-                f"row {j + 1}: {len(nulls)} nulls vs {len(srcs)} integers"
-            )
-        maps.append(tuple(zip(nulls, srcs)))
-    return tuple(maps)
-
-
-def user_delivery(p: Pda, u: RoundArray) -> RoundArray:
-    """Fill the null cells of the retrieve grid with the base-array integers.
-
-    Raises C3ViolationInQ (condition C5) when the result breaks the
-    crossing rule.
-    """
-    if u.round != 1:
-        raise OutOfRange("user_delivery expects the round-1 retrieve array")
-    maps = delivery_fill_maps(p, u)
-    grid = []
-    for j, row in enumerate(u.grid):
-        out = [STAR if v else 0 for v in row]
-        for fill_col, src_col in maps[j]:
-            out[fill_col - 1] = p.entries[j][src_col - 1]
-        grid.append(tuple(out))
-    bad = crossing_violations(grid)
-    if bad:
-        raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
-    return RoundArray(round=1, grid=tuple(grid))
 
 
 # How a user rebuilds one row outside its view: the integer s of the message
@@ -318,8 +255,8 @@ def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
 
     Raises ConditionViolation naming the failed condition: "C2" when an
     integer of [1, S] never occurs, "C4" (C4Violation) from node_placement
-    and "C5" (C3ViolationInQ) from user_delivery; OutOfRange when k, l and
-    n do not fit the array.
+    and "C5" (C3ViolationInQ) when the delivery grid breaks the crossing
+    rule; OutOfRange when k, l and n do not fit the array.
     """
     missing = missing_values(p)
     if missing:
@@ -327,18 +264,33 @@ def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
     params = MultiaccessParams(
         k=k, l=l, t=p.z * p.cols // p.rows, n=k if n is None else n, k_prime=p.cols
     )
-    c1 = node_placement(p, k, l)
-    u1 = user_retrieve(c1, l)
-    q1 = user_delivery(p, u1)
-    return Scheme(params=params, pda=p, placement=c1, retrieve=u1, delivery=q1)
+    placement = node_placement(p, k, l)
+    delivery = _delivery_grid(p, l)
+    bad = crossing_violations(delivery)
+    if bad:
+        raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
+    return Scheme(
+        params=params,
+        pda=p,
+        placement=placement,
+        retrieve=RoundArray(round=1, grid=_expand(p, (True,) * l, lambda v: False)),
+        delivery=RoundArray(round=1, grid=delivery),
+    )
 
 
 def _star_rows_text(grid) -> list[str]:
     return ["".join("*" if v else "." for v in row) for row in grid]
 
 
-def _delivery_rows_text(grid) -> list[str]:
-    return [" ".join("*" if v == STAR else str(v) for v in row) for row in grid]
+def _arrays_text(scheme: Scheme) -> dict[str, list[str]]:
+    """The round-1 grids as text rows, keyed as in the JSON form."""
+    return {
+        "node_placement": _star_rows_text(scheme.placement.grid),
+        "user_retrieve": _star_rows_text(scheme.retrieve.grid),
+        "user_delivery": [
+            " ".join("*" if v == STAR else str(v) for v in row) for row in scheme.delivery.grid
+        ],
+    }
 
 
 def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
@@ -349,11 +301,7 @@ def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
         "pda": {"inline": serialize_pda(scheme.pda)},
     }
     if include_arrays:
-        doc["arrays"] = {
-            "node_placement": _star_rows_text(scheme.placement.grid),
-            "user_retrieve": _star_rows_text(scheme.retrieve.grid),
-            "user_delivery": _delivery_rows_text(scheme.delivery.grid),
-        }
+        doc["arrays"] = _arrays_text(scheme)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -364,34 +312,40 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad scheme JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ParseError("scheme descriptor must be a JSON object")
     if doc.get("format") != SCHEME_FORMAT:
         raise ParseError(f"unknown scheme format {doc.get('format')!r}")
+    for name in ("pda", "params", "arrays"):
+        if name in doc and not isinstance(doc[name], dict):
+            raise ParseError(f"scheme section {name!r} must be an object")
     try:
         pref = doc["pda"]
         params = doc["params"]
         k, l, n = params["k"], params["l"], params["n"]
-    except (KeyError, TypeError) as e:
+    except KeyError as e:
         raise ParseError(f"scheme descriptor missing field: {e}") from e
     for name, v in (("k", k), ("l", l), ("n", n)):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError(f"scheme parameter {name}={v!r} is not an integer")
-    if "inline" in pref:
-        ptext = pref["inline"]
-    elif "path" in pref:
-        if read_file is None:
-            raise ParseError("scheme references an external array file but no reader given")
-        ptext = read_file(pref["path"])
-    else:
+    source = next((key for key in ("inline", "path") if key in pref), None)
+    if source is None:
         raise ParseError("pda section needs 'inline' or 'path'")
+    if not isinstance(pref[source], str):
+        raise ParseError(f"pda {source} must be a string")
+    if source == "inline":
+        ptext = pref["inline"]
+    elif read_file is None:
+        raise ParseError("scheme references an external array file but no reader given")
+    else:
+        ptext = read_file(pref["path"])
     scheme = build_scheme(parse_pda(ptext), k, l, n)
     arrays = doc.get("arrays")
     if arrays:
-        want = {
-            "node_placement": _star_rows_text(scheme.placement.grid),
-            "user_retrieve": _star_rows_text(scheme.retrieve.grid),
-            "user_delivery": _delivery_rows_text(scheme.delivery.grid),
-        }
-        for name, rows in want.items():
-            if name in arrays and list(arrays[name]) != rows:
+        for name, rows in _arrays_text(scheme).items():
+            stored = arrays.get(name, rows)
+            if not isinstance(stored, list):
+                raise ParseError(f"stored {name} array must be a list of rows")
+            if stored != rows:
                 raise ParseError(f"stored {name} array disagrees with the rebuilt one")
     return scheme

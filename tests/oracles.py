@@ -8,10 +8,25 @@ from itertools import combinations
 
 import numpy as np
 
-from macc import C4Violation, OutOfRange, Pda, SingularSystem, check_c4, star_profile
+from macc import (
+    STAR,
+    C3ViolationInQ,
+    C4Violation,
+    ConditionViolation,
+    DimensionMismatch,
+    MultiaccessParams,
+    OutOfRange,
+    Pda,
+    RoundArray,
+    RowCountMismatch,
+    SingularSystem,
+    check_c4,
+    node_placement,
+    star_profile,
+)
 from macc.compress import CodedBatch, message_order
 from macc.gf2 import field, packet_to_symbols, symbols_to_packet
-from macc.pda import constituents
+from macc.pda import constituents, crossing_violations, missing_values
 from macc.sim import PacketLibrary, check_demand, decode_from_messages, round_payloads
 from macc.transform import Scheme
 from macc.util import mod1
@@ -55,6 +70,93 @@ def check_c5_by_windows(p: Pda, l: int) -> bool:
             if shifted(j2, k2) not in windows[j1 - 1]:
                 return False
     return True
+
+
+def user_retrieve(c: RoundArray, l: int) -> RoundArray:
+    """Mark, per user, the rows present in any of its l consecutive nodes.
+
+    Raises OutOfRange for a cached node in the first l-1 columns and
+    DimensionMismatch for an empty grid or when two windows of one row
+    overlap.
+    """
+    if c.round != 1:
+        raise OutOfRange("user_retrieve expects the round-1 placement")
+    if l < 1:
+        raise OutOfRange(f"l={l} must be >= 1")
+    if not c.grid:
+        raise DimensionMismatch("user_retrieve needs a placement with at least one row")
+    k = len(c.grid[0])
+    grid = []
+    for j, row in enumerate(c.grid, start=1):
+        stars = [i + 1 for i, v in enumerate(row) if v]
+        cover = set()
+        for s in stars:
+            if s < l:
+                raise OutOfRange(f"row {j}: cached node {s} sits before column l={l}")
+            cover.update(range(s - l + 1, s + 1))
+        if len(cover) != l * len(stars):
+            raise DimensionMismatch(f"row {j}: retrieve windows of nodes {stars} overlap")
+        grid.append(tuple(u in cover for u in range(1, k + 1)))
+    return RoundArray(round=1, grid=tuple(grid))
+
+
+def delivery_fill_maps(p: Pda, u: RoundArray) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per row, the (filled user column, source array column) pairs in order.
+
+    The h-th null column of a user-retrieve row receives the h-th integer of
+    the corresponding base-array row.
+    """
+    if p.rows != len(u.grid):
+        raise RowCountMismatch(f"{p.rows} base rows vs {len(u.grid)} retrieve rows")
+    maps = []
+    for j in range(p.rows):
+        nulls = [c for c, v in enumerate(u.grid[j], start=1) if not v]
+        srcs = [c for c, v in enumerate(p.entries[j], start=1) if v != STAR]
+        if len(nulls) != len(srcs):
+            raise DimensionMismatch(
+                f"row {j + 1}: {len(nulls)} nulls vs {len(srcs)} integers"
+            )
+        maps.append(tuple(zip(nulls, srcs)))
+    return tuple(maps)
+
+
+def user_delivery(p: Pda, u: RoundArray) -> RoundArray:
+    """Fill the null cells of the retrieve grid with the base-array integers.
+
+    Raises C3ViolationInQ (condition C5) when the result breaks the
+    crossing rule.
+    """
+    if u.round != 1:
+        raise OutOfRange("user_delivery expects the round-1 retrieve array")
+    maps = delivery_fill_maps(p, u)
+    grid = []
+    for j, row in enumerate(u.grid):
+        out = [STAR if v else 0 for v in row]
+        for fill_col, src_col in maps[j]:
+            out[fill_col - 1] = p.entries[j][src_col - 1]
+        grid.append(tuple(out))
+    bad = crossing_violations(grid)
+    if bad:
+        raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
+    return RoundArray(round=1, grid=tuple(grid))
+
+
+def build_scheme_by_steps(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
+    """The lift step by step: placement, retrieve windows, fill maps, delivery.
+
+    The same checks in the same order as build_scheme, which reaches the
+    three grids by star expansion instead.
+    """
+    missing = missing_values(p)
+    if missing:
+        raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
+    params = MultiaccessParams(
+        k=k, l=l, t=p.z * p.cols // p.rows, n=k if n is None else n, k_prime=p.cols
+    )
+    c1 = node_placement(p, k, l)
+    u1 = user_retrieve(c1, l)
+    q1 = user_delivery(p, u1)
+    return Scheme(params=params, pda=p, placement=c1, retrieve=u1, delivery=q1)
 
 
 def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:

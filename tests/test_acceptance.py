@@ -22,7 +22,6 @@ from macc import (
     count_sq,
     decode,
     deliver,
-    delivery_fill_maps,
     gap_checks,
     lambda_profile,
     library_for_scheme,
@@ -33,11 +32,10 @@ from macc import (
     r_rk,
     r_t1,
     reconstructable_messages,
-    user_retrieve,
     validate_pda,
 )
 from macc.cli import main as cli_main
-from oracles import count_sq_oracle
+from oracles import count_sq_oracle, delivery_fill_maps, user_retrieve
 from macc.util import mod1
 
 # stock 6x4 array with three stars per column and four integers

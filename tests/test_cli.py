@@ -242,3 +242,45 @@ def test_usage_errors_exit_two(capsys):
         main(["build-pda"])  # missing --family
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def _scheme_doc():
+    return json.loads(scheme_to_json(build_scheme(mn_pda(3, 1), 5, 3), include_arrays=True))
+
+
+def _with(key, value):
+    doc = _scheme_doc()
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    _with("pda", "inline"),
+    _with("pda", {"inline": 5}),
+    _with("pda", {"path": 5}),
+    _with("arrays", {"node_placement": 5}),
+    _with("arrays", [1]),
+], ids=["top-level-array", "string-pda", "inline-not-text", "path-not-text",
+        "array-entry-not-list", "arrays-not-object"])
+def test_simulate_exit_two_on_malformed_scheme_structure(tmp_path, capsys, doc):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "simulate", "--scheme", str(path), "--demand", "random:1")
+    assert rc == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--K", "8", "--L", "3", "--step", "abc"],
+    ["compare", "--K", "8", "--L", "3", "--step", "1/0"],
+    ["simulate", "--demand", "random:abc"],
+    ["simulate", "--demand", "random:"],
+])
+def test_bad_literals_exit_two(tmp_path, capsys, argv):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(_scheme_doc()))
+    extra = ["--csv", str(tmp_path / "out.csv")] if argv[0] == "compare" else ["--scheme", str(scheme)]
+    rc, _, err = run(capsys, *argv, *extra)
+    assert rc == 2
+    assert "error:" in err and "Traceback" not in err

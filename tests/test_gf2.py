@@ -285,3 +285,37 @@ def test_symbol_packing_rejects_out_of_range():
         symbols_to_packets(np.array([[1, 300]]), 2, 8)
     with pytest.raises(OutOfRange):
         packet_to_symbols(1, 2, 5)
+
+
+OUTSIDE_GF8 = [-1, 256]
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_GF8)
+def test_mul_rejects_elements_outside_the_field(bad):
+    with pytest.raises(OutOfRange):
+        field(8).mul(bad, 1)
+    with pytest.raises(OutOfRange):
+        field(8).mul(1, bad)
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_GF8)
+def test_inv_rejects_elements_outside_the_field(bad):
+    with pytest.raises(OutOfRange):
+        field(8).inv(bad)
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_GF8)
+def test_scale_row_rejects_elements_outside_the_field(bad):
+    with pytest.raises(OutOfRange):
+        field(8).scale_row(np.array([1, bad, 2]), 3)
+    with pytest.raises(OutOfRange):
+        field(8).scale_row(np.array([1, 2]), bad)
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_GF8)
+def test_matmul_rejects_elements_outside_the_field(bad):
+    gf = field(8)
+    with pytest.raises(OutOfRange):
+        gf.matmul(np.array([[bad]]), np.array([[1]]))
+    with pytest.raises(OutOfRange):
+        gf.matmul(np.array([[1, 1]]), np.array([[1], [bad]]))

@@ -16,18 +16,16 @@ from macc import (
     ParseError,
     Pda,
     build_scheme,
-    delivery_fill_maps,
     mn_pda,
     node_placement,
     partition_pda,
     scheme_from_json,
     scheme_to_json,
     shift_round,
-    user_delivery,
-    user_retrieve,
 )
 from macc.transform import RoundArray
 from macc.util import mod1
+from oracles import delivery_fill_maps, user_delivery, user_retrieve
 
 # Worked (8, 3, 2) goldens: star columns per row of the first two rounds'
 # placement and retrieve grids, the first two delivery grids, and the

@@ -80,16 +80,19 @@ def mn_pda(k_prime: int, t: int) -> Pda:
     lex rank of T u {k} among the (t+1)-subsets.
     """
     MnParams(k_prime, t)  # range check
-    rows = list(combinations(range(1, k_prime + 1), t))
+    ground = range(1, k_prime + 1)
+    rank = {sub: r for r, sub in enumerate(combinations(ground, t + 1), 1)}
+    rows = list(combinations(ground, t))
     grid = []
     for tt in rows:
-        members = set(tt)
         row = []
-        for k in range(1, k_prime + 1):
-            if k in members:
+        i = 0  # members of tt below k
+        for k in ground:
+            if i < t and tt[i] == k:
                 row.append(STAR)
+                i += 1
             else:
-                row.append(lex_rank(tuple(sorted(members | {k})), k_prime))
+                row.append(rank[tt[:i] + (k,) + tt[i:]])
         grid.append(tuple(row))
     z = comb(k_prime - 1, t - 1) if t >= 1 else 0
     return Pda(

@@ -83,3 +83,7 @@ class OutOfRange(MaccError):
 
 class EmptyInput(MaccError):
     """An operation that needs at least one element got none."""
+
+
+class DuplicateRatio(MaccError, ValueError):
+    """Two corner points of an envelope share one memory ratio."""

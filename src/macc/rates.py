@@ -1,14 +1,19 @@
 """Load formulas, the fixed-placement converse, and envelope machinery.
 
 Everything is exact: memory ratios and loads are Fractions end to end.
-Floats only appear when a table is rendered to CSV.
+Floats only appear when a table is rendered to CSV. A comparison table is
+one sweep over the hull segments: its memory ratios only ascend, so each
+curve keeps a pointer to its current segment, whose line is held as
+integers, and the converse is computed once per corner.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, lcm
+from operator import attrgetter
 
-from .errors import EmptyInput, OutOfRange
+from .errors import DuplicateRatio, EmptyInput, OutOfRange
 from .util import comb0
 
 SCHEME_KEYS = ("hkd", "rk", "sr", "t1")
@@ -32,6 +37,8 @@ def r_mn(k: int, t: int) -> Fraction:
 
 def r_hkd(k: int, l: int, t: int) -> Fraction:
     """Reduction-to-shared-link scheme; branch depends on whether l | k."""
+    if l < 1:
+        raise OutOfRange(f"k={k}, l={l} must be >= 1")
     if k % l == 0:
         _check_klt(k, l, t, k // l)
         return Fraction(k - t * l, t + 1)
@@ -170,7 +177,7 @@ def envelope(points) -> LoadCurve:
     pts.sort(key=lambda p: (p.ratio, p.load))
     for a, b in zip(pts, pts[1:]):
         if a.ratio == b.ratio:
-            raise ValueError(f"duplicate memory ratio {a.ratio}")
+            raise DuplicateRatio(f"duplicate memory ratio {a.ratio}")
     hull: list[LoadPoint] = []
     for p in pts:
         while len(hull) >= 2:
@@ -194,11 +201,45 @@ def envelope_eval(curve: LoadCurve, x) -> Fraction:
         raise OutOfRange(f"x={x} below the first corner {pts[0].ratio}")
     if x >= pts[-1].ratio:
         return pts[-1].load
-    for a, b in zip(pts, pts[1:]):
-        if a.ratio <= x <= b.ratio:
-            w = (x - a.ratio) / (b.ratio - a.ratio)
-            return a.load + w * (b.load - a.load)
-    raise AssertionError("unreachable")
+    i = bisect_right(pts, x, key=attrgetter("ratio"))
+    a, b = pts[i - 1], pts[i]
+    w = (x - a.ratio) / (b.ratio - a.ratio)
+    return a.load + w * (b.load - a.load)
+
+
+def _line(a: LoadPoint, b: LoadPoint) -> tuple[int, int, int]:
+    """The line through a and b as integers (p, q, d): load = (p*x + q) / d."""
+    slope = (b.load - a.load) / (b.ratio - a.ratio)
+    icpt = a.load - slope * a.ratio
+    d = lcm(slope.denominator, icpt.denominator)
+    return slope.numerator * (d // slope.denominator), icpt.numerator * (d // icpt.denominator), d
+
+
+def _sweep(curve: LoadCurve):
+    """envelope_eval for ratios x at or past the first corner that never
+    decrease from one call to the next.
+
+    A pointer to the current hull segment only ever moves right, and the
+    segment's line is put in integers when a cell first lands on it, so each
+    cell is one Fraction built from ints.
+    """
+    pts = curve.points
+    ends = [(b.ratio.numerator, b.ratio.denominator) for b in pts[1:]]
+    i, line = 0, None
+
+    def at(x: Fraction) -> Fraction:
+        nonlocal i, line
+        xn, xd = x.numerator, x.denominator
+        while i < len(ends) and xn * ends[i][1] >= ends[i][0] * xd:
+            i, line = i + 1, None
+        if i == len(ends):
+            return pts[-1].load
+        if line is None:
+            line = _line(pts[i], pts[i + 1])
+        p, q, d = line
+        return Fraction(p * xn + q * xd, d * xd)
+
+    return at
 
 
 def scheme_points(k: int, l: int, scheme: str) -> tuple[LoadPoint, ...]:
@@ -268,22 +309,29 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
     for name in schemes:
         if name == "conv":
             continue
-        curves[name] = scheme_curve(k, l, name)
+        curves[name] = _sweep(scheme_curve(k, l, name))
+    bounds: dict[int, Fraction] = {}
+
+    def conv(x: Fraction) -> Fraction:
+        t = max(1, -(-x.numerator * k // x.denominator))  # converse_step's corner
+        if t not in bounds:
+            bounds[t] = converse_step(k, l, x)
+        return bounds[t]
+
+    # _sweep needs x at or past a curve's first corner; every scheme curve starts at 0.
     header = ["m_over_n"] + list(schemes)
+    columns = [conv if name == "conv" else curves[name] for name in header[1:]]
     rows = []
     x = Fraction(0)
     top = Fraction(1, l)
+    num, den = step.numerator, step.denominator
+    i = 0  # x = i * step until that reaches top
     while True:
-        row = [x]
-        for name in schemes:
-            if name == "conv":
-                row.append(converse_step(k, l, x))
-            else:
-                row.append(envelope_eval(curves[name], x))
-        rows.append(row)
+        rows.append([x] + [col(x) for col in columns])
         if x >= top:
             break
-        x = min(x + step, top)
+        i += 1
+        x = Fraction(i * num, den) if i * num * l < den else top
     return header, rows
 
 

@@ -94,18 +94,29 @@ class RoundArray:
         )
 
 
-def _expand(p: Pda, star_cells: tuple, integer_cell) -> tuple[tuple, ...]:
-    """The base rows with each star widened to star_cells and each integer v
-    replaced by the one cell integer_cell(v)."""
-    return tuple(
-        tuple(x for v in row for x in (star_cells if v == STAR else (integer_cell(v),)))
-        for row in p.entries
-    )
+def _expand(p: Pda, star_cells, integer_cell=None) -> tuple[tuple, ...]:
+    """The base rows with each star widened to the cells star_cells() returns
+    and each integer replaced by integer_cell, or kept when that is None.
+
+    star_cells is called only when some row has a star, so a starless array
+    costs nothing at any width.
+    """
+    stars = star_cells() if any(STAR in row for row in p.entries) else ()
+    grid = []
+    for row in p.entries:
+        out = []
+        for v in row:
+            if v == STAR:
+                out.extend(stars)
+            else:
+                out.append(v if integer_cell is None else integer_cell)
+        grid.append(tuple(out))
+    return tuple(grid)
 
 
 def _delivery_grid(p: Pda, l: int) -> tuple[tuple, ...]:
     """The round-1 delivery grid: every star widened to l stars."""
-    return _expand(p, (STAR,) * l, lambda v: v)
+    return _expand(p, lambda: (STAR,) * l)
 
 
 def node_placement(p: Pda, k: int, l: int) -> RoundArray:
@@ -119,7 +130,7 @@ def node_placement(p: Pda, k: int, l: int) -> RoundArray:
         raise DimensionMismatch(
             f"array has {p.cols} columns, need k - t(l-1) = {k - t * (l - 1)}"
         )
-    return RoundArray(round=1, grid=_expand(p, (False,) * (l - 1) + (True,), lambda v: False))
+    return RoundArray(round=1, grid=_expand(p, lambda: (False,) * (l - 1) + (True,), False))
 
 
 def check_c5(p: Pda, l: int) -> bool:
@@ -273,7 +284,7 @@ def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
         params=params,
         pda=p,
         placement=placement,
-        retrieve=RoundArray(round=1, grid=_expand(p, (True,) * l, lambda v: False)),
+        retrieve=RoundArray(round=1, grid=_expand(p, lambda: (True,) * l, False)),
         delivery=RoundArray(round=1, grid=delivery),
     )
 

@@ -4,7 +4,9 @@ None of these is part of the `macc` API: each restates a result the library
 computes another way.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -14,6 +16,8 @@ from macc import (
     C4Violation,
     ConditionViolation,
     DimensionMismatch,
+    LoadCurve,
+    MnParams,
     MultiaccessParams,
     OutOfRange,
     Pda,
@@ -21,12 +25,15 @@ from macc import (
     RowCountMismatch,
     SingularSystem,
     check_c4,
+    lex_rank,
     node_placement,
+    scheme_curve,
     star_profile,
 )
 from macc.compress import CodedBatch, message_order
 from macc.gf2 import field, packet_to_symbols, symbols_to_packet
 from macc.pda import constituents, crossing_violations, missing_values
+from macc.rates import converse_step
 from macc.sim import PacketLibrary, check_demand, decode_from_messages, round_payloads
 from macc.transform import Scheme
 from macc.util import mod1
@@ -70,6 +77,83 @@ def check_c5_by_windows(p: Pda, l: int) -> bool:
             if shifted(j2, k2) not in windows[j1 - 1]:
                 return False
     return True
+
+
+def mn_pda_by_lex_rank(k_prime: int, t: int) -> Pda:
+    """The binomial array with every integer cell ranked by lex_rank on its own."""
+    MnParams(k_prime, t)  # range check
+    rows = list(combinations(range(1, k_prime + 1), t))
+    grid = []
+    for tt in rows:
+        members = set(tt)
+        row = []
+        for k in range(1, k_prime + 1):
+            if k in members:
+                row.append(STAR)
+            else:
+                row.append(lex_rank(tuple(sorted(members | {k})), k_prime))
+        grid.append(tuple(row))
+    z = comb(k_prime - 1, t - 1) if t >= 1 else 0
+    return Pda(
+        rows=len(rows),
+        cols=k_prime,
+        entries=tuple(grid),
+        z=z,
+        s=comb(k_prime, t + 1),
+    )
+
+
+def expand_by_generator(p: Pda, star_cells: tuple, integer_cell) -> tuple[tuple, ...]:
+    """The base rows with each star widened to star_cells and each integer v
+    replaced by the one cell integer_cell(v), built by one nested generator."""
+    return tuple(
+        tuple(x for v in row for x in (star_cells if v == STAR else (integer_cell(v),)))
+        for row in p.entries
+    )
+
+
+def envelope_eval_by_scan(curve: LoadCurve, x) -> Fraction:
+    """Interpolate on the hull, scanning the segments from the left."""
+    x = Fraction(x)
+    pts = curve.points
+    if x < pts[0].ratio:
+        raise OutOfRange(f"x={x} below the first corner {pts[0].ratio}")
+    if x >= pts[-1].ratio:
+        return pts[-1].load
+    for a, b in zip(pts, pts[1:]):
+        if a.ratio <= x <= b.ratio:
+            w = (x - a.ratio) / (b.ratio - a.ratio)
+            return a.load + w * (b.load - a.load)
+    raise AssertionError("unreachable")
+
+
+def comparison_table_by_scan(k: int, l: int, schemes, step) -> tuple[list[str], list[list]]:
+    """The comparison table cell by cell: a scan of the hull and a fresh
+    converse bound for every cell."""
+    step = Fraction(step)
+    if step <= 0:
+        raise OutOfRange(f"step={step} must be positive")
+    curves = {}
+    for name in schemes:
+        if name == "conv":
+            continue
+        curves[name] = scheme_curve(k, l, name)
+    header = ["m_over_n"] + list(schemes)
+    rows = []
+    x = Fraction(0)
+    top = Fraction(1, l)
+    while True:
+        row = [x]
+        for name in schemes:
+            if name == "conv":
+                row.append(converse_step(k, l, x))
+            else:
+                row.append(envelope_eval_by_scan(curves[name], x))
+        rows.append(row)
+        if x >= top:
+            break
+        x = min(x + step, top)
+    return header, rows
 
 
 def user_retrieve(c: RoundArray, l: int) -> RoundArray:

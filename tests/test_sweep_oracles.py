@@ -1,0 +1,84 @@
+"""The design-sweep fast paths against the cell-by-cell references in tests/oracles.py.
+
+Results are compared by repr, so that a value of another type (an int for a
+Fraction, False for the star 0) fails even where == would hold; raised errors
+are compared by type and text.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from macc import STAR, OutOfRange, Pda, comparison_table, mn_pda
+from macc.transform import _expand
+from oracles import comparison_table_by_scan, expand_by_generator, mn_pda_by_lex_rank
+
+SCHEME_LISTS = (["hkd", "rk", "sr", "t1", "conv"], ["conv"], ["t1", "t1"], ["t1", "nope"])
+# Every table builds its curves afresh and the scan spends four Fraction operations
+# on each cell, so K 1..24 at every step would take seconds. The coarse steps run on
+# six K from 1 to 24; the finest on two: K = 12 puts a corner on every 50th grid
+# point, K = 7 puts none on the grid.
+KS_BY_STEP = {F(1, 600): (7, 12)} | {
+    step: (1, 4, 7, 12, 13, 24) for step in (F(1, 20), F(1, 7), F(2, 9), F(1), F(5, 3))
+}
+
+
+def outcome(fn, *args):
+    """repr of what fn returned, or the type and text of what it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+
+
+def test_comparison_table_matches_the_scan():
+    for step, ks in KS_BY_STEP.items():
+        for k in ks:
+            for l in range(1, 6):
+                for schemes in SCHEME_LISTS:
+                    args = (k, l, schemes, step)
+                    assert outcome(comparison_table, *args) == outcome(
+                        comparison_table_by_scan, *args
+                    ), args
+
+
+def test_comparison_table_errors_match_the_scan():
+    for args in [(8, 3, ["t1"], 0), (8, 3, ["t1"], F(-1, 4)), (8, 3, ["rk", "bogus"], F(1, 9)),
+                 (0, 3, ["t1"], F(1, 9)), (8, 0, ["hkd"], F(1, 9)), (0, 1, ["conv"], F(1, 2))]:
+        assert outcome(comparison_table, *args) == outcome(comparison_table_by_scan, *args), args
+    with pytest.raises(OutOfRange, match="unknown scheme 'bogus'"):
+        comparison_table(8, 3, ["rk", "bogus"], F(1, 9))
+
+
+def test_mn_pda_matches_lex_rank_per_cell():
+    for kp in range(1, 11):
+        for t in range(kp + 1):
+            assert repr(mn_pda(kp, t)) == repr(mn_pda_by_lex_rank(kp, t)), (kp, t)
+    for args in [(0, 0), (3, 4), (3, -1)]:
+        assert outcome(mn_pda, *args) == outcome(mn_pda_by_lex_rank, *args)
+
+
+@st.composite
+def arrays(draw):
+    """Arrays of any shape with stars anywhere; _expand reads only the entries, so Z is 0."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    s = draw(st.integers(0, 9))
+    cell = st.integers(0, s)
+    entries = tuple(tuple(draw(cell) for _ in range(cols)) for _ in range(rows))
+    return Pda(rows=rows, cols=cols, entries=entries, z=0, s=s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=arrays(), l=st.integers(1, 5))
+def test_expand_matches_the_generator(p, l):
+    cases = [
+        ((STAR,) * l, None, lambda v: v),
+        ((False,) * (l - 1) + (True,), False, lambda v: False),
+        ((True,) * l, False, lambda v: False),
+    ]
+    for cells, integer_cell, oracle_cell in cases:
+        got = _expand(p, lambda: cells, integer_cell)
+        assert repr(got) == repr(expand_by_generator(p, cells, oracle_cell))

@@ -163,28 +163,29 @@ def cmd_simulate(args) -> int:
     load = Fraction(log.total_packets_sent, scheme.subpacketization)
     users = range(1, scheme.params.k + 1) if args.check_all_users else [1]
     checks = []
-    per_user = {}
-    for u in users:
-        got = decode(library, scheme, demand, log, u)
-        ok = got == library.file_bytes(demand[u - 1])
-        per_user[str(u)] = "ok" if ok else "fail"
-        checks.append({"name": f"decode_user_{u}", "pass": ok, "detail": []})
+
+    def check_users(name, decode_user) -> dict:
+        """Decode each user's file, add one check per user and return their verdicts."""
+        verdicts = {}
+        for u in users:
+            ok = decode_user(u) == library.file_bytes(demand[u - 1])
+            verdicts[str(u)] = "ok" if ok else "fail"
+            checks.append({"name": f"{name}_user_{u}", "pass": ok, "detail": []})
+        return verdicts
+
     results = {
         "params": scheme.params.as_dict(),
         "demand": list(demand),
         "load": load,
         "messages": log.total_packets_sent,
         "bytes_sent": log.bytes_sent,
-        "per_user": per_user,
+        "per_user": check_users("decode", lambda u: decode(library, scheme, demand, log, u)),
     }
     if args.compressed:
         batch = compressed_deliver(library, scheme, demand, args.field_width)
-        comp_user = {}
-        for u in users:
-            got = compressed_decode(library, scheme, demand, batch, u)
-            ok = got == library.file_bytes(demand[u - 1])
-            comp_user[str(u)] = "ok" if ok else "fail"
-            checks.append({"name": f"compressed_decode_user_{u}", "pass": ok, "detail": []})
+        comp_user = check_users(
+            "compressed_decode", lambda u: compressed_decode(library, scheme, demand, batch, u)
+        )
         results["compressed"] = {
             "lambdas": list(lambda_profile(scheme.pda, scheme.params.l).lambdas),
             "load": compressed_load(scheme),

@@ -7,19 +7,13 @@ rebuild sum(lambda)*S messages on its own. The server then ships only
 user solves for its unknowns.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CodingMatrixMismatch,
-    DimensionMismatch,
-    FieldTooSmall,
-    NotApplicable,
-    SingularSystem,
-)
+from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, SingularSystem
 from .gf2 import GF, cauchy_matrix, field, packets_to_symbols, symbols_to_packets
 from .pda import Pda, star_profile
 from .sim import (
@@ -93,11 +87,12 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CodedBatch:
     """Coded transmission: payload rows of G @ messages plus the G parameters.
 
-    compressed_deliver shares one read-only G among the batches of a shape.
+    G is not stored: it is the m1 x m2 Cauchy matrix over GF(2^field_width),
+    so the batch names it by its shape and field and compares by value.
     """
 
     field_width: int
@@ -105,7 +100,11 @@ class CodedBatch:
     m2: int
     packet_bytes: int
     payloads: tuple[int, ...]
-    coding_matrix: np.ndarray = dc_field(repr=False)
+
+    @property
+    def coding_matrix(self) -> np.ndarray:
+        """G, read-only and shared by every batch of this shape and field."""
+        return _coding_matrix(self.m1, self.m2, self.field_width)
 
     def as_dict(self) -> dict:
         return {
@@ -159,8 +158,6 @@ def compressed_deliver(
     log = deliver(library, scheme, demand)
     m2 = len(log.messages)
     m1 = (scheme.params.k - prof.total) * scheme.pda.s
-    if m2 != scheme.params.k * scheme.pda.s:
-        raise DimensionMismatch(f"log holds {m2} messages, K*S is {scheme.params.k * scheme.pda.s}")
     gf = _pick_field(m1, m2, library.packet_bytes, field_width)
     g_mat = _coding_matrix(m1, m2, gf.width)
     x = packets_to_symbols((p for _, _, p in log.messages), library.packet_bytes, gf.width)
@@ -171,26 +168,16 @@ def compressed_deliver(
         m2=m2,
         packet_bytes=library.packet_bytes,
         payloads=payloads,
-        coding_matrix=g_mat,
     )
 
 
-def _check_batch(batch: CodedBatch, gf: GF, m2: int, packet_bytes: int) -> np.ndarray:
-    """The batch's coding matrix, once its shape and entries are those
-    compressed_deliver sends: cauchy_matrix(m1, m2) over the batch's field."""
+def _check_batch(batch: CodedBatch, m2: int, packet_bytes: int) -> None:
+    """The batch's rows and dimensions fit K*S messages of packet_bytes bytes."""
     if batch.m2 != m2 or batch.packet_bytes != packet_bytes or len(batch.payloads) != batch.m1:
         raise DimensionMismatch(
             f"batch of {len(batch.payloads)} rows, m1={batch.m1}, m2={batch.m2}, "
             f"{batch.packet_bytes}-byte packets does not fit K*S={m2}, {packet_bytes}-byte packets"
         )
-    g_mat = np.asarray(batch.coding_matrix)
-    if g_mat.shape != (batch.m1, m2):
-        raise DimensionMismatch(f"coding matrix is {g_mat.shape}, want {(batch.m1, m2)}")
-    if not np.array_equal(g_mat, _coding_matrix(batch.m1, m2, gf.width)):
-        raise CodingMatrixMismatch(
-            f"coding matrix is not the {batch.m1}x{m2} Cauchy matrix over GF(2^{gf.width})"
-        )
-    return g_mat
 
 
 def messages_read(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
@@ -232,7 +219,8 @@ def compressed_decode(
         raise SingularSystem(
             f"{len(unknown)} unknowns against {batch.m1} coded rows"
         )
-    g_mat = _check_batch(batch, gf, len(order), library.packet_bytes)
+    _check_batch(batch, len(order), library.packet_bytes)
+    g_mat = batch.coding_matrix
     read = messages_read(scheme, user)
     rows = [r for r, i in enumerate(unknown) if order[i] in read]
     b, w = batch.packet_bytes, gf.width

@@ -22,6 +22,10 @@ class NonUniformStars(MaccError):
     """Rows of the array carry differing numbers of stars."""
 
 
+class MalformedPda(MaccError, ValueError):
+    """An array's cells disagree with its declared shape, Z or S."""
+
+
 class DimensionMismatch(MaccError):
     """Array shapes or derived dimensions are inconsistent."""
 
@@ -71,10 +75,6 @@ class NotApplicable(MaccError):
 
 class SingularSystem(MaccError):
     """A linear system over the field has no unique solution."""
-
-
-class CodingMatrixMismatch(MaccError):
-    """A coded batch carries a matrix other than the Cauchy matrix it names."""
 
 
 class OutOfRange(MaccError):

@@ -9,7 +9,7 @@ are 1-based; storage is 0-based.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NonUniformStars, ParseError
+from .errors import MalformedPda, NonUniformStars, ParseError
 
 STAR = 0  # cell value reserved for stars; integers use [1, S]
 
@@ -26,19 +26,19 @@ class Pda:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"need at least one row and column, got {self.rows}x{self.cols}")
+            raise MalformedPda(f"need at least one row and column, got {self.rows}x{self.cols}")
         if not (0 <= self.z <= self.rows):
-            raise ValueError(f"Z={self.z} outside [0, {self.rows}]")
+            raise MalformedPda(f"Z={self.z} outside [0, {self.rows}]")
         if self.s < 0:
-            raise ValueError(f"S={self.s} negative")
+            raise MalformedPda(f"S={self.s} negative")
         if len(self.entries) != self.rows:
-            raise ValueError(f"{len(self.entries)} entry rows, declared {self.rows}")
+            raise MalformedPda(f"{len(self.entries)} entry rows, declared {self.rows}")
         for r, row in enumerate(self.entries):
             if len(row) != self.cols:
-                raise ValueError(f"row {r + 1} has {len(row)} cells, declared {self.cols}")
+                raise MalformedPda(f"row {r + 1} has {len(row)} cells, declared {self.cols}")
             for v in row:
                 if not (0 <= v <= self.s):
-                    raise ValueError(f"cell value {v} outside star/[1, {self.s}]")
+                    raise MalformedPda(f"cell value {v} outside star/[1, {self.s}]")
 
     def at(self, row: int, col: int) -> int:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
@@ -249,7 +249,7 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
         s = len(used)
     try:
         p = Pda(rows=rows, cols=cols, entries=tuple(grid), z=z, s=s)
-    except ValueError as e:
+    except MalformedPda as e:
         raise ParseError(f"inconsistent header {lines[0]!r}: {e}") from e
     return p, relabel
 

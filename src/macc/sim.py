@@ -27,6 +27,19 @@ class PacketLibrary:
     packet_bytes: int
     data: tuple[tuple[tuple[int, ...], ...], ...]
 
+    def __post_init__(self):
+        if self.packet_bytes < 1:
+            raise DimensionMismatch(f"packet_bytes={self.packet_bytes} must be >= 1")
+        if len(self.data) != self.n_files or any(
+            len(parts) != self.parts_per_file
+            or any(len(part) != self.packets_per_part for part in parts)
+            for parts in self.data
+        ):
+            raise DimensionMismatch(
+                f"library data is not {self.n_files} files of {self.parts_per_file}x"
+                f"{self.packets_per_part} packets"
+            )
+
     def packet(self, n: int, g: int, j: int) -> int:
         return self.data[n - 1][g - 1][j - 1]
 
@@ -165,7 +178,7 @@ def decode_from_messages(
     """Rebuild the user's demanded file from its view plus message payloads.
 
     messages maps (g, s) -> payload int. Raises UndecodablePacket when a
-    needed message is absent or a peer packet is outside the user's view.
+    needed message is absent.
     """
     _check_dims(library, scheme)
     k = scheme.params.k
@@ -181,13 +194,9 @@ def decode_from_messages(
             if step is None:
                 out.append(own[j])
                 continue
-            s, peers, outside = step
+            s, peers = step
             if (g, s) not in messages:
                 raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
-            if outside is not None:
-                raise UndecodablePacket(
-                    f"peer packet row {outside} outside user {user}'s view in round {g}"
-                )
             val = messages[(g, s)]
             for jj, cc in peers:
                 val ^= parts[cc][jj]

@@ -7,14 +7,16 @@ In the placement grid the L cells are L-1 uncached nodes, then the caching
 node; in the retrieve grid they are the L users that reach that node; in the
 delivery grid they are L stars, and the integer cells keep their values. C5
 is the crossing rule C3 on the delivery grid, checked once (`check_c5`, and
-`build_scheme` on the grid it keeps). Rounds 2..K are cyclic column shifts
-of round 1 and are never materialized in files.
+`Scheme` on the grid it keeps). A `Scheme` stores only its inputs (base
+array, K, L, N) and derives the grids when it is built, so none can disagree
+with the array or break C5. Rounds 2..K are cyclic column shifts of round 1
+and are never materialized in files.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     C3ViolationInQ,
@@ -23,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     OutOfRange,
     ParseError,
-    UndecodablePacket,
 )
 from .pda import (
     STAR,
@@ -162,10 +163,9 @@ def shift_round(base, g: int):
 
 
 # How a user rebuilds one row outside its view: the integer s of the message
-# that carries it, the other cells (row, column) of s, whose packets it XORs
-# out, and the 1-based row of the first of them outside the view (None when
-# the user sees them all).
-PlanStep = tuple[int, tuple[tuple[int, int], ...], int | None]
+# that carries it and the other cells (row, column) of s, whose packets it
+# XORs out. C5 puts every such cell inside the view.
+PlanStep = tuple[int, tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -187,52 +187,68 @@ class DeliveryPlan:
     recipes: tuple[tuple[PlanStep | None, ...], ...]
 
 
-def _delivery_plan(scheme: "Scheme") -> DeliveryPlan:
-    """Index the round-1 arrays; a row outside a view must carry an integer."""
-    q1 = scheme.delivery.grid
+def _delivery_plan(q1) -> DeliveryPlan:
+    """Index the round-1 delivery grid; a user's view is its column's stars."""
     cells = {
         s: tuple((j - 1, c - 1) for j, c in group)
         for s, group in constituents(q1).items()
     }
-    views = tuple(
-        frozenset(j for j, row in enumerate(scheme.retrieve.grid) if row[c])
-        for c in range(scheme.params.k)
+    views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
+    recipes = tuple(
+        tuple(
+            None if j in view
+            else (row[c], tuple(cell for cell in cells[row[c]] if cell != (j, c)))
+            for j, row in enumerate(q1)
+        )
+        for c, view in enumerate(views)
     )
-    recipes = []
-    for c, view in enumerate(views):
-        steps: list[PlanStep | None] = []
-        for j, row in enumerate(q1):
-            if j in view:
-                steps.append(None)
-                continue
-            s = row[c]
-            if s == STAR:
-                raise UndecodablePacket(
-                    f"row {j + 1} of user column {c + 1} is outside the view "
-                    "but carries no integer"
-                )
-            peers = tuple(cell for cell in cells[s] if cell != (j, c))
-            outside = next((jj + 1 for jj, _ in peers if jj not in view), None)
-            steps.append((s, peers, outside))
-        recipes.append(tuple(steps))
-    return DeliveryPlan(cells=cells, views=views, recipes=tuple(recipes))
+    return DeliveryPlan(cells=cells, views=views, recipes=recipes)
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """A built multiaccess instance: base array plus the round-1 arrays.
+    """The lift of base array pda to k nodes at access degree l, n files.
 
-    Rounds 2..K are never stored. `c`, `u` and `q` build a shifted copy of a
-    round-1 array on request; delivery and decoding instead read `plan`, a
-    round-1 index built on first use and cached on the instance. The plan is
-    not a field, so equality and the JSON form see only the arrays.
+    Only the inputs are stored and compared; n defaults to k. Building the
+    scheme runs the checks of the lift, so every Scheme, however made
+    (constructor, build_scheme or dataclasses.replace), satisfies C2, C4 and
+    C5. It raises ConditionViolation naming the failed condition: "C2" when
+    an integer of [1, S] never occurs, "C4" (C4Violation) from
+    node_placement and "C5" (C3ViolationInQ) when the delivery grid breaks
+    the crossing rule; OutOfRange when k, l and n do not fit the array.
+
+    params and the round-1 grids follow from the inputs and are set here.
+    Rounds 2..K are never stored: `c`, `u` and `q` build a shifted copy of a
+    round-1 grid on request, while delivery and decoding read `plan`, a
+    round-1 index built on first use and cached on the instance.
     """
 
-    params: MultiaccessParams
     pda: Pda
-    placement: RoundArray
-    retrieve: RoundArray
-    delivery: RoundArray
+    k: int
+    l: int
+    n: int | None = None
+    params: MultiaccessParams = field(init=False, repr=False, compare=False)
+    placement: RoundArray = field(init=False, repr=False, compare=False)
+    retrieve: RoundArray = field(init=False, repr=False, compare=False)
+    delivery: RoundArray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p, k, l = self.pda, self.k, self.l
+        missing = missing_values(p)
+        if missing:
+            raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
+        put = partial(object.__setattr__, self)
+        if self.n is None:
+            put("n", k)
+        t = p.z * p.cols // p.rows
+        put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
+        put("placement", node_placement(p, k, l))
+        delivery = _delivery_grid(p, l)
+        bad = crossing_violations(delivery)
+        if bad:
+            raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
+        put("retrieve", RoundArray(round=1, grid=_expand(p, lambda: (True,) * l, False)))
+        put("delivery", RoundArray(round=1, grid=delivery))
 
     def c(self, g: int) -> RoundArray:
         return shift_round(self.placement, g)
@@ -245,8 +261,7 @@ class Scheme:
 
     @cached_property
     def plan(self) -> DeliveryPlan:
-        """Raises UndecodablePacket when a row outside a view has no integer."""
-        return _delivery_plan(self)
+        return _delivery_plan(self.delivery.grid)
 
     @property
     def subpacketization(self) -> int:
@@ -262,31 +277,8 @@ class Scheme:
 
 
 def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
-    """Lift p to K nodes at access degree l.
-
-    Raises ConditionViolation naming the failed condition: "C2" when an
-    integer of [1, S] never occurs, "C4" (C4Violation) from node_placement
-    and "C5" (C3ViolationInQ) when the delivery grid breaks the crossing
-    rule; OutOfRange when k, l and n do not fit the array.
-    """
-    missing = missing_values(p)
-    if missing:
-        raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
-    params = MultiaccessParams(
-        k=k, l=l, t=p.z * p.cols // p.rows, n=k if n is None else n, k_prime=p.cols
-    )
-    placement = node_placement(p, k, l)
-    delivery = _delivery_grid(p, l)
-    bad = crossing_violations(delivery)
-    if bad:
-        raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
-    return Scheme(
-        params=params,
-        pda=p,
-        placement=placement,
-        retrieve=RoundArray(round=1, grid=_expand(p, lambda: (True,) * l, False)),
-        delivery=RoundArray(round=1, grid=delivery),
-    )
+    """Lift p to K nodes at access degree l; raises as Scheme does."""
+    return Scheme(p, k, l, n)
 
 
 def _star_rows_text(grid) -> list[str]:

@@ -225,10 +225,13 @@ def user_delivery(p: Pda, u: RoundArray) -> RoundArray:
     return RoundArray(round=1, grid=tuple(grid))
 
 
-def build_scheme_by_steps(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
+def build_scheme_by_steps(
+    p: Pda, k: int, l: int, n: int | None = None
+) -> tuple[MultiaccessParams, RoundArray, RoundArray, RoundArray]:
     """The lift step by step: placement, retrieve windows, fill maps, delivery.
 
-    The same checks in the same order as build_scheme, which reaches the
+    Returns the params and the placement, retrieve and delivery grids after
+    the same checks in the same order as build_scheme, which reaches the
     three grids by star expansion instead.
     """
     missing = missing_values(p)
@@ -240,7 +243,7 @@ def build_scheme_by_steps(p: Pda, k: int, l: int, n: int | None = None) -> Schem
     c1 = node_placement(p, k, l)
     u1 = user_retrieve(c1, l)
     q1 = user_delivery(p, u1)
-    return Scheme(params=params, pda=p, placement=c1, retrieve=u1, delivery=q1)
+    return params, c1, u1, q1
 
 
 def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:

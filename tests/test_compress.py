@@ -3,21 +3,23 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from macc import (
     GF,
-    CodingMatrixMismatch,
     DimensionMismatch,
     NotApplicable,
     OutOfRange,
     SingularSystem,
     build_scheme,
+    cauchy_matrix,
     compressed_decode,
     compressed_deliver,
     compressed_load,
     coverable_messages,
     demand_suite,
+    field,
     full_view_rounds,
     lambda_profile,
     library_for_scheme,
@@ -146,29 +148,22 @@ def test_tampered_batch_is_rejected(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
     demand = (1, 1, 1, 1, 1, 1, 1, 1)
     batch = compressed_deliver(lib, scheme832, demand)
-    bad = dataclasses.replace(
-        batch,
-        m1=batch.m1 - 1,
-        payloads=batch.payloads[:-1],
-        coding_matrix=batch.coding_matrix[:-1],
-    )
+    bad = dataclasses.replace(batch, m1=batch.m1 - 1, payloads=batch.payloads[:-1])
     with pytest.raises(SingularSystem):
         compressed_decode(lib, scheme832, demand, bad, 1)
 
 
-def test_compressed_decode_rejects_foreign_coding_matrix(scheme832):
+def test_coded_batch_names_its_coding_matrix(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
     demand = tuple(range(1, 9))
     batch = compressed_deliver(lib, scheme832, demand)
-    flipped = batch.coding_matrix.copy()
-    flipped[3, 5] ^= 1
-    with pytest.raises(CodingMatrixMismatch):
-        compressed_decode(lib, scheme832, demand, dataclasses.replace(batch, coding_matrix=flipped), 1)
-    with pytest.raises(DimensionMismatch):
-        compressed_decode(
-            lib, scheme832, demand,
-            dataclasses.replace(batch, coding_matrix=batch.coding_matrix[:, :-1]), 1,
-        )
+    g_mat = batch.coding_matrix
+    assert np.array_equal(g_mat, cauchy_matrix(24, 32, field(8)))
+    assert not g_mat.flags.writeable
+    assert compressed_deliver(lib, scheme832, demand) == batch
+    assert compressed_deliver(lib, scheme832, demand).coding_matrix is g_mat
+    with pytest.raises(TypeError):
+        dataclasses.replace(batch, coding_matrix=g_mat)
 
 
 def test_compressed_decode_rejects_malformed_payloads(scheme832):

@@ -1,17 +1,27 @@
 """Inputs at the edges of their range: each meets a MaccError or costs no more than it needs."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import macc
+from conftest import PNEG_ROWS
 from macc import (
+    DimensionMismatch,
     DuplicateRatio,
     MaccError,
+    MalformedPda,
     OutOfRange,
+    PacketLibrary,
     Pda,
     build_scheme,
     check_c5,
     envelope,
+    library_for_scheme,
     node_placement,
     r_hkd,
 )
@@ -45,3 +55,77 @@ def test_starless_lift_builds_no_star_cells():
     assert peak < 2**20
     assert scheme.delivery.grid == ((1, 2),)
     assert scheme.retrieve.grid == ((False, False),)
+
+
+def test_malformed_pda_is_a_macc_error():
+    with pytest.raises(MalformedPda, match=r"cell value 5 outside star/\[1, 2\]") as info:
+        Pda(rows=1, cols=1, entries=((5,),), z=0, s=2)
+    assert isinstance(info.value, MaccError)
+    assert isinstance(info.value, ValueError)
+
+
+def test_library_data_must_match_its_dimensions(scheme832):
+    with pytest.raises(DimensionMismatch, match="library data is not 8 files of 8x6 packets"):
+        PacketLibrary(n_files=8, parts_per_file=8, packets_per_part=6, packet_bytes=1, data=())
+    lib = library_for_scheme(scheme832, packet_bytes=1)
+    short = lib.data[:-1] + ((lib.data[-1][0][:-1],) + lib.data[-1][1:],)
+    with pytest.raises(DimensionMismatch, match="library data is not"):
+        PacketLibrary(n_files=8, parts_per_file=8, packets_per_part=6, packet_bytes=1, data=short)
+
+
+def test_library_needs_a_positive_packet_size(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1)
+    with pytest.raises(DimensionMismatch, match="packet_bytes=0 must be >= 1"):
+        PacketLibrary(n_files=8, parts_per_file=8, packets_per_part=6, packet_bytes=0, data=lib.data)
+
+
+# Run under python -O, where assert statements are stripped, so it checks
+# with if/raise: each construction check must still raise its MaccError.
+OPTIMIZED_CHECKS = """
+import dataclasses
+
+from macc import (
+    STAR, C3ViolationInQ, C4Violation, ConditionViolation, DimensionMismatch, MalformedPda,
+    OutOfRange, PacketLibrary, Pda, Scheme, SingularSystem, compressed_decode,
+    compressed_deliver, library_for_scheme, mn_pda,
+)
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+
+
+def expect(error, build):
+    try:
+        build()
+    except error:
+        return
+    raise SystemExit(f"no {error.__name__}")
+
+
+pneg = Pda(rows=5, cols=5, entries=PNEG_ROWS, z=2, s=14)
+expect(ConditionViolation, lambda: Scheme(dataclasses.replace(mn_pda(4, 2), s=5), 8, 3))
+expect(C4Violation, lambda: Scheme(Pda(rows=2, cols=2, entries=((STAR, 1), (2, 3)), z=1, s=3), 3, 2))
+expect(C3ViolationInQ, lambda: Scheme(pneg, 7, 2))
+expect(OutOfRange, lambda: Scheme(mn_pda(4, 2), 9, 3))
+expect(MalformedPda, lambda: Pda(rows=1, cols=1, entries=((5,),), z=0, s=2))
+expect(DimensionMismatch, lambda: PacketLibrary(8, 8, 6, 1, ()))
+scheme = Scheme(mn_pda(4, 2), 8, 3)
+lib = library_for_scheme(scheme, packet_bytes=1)
+expect(DimensionMismatch, lambda: PacketLibrary(8, 8, 6, 0, lib.data))
+demand = (1,) * 8
+batch = compressed_deliver(lib, scheme, demand)
+bad = dataclasses.replace(batch, m1=batch.m1 - 1, payloads=batch.payloads[:-1])
+expect(SingularSystem, lambda: compressed_decode(lib, scheme, demand, bad, 1))
+print("ok")
+"""
+
+
+def test_construction_checks_survive_python_O():
+    script = f"PNEG_ROWS = {PNEG_ROWS!r}\n" + OPTIMIZED_CHECKS
+    src = Path(macc.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")

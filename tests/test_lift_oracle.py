@@ -3,12 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macc import STAR, Pda, build_scheme, mn_pda, partition_pda, scheme_to_json
+from macc import STAR, MultiaccessParams, Pda, build_scheme, mn_pda, partition_pda
 from oracles import build_scheme_by_steps
 
 
+def lift(p, k, l):
+    """The params and the three round-1 grids build_scheme derives."""
+    scheme = build_scheme(p, k, l)
+    return scheme.params, scheme.placement, scheme.retrieve, scheme.delivery
+
+
 def outcome(build, p, k, l):
-    """The built scheme, or the type and text of what the build raised."""
+    """The params and grids built, or the type and text of what the build raised."""
     try:
         return build(p, k, l)
     except Exception as e:  # noqa: BLE001 - the comparison is the point
@@ -16,11 +22,9 @@ def outcome(build, p, k, l):
 
 
 def assert_same_lift(p, k, l):
-    got, want = outcome(build_scheme, p, k, l), outcome(build_scheme_by_steps, p, k, l)
-    assert got == want, (p, k, l)
-    if not isinstance(got, tuple):
-        assert scheme_to_json(got, include_arrays=True) == scheme_to_json(want, include_arrays=True)
-    return not isinstance(got, tuple)
+    got = outcome(lift, p, k, l)
+    assert got == outcome(build_scheme_by_steps, p, k, l), (p, k, l)
+    return isinstance(got[0], MultiaccessParams)
 
 
 def fitting_ks(p, l):

@@ -12,7 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PNEG_ROWS
 from macc import (
+    STAR,
+    C3ViolationInQ,
+    C4Violation,
+    ConditionViolation,
+    OutOfRange,
+    Pda,
+    Scheme,
     UndecodablePacket,
     build_scheme,
     coverable_messages,
@@ -25,9 +33,8 @@ from macc import (
     populate_caches,
     scheme_to_json,
 )
-from macc.pda import STAR, constituents
+from macc.pda import constituents
 from macc.sim import TransmissionLog, check_demand, user_view
-from macc.transform import RoundArray
 
 
 def oracle_deliver(library, scheme, demand) -> TransmissionLog:
@@ -167,42 +174,40 @@ def test_missing_message_matches_oracle(scheme832):
     assert missing > 0
 
 
-def _malformed(scheme, retrieve, delivery):
-    return dataclasses.replace(
-        scheme,
-        retrieve=RoundArray(round=1, grid=tuple(map(tuple, retrieve))),
-        delivery=RoundArray(round=1, grid=tuple(map(tuple, delivery))),
-    )
+def outcome_of_build(build):
+    """The type and text of what build() raised, or None."""
+    try:
+        build()
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+    return None
 
 
-def test_star_outside_view_is_undecodable(scheme832):
-    retrieve = [list(r) for r in scheme832.retrieve.grid]
-    delivery = [list(r) for r in scheme832.delivery.grid]
-    j, c = next((j, c) for j, row in enumerate(retrieve) for c, v in enumerate(row) if not v)
-    delivery[j][c] = STAR
-    bad = _malformed(scheme832, retrieve, delivery)
-    library = library_for_scheme(bad, packet_bytes=1)
-    with pytest.raises(UndecodablePacket, match="outside the view but carries no integer"):
-        decode_from_messages(library, bad, tuple(range(1, 9)), {}, c + 1)
+# label -> (array, K, L, error): one input per check the lift runs at
+# construction. Every Scheme passes them all, so the plan needs no check of
+# its grids.
+BAD_LIFTS = {
+    "C2": (dataclasses.replace(mn_pda(4, 2), s=5), 8, 3, ConditionViolation),
+    "C4": (Pda(rows=2, cols=2, entries=((STAR, 1), (2, 3)), z=1, s=3), 3, 2, C4Violation),
+    "C5": (Pda(rows=5, cols=5, entries=PNEG_ROWS, z=2, s=14), 7, 2, C3ViolationInQ),
+    "wrong K": (mn_pda(4, 2), 9, 3, OutOfRange),
+}
 
 
-def test_peer_outside_view_is_undecodable(scheme832):
-    # hide a visible row jj of column c and give it the integer of a hidden
-    # row j of the same column: each becomes the other's unseen peer
-    retrieve = [list(r) for r in scheme832.retrieve.grid]
-    delivery = [list(r) for r in scheme832.delivery.grid]
-    c = 0
-    j = next(j for j, row in enumerate(retrieve) if not row[c])
-    jj = next(j for j, row in enumerate(retrieve) if row[c])
-    retrieve[jj][c] = False
-    delivery[jj][c] = delivery[j][c]
-    bad = _malformed(scheme832, retrieve, delivery)
-    library = library_for_scheme(bad, packet_bytes=1)
-    demand = tuple(range(1, 9))
-    msgs = {(g, s): payload for g, s, payload in deliver(library, bad, demand).messages}
-    got = outcome(decode_from_messages, library, bad, demand, msgs, c + 1)
-    assert got == outcome(oracle_decode_from_messages, library, bad, demand, msgs, c + 1)
-    assert got.startswith("UndecodablePacket: peer packet row")
+@pytest.mark.parametrize("label", list(BAD_LIFTS))
+def test_every_way_to_make_a_scheme_runs_the_lift_checks(label, scheme832):
+    p, k, l, error = BAD_LIFTS[label]
+    want = outcome_of_build(lambda: build_scheme(p, k, l))
+    assert want is not None and want[0] is error
+    assert outcome_of_build(lambda: Scheme(p, k, l)) == want
+    assert outcome_of_build(lambda: dataclasses.replace(scheme832, pda=p, k=k, l=l, n=k)) == want
+
+
+def test_scheme_grids_cannot_be_supplied(scheme832):
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(scheme832, delivery=scheme832.delivery)
+    with pytest.raises(TypeError):
+        Scheme(mn_pda(4, 2), 8, 3, delivery=scheme832.delivery)
 
 
 def test_plan_is_lazy_and_outside_equality():

@@ -37,9 +37,6 @@ class LambdaProfile:
     total: int
     applicable: bool
 
-    def as_dict(self) -> dict:
-        return {"lambdas": list(self.lambdas), "total": self.total, "applicable": self.applicable}
-
 
 def lambda_profile(p: Pda, l: int) -> LambdaProfile:
     """lambda_h = a_h + l - b_h from the array's star extremes.
@@ -106,15 +103,6 @@ class CodedBatch:
         """G, read-only and shared by every batch of this shape and field."""
         return _coding_matrix(self.m1, self.m2, self.field_width)
 
-    def as_dict(self) -> dict:
-        return {
-            "field_width": self.field_width,
-            "m1": self.m1,
-            "m2": self.m2,
-            "packet_bytes": self.packet_bytes,
-            "payloads": list(self.payloads),
-        }
-
 
 def _pick_field(m1: int, m2: int, packet_bytes: int, field_width: int | None) -> GF:
     if field_width is None:
@@ -122,8 +110,7 @@ def _pick_field(m1: int, m2: int, packet_bytes: int, field_width: int | None) ->
     gf = field(field_width)
     if m1 + m2 > gf.order:
         raise FieldTooSmall(f"m1+m2={m1 + m2} needs order > {gf.order}; pass a wider field")
-    sym = gf.width // 8 if gf.width >= 8 else 1
-    if gf.width < 8 or packet_bytes % sym != 0:
+    if gf.width < 8 or packet_bytes % (gf.width // 8):
         raise FieldTooSmall(
             f"packet_bytes={packet_bytes} is not a multiple of the "
             f"{gf.width}-bit symbol width"

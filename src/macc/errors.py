@@ -53,10 +53,6 @@ class C3ViolationInQ(ConditionViolation):
         super().__init__("C5", detail)
 
 
-class RowCountMismatch(MaccError):
-    """Two row-indexed structures disagree on the number of rows."""
-
-
 class DemandOutOfRange(MaccError):
     """Demand vector has the wrong length or an entry outside [1, N]."""
 

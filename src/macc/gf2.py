@@ -8,6 +8,9 @@ gathers clip to the last entry. So a product is exp[log a + log b] for every
 a and b, zero included, with no reduction and no mask. The antilog table
 holds the narrowest unsigned type that fits the field; vectors and matrices
 are numpy uint32 arrays of field elements.
+
+Packets split into big-endian 8- or 16-bit symbols, so only GF(2^8) and
+GF(2^16) carry packets; the narrower fields have arithmetic only.
 """
 
 from array import array
@@ -143,13 +146,6 @@ class GF:
                 b[rows] ^= self._outer(f, b[col])
         return b
 
-    def is_invertible(self, a: np.ndarray) -> bool:
-        try:
-            self.solve(a, np.eye(a.shape[0], dtype=np.uint32))
-            return True
-        except SingularSystem:
-            return False
-
     def _log_sums(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """sum_k log(a_i + b_k) per i, a block of rows at a time."""
         out = np.empty(len(a), dtype=np.int64)
@@ -214,10 +210,10 @@ def cauchy_matrix(m1: int, m2: int, gf: GF) -> np.ndarray:
 
 
 def _symbol_bytes(width: int, packet_bytes: int) -> int:
-    """Bytes per symbol; sub-byte fields take one symbol per byte."""
-    if width not in PRIMITIVE_POLY:
-        raise OutOfRange(f"unsupported field width {width}, know {sorted(PRIMITIVE_POLY)}")
-    sw = width // 8 if width >= 8 else 1
+    """Bytes per symbol: packets split into 8- or 16-bit symbols only."""
+    if width not in (8, 16):
+        raise OutOfRange(f"packets split into 8- or 16-bit symbols, not {width}-bit")
+    sw = width // 8
     if packet_bytes < 1 or packet_bytes % sw:
         raise DimensionMismatch(
             f"packet_bytes={packet_bytes} is not a positive multiple of {sw}-byte symbols"
@@ -225,35 +221,14 @@ def _symbol_bytes(width: int, packet_bytes: int) -> int:
     return sw
 
 
-def _check_sub_byte_range(symbols, width: int) -> None:
-    """Byte-wide symbols fit fields of 8 or 16 bits; smaller fields need a check."""
-    if width < 8 and any(not 0 <= s < 1 << width for s in symbols):
-        raise OutOfRange(f"symbol outside GF(2^{width})")
-
-
 def packet_to_symbols(x: int, packet_bytes: int, width: int) -> list[int]:
     """Split a packet integer (big-endian packet_bytes) into field symbols."""
-    sw = _symbol_bytes(width, packet_bytes)
-    try:
-        raw = x.to_bytes(packet_bytes, "big")
-    except OverflowError as e:
-        raise OutOfRange(f"packet does not fit {packet_bytes} bytes") from e
-    symbols = [int.from_bytes(raw[i:i + sw], "big") for i in range(0, packet_bytes, sw)]
-    _check_sub_byte_range(symbols, width)
-    return symbols
+    return packets_to_symbols([x], packet_bytes, width)[0].tolist()
 
 
 def symbols_to_packet(symbols, packet_bytes: int, width: int) -> int:
     """Inverse of packet_to_symbols."""
-    sw = _symbol_bytes(width, packet_bytes)
-    if len(symbols) * sw != packet_bytes:
-        raise DimensionMismatch(f"{len(symbols)} symbols do not fill {packet_bytes} bytes")
-    _check_sub_byte_range(symbols, width)
-    try:
-        raw = b"".join(int(s).to_bytes(sw, "big") for s in symbols)
-    except OverflowError as e:
-        raise OutOfRange(f"symbol outside GF(2^{width})") from e
-    return int.from_bytes(raw, "big")
+    return symbols_to_packets([symbols], packet_bytes, width)[0]
 
 
 def _symbol_dtype(sw: int) -> np.dtype:
@@ -261,7 +236,7 @@ def _symbol_dtype(sw: int) -> np.dtype:
 
 
 def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
-    """packet_to_symbols for many packets at once: one uint32 row per packet."""
+    """Split many packet integers into symbols at once: one uint32 row per packet."""
     sw = _symbol_bytes(width, packet_bytes)
     packets = list(packets)
     try:
@@ -269,8 +244,6 @@ def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     except (AttributeError, OverflowError) as e:
         raise OutOfRange(f"packet is not an integer of {packet_bytes} bytes") from e
     symbols = np.frombuffer(raw, dtype=_symbol_dtype(sw)).astype(np.uint32)
-    if width < 8 and symbols.size and int(symbols.max()) >> width:
-        raise OutOfRange(f"symbol outside GF(2^{width})")
     return symbols.reshape(len(packets), packet_bytes // sw)
 
 

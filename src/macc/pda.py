@@ -44,15 +44,6 @@ class Pda:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
         return self.entries[row - 1][col - 1]
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "z": self.z,
-            "s": self.s,
-            "entries": [list(r) for r in self.entries],
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -77,15 +68,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.c1_ok and self.c2_ok and self.c3_ok
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "c1": {"ok": self.c1_ok, "counterexamples": list(self.c1_counterexamples)},
-            "c2": {"ok": self.c2_ok, "counterexamples": list(self.c2_counterexamples)},
-            "c3": {"ok": self.c3_ok, "counterexamples": list(self.c3_counterexamples)},
-            "exhaustive": self.exhaustive,
-        }
 
 
 def constituents(grid) -> dict[int, list[tuple[int, int]]]:
@@ -162,14 +144,6 @@ class StarProfile:
     t: int
     a: tuple[int, ...]
     b: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "star_sets": [list(s) for s in self.star_sets],
-            "t": self.t,
-            "a": list(self.a),
-            "b": list(self.b),
-        }
 
 
 def star_profile(p: Pda) -> StarProfile:

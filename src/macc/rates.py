@@ -7,11 +7,9 @@ curve keeps a pointer to its current segment, whose line is held as
 integers, and the converse is computed once per corner.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, lcm
-from operator import attrgetter
 
 from .errors import DuplicateRatio, EmptyInput, OutOfRange
 from .util import comb0
@@ -113,15 +111,6 @@ class ConverseInstance:
     x: Fraction  # memory ratio t/K
     bound: Fraction
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "l": self.l,
-            "t": self.t,
-            "x": f"{self.x.numerator}/{self.x.denominator}",
-            "bound": f"{self.bound.numerator}/{self.bound.denominator}",
-        }
-
 
 def converse_bound(k: int, l: int, t: int) -> Fraction:
     """Lower bound on the optimal load under the gap-constrained placement."""
@@ -199,12 +188,7 @@ def envelope_eval(curve: LoadCurve, x) -> Fraction:
     pts = curve.points
     if x < pts[0].ratio:
         raise OutOfRange(f"x={x} below the first corner {pts[0].ratio}")
-    if x >= pts[-1].ratio:
-        return pts[-1].load
-    i = bisect_right(pts, x, key=attrgetter("ratio"))
-    a, b = pts[i - 1], pts[i]
-    w = (x - a.ratio) / (b.ratio - a.ratio)
-    return a.load + w * (b.load - a.load)
+    return _sweep(curve)(x)
 
 
 def _line(a: LoadPoint, b: LoadPoint) -> tuple[int, int, int]:

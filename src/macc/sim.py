@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import DemandOutOfRange, DimensionMismatch, UndecodablePacket
+from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
 from .transform import Scheme
-from .util import mod1
+from .util import is_int, mod1
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class PacketLibrary:
     data: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        if not is_int(self.packet_bytes):
+            raise OutOfRange(f"packet_bytes={self.packet_bytes!r} is not an integer")
         if self.packet_bytes < 1:
             raise DimensionMismatch(f"packet_bytes={self.packet_bytes} must be >= 1")
         if len(self.data) != self.n_files or any(
@@ -39,6 +41,14 @@ class PacketLibrary:
                 f"library data is not {self.n_files} files of {self.parts_per_file}x"
                 f"{self.packets_per_part} packets"
             )
+        limit = 1 << 8 * self.packet_bytes
+        for parts in self.data:
+            for part in parts:
+                for p in part:
+                    if not (is_int(p) and 0 <= p < limit):
+                        raise OutOfRange(
+                            f"packet {p!r} is not an integer of {self.packet_bytes} bytes"
+                        )
 
     def packet(self, n: int, g: int, j: int) -> int:
         return self.data[n - 1][g - 1][j - 1]
@@ -129,14 +139,14 @@ def check_demand(demand, k: int, n_files: int) -> tuple[int, ...]:
     if len(d) != k:
         raise DemandOutOfRange(f"demand length {len(d)} != K={k}")
     for x in d:
-        if not (1 <= x <= n_files):
-            raise DemandOutOfRange(f"demand entry {x} outside [1, {n_files}]")
+        if not (is_int(x) and 1 <= x <= n_files):
+            raise DemandOutOfRange(f"demand entry {x!r} outside [1, {n_files}]")
     return d
 
 
 def check_user(user: int, k: int) -> None:
-    if not (1 <= user <= k):
-        raise DemandOutOfRange(f"user {user} outside [1, {k}]")
+    if not (is_int(user) and 1 <= user <= k):
+        raise DemandOutOfRange(f"user {user!r} outside [1, {k}]")
 
 
 def _round_parts(library: PacketLibrary, d: tuple[int, ...], k: int, g: int) -> list:

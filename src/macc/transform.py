@@ -36,7 +36,7 @@ from .pda import (
     parse_pda,
     serialize_pda,
 )
-from .util import mod1
+from .util import is_int, mod1
 
 SCHEME_FORMAT = "macc-scheme-v1"
 
@@ -215,7 +215,8 @@ class Scheme:
     C5. It raises ConditionViolation naming the failed condition: "C2" when
     an integer of [1, S] never occurs, "C4" (C4Violation) from
     node_placement and "C5" (C3ViolationInQ) when the delivery grid breaks
-    the crossing rule; OutOfRange when k, l and n do not fit the array.
+    the crossing rule; OutOfRange, first of all, when k, l or a given n is
+    not an int, and when they do not fit the array.
 
     params and the round-1 grids follow from the inputs and are set here.
     Rounds 2..K are never stored: `c`, `u` and `q` build a shifted copy of a
@@ -234,6 +235,9 @@ class Scheme:
 
     def __post_init__(self):
         p, k, l = self.pda, self.k, self.l
+        for name, v in (("k", k), ("l", l), ("n", k if self.n is None else self.n)):
+            if not is_int(v):
+                raise OutOfRange(f"scheme parameter {name}={v!r} is not an integer")
         missing = missing_values(p)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
@@ -329,7 +333,7 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
     except KeyError as e:
         raise ParseError(f"scheme descriptor missing field: {e}") from e
     for name, v in (("k", k), ("l", l), ("n", n)):
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not is_int(v):
             raise ParseError(f"scheme parameter {name}={v!r} is not an integer")
     source = next((key for key in ("inline", "path") if key in pref), None)
     if source is None:

@@ -4,6 +4,11 @@ from fractions import Fraction
 from math import comb
 
 
+def is_int(v) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def mod1(x: int, a: int) -> int:
     """1-based modulus: result lies in [1, a], with mod1(a, a) == a."""
     return (x - 1) % a + 1

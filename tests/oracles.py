@@ -22,7 +22,6 @@ from macc import (
     OutOfRange,
     Pda,
     RoundArray,
-    RowCountMismatch,
     SingularSystem,
     check_c4,
     lex_rank,
@@ -31,7 +30,7 @@ from macc import (
     star_profile,
 )
 from macc.compress import CodedBatch, message_order
-from macc.gf2 import field, packet_to_symbols, symbols_to_packet
+from macc.gf2 import GF, _symbol_bytes, field
 from macc.pda import constituents, crossing_violations, missing_values
 from macc.rates import converse_step
 from macc.sim import PacketLibrary, check_demand, decode_from_messages, round_payloads
@@ -191,7 +190,7 @@ def delivery_fill_maps(p: Pda, u: RoundArray) -> tuple[tuple[tuple[int, int], ..
     the corresponding base-array row.
     """
     if p.rows != len(u.grid):
-        raise RowCountMismatch(f"{p.rows} base rows vs {len(u.grid)} retrieve rows")
+        raise DimensionMismatch(f"{p.rows} base rows vs {len(u.grid)} retrieve rows")
     maps = []
     for j in range(p.rows):
         nulls = [c for c, v in enumerate(u.grid[j], start=1) if not v]
@@ -289,6 +288,37 @@ def count_sq_oracle(k: int, l: int, t: int, q: int) -> dict[str, int]:
     return counts
 
 
+def is_invertible(gf: GF, a: np.ndarray) -> bool:
+    """Whether a square matrix over gf has an inverse, by elimination."""
+    try:
+        gf.solve(a, np.eye(a.shape[0], dtype=np.uint32))
+        return True
+    except SingularSystem:
+        return False
+
+
+def packet_to_symbols_by_bytes(x: int, packet_bytes: int, width: int) -> list[int]:
+    """One packet integer split into big-endian symbols, a slice of bytes at a time."""
+    sw = _symbol_bytes(width, packet_bytes)
+    try:
+        raw = x.to_bytes(packet_bytes, "big")
+    except OverflowError as e:
+        raise OutOfRange(f"packet does not fit {packet_bytes} bytes") from e
+    return [int.from_bytes(raw[i:i + sw], "big") for i in range(0, packet_bytes, sw)]
+
+
+def symbols_to_packet_by_bytes(symbols, packet_bytes: int, width: int) -> int:
+    """Inverse of packet_to_symbols_by_bytes, one symbol's bytes at a time."""
+    sw = _symbol_bytes(width, packet_bytes)
+    if len(symbols) * sw != packet_bytes:
+        raise DimensionMismatch(f"{len(symbols)} symbols do not fill {packet_bytes} bytes")
+    try:
+        raw = b"".join(int(s).to_bytes(sw, "big") for s in symbols)
+    except OverflowError as e:
+        raise OutOfRange(f"symbol outside GF(2^{width})") from e
+    return int.from_bytes(raw, "big")
+
+
 def compressed_decode_by_elimination(
     library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
 ) -> bytes:
@@ -296,7 +326,7 @@ def compressed_decode_by_elimination(
 
     Full-view rounds come from the retrieve grid, every unknown is solved
     with GF.solve against the batch's own matrix, and packets are converted
-    one at a time.
+    one at a time by slicing bytes.
     """
     k = scheme.params.k
     d = check_demand(demand, k, library.n_files)
@@ -315,16 +345,16 @@ def compressed_decode_by_elimination(
         raise SingularSystem(f"{len(unknown)} unknowns against {batch.m1} coded rows")
     g_mat = batch.coding_matrix
     rhs = np.array(
-        [packet_to_symbols(p, batch.packet_bytes, gf.width) for p in batch.payloads],
+        [packet_to_symbols_by_bytes(p, batch.packet_bytes, gf.width) for p in batch.payloads],
         dtype=np.uint32,
     )
     if known:
         xk = np.array(
-            [packet_to_symbols(msgs[gs], batch.packet_bytes, gf.width) for gs in known],
+            [packet_to_symbols_by_bytes(msgs[gs], batch.packet_bytes, gf.width) for gs in known],
             dtype=np.uint32,
         )
         rhs ^= gf.matmul(g_mat[:, [index[gs] for gs in known]], xk)
     solved = gf.solve(g_mat[:, unknown], rhs)
     for row, i in enumerate(unknown):
-        msgs[order[i]] = symbols_to_packet(solved[row], batch.packet_bytes, gf.width)
+        msgs[order[i]] = symbols_to_packet_by_bytes(solved[row], batch.packet_bytes, gf.width)
     return decode_from_messages(library, scheme, demand, msgs, user)

@@ -18,6 +18,7 @@ from macc.gf2 import (
     symbols_to_packet,
     symbols_to_packets,
 )
+from oracles import is_invertible, packet_to_symbols_by_bytes, symbols_to_packet_by_bytes
 
 
 def ref_mul(a: int, b: int, width: int) -> int:
@@ -197,7 +198,7 @@ def test_cauchy_random_column_subsets_invertible():
     rng = random.Random(7)
     for _ in range(100):
         cols = sorted(rng.sample(range(32), 24))
-        assert gf.is_invertible(m[:, cols])
+        assert is_invertible(gf, m[:, cols])
 
 
 def test_cauchy_range_errors():
@@ -215,7 +216,7 @@ def test_solve_recovers_known_vector():
     rng = np.random.default_rng(3)
     for _ in range(100):
         a = rng.integers(0, 256, size=(10, 10), dtype=np.uint32)
-        while not gf.is_invertible(a):
+        while not is_invertible(gf, a):
             a = rng.integers(0, 256, size=(10, 10), dtype=np.uint32)
         x = rng.integers(0, 256, size=(10, 2), dtype=np.uint32)
         b = gf.matmul(a, x)
@@ -241,12 +242,6 @@ def test_symbol_packing_round_trip(x):
         assert symbols_to_packet(syms, nbytes, width) == x
 
 
-def test_symbol_packing_small_width():
-    syms = packet_to_symbols(0x0102, 2, 3)
-    assert syms == [1, 2]
-    assert symbols_to_packet(syms, 2, 3) == 0x0102
-
-
 @pytest.mark.parametrize("width", [8, 16])
 def test_batch_symbol_packing_matches_per_packet(width):
     rng = random.Random(width)
@@ -254,9 +249,9 @@ def test_batch_symbol_packing_matches_per_packet(width):
         packets = [rng.getrandbits(8 * nbytes) for _ in range(17)] + [0, (1 << 8 * nbytes) - 1]
         syms = packets_to_symbols(packets, nbytes, width)
         assert syms.dtype == np.uint32
-        assert syms.tolist() == [packet_to_symbols(p, nbytes, width) for p in packets]
+        assert syms.tolist() == [packet_to_symbols_by_bytes(p, nbytes, width) for p in packets]
         assert symbols_to_packets(syms, nbytes, width) == [
-            symbols_to_packet(row, nbytes, width) for row in syms
+            symbols_to_packet_by_bytes(row, nbytes, width) for row in syms
         ] == packets
     assert packets_to_symbols([], 2, width).shape == (0, 2 // (width // 8))
 
@@ -279,6 +274,8 @@ def test_symbol_packing_rejects_out_of_range():
         packets_to_symbols([0x0109], 2, 3)
     with pytest.raises(OutOfRange):
         packet_to_symbols(1 << 16, 2, 8)
+    with pytest.raises(OutOfRange):
+        packet_to_symbols("x", 2, 8)
     with pytest.raises(OutOfRange):
         symbols_to_packet([1, 300], 2, 8)
     with pytest.raises(OutOfRange):

@@ -73,6 +73,19 @@ def test_library_data_must_match_its_dimensions(scheme832):
         PacketLibrary(n_files=8, parts_per_file=8, packets_per_part=6, packet_bytes=1, data=short)
 
 
+def with_first_packet(data, value):
+    """The library data with packet (1, 1, 1) replaced by value."""
+    first = data[0][0]
+    return (((value,) + first[1:],) + data[0][1:],) + data[1:]
+
+
+@pytest.mark.parametrize("value", [256, -1, 1.0, "x"])
+def test_library_packets_must_fit_their_bytes(scheme832, value):
+    lib = library_for_scheme(scheme832, packet_bytes=1)
+    with pytest.raises(OutOfRange, match=f"packet {value!r} is not an integer of 1 bytes"):
+        PacketLibrary(8, 8, 6, 1, with_first_packet(lib.data, value))
+
+
 def test_library_needs_a_positive_packet_size(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=1)
     with pytest.raises(DimensionMismatch, match="packet_bytes=0 must be >= 1"):
@@ -112,6 +125,9 @@ expect(DimensionMismatch, lambda: PacketLibrary(8, 8, 6, 1, ()))
 scheme = Scheme(mn_pda(4, 2), 8, 3)
 lib = library_for_scheme(scheme, packet_bytes=1)
 expect(DimensionMismatch, lambda: PacketLibrary(8, 8, 6, 0, lib.data))
+big = (((256,) + lib.data[0][0][1:],) + lib.data[0][1:],) + lib.data[1:]
+expect(OutOfRange, lambda: PacketLibrary(8, 8, 6, 1, big))
+expect(OutOfRange, lambda: Scheme(mn_pda(4, 2), 8.0, 3))
 demand = (1,) * 8
 batch = compressed_deliver(lib, scheme, demand)
 bad = dataclasses.replace(batch, m1=batch.m1 - 1, payloads=batch.payloads[:-1])

@@ -191,6 +191,7 @@ BAD_LIFTS = {
     "C4": (Pda(rows=2, cols=2, entries=((STAR, 1), (2, 3)), z=1, s=3), 3, 2, C4Violation),
     "C5": (Pda(rows=5, cols=5, entries=PNEG_ROWS, z=2, s=14), 7, 2, C3ViolationInQ),
     "wrong K": (mn_pda(4, 2), 9, 3, OutOfRange),
+    "float K": (mn_pda(4, 2), 8.0, 3, OutOfRange),
 }
 
 

@@ -142,6 +142,20 @@ def test_check_demand():
         check_demand((0, 1, 1), 3, 2)
 
 
+def test_deliver_rejects_non_integer_demand(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=0)
+    with pytest.raises(DemandOutOfRange, match=r"demand entry 1\.5 outside \[1, 8\]"):
+        deliver(lib, scheme832, (1.5,) * 8)
+
+
+def test_decode_rejects_non_integer_user(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=0)
+    demand = tuple(range(1, 9))
+    log = deliver(lib, scheme832, demand)
+    with pytest.raises(DemandOutOfRange, match=r"user 1\.0 outside \[1, 8\]"):
+        decode(lib, scheme832, demand, log, user=1.0)
+
+
 def test_worst_case_load(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=1, seed=0)
     suite = demand_suite(8, 8, seed=0, n_random=5)

@@ -11,9 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macc import STAR, OutOfRange, Pda, comparison_table, mn_pda
+from macc import STAR, OutOfRange, Pda, comparison_table, envelope_eval, mn_pda, scheme_curve
 from macc.transform import _expand
-from oracles import comparison_table_by_scan, expand_by_generator, mn_pda_by_lex_rank
+from macc.rates import SCHEME_KEYS
+from oracles import (
+    comparison_table_by_scan,
+    envelope_eval_by_scan,
+    expand_by_generator,
+    mn_pda_by_lex_rank,
+)
 
 SCHEME_LISTS = (["hkd", "rk", "sr", "t1", "conv"], ["conv"], ["t1", "t1"], ["t1", "nope"])
 # Every table builds its curves afresh and the scan spends four Fraction operations
@@ -50,6 +56,22 @@ def test_comparison_table_errors_match_the_scan():
         assert outcome(comparison_table, *args) == outcome(comparison_table_by_scan, *args), args
     with pytest.raises(OutOfRange, match="unknown scheme 'bogus'"):
         comparison_table(8, 3, ["rk", "bogus"], F(1, 9))
+
+
+def test_envelope_eval_matches_the_scan():
+    """Every corner and segment midpoint, past the last corner and below the first."""
+    for k in range(1, 13):
+        for l in range(1, 5):
+            for name in SCHEME_KEYS:
+                curve = scheme_curve(k, l, name)
+                pts = curve.points
+                xs = [p.ratio for p in pts] + [(a.ratio + b.ratio) / 2 for a, b in zip(pts, pts[1:])]
+                xs += [pts[-1].ratio + F(1, 3), 1, pts[0].ratio - F(1, 5)]
+                for x in xs:
+                    args = (curve, x)
+                    assert outcome(envelope_eval, *args) == outcome(envelope_eval_by_scan, *args), (
+                        k, l, name, x
+                    )
 
 
 def test_mn_pda_matches_lex_rank_per_cell():

@@ -2,8 +2,8 @@
 
 Prints the round-1 and round-2 node placement, user retrieve and user
 delivery grids, then the fill maps that route base-array integers into the
-delivery nulls. The full stack of K delivery grids is what the simulator
-replays round by round.
+delivery nulls. The simulator builds none of these round-g grids: it reads
+the round-1 delivery plan and reaches round g by offset arithmetic.
 """
 
 from macc import STAR, build_scheme, mn_pda

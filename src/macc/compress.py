@@ -58,17 +58,16 @@ def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
     ))
 
 
-def reconstructable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
-    """Messages the user can rebuild because it sees the whole round."""
+def reconstructable_messages(scheme: Scheme, user: int) -> frozenset[int]:
+    """Log positions of the messages the user rebuilds because it sees the whole round."""
+    s = scheme.pda.s
     return frozenset(
-        (g, s)
-        for g in full_view_rounds(scheme, user)
-        for s in range(1, scheme.pda.s + 1)
+        i for g in full_view_rounds(scheme, user) for i in range((g - 1) * s, g * s)
     )
 
 
-def coverable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
-    """Messages all of whose constituent rows lie in the user's view.
+def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
+    """Log positions of the messages all of whose constituent rows lie in the user's view.
 
     A superset of reconstructable_messages; the protocol only banks on the
     full-view rounds.
@@ -77,7 +76,7 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
     check_user(user, k)
     plan = scheme.plan
     return frozenset(
-        (g, s)
+        (g - 1) * scheme.pda.s + s - 1
         for g in range(1, k + 1)
         for s, cells in plan.cells.items()
         if all(j in plan.views[(user - g) % k] for j, _ in cells)
@@ -88,8 +87,9 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
 class CodedBatch:
     """Coded transmission: payload rows of G @ messages plus the G parameters.
 
-    G is not stored: it is the m1 x m2 Cauchy matrix over GF(2^field_width),
-    so the batch names it by its shape and field and compares by value.
+    Column i of G weights the message at log position i. G is not stored: it
+    is the m1 x m2 Cauchy matrix over GF(2^field_width), so the batch names it
+    by its shape and field and compares by value.
     """
 
     field_width: int
@@ -118,15 +118,6 @@ def _pick_field(m1: int, m2: int, packet_bytes: int, field_width: int | None) ->
     return gf
 
 
-def message_order(scheme: Scheme) -> tuple[tuple[int, int], ...]:
-    """(g, s) lexicographic order shared by deliver and the coded path."""
-    return tuple(
-        (g, s)
-        for g in range(1, scheme.params.k + 1)
-        for s in range(1, scheme.pda.s + 1)
-    )
-
-
 @lru_cache(maxsize=4)
 def _coding_matrix(m1: int, m2: int, width: int) -> np.ndarray:
     """cauchy_matrix(m1, m2) over GF(2^width), built once and read-only."""
@@ -143,11 +134,11 @@ def compressed_deliver(
     if not prof.applicable:
         raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
     log = deliver(library, scheme, demand)
-    m2 = len(log.messages)
+    m2 = len(log.payloads)
     m1 = (scheme.params.k - prof.total) * scheme.pda.s
     gf = _pick_field(m1, m2, library.packet_bytes, field_width)
     g_mat = _coding_matrix(m1, m2, gf.width)
-    x = packets_to_symbols((p for _, _, p in log.messages), library.packet_bytes, gf.width)
+    x = packets_to_symbols(log.payloads, library.packet_bytes, gf.width)
     payloads = tuple(symbols_to_packets(gf.matmul(g_mat, x), library.packet_bytes, gf.width))
     return CodedBatch(
         field_width=gf.width,
@@ -167,13 +158,13 @@ def _check_batch(batch: CodedBatch, m2: int, packet_bytes: int) -> None:
         )
 
 
-def messages_read(scheme: Scheme, user: int) -> frozenset[tuple[int, int]]:
-    """The (g, s) messages whose payloads the user's decode XORs."""
+def messages_read(scheme: Scheme, user: int) -> frozenset[int]:
+    """Log positions of the messages whose payloads the user's decode XORs."""
     k = scheme.params.k
     check_user(user, k)
     recipes = scheme.plan.recipes
     return frozenset(
-        (g, step[0])
+        (g - 1) * scheme.pda.s + step[0] - 1
         for g in range(1, k + 1)
         for step in recipes[(user - g) % k]
         if step is not None
@@ -194,29 +185,27 @@ def compressed_decode(
     d = check_demand(demand, scheme.params.k, library.n_files)
     check_user(user, scheme.params.k)
     gf = field(batch.field_width)
-    order = message_order(scheme)
-    msgs = {
-        (g, s): payload
-        for g in full_view_rounds(scheme, user)
-        for s, payload in enumerate(round_payloads(library, scheme, d, g), start=1)
-    }
-    known = [i for i, gs in enumerate(order) if gs in msgs]
-    unknown = [i for i, gs in enumerate(order) if gs not in msgs]
+    s = scheme.pda.s
+    payloads: list[int | None] = [None] * (scheme.params.k * s)
+    for g in full_view_rounds(scheme, user):
+        payloads[(g - 1) * s:g * s] = round_payloads(library, scheme, d, g)
+    known = [i for i, p in enumerate(payloads) if p is not None]
+    unknown = [i for i, p in enumerate(payloads) if p is None]
     if len(unknown) != batch.m1:
         raise SingularSystem(
             f"{len(unknown)} unknowns against {batch.m1} coded rows"
         )
-    _check_batch(batch, len(order), library.packet_bytes)
+    _check_batch(batch, len(payloads), library.packet_bytes)
     g_mat = batch.coding_matrix
     read = messages_read(scheme, user)
-    rows = [r for r, i in enumerate(unknown) if order[i] in read]
+    rows = [r for r, i in enumerate(unknown) if i in read]
     b, w = batch.packet_bytes, gf.width
     rhs = packets_to_symbols(batch.payloads, b, w)
-    rhs ^= gf.matmul(g_mat[:, known], packets_to_symbols((msgs[order[i]] for i in known), b, w))
+    rhs ^= gf.matmul(g_mat[:, known], packets_to_symbols((payloads[i] for i in known), b, w))
     solved = gf.matmul(gf.cauchy_inverse(batch.m1, unknown, rows), rhs)
     for r, payload in zip(rows, symbols_to_packets(solved, b, w)):
-        msgs[order[unknown[r]]] = payload
-    return decode_from_messages(library, scheme, demand, msgs, user)
+        payloads[unknown[r]] = payload
+    return decode_from_messages(library, scheme, demand, payloads, user)
 
 
 def compressed_load(scheme: Scheme) -> Fraction:

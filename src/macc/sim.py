@@ -5,6 +5,8 @@ operation). A file consists of K parts of F' packets each; part g is covered
 by the round-g arrays. No round-g array is built: delivery and decoding read
 the scheme's round-1 plan (Scheme.plan) and locate round g by offset
 arithmetic, round-1 column c standing for column mod1(c + g - 1, K).
+Message (g, s), the XOR for integer s of round g, is named by its log
+position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
 
 import random
@@ -15,6 +17,12 @@ from itertools import product
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
 from .transform import Scheme
 from .util import is_int, mod1
+
+
+def _require_ints(**values) -> None:
+    for name, v in values.items():
+        if not is_int(v):
+            raise OutOfRange(f"{name}={v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -28,8 +36,8 @@ class PacketLibrary:
     data: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if not is_int(self.packet_bytes):
-            raise OutOfRange(f"packet_bytes={self.packet_bytes!r} is not an integer")
+        _require_ints(n_files=self.n_files, parts_per_file=self.parts_per_file,
+                      packets_per_part=self.packets_per_part, packet_bytes=self.packet_bytes)
         if self.packet_bytes < 1:
             raise DimensionMismatch(f"packet_bytes={self.packet_bytes} must be >= 1")
         if len(self.data) != self.n_files or any(
@@ -66,9 +74,10 @@ def library_for_scheme(
     scheme: Scheme, n_files: int | None = None, packet_bytes: int = 1, seed: int = 0
 ) -> PacketLibrary:
     """Deterministic random library sized to the scheme's dimensions."""
+    n = scheme.params.n if n_files is None else n_files
+    _require_ints(n_files=n, packet_bytes=packet_bytes)
     if packet_bytes < 1:
         raise DimensionMismatch(f"packet_bytes={packet_bytes} must be >= 1")
-    n = scheme.params.n if n_files is None else n_files
     rng = random.Random(seed)
     bits = 8 * packet_bytes
     data = tuple(
@@ -120,18 +129,18 @@ def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class TransmissionLog:
-    """Server output: one XOR message per (round g, integer s), lex order."""
+    """Server output: the K*S message payloads, message (g, s) at (g - 1)*S + s - 1."""
 
-    messages: tuple[tuple[int, int, int], ...]  # (g, s, payload)
+    payloads: tuple[int, ...]
     packet_bytes: int
 
     @property
     def total_packets_sent(self) -> int:
-        return len(self.messages)
+        return len(self.payloads)
 
     @property
     def bytes_sent(self) -> int:
-        return len(self.messages) * self.packet_bytes
+        return len(self.payloads) * self.packet_bytes
 
 
 def check_demand(demand, k: int, n_files: int) -> tuple[int, ...]:
@@ -174,26 +183,32 @@ def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
     """XOR the demanded packets cell-group by cell-group, all K rounds."""
     _check_dims(library, scheme)
     d = check_demand(demand, scheme.params.k, library.n_files)
-    messages = tuple(
-        (g, s, payload)
-        for g in range(1, scheme.params.k + 1)
-        for s, payload in enumerate(round_payloads(library, scheme, d, g), start=1)
+    payloads = tuple(
+        p for g in range(1, scheme.params.k + 1) for p in round_payloads(library, scheme, d, g)
     )
-    return TransmissionLog(messages=messages, packet_bytes=library.packet_bytes)
+    return TransmissionLog(payloads=payloads, packet_bytes=library.packet_bytes)
 
 
 def decode_from_messages(
-    library: PacketLibrary, scheme: Scheme, demand, messages: dict, user: int
+    library: PacketLibrary, scheme: Scheme, demand, payloads, user: int
 ) -> bytes:
     """Rebuild the user's demanded file from its view plus message payloads.
 
-    messages maps (g, s) -> payload int. Raises UndecodablePacket when a
-    needed message is absent.
+    payloads holds K*S entries in log order, None for a message the user
+    lacks. Raises UndecodablePacket when a needed message is None, and
+    checks only the entries the decode reads.
     """
     _check_dims(library, scheme)
-    k = scheme.params.k
+    k, n_s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
     check_user(user, k)
+    try:
+        payloads = tuple(payloads)
+    except TypeError as e:
+        raise DimensionMismatch(f"message payloads {payloads!r} are not a sequence") from e
+    if len(payloads) != k * n_s:
+        raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
+    limit = 1 << 8 * library.packet_bytes
     recipes = scheme.plan.recipes
     want = library.data[d[user - 1] - 1]
     out = []
@@ -205,9 +220,13 @@ def decode_from_messages(
                 out.append(own[j])
                 continue
             s, peers = step
-            if (g, s) not in messages:
+            val = payloads[(g - 1) * n_s + s - 1]
+            if val is None:
                 raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
-            val = messages[(g, s)]
+            if not (is_int(val) and 0 <= val < limit):
+                raise OutOfRange(
+                    f"message payload {val!r} is not an integer of {library.packet_bytes} bytes"
+                )
             for jj, cc in peers:
                 val ^= parts[cc][jj]
             out.append(val)
@@ -218,8 +237,7 @@ def decode(
     library: PacketLibrary, scheme: Scheme, demand, log: TransmissionLog, user: int
 ) -> bytes:
     """Decode straight from a transmission log."""
-    msgs = {(g, s): payload for g, s, payload in log.messages}
-    return decode_from_messages(library, scheme, demand, msgs, user)
+    return decode_from_messages(library, scheme, demand, log.payloads, user)
 
 
 def worst_case_load(library: PacketLibrary, scheme: Scheme, demands) -> Fraction:

@@ -29,7 +29,7 @@ from macc import (
     scheme_curve,
     star_profile,
 )
-from macc.compress import CodedBatch, message_order
+from macc.compress import CodedBatch
 from macc.gf2 import GF, _symbol_bytes, field
 from macc.pda import constituents, crossing_violations, missing_values
 from macc.rates import converse_step
@@ -331,7 +331,7 @@ def compressed_decode_by_elimination(
     k = scheme.params.k
     d = check_demand(demand, k, library.n_files)
     gf = field(batch.field_width)
-    order = message_order(scheme)
+    order = [(g, s) for g in range(1, k + 1) for s in range(1, scheme.pda.s + 1)]
     index = {gs: i for i, gs in enumerate(order)}
     full_cols = [c for c in range(1, k + 1) if all(row[c - 1] for row in scheme.retrieve.grid)]
     msgs = {
@@ -357,4 +357,4 @@ def compressed_decode_by_elimination(
     solved = gf.solve(g_mat[:, unknown], rhs)
     for row, i in enumerate(unknown):
         msgs[order[i]] = symbols_to_packet_by_bytes(solved[row], batch.packet_bytes, gf.width)
-    return decode_from_messages(library, scheme, demand, msgs, user)
+    return decode_from_messages(library, scheme, demand, [msgs[gs] for gs in order], user)

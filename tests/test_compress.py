@@ -213,10 +213,17 @@ def test_compressed_decode_runs_no_elimination(scheme832, monkeypatch):
 def test_messages_read_are_unknowns():
     p, _ = partition_pda(3, 3)
     scheme = build_scheme(p, 15, 3)
+    positions = range(15 * p.s)
+    total = lambda_profile(p, 3).total
     for user in (1, 8, 15):
         read = messages_read(scheme, user)
+        rec = reconstructable_messages(scheme, user)
+        for found in (read, rec):
+            assert found and all(isinstance(i, int) and i in positions for i in found)
         assert len(read) == 54
-        assert not read & reconstructable_messages(scheme, user)
+        assert len(rec) == total * p.s
+        assert not read & rec
+        assert rec <= coverable_messages(scheme, user)
 
 
 def test_compressed_decode_rejects_foreign_library(scheme832):

@@ -20,6 +20,8 @@ from macc import (
     Pda,
     build_scheme,
     check_c5,
+    decode_from_messages,
+    deliver,
     envelope,
     library_for_scheme,
     node_placement,
@@ -92,6 +94,47 @@ def test_library_needs_a_positive_packet_size(scheme832):
         PacketLibrary(n_files=8, parts_per_file=8, packets_per_part=6, packet_bytes=0, data=lib.data)
 
 
+@pytest.mark.parametrize("name, value", [("packet_bytes", 1.5), ("n_files", 8.0)])
+def test_library_for_scheme_needs_integer_sizes(scheme832, name, value):
+    with pytest.raises(OutOfRange, match=f"{name}={value!r} is not an integer"):
+        library_for_scheme(scheme832, **{name: value})
+
+
+@pytest.mark.parametrize("dims", [(8.0, 8, 6), (8, 8.0, 6), (8, 8, 6.0)])
+def test_library_needs_integer_dimensions(scheme832, dims):
+    lib = library_for_scheme(scheme832, packet_bytes=1)
+    with pytest.raises(OutOfRange, match=r"(n_files|parts_per_file|packets_per_part)=\d\.0 is not"):
+        PacketLibrary(*dims, 1, lib.data)
+
+
+def message_payloads_832(scheme832):
+    """The worked instance's log at 1-byte packets, and a position user 1 reads."""
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=3)
+    demand = tuple(range(1, 9))
+    step = next(step for step in scheme832.plan.recipes[0] if step is not None)
+    return lib, demand, deliver(lib, scheme832, demand).payloads, step[0] - 1
+
+
+@pytest.mark.parametrize("value", [1.5, "x", 256, -1])
+def test_decode_rejects_malformed_payloads(scheme832, value):
+    lib, demand, payloads, read = message_payloads_832(scheme832)
+    bad = payloads[:read] + (value,) + payloads[read + 1:]
+    with pytest.raises(OutOfRange, match=f"message payload {value!r} is not an integer of 1 bytes"):
+        decode_from_messages(lib, scheme832, demand, bad, 1)
+
+
+def test_decode_rejects_a_log_of_the_wrong_length(scheme832):
+    lib, demand, payloads, _ = message_payloads_832(scheme832)
+    for bad in (payloads[:-1], payloads + (0,), 5):
+        with pytest.raises(DimensionMismatch):
+            decode_from_messages(lib, scheme832, demand, bad, 1)
+    # a full (g, s) -> payload dict, the former protocol, yields its (g, s) keys
+    s = scheme832.pda.s
+    old = {(i // s + 1, i % s + 1): p for i, p in enumerate(payloads)}
+    with pytest.raises(OutOfRange, match=r"message payload \(1, \d+\) is not an integer"):
+        decode_from_messages(lib, scheme832, demand, old, 1)
+
+
 # Run under python -O, where assert statements are stripped, so it checks
 # with if/raise: each construction check must still raise its MaccError.
 OPTIMIZED_CHECKS = """
@@ -100,7 +143,7 @@ import dataclasses
 from macc import (
     STAR, C3ViolationInQ, C4Violation, ConditionViolation, DimensionMismatch, MalformedPda,
     OutOfRange, PacketLibrary, Pda, Scheme, SingularSystem, compressed_decode,
-    compressed_deliver, library_for_scheme, mn_pda,
+    compressed_deliver, decode_from_messages, deliver, library_for_scheme, mn_pda,
 )
 
 if __debug__:
@@ -128,10 +171,16 @@ expect(DimensionMismatch, lambda: PacketLibrary(8, 8, 6, 0, lib.data))
 big = (((256,) + lib.data[0][0][1:],) + lib.data[0][1:],) + lib.data[1:]
 expect(OutOfRange, lambda: PacketLibrary(8, 8, 6, 1, big))
 expect(OutOfRange, lambda: Scheme(mn_pda(4, 2), 8.0, 3))
+expect(OutOfRange, lambda: library_for_scheme(scheme, packet_bytes=1.5))
+expect(OutOfRange, lambda: library_for_scheme(scheme, n_files=8.0))
+expect(OutOfRange, lambda: PacketLibrary(8.0, 8, 6, 1, lib.data))
 demand = (1,) * 8
 batch = compressed_deliver(lib, scheme, demand)
 bad = dataclasses.replace(batch, m1=batch.m1 - 1, payloads=batch.payloads[:-1])
 expect(SingularSystem, lambda: compressed_decode(lib, scheme, demand, bad, 1))
+payloads = deliver(lib, scheme, demand).payloads
+expect(DimensionMismatch, lambda: decode_from_messages(lib, scheme, demand, payloads[:-1], 1))
+expect(OutOfRange, lambda: decode_from_messages(lib, scheme, demand, (256,) * len(payloads), 1))
 print("ok")
 """
 

@@ -7,6 +7,7 @@ loops exactly.
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -37,20 +38,25 @@ from macc.pda import constituents
 from macc.sim import TransmissionLog, check_demand, user_view
 
 
+def position(scheme, g, s) -> int:
+    """Log position of message (g, s)."""
+    return (g - 1) * scheme.pda.s + s - 1
+
+
 def oracle_deliver(library, scheme, demand) -> TransmissionLog:
     d = check_demand(demand, scheme.params.k, library.n_files)
-    messages = []
+    payloads = [None] * (scheme.params.k * scheme.pda.s)
     for g in range(1, scheme.params.k + 1):
         groups = constituents(scheme.q(g).grid)
         for s in range(1, scheme.pda.s + 1):
             payload = 0
             for j, c in groups[s]:
                 payload ^= library.packet(d[c - 1], g, j)
-            messages.append((g, s, payload))
-    return TransmissionLog(messages=tuple(messages), packet_bytes=library.packet_bytes)
+            payloads[position(scheme, g, s)] = payload
+    return TransmissionLog(payloads=tuple(payloads), packet_bytes=library.packet_bytes)
 
 
-def oracle_decode_from_messages(library, scheme, demand, messages, user) -> bytes:
+def oracle_decode_from_messages(library, scheme, demand, payloads, user) -> bytes:
     d = check_demand(demand, scheme.params.k, library.n_files)
     want = d[user - 1]
     out = []
@@ -64,9 +70,9 @@ def oracle_decode_from_messages(library, scheme, demand, messages, user) -> byte
                 continue
             s = qgrid[j - 1][user - 1]
             assert s != STAR, "non-view rows must carry an integer"
-            if (g, s) not in messages:
+            val = payloads[position(scheme, g, s)]
+            if val is None:
                 raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
-            val = messages[(g, s)]
             for jj, cc in groups[s]:
                 if (jj, cc) == (j, user):
                     continue
@@ -96,7 +102,7 @@ def oracle_coverable_messages(scheme, user) -> frozenset:
         view = user_view(scheme, user, g)
         for s, cells in constituents(scheme.q(g).grid).items():
             if all(j in view for j, _ in cells):
-                out.add((g, s))
+                out.add(position(scheme, g, s))
     return frozenset(out)
 
 
@@ -128,10 +134,9 @@ def case(request):
 def assert_matches_oracle(scheme, library, demand):
     log = deliver(library, scheme, demand)
     assert log == oracle_deliver(library, scheme, demand)
-    msgs = {(g, s): payload for g, s, payload in log.messages}
     for u in range(1, scheme.params.k + 1):
-        got = decode_from_messages(library, scheme, demand, msgs, u)
-        assert got == oracle_decode_from_messages(library, scheme, demand, msgs, u)
+        got = decode_from_messages(library, scheme, demand, log.payloads, u)
+        assert got == oracle_decode_from_messages(library, scheme, demand, log.payloads, u)
         assert got == library.file_bytes(demand[u - 1])
 
 
@@ -163,11 +168,13 @@ def test_plan_matches_oracle_on_drawn_demands(label, data):
 def test_missing_message_matches_oracle(scheme832):
     library = library_for_scheme(scheme832, packet_bytes=1, seed=4)
     demand = (2, 4, 6, 8, 1, 3, 5, 7)
-    full = {(g, s): payload for g, s, payload in deliver(library, scheme832, demand).messages}
+    full = deliver(library, scheme832, demand).payloads
+    k = scheme832.params.k
     missing = 0
-    for g, s in full:
-        msgs = {gs: v for gs, v in full.items() if gs != (g, s)}
-        for u in range(1, scheme832.params.k + 1):
+    for g, s in product(range(1, k + 1), range(1, scheme832.pda.s + 1)):
+        i = position(scheme832, g, s)
+        msgs = full[:i] + (None,) + full[i + 1:]
+        for u in range(1, k + 1):
             got = outcome(decode_from_messages, library, scheme832, demand, msgs, u)
             assert got == outcome(oracle_decode_from_messages, library, scheme832, demand, msgs, u)
             missing += got == f"UndecodablePacket: message (g={g}, s={s}) missing from the log"

@@ -85,16 +85,19 @@ def test_views_agree_with_node_route(scheme832):
 
 def test_deliver_message_budget(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=3, seed=2)
-    log = deliver(lib, scheme832, (1, 2, 3, 4, 5, 6, 7, 8))
+    demand = (1, 2, 3, 4, 5, 6, 7, 8)
+    log = deliver(lib, scheme832, demand)
     k, s = scheme832.params.k, scheme832.pda.s
     assert log.total_packets_sent == k * s
     assert log.bytes_sent == k * s * 3
-    keys = [(g, sv) for g, sv, _ in log.messages]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == k * s
-    # each round contributes exactly S messages
+    assert len(log.payloads) == k * s
+    # message (g, sv) sits at (g - 1)*S + sv - 1: S messages per round, rounds in turn
     for g in range(1, k + 1):
-        assert sum(1 for gg, _, _ in log.messages if gg == g) == s
+        for sv, cells in constituents(scheme832.q(g).grid).items():
+            want = 0
+            for j, c in cells:
+                want ^= lib.packet(demand[c - 1], g, j)
+            assert log.payloads[(g - 1) * s + sv - 1] == want
 
 
 def test_decode_all_users(scheme832):
@@ -109,13 +112,13 @@ def test_decode_needs_every_message(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=1, seed=4)
     demand = (2, 4, 6, 8, 1, 3, 5, 7)
     log = deliver(lib, scheme832, demand)
-    messages = {(g, sv): payload for g, sv, payload in log.messages}
     # user 1 misses rows 4..6 of part 1; drop a message it needs for row 4
     cons = constituents(scheme832.q(1).grid)
     needed = next(sv for sv, cells in cons.items() if any(j == 4 and c == 1 for j, c in cells))
-    del messages[(1, needed)]
-    with pytest.raises(UndecodablePacket):
-        decode_from_messages(lib, scheme832, demand, messages, 1)
+    payloads = list(log.payloads)
+    payloads[needed - 1] = None  # round 1 holds positions 0..S-1
+    with pytest.raises(UndecodablePacket, match=rf"message \(g=1, s={needed}\) missing"):
+        decode_from_messages(lib, scheme832, demand, payloads, 1)
 
 
 def test_decode_rejects_foreign_library(scheme832):

@@ -86,6 +86,18 @@ def missing_values(p: Pda) -> list[int]:
     return [v for v in range(1, p.s + 1) if v not in used]
 
 
+def _crossings(grid, cells, exhaustive: bool = False) -> list[tuple]:
+    """The crossing pairs of grid, given its cells by integer as constituents returns them."""
+    out = []
+    for v in sorted(cells):
+        for (r1, c1), (r2, c2) in combinations(cells[v], 2):
+            if grid[r1 - 1][c2 - 1] != STAR or grid[r2 - 1][c1 - 1] != STAR:
+                out.append(((r1, c1), (r2, c2)))
+                if not exhaustive:
+                    return out
+    return out
+
+
 def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
     """Cell pairs ((r1, c1), (r2, c2)) of equal integers that break the crossing rule.
 
@@ -94,31 +106,18 @@ def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
     row or column puts the integer itself at a crossing. Pairs are listed by
     ascending integer; only the first is returned unless exhaustive.
     """
-    out = []
-    pos = constituents(grid)
-    for v in sorted(pos):
-        for (r1, c1), (r2, c2) in combinations(pos[v], 2):
-            if grid[r1 - 1][c2 - 1] != STAR or grid[r2 - 1][c1 - 1] != STAR:
-                out.append(((r1, c1), (r2, c2)))
-                if not exhaustive:
-                    return out
-    return out
+    return _crossings(grid, constituents(grid), exhaustive)
 
 
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
     """Check the three defining conditions and report counterexamples."""
-    c1 = []
-    for c in range(p.cols):
-        n = sum(1 for r in range(p.rows) if p.entries[r][c] == STAR)
-        if n != p.z:
-            c1.append((c + 1, n))
-            if not exhaustive:
-                break
-
-    c2 = [(v,) for v in missing_values(p)]
+    stars = (col.count(STAR) for col in zip(*p.entries))
+    c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
+    cells = constituents(p.entries)
+    c2 = [(v,) for v in range(1, p.s + 1) if v not in cells]
     if not exhaustive:
-        c2 = c2[:1]
-    c3 = crossing_violations(p.entries, exhaustive)
+        c1, c2 = c1[:1], c2[:1]
+    c3 = _crossings(p.entries, cells, exhaustive)
 
     return ValidationReport(
         c1_ok=not c1,
@@ -165,7 +164,7 @@ def check_c4(p: Pda) -> bool:
     if (p.cols * p.z) % p.rows != 0:
         return False
     t = (p.cols * p.z) // p.rows
-    return all(sum(1 for v in row if v == STAR) == t for row in p.entries)
+    return all(row.count(STAR) == t for row in p.entries)
 
 
 def serialize_pda(p: Pda) -> str:

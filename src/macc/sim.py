@@ -11,7 +11,6 @@ position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
@@ -236,18 +235,12 @@ def decode_from_messages(
 def decode(
     library: PacketLibrary, scheme: Scheme, demand, log: TransmissionLog, user: int
 ) -> bytes:
-    """Decode straight from a transmission log."""
+    """Decode straight from a transmission log of the library's packet size."""
+    if log.packet_bytes != library.packet_bytes:
+        raise DimensionMismatch(
+            f"log packets are {log.packet_bytes} bytes, library packets {library.packet_bytes}"
+        )
     return decode_from_messages(library, scheme, demand, log.payloads, user)
-
-
-def worst_case_load(library: PacketLibrary, scheme: Scheme, demands) -> Fraction:
-    """Max sent-packets/F over the given demand vectors, as an exact ratio."""
-    f = scheme.subpacketization
-    best = Fraction(0)
-    for d in demands:
-        log = deliver(library, scheme, d)
-        best = max(best, Fraction(log.total_packets_sent, f))
-    return best
 
 
 def demand_suite(k: int, n: int, seed: int = 0, n_random: int = 20,

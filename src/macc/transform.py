@@ -5,12 +5,12 @@ cyclically. All three round-1 grids are star expansions of the base array:
 each star of a base row becomes L cells and each integer stays one cell.
 In the placement grid the L cells are L-1 uncached nodes, then the caching
 node; in the retrieve grid they are the L users that reach that node; in the
-delivery grid they are L stars, and the integer cells keep their values. C5
-is the crossing rule C3 on the delivery grid, checked once (`check_c5`, and
-`Scheme` on the grid it keeps). A `Scheme` stores only its inputs (base
-array, K, L, N) and derives the grids when it is built, so none can disagree
-with the array or break C5. Rounds 2..K are cyclic column shifts of round 1
-and are never materialized in files.
+delivery grid they are L stars, and the integer cells keep their values.
+One walk of the base rows builds all three and the delivery grid's cells by
+integer, which `check_c5` and `Scheme` read for C5, the crossing rule C3 on
+the delivery grid. A `Scheme` stores only its inputs (base array, K, L, N)
+and derives the rest when built, so none can disagree with the array or
+break C5. Rounds 2..K are cyclic column shifts of round 1, never stored.
 """
 
 import json
@@ -29,9 +29,8 @@ from .errors import (
 from .pda import (
     STAR,
     Pda,
+    _crossings,
     check_c4,
-    constituents,
-    crossing_violations,
     missing_values,
     parse_pda,
     serialize_pda,
@@ -95,29 +94,32 @@ class RoundArray:
         )
 
 
-def _expand(p: Pda, star_cells, integer_cell=None) -> tuple[tuple, ...]:
-    """The base rows with each star widened to the cells star_cells() returns
-    and each integer replaced by integer_cell, or kept when that is None.
+def _lift(p: Pda, l: int):
+    """The placement, retrieve and delivery grids at access degree l, and the
+    delivery grid's cells by integer as constituents returns them.
 
-    star_cells is called only when some row has a star, so a starless array
-    costs nothing at any width.
+    A user retrieves exactly the delivery grid's stars. Star cells are built
+    only when some row has a star, so a starless array costs nothing at any l.
     """
-    stars = star_cells() if any(STAR in row for row in p.entries) else ()
-    grid = []
-    for row in p.entries:
-        out = []
+    if any(STAR in row for row in p.entries):
+        place, wide = (False,) * (l - 1) + (True,), (STAR,) * l
+    else:
+        place = wide = ()
+    placement, retrieve, delivery, cells = [], [], [], {}
+    for r, row in enumerate(p.entries, start=1):
+        c_row, q_row = [], []
         for v in row:
             if v == STAR:
-                out.extend(stars)
+                c_row += place
+                q_row += wide
             else:
-                out.append(v if integer_cell is None else integer_cell)
-        grid.append(tuple(out))
-    return tuple(grid)
-
-
-def _delivery_grid(p: Pda, l: int) -> tuple[tuple, ...]:
-    """The round-1 delivery grid: every star widened to l stars."""
-    return _expand(p, lambda: (STAR,) * l)
+                c_row.append(False)
+                q_row.append(v)
+                cells.setdefault(v, []).append((r, len(q_row)))
+        placement.append(tuple(c_row))
+        retrieve.append(tuple([v == STAR for v in q_row]))
+        delivery.append(tuple(q_row))
+    return tuple(placement), tuple(retrieve), tuple(delivery), cells
 
 
 def node_placement(p: Pda, k: int, l: int) -> RoundArray:
@@ -131,7 +133,7 @@ def node_placement(p: Pda, k: int, l: int) -> RoundArray:
         raise DimensionMismatch(
             f"array has {p.cols} columns, need k - t(l-1) = {k - t * (l - 1)}"
         )
-    return RoundArray(round=1, grid=_expand(p, lambda: (False,) * (l - 1) + (True,), False))
+    return RoundArray(round=1, grid=_lift(p, l)[0])
 
 
 def check_c5(p: Pda, l: int) -> bool:
@@ -145,7 +147,7 @@ def check_c5(p: Pda, l: int) -> bool:
         raise OutOfRange(f"access degree l={l} must be >= 1")
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not crossing_violations(_delivery_grid(p, l))
+    return not _crossings(*_lift(p, l)[2:])
 
 
 def shift_round(base, g: int):
@@ -187,12 +189,9 @@ class DeliveryPlan:
     recipes: tuple[tuple[PlanStep | None, ...], ...]
 
 
-def _delivery_plan(q1) -> DeliveryPlan:
-    """Index the round-1 delivery grid; a user's view is its column's stars."""
-    cells = {
-        s: tuple((j - 1, c - 1) for j, c in group)
-        for s, group in constituents(q1).items()
-    }
+def _delivery_plan(q1, index) -> DeliveryPlan:
+    """Index the round-1 delivery grid from the lift's 1-based cells; a view is a column's stars."""
+    cells = {s: tuple((j - 1, c - 1) for j, c in group) for s, group in index.items()}
     views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
     recipes = tuple(
         tuple(
@@ -212,16 +211,17 @@ class Scheme:
     Only the inputs are stored and compared; n defaults to k. Building the
     scheme runs the checks of the lift, so every Scheme, however made
     (constructor, build_scheme or dataclasses.replace), satisfies C2, C4 and
-    C5. It raises ConditionViolation naming the failed condition: "C2" when
-    an integer of [1, S] never occurs, "C4" (C4Violation) from
-    node_placement and "C5" (C3ViolationInQ) when the delivery grid breaks
-    the crossing rule; OutOfRange, first of all, when k, l or a given n is
-    not an int, and when they do not fit the array.
+    C5. It raises OutOfRange, first of all, when k, l or a given n is not an
+    int or k or l is below 1; then ConditionViolation naming the failed
+    condition: "C2" when an integer of [1, S] never occurs, "C4"
+    (C4Violation) when rows differ in star count, and, after the check of K
+    against the array, "C5" (C3ViolationInQ) when the delivery grid breaks
+    the crossing rule.
 
-    params and the round-1 grids follow from the inputs and are set here.
+    params, the round-1 grids and the lift's cells index are set here.
     Rounds 2..K are never stored: `c`, `u` and `q` build a shifted copy of a
     round-1 grid on request, while delivery and decoding read `plan`, a
-    round-1 index built on first use and cached on the instance.
+    round-1 index that replaces the cells index on first use and is cached.
     """
 
     pda: Pda
@@ -232,27 +232,33 @@ class Scheme:
     placement: RoundArray = field(init=False, repr=False, compare=False)
     retrieve: RoundArray = field(init=False, repr=False, compare=False)
     delivery: RoundArray = field(init=False, repr=False, compare=False)
+    _cells: dict | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, k, l = self.pda, self.k, self.l
         for name, v in (("k", k), ("l", l), ("n", k if self.n is None else self.n)):
             if not is_int(v):
                 raise OutOfRange(f"scheme parameter {name}={v!r} is not an integer")
+        if k < 1 or l < 1:
+            raise OutOfRange(f"k={k}, l={l} must be >= 1")
         missing = missing_values(p)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
+        if not check_c4(p):
+            raise C4Violation("base array must have a uniform per-row star count")
         put = partial(object.__setattr__, self)
         if self.n is None:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        put("placement", node_placement(p, k, l))
-        delivery = _delivery_grid(p, l)
-        bad = crossing_violations(delivery)
+        placement, retrieve, delivery, cells = _lift(p, l)
+        bad = _crossings(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
-        put("retrieve", RoundArray(round=1, grid=_expand(p, lambda: (True,) * l, False)))
+        put("placement", RoundArray(round=1, grid=placement))
+        put("retrieve", RoundArray(round=1, grid=retrieve))
         put("delivery", RoundArray(round=1, grid=delivery))
+        put("_cells", cells)
 
     def c(self, g: int) -> RoundArray:
         return shift_round(self.placement, g)
@@ -265,7 +271,9 @@ class Scheme:
 
     @cached_property
     def plan(self) -> DeliveryPlan:
-        return _delivery_plan(self.delivery.grid)
+        plan = _delivery_plan(self.delivery.grid, self._cells)
+        object.__setattr__(self, "_cells", None)
+        return plan
 
     @property
     def subpacketization(self) -> int:

@@ -233,9 +233,13 @@ def build_scheme_by_steps(
     the same checks in the same order as build_scheme, which reaches the
     three grids by star expansion instead.
     """
+    if k < 1 or l < 1:
+        raise OutOfRange(f"k={k}, l={l} must be >= 1")
     missing = missing_values(p)
     if missing:
         raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
+    if not check_c4(p):
+        raise C4Violation("base array must have a uniform per-row star count")
     params = MultiaccessParams(
         k=k, l=l, t=p.z * p.cols // p.rows, n=k if n is None else n, k_prime=p.cols
     )

@@ -24,6 +24,7 @@ from macc import (
     Scheme,
     UndecodablePacket,
     build_scheme,
+    check_c5,
     coverable_messages,
     decode_from_messages,
     deliver,
@@ -34,8 +35,10 @@ from macc import (
     populate_caches,
     scheme_to_json,
 )
+from macc import pda, transform
 from macc.pda import constituents
 from macc.sim import TransmissionLog, check_demand, user_view
+from oracles import build_scheme_by_steps
 
 
 def position(scheme, g, s) -> int:
@@ -196,6 +199,7 @@ def outcome_of_build(build):
 BAD_LIFTS = {
     "C2": (dataclasses.replace(mn_pda(4, 2), s=5), 8, 3, ConditionViolation),
     "C4": (Pda(rows=2, cols=2, entries=((STAR, 1), (2, 3)), z=1, s=3), 3, 2, C4Violation),
+    "C4 K=4": (Pda(rows=2, cols=2, entries=((STAR, 1), (2, 3)), z=1, s=3), 4, 2, C4Violation),
     "C5": (Pda(rows=5, cols=5, entries=PNEG_ROWS, z=2, s=14), 7, 2, C3ViolationInQ),
     "wrong K": (mn_pda(4, 2), 9, 3, OutOfRange),
     "float K": (mn_pda(4, 2), 8.0, 3, OutOfRange),
@@ -209,6 +213,71 @@ def test_every_way_to_make_a_scheme_runs_the_lift_checks(label, scheme832):
     assert want is not None and want[0] is error
     assert outcome_of_build(lambda: Scheme(p, k, l)) == want
     assert outcome_of_build(lambda: dataclasses.replace(scheme832, pda=p, k=k, l=l, n=k)) == want
+
+
+@pytest.mark.parametrize("label", [label for label in BAD_LIFTS if label != "float K"])
+def test_step_by_step_lift_runs_the_checks_in_the_same_order(label):
+    """The oracle takes integer parameters only, so "float K" is left out."""
+    p, k, l, _ = BAD_LIFTS[label]
+    want = outcome_of_build(lambda: build_scheme(p, k, l))
+    assert outcome_of_build(lambda: build_scheme_by_steps(p, k, l)) == want
+
+
+def test_uneven_stars_raise_c4_at_every_k_and_l():
+    p = BAD_LIFTS["C4"][0]
+    for k in range(1, 7):
+        for l in range(1, 5):
+            with pytest.raises(C4Violation):
+                build_scheme(p, k, l)
+
+
+def refuse(*args):
+    raise AssertionError("the lift's cells index was rebuilt")
+
+
+def test_one_lift_serves_the_build_the_plan_and_delivery(monkeypatch):
+    lifts, real_lift = [], transform._lift
+
+    def counted(*args):
+        lifts.append(args)
+        return real_lift(*args)
+
+    monkeypatch.setattr(transform, "_lift", counted)
+    monkeypatch.setattr(pda, "constituents", refuse)
+    monkeypatch.setattr(transform, "constituents", refuse, raising=False)
+    scheme = build_scheme(mn_pda(4, 2), 8, 3)
+    library = library_for_scheme(scheme, packet_bytes=1, seed=0)
+    assert scheme.plan.recipes
+    assert scheme._cells is None, "the plan holds the only copy of the cells index"
+    deliver(library, scheme, tuple(range(1, 9)))
+    assert len(lifts) == 1
+    assert check_c5(mn_pda(4, 2), 3)
+    assert len(lifts) == 2
+
+
+def test_plan_indexes_the_delivery_grid():
+    """plan.cells and plan.views are the 0-based constituents and column stars
+    of the delivery grid, on every stock array that lifts."""
+    arrays = [mn_pda(kp, t) for kp in range(1, 9) for t in range(kp + 1)]
+    arrays += [partition_pda(m, q)[0] for m in (2, 3) for q in (2, 3)]
+    built = 0
+    for p in arrays:
+        for l in range(1, 5):
+            k = p.cols + p.z * p.cols // p.rows * (l - 1)
+            try:
+                scheme = build_scheme(p, k, l)
+            except ConditionViolation:
+                continue
+            q1 = scheme.delivery.grid
+            cells = {
+                s: tuple((j - 1, c - 1) for j, c in group)
+                for s, group in constituents(q1).items()
+            }
+            views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
+            assert repr(scheme.plan.cells) == repr(cells), (p, k, l)
+            assert scheme.plan.views == views, (p, k, l)
+            built += 1
+    assert built > len(arrays)
 
 
 def test_scheme_grids_cannot_be_supplied(scheme832):

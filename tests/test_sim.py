@@ -18,7 +18,6 @@ from macc import (
     partition_pda,
     populate_caches,
     user_view,
-    worst_case_load,
 )
 from macc.pda import constituents
 from macc.sim import check_demand
@@ -162,7 +161,19 @@ def test_decode_rejects_non_integer_user(scheme832):
 def test_worst_case_load(scheme832):
     lib = library_for_scheme(scheme832, packet_bytes=1, seed=0)
     suite = demand_suite(8, 8, seed=0, n_random=5)
-    assert worst_case_load(lib, scheme832, suite) == Fraction(2, 3)
+    for d in suite:
+        sent = deliver(lib, scheme832, d).total_packets_sent
+        assert Fraction(sent, scheme832.subpacketization) == Fraction(2, 3)
+
+
+def test_decode_rejects_a_log_of_another_packet_size(scheme832):
+    lib1 = library_for_scheme(scheme832, packet_bytes=1, seed=0)
+    lib2 = library_for_scheme(scheme832, packet_bytes=2, seed=0)
+    demand = tuple(range(1, 9))
+    for log_lib, lib in ((lib1, lib2), (lib2, lib1)):
+        log = deliver(log_lib, scheme832, demand)
+        with pytest.raises(DimensionMismatch, match="log packets are"):
+            decode(lib, scheme832, demand, log, 1)
 
 
 def test_partition_scheme_load_one():
@@ -170,7 +181,8 @@ def test_partition_scheme_load_one():
     s = build_scheme(p, 6, 2)
     lib = library_for_scheme(s, packet_bytes=1, seed=0)
     suite = demand_suite(6, 6, seed=0, n_random=5)
-    assert worst_case_load(lib, s, suite) == 1
+    for d in suite:
+        assert Fraction(deliver(lib, s, d).total_packets_sent, s.subpacketization) == 1
     demand = suite[-1]
     log = deliver(lib, s, demand)
     for u in range(1, 7):

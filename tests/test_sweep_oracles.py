@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import STAR, OutOfRange, Pda, comparison_table, envelope_eval, mn_pda, scheme_curve
-from macc.transform import _expand
+from macc.pda import constituents
+from macc.transform import _lift
 from macc.rates import SCHEME_KEYS
 from oracles import (
     comparison_table_by_scan,
@@ -84,7 +85,7 @@ def test_mn_pda_matches_lex_rank_per_cell():
 
 @st.composite
 def arrays(draw):
-    """Arrays of any shape with stars anywhere; _expand reads only the entries, so Z is 0."""
+    """Arrays of any shape with stars anywhere; _lift reads only the entries, so Z is 0."""
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 6))
     s = draw(st.integers(0, 9))
@@ -96,11 +97,11 @@ def arrays(draw):
 @settings(max_examples=60, deadline=None)
 @given(p=arrays(), l=st.integers(1, 5))
 def test_expand_matches_the_generator(p, l):
-    cases = [
-        ((STAR,) * l, None, lambda v: v),
-        ((False,) * (l - 1) + (True,), False, lambda v: False),
-        ((True,) * l, False, lambda v: False),
-    ]
-    for cells, integer_cell, oracle_cell in cases:
-        got = _expand(p, lambda: cells, integer_cell)
-        assert repr(got) == repr(expand_by_generator(p, cells, oracle_cell))
+    """_lift's placement, retrieve and delivery grids are the three star
+    expansions, and its cells are the delivery grid's constituents."""
+    placement, retrieve, delivery, cells = _lift(p, l)
+    cached_last = (False,) * (l - 1) + (True,)
+    assert repr(placement) == repr(expand_by_generator(p, cached_last, lambda v: False))
+    assert repr(retrieve) == repr(expand_by_generator(p, (True,) * l, lambda v: False))
+    assert repr(delivery) == repr(expand_by_generator(p, (STAR,) * l, lambda v: v))
+    assert repr(cells) == repr(constituents(delivery))

@@ -9,6 +9,7 @@ integers, and the converse is computed once per corner.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, lcm
 
 from .errors import DuplicateRatio, EmptyInput, OutOfRange
@@ -263,6 +264,15 @@ def scheme_points(k: int, l: int, scheme: str) -> tuple[LoadPoint, ...]:
 
 
 def scheme_curve(k: int, l: int, scheme: str) -> LoadCurve:
+    """The envelope of scheme_points, cached for known names; any other name,
+    unhashable ones included, goes to scheme_points, which rejects it."""
+    if scheme in SCHEME_KEYS:
+        return _cached_curve(k, l, scheme)
+    return envelope(scheme_points(k, l, scheme))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _cached_curve(k: int, l: int, scheme: str) -> LoadCurve:
     return envelope(scheme_points(k, l, scheme))
 
 

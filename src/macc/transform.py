@@ -1,16 +1,17 @@
 """Lift a shared-link array to a cyclic multiaccess scheme.
 
 K cache nodes serve K cache-less users; user k reads nodes k..k+L-1
-cyclically. All three round-1 grids are star expansions of the base array:
-each star of a base row becomes L cells and each integer stays one cell.
-In the placement grid the L cells are L-1 uncached nodes, then the caching
-node; in the retrieve grid they are the L users that reach that node; in the
-delivery grid they are L stars, and the integer cells keep their values.
-One walk of the base rows builds all three and the delivery grid's cells by
-integer, which `check_c5` and `Scheme` read for C5, the crossing rule C3 on
-the delivery grid. A `Scheme` stores only its inputs (base array, K, L, N)
-and derives the rest when built, so none can disagree with the array or
-break C5. Rounds 2..K are cyclic column shifts of round 1, never stored.
+cyclically. Both round-1 grids are star expansions of the base array: each
+star of a base row becomes L cells and each integer stays one cell. In the
+placement grid the L cells are L-1 uncached nodes, then the caching node; in
+the delivery grid they are L stars, the L users that reach that node, and
+the integer cells keep their values. A user's view is the delivery grid's
+stars. One walk of the base rows builds both grids and the delivery grid's
+cells by integer, which `check_c5` and `Scheme` read for C5, the crossing
+rule C3 on the delivery grid. A `Scheme` stores only its inputs (base array,
+K, L, N) and derives the rest when built, so none can disagree with the
+array or break C5. Rounds 2..K are cyclic column shifts of round 1: the
+library reaches them by offset arithmetic and builds no shifted grid.
 """
 
 import json
@@ -22,7 +23,6 @@ from .errors import (
     C3ViolationInQ,
     C4Violation,
     ConditionViolation,
-    DimensionMismatch,
     OutOfRange,
     ParseError,
 )
@@ -35,7 +35,7 @@ from .pda import (
     parse_pda,
     serialize_pda,
 )
-from .util import is_int, mod1
+from .util import is_int
 
 SCHEME_FORMAT = "macc-scheme-v1"
 
@@ -66,37 +66,22 @@ class MultiaccessParams:
         return {"k": self.k, "l": self.l, "t": self.t, "n": self.n, "k_prime": self.k_prime}
 
 
-def _shift_grid(grid, g: int):
-    """Column c of round g is column mod1(c - (g - 1), K) of round 1."""
-    k = len(grid[0])
-    return tuple(
-        tuple(row[mod1(c - (g - 1), k) - 1] for c in range(1, k + 1)) for row in grid
-    )
-
-
 @dataclass(frozen=True)
 class RoundArray:
     """One round's F' x K grid, columns indexing nodes or users.
 
-    Placement grids are True where the node caches the row, retrieve grids
-    True where the user can fetch it; delivery grids hold STAR where the row
-    is retrievable, else the integer of the message that carries it.
+    Placement grids are True where the node caches the row; delivery grids
+    hold STAR where the user can fetch the row, else the integer of the
+    message that carries it.
     """
 
     round: int
     grid: tuple[tuple, ...]
 
-    @property
-    def star_sets(self) -> tuple[tuple[int, ...], ...]:
-        """Per row, the columns of its True cells (placement and retrieve grids)."""
-        return tuple(
-            tuple(c for c, v in enumerate(row, start=1) if v) for row in self.grid
-        )
-
 
 def _lift(p: Pda, l: int):
-    """The placement, retrieve and delivery grids at access degree l, and the
-    delivery grid's cells by integer as constituents returns them.
+    """The placement and delivery grids at access degree l, and the delivery
+    grid's cells by integer as constituents returns them.
 
     A user retrieves exactly the delivery grid's stars. Star cells are built
     only when some row has a star, so a starless array costs nothing at any l.
@@ -105,7 +90,7 @@ def _lift(p: Pda, l: int):
         place, wide = (False,) * (l - 1) + (True,), (STAR,) * l
     else:
         place = wide = ()
-    placement, retrieve, delivery, cells = [], [], [], {}
+    placement, delivery, cells = [], [], {}
     for r, row in enumerate(p.entries, start=1):
         c_row, q_row = [], []
         for v in row:
@@ -117,23 +102,8 @@ def _lift(p: Pda, l: int):
                 q_row.append(v)
                 cells.setdefault(v, []).append((r, len(q_row)))
         placement.append(tuple(c_row))
-        retrieve.append(tuple([v == STAR for v in q_row]))
         delivery.append(tuple(q_row))
-    return tuple(placement), tuple(retrieve), tuple(delivery), cells
-
-
-def node_placement(p: Pda, k: int, l: int) -> RoundArray:
-    """Widen each base star to l-1 uncached nodes and then one cached node."""
-    if k < 1 or l < 1:
-        raise OutOfRange(f"k={k}, l={l} must be >= 1")
-    if not check_c4(p):
-        raise C4Violation("base array must have a uniform per-row star count")
-    t = p.z * p.cols // p.rows
-    if p.cols + t * (l - 1) != k:
-        raise DimensionMismatch(
-            f"array has {p.cols} columns, need k - t(l-1) = {k - t * (l - 1)}"
-        )
-    return RoundArray(round=1, grid=_lift(p, l)[0])
+    return tuple(placement), tuple(delivery), cells
 
 
 def check_c5(p: Pda, l: int) -> bool:
@@ -147,21 +117,7 @@ def check_c5(p: Pda, l: int) -> bool:
         raise OutOfRange(f"access degree l={l} must be >= 1")
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not _crossings(*_lift(p, l)[2:])
-
-
-def shift_round(base, g: int):
-    """Round-g version of a round-1 array by cyclic column shift."""
-    if base.round != 1:
-        raise OutOfRange("shift_round expects the round-1 array")
-    if not base.grid:
-        raise DimensionMismatch("shift_round needs a grid with at least one row")
-    k = len(base.grid[0])
-    if not (1 <= g <= k):
-        raise OutOfRange(f"round g={g} outside [1, {k}]")
-    if g == 1:
-        return base
-    return type(base)(round=g, grid=_shift_grid(base.grid, g))
+    return not _crossings(*_lift(p, l)[1:])
 
 
 # How a user rebuilds one row outside its view: the integer s of the message
@@ -218,10 +174,11 @@ class Scheme:
     against the array, "C5" (C3ViolationInQ) when the delivery grid breaks
     the crossing rule.
 
-    params, the round-1 grids and the lift's cells index are set here.
-    Rounds 2..K are never stored: `c`, `u` and `q` build a shifted copy of a
-    round-1 grid on request, while delivery and decoding read `plan`, a
-    round-1 index that replaces the cells index on first use and is cached.
+    params, the round-1 placement and delivery grids and the lift's cells
+    index are set here; a user's view is the delivery grid's stars. Rounds
+    2..K are never stored: delivery and decoding read `plan`, a round-1 index
+    that replaces the cells index on first use and is cached, and `q` builds
+    round g's delivery grid on request.
     """
 
     pda: Pda
@@ -230,7 +187,6 @@ class Scheme:
     n: int | None = None
     params: MultiaccessParams = field(init=False, repr=False, compare=False)
     placement: RoundArray = field(init=False, repr=False, compare=False)
-    retrieve: RoundArray = field(init=False, repr=False, compare=False)
     delivery: RoundArray = field(init=False, repr=False, compare=False)
     _cells: dict | None = field(init=False, repr=False, compare=False)
 
@@ -251,23 +207,21 @@ class Scheme:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        placement, retrieve, delivery, cells = _lift(p, l)
+        placement, delivery, cells = _lift(p, l)
         bad = _crossings(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
         put("placement", RoundArray(round=1, grid=placement))
-        put("retrieve", RoundArray(round=1, grid=retrieve))
         put("delivery", RoundArray(round=1, grid=delivery))
         put("_cells", cells)
 
-    def c(self, g: int) -> RoundArray:
-        return shift_round(self.placement, g)
-
-    def u(self, g: int) -> RoundArray:
-        return shift_round(self.retrieve, g)
-
     def q(self, g: int) -> RoundArray:
-        return shift_round(self.delivery, g)
+        """Round g's delivery grid: round 1 with its columns shifted right by g - 1."""
+        k = self.params.k
+        if not is_int(g) or not 1 <= g <= k:
+            raise OutOfRange(f"round g={g!r} outside [1, {k}]")
+        cut = k - g + 1
+        return RoundArray(round=g, grid=tuple(row[cut:] + row[:cut] for row in self.delivery.grid))
 
     @cached_property
     def plan(self) -> DeliveryPlan:
@@ -293,18 +247,14 @@ def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
     return Scheme(p, k, l, n)
 
 
-def _star_rows_text(grid) -> list[str]:
-    return ["".join("*" if v else "." for v in row) for row in grid]
-
-
 def _arrays_text(scheme: Scheme) -> dict[str, list[str]]:
-    """The round-1 grids as text rows, keyed as in the JSON form."""
+    """The round-1 grids as text rows, keyed as in the JSON form; the user
+    retrieve rows mark the delivery grid's stars."""
+    place, deliver = scheme.placement.grid, scheme.delivery.grid
     return {
-        "node_placement": _star_rows_text(scheme.placement.grid),
-        "user_retrieve": _star_rows_text(scheme.retrieve.grid),
-        "user_delivery": [
-            " ".join("*" if v == STAR else str(v) for v in row) for row in scheme.delivery.grid
-        ],
+        "node_placement": ["".join("*" if v else "." for v in row) for row in place],
+        "user_retrieve": ["".join("*" if v == STAR else "." for v in row) for row in deliver],
+        "user_delivery": [" ".join("*" if v == STAR else str(v) for v in row) for row in deliver],
     }
 
 

@@ -24,9 +24,9 @@ from macc import (
     RoundArray,
     SingularSystem,
     check_c4,
+    envelope,
     lex_rank,
-    node_placement,
-    scheme_curve,
+    scheme_points,
     star_profile,
 )
 from macc.compress import CodedBatch
@@ -36,6 +36,19 @@ from macc.rates import converse_step
 from macc.sim import PacketLibrary, check_demand, decode_from_messages, round_payloads
 from macc.transform import Scheme
 from macc.util import mod1
+
+
+def shift_grid(grid, g: int) -> tuple[tuple, ...]:
+    """Round g of a round-1 grid: its column c is column mod1(c - (g - 1), K) of round 1."""
+    k = len(grid[0])
+    return tuple(tuple(row[mod1(c - (g - 1), k) - 1] for c in range(1, k + 1)) for row in grid)
+
+
+def star_sets(grid, star=True) -> list[tuple[int, ...]]:
+    """Per row, the columns whose cell equals star: the caching nodes of a
+    placement grid, or, with star=STAR, the users that retrieve the row in a
+    delivery grid."""
+    return [tuple(c for c, v in enumerate(row, start=1) if v == star) for row in grid]
 
 
 def retrieve_window(star_cols: tuple[int, ...], l: int) -> frozenset[int]:
@@ -127,8 +140,8 @@ def envelope_eval_by_scan(curve: LoadCurve, x) -> Fraction:
 
 
 def comparison_table_by_scan(k: int, l: int, schemes, step) -> tuple[list[str], list[list]]:
-    """The comparison table cell by cell: a scan of the hull and a fresh
-    converse bound for every cell."""
+    """The comparison table cell by cell: an uncached hull per scheme, a scan
+    of it and a fresh converse bound for every cell."""
     step = Fraction(step)
     if step <= 0:
         raise OutOfRange(f"step={step} must be positive")
@@ -136,7 +149,7 @@ def comparison_table_by_scan(k: int, l: int, schemes, step) -> tuple[list[str], 
     for name in schemes:
         if name == "conv":
             continue
-        curves[name] = scheme_curve(k, l, name)
+        curves[name] = envelope(scheme_points(k, l, name))
     header = ["m_over_n"] + list(schemes)
     rows = []
     x = Fraction(0)
@@ -153,6 +166,31 @@ def comparison_table_by_scan(k: int, l: int, schemes, step) -> tuple[list[str], 
             break
         x = min(x + step, top)
     return header, rows
+
+
+def node_placement(p: Pda, k: int, l: int) -> RoundArray:
+    """The round-1 placement by the window formula: the h-th star of a base
+    row, at column c, caches at node c + h(l-1), the right end of its block
+    in retrieve_window.
+
+    Raises OutOfRange when k or l is below 1, C4Violation when rows differ in
+    star count and DimensionMismatch when k is not K' + t(l-1).
+    """
+    if k < 1 or l < 1:
+        raise OutOfRange(f"k={k}, l={l} must be >= 1")
+    if not check_c4(p):
+        raise C4Violation("base array must have a uniform per-row star count")
+    t = p.z * p.cols // p.rows
+    if p.cols + t * (l - 1) != k:
+        raise DimensionMismatch(
+            f"array has {p.cols} columns, need k - t(l-1) = {k - t * (l - 1)}"
+        )
+    grid = []
+    for row in p.entries:
+        stars = [c for c, v in enumerate(row, start=1) if v == STAR]
+        nodes = {c + h * (l - 1) for h, c in enumerate(stars, start=1)}
+        grid.append(tuple(node in nodes for node in range(1, k + 1)))
+    return RoundArray(round=1, grid=tuple(grid))
 
 
 def user_retrieve(c: RoundArray, l: int) -> RoundArray:
@@ -226,12 +264,12 @@ def user_delivery(p: Pda, u: RoundArray) -> RoundArray:
 
 def build_scheme_by_steps(
     p: Pda, k: int, l: int, n: int | None = None
-) -> tuple[MultiaccessParams, RoundArray, RoundArray, RoundArray]:
+) -> tuple[MultiaccessParams, RoundArray, RoundArray]:
     """The lift step by step: placement, retrieve windows, fill maps, delivery.
 
-    Returns the params and the placement, retrieve and delivery grids after
-    the same checks in the same order as build_scheme, which reaches the
-    three grids by star expansion instead.
+    Returns the params and the placement and delivery grids after the same
+    checks in the same order as build_scheme, which reaches both grids by
+    star expansion instead.
     """
     if k < 1 or l < 1:
         raise OutOfRange(f"k={k}, l={l} must be >= 1")
@@ -244,9 +282,8 @@ def build_scheme_by_steps(
         k=k, l=l, t=p.z * p.cols // p.rows, n=k if n is None else n, k_prime=p.cols
     )
     c1 = node_placement(p, k, l)
-    u1 = user_retrieve(c1, l)
-    q1 = user_delivery(p, u1)
-    return params, c1, u1, q1
+    q1 = user_delivery(p, user_retrieve(c1, l))
+    return params, c1, q1
 
 
 def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:
@@ -257,7 +294,7 @@ def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:
 def user_view_via_nodes(
     scheme: Scheme, caches: tuple[frozenset, ...], user: int, g: int
 ) -> frozenset[int]:
-    """A user's part-g view, derived from the node caches instead of the retrieve array."""
+    """A user's part-g view, derived from the node caches instead of the delivery grid."""
     k = scheme.params.k
     rows = set()
     for off in range(scheme.params.l):
@@ -328,7 +365,7 @@ def compressed_decode_by_elimination(
 ) -> bytes:
     """The coded decode by Gauss-Jordan elimination on the whole m1 x m1 system.
 
-    Full-view rounds come from the retrieve grid, every unknown is solved
+    Full-view rounds come from the delivery grid's stars, every unknown is solved
     with GF.solve against the batch's own matrix, and packets are converted
     one at a time by slicing bytes.
     """
@@ -337,7 +374,9 @@ def compressed_decode_by_elimination(
     gf = field(batch.field_width)
     order = [(g, s) for g in range(1, k + 1) for s in range(1, scheme.pda.s + 1)]
     index = {gs: i for i, gs in enumerate(order)}
-    full_cols = [c for c in range(1, k + 1) if all(row[c - 1] for row in scheme.retrieve.grid)]
+    full_cols = [
+        c for c in range(1, k + 1) if all(row[c - 1] == STAR for row in scheme.delivery.grid)
+    ]
     msgs = {
         (g, s): payload
         for g in sorted(mod1(user - c + 1, k) for c in full_cols)

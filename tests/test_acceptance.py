@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 from macc import (
+    STAR,
     build_scheme,
     check_c4,
     check_c5,
@@ -26,7 +27,6 @@ from macc import (
     lambda_profile,
     library_for_scheme,
     mn_pda,
-    node_placement,
     partition_pda,
     r_cor1,
     r_rk,
@@ -35,7 +35,14 @@ from macc import (
     validate_pda,
 )
 from macc.cli import main as cli_main
-from oracles import count_sq_oracle, delivery_fill_maps, user_retrieve
+from oracles import (
+    count_sq_oracle,
+    delivery_fill_maps,
+    node_placement,
+    shift_grid,
+    star_sets,
+    user_retrieve,
+)
 from macc.util import mod1
 
 # stock 6x4 array with three stars per column and four integers
@@ -163,12 +170,13 @@ def test_criterion_02_transform_golden():
     def check():
         p = mn_pda(4, 2)
         s = build_scheme(p, 8, 3)
-        assert [tuple(sorted(r)) for r in s.c(1).star_sets] == C1_STARS
-        assert [tuple(sorted(r)) for r in s.c(2).star_sets] == C2_STARS
-        assert [tuple(sorted(r)) for r in s.u(1).star_sets] == U1_STARS
-        assert [tuple(sorted(r)) for r in s.u(2).star_sets] == U2_STARS
-        assert [list(r) for r in s.q(1).grid] == Q1_GRID
-        assert [list(r) for r in s.q(2).grid] == Q2_GRID
+        c1, q1 = s.placement.grid, s.delivery.grid
+        assert star_sets(c1) == C1_STARS
+        assert star_sets(shift_grid(c1, 2)) == C2_STARS
+        assert star_sets(q1, STAR) == U1_STARS
+        assert star_sets(shift_grid(q1, 2), STAR) == U2_STARS
+        assert [list(r) for r in q1] == Q1_GRID
+        assert [list(r) for r in shift_grid(q1, 2)] == Q2_GRID
         assert delivery_fill_maps(p, user_retrieve(node_placement(p, 8, 3), 3)) == FILL_MAPS
 
     check()
@@ -180,7 +188,7 @@ def test_criterion_02_transform_golden():
 def test_criterion_03_shared_link_embedding():
     s = build_scheme(mn_pda(4, 2), 4, 1)
     demand = (1, 2, 3, 4)
-    grid = s.q(1).grid
+    grid = s.delivery.grid
     for s_val, want in SHARED_LINK_SIGNALS.items():
         got = {
             (demand[c - 1], j)

@@ -8,6 +8,7 @@ import pytest
 
 from macc import (
     GF,
+    STAR,
     DimensionMismatch,
     NotApplicable,
     OutOfRange,
@@ -31,7 +32,7 @@ from macc import (
     reconstructable_messages,
 )
 from macc.compress import messages_read
-from oracles import compressed_decode_by_elimination
+from oracles import compressed_decode_by_elimination, shift_grid
 
 
 def binomial_instances(k_max: int):
@@ -71,8 +72,8 @@ def test_full_view_rounds_against_grid(scheme832):
     for user in range(1, k + 1):
         expect = []
         for g in range(1, k + 1):
-            grid = scheme832.u(g).grid
-            if all(row[user - 1] for row in grid):
+            grid = shift_grid(scheme832.delivery.grid, g)
+            if all(row[user - 1] == STAR for row in grid):
                 expect.append(g)
         assert full_view_rounds(scheme832, user) == tuple(expect)
         assert len(expect) == lambda_profile(scheme832.pda, 3).total
@@ -190,11 +191,14 @@ def test_compressed_decode_matches_elimination_oracle(name):
     scheme, packet_bytes, width, suite = _coded_cases()[name]
     k = scheme.params.k
     lib = library_for_scheme(scheme, packet_bytes=packet_bytes, seed=5)
-    for demand in demand_suite(k, k, seed=9, **suite):
+    # The file_bytes check proves every decode right; the elimination oracle
+    # is compared on the first demand only, as later ones would re-test it.
+    for i, demand in enumerate(demand_suite(k, k, seed=9, **suite)):
         batch = compressed_deliver(lib, scheme, demand, field_width=width)
         for user in range(1, k + 1):
             got = compressed_decode(lib, scheme, demand, batch, user)
-            assert got == compressed_decode_by_elimination(lib, scheme, demand, batch, user)
+            if i == 0:
+                assert got == compressed_decode_by_elimination(lib, scheme, demand, batch, user)
             assert got == lib.file_bytes(demand[user - 1]), (demand, user)
 
 

@@ -24,7 +24,6 @@ from macc import (
     deliver,
     envelope,
     library_for_scheme,
-    node_placement,
     r_hkd,
 )
 
@@ -50,13 +49,12 @@ def test_starless_lift_builds_no_star_cells():
     try:
         scheme = build_scheme(p, 2, l)
         assert check_c5(p, l)
-        assert node_placement(p, 2, l) == scheme.placement
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     assert scheme.delivery.grid == ((1, 2),)
-    assert scheme.retrieve.grid == ((False, False),)
+    assert scheme.placement.grid == ((False, False),)
 
 
 def test_malformed_pda_is_a_macc_error():

@@ -8,9 +8,9 @@ from oracles import build_scheme_by_steps
 
 
 def lift(p, k, l):
-    """The params and the three round-1 grids build_scheme derives."""
+    """The params and the two round-1 grids build_scheme derives."""
     scheme = build_scheme(p, k, l)
-    return scheme.params, scheme.placement, scheme.retrieve, scheme.delivery
+    return scheme.params, scheme.placement, scheme.delivery
 
 
 def outcome(build, p, k, l):

@@ -1,7 +1,7 @@
 """The plan-based simulator against the loop reference it replaced.
 
-The oracle_* helpers below rebuild every round-g grid with Scheme.q/c and
-walk it cell by cell. The library reads the scheme's round-1 plan instead;
+The oracle_* helpers below rebuild every round-g grid with oracles.shift_grid
+and walk it cell by cell. The library reads the scheme's round-1 plan instead;
 its results, including which UndecodablePacket it raises, must match the
 loops exactly.
 """
@@ -38,7 +38,7 @@ from macc import (
 from macc import pda, transform
 from macc.pda import constituents
 from macc.sim import TransmissionLog, check_demand, user_view
-from oracles import build_scheme_by_steps
+from oracles import build_scheme_by_steps, shift_grid
 
 
 def position(scheme, g, s) -> int:
@@ -50,7 +50,7 @@ def oracle_deliver(library, scheme, demand) -> TransmissionLog:
     d = check_demand(demand, scheme.params.k, library.n_files)
     payloads = [None] * (scheme.params.k * scheme.pda.s)
     for g in range(1, scheme.params.k + 1):
-        groups = constituents(scheme.q(g).grid)
+        groups = constituents(shift_grid(scheme.delivery.grid, g))
         for s in range(1, scheme.pda.s + 1):
             payload = 0
             for j, c in groups[s]:
@@ -65,7 +65,7 @@ def oracle_decode_from_messages(library, scheme, demand, payloads, user) -> byte
     out = []
     for g in range(1, scheme.params.k + 1):
         view = user_view(scheme, user, g)
-        qgrid = scheme.q(g).grid
+        qgrid = shift_grid(scheme.delivery.grid, g)
         groups = constituents(qgrid)
         for j in range(1, scheme.pda.rows + 1):
             if j in view:
@@ -92,7 +92,7 @@ def oracle_populate_caches(scheme) -> tuple[frozenset, ...]:
     k = scheme.params.k
     caches: list[set] = [set() for _ in range(k)]
     for g in range(1, k + 1):
-        for j, row in enumerate(scheme.c(g).grid, start=1):
+        for j, row in enumerate(shift_grid(scheme.placement.grid, g), start=1):
             for c, starred in enumerate(row, start=1):
                 if starred:
                     caches[c - 1].add((g, j))
@@ -103,7 +103,7 @@ def oracle_coverable_messages(scheme, user) -> frozenset:
     out = set()
     for g in range(1, scheme.params.k + 1):
         view = user_view(scheme, user, g)
-        for s, cells in constituents(scheme.q(g).grid).items():
+        for s, cells in constituents(shift_grid(scheme.delivery.grid, g)).items():
             if all(j in view for j, _ in cells):
                 out.add(position(scheme, g, s))
     return frozenset(out)

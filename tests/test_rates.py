@@ -26,8 +26,9 @@ from macc import (
     r_sr,
     r_t1,
     r_t3,
+    scheme_curve,
 )
-from macc.rates import converse_step, scheme_points
+from macc.rates import SCHEME_KEYS, converse_step, scheme_points
 from oracles import count_sq_oracle
 
 
@@ -245,3 +246,20 @@ def test_gap_report_sweep():
 def test_dividing_case_has_no_hkd_gap_section():
     rep = gap_checks(12, 3)
     assert not rep["hkd"]["applicable"]
+
+
+def test_scheme_curve_is_cached_and_equals_the_envelope():
+    for k in range(1, 13):
+        for l in range(1, 5):
+            for name in SCHEME_KEYS:
+                curve = scheme_curve(k, l, name)
+                assert curve == envelope(scheme_points(k, l, name)), (k, l, name)
+                assert scheme_curve(k, l, name) is curve
+
+
+def test_unknown_scheme_names_raise_before_the_cache():
+    for name in ("bogus", ["t1"], {"t1": 1}, None):
+        with pytest.raises(OutOfRange, match="unknown scheme"):
+            scheme_curve(8, 3, name)
+    with pytest.raises(OutOfRange, match="unknown scheme"):
+        comparison_table(8, 3, [["t1"]], "1/6")

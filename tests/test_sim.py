@@ -21,7 +21,7 @@ from macc import (
 )
 from macc.pda import constituents
 from macc.sim import check_demand
-from oracles import node_cache_bytes, user_view_via_nodes
+from oracles import node_cache_bytes, shift_grid, user_view_via_nodes
 
 # per-user part-1 views of the worked (8, 3, 2) instance
 VIEWS_832_G1 = {
@@ -92,7 +92,7 @@ def test_deliver_message_budget(scheme832):
     assert len(log.payloads) == k * s
     # message (g, sv) sits at (g - 1)*S + sv - 1: S messages per round, rounds in turn
     for g in range(1, k + 1):
-        for sv, cells in constituents(scheme832.q(g).grid).items():
+        for sv, cells in constituents(shift_grid(scheme832.delivery.grid, g)).items():
             want = 0
             for j, c in cells:
                 want ^= lib.packet(demand[c - 1], g, j)
@@ -112,7 +112,7 @@ def test_decode_needs_every_message(scheme832):
     demand = (2, 4, 6, 8, 1, 3, 5, 7)
     log = deliver(lib, scheme832, demand)
     # user 1 misses rows 4..6 of part 1; drop a message it needs for row 4
-    cons = constituents(scheme832.q(1).grid)
+    cons = constituents(scheme832.delivery.grid)
     needed = next(sv for sv, cells in cons.items() if any(j == 4 and c == 1 for j, c in cells))
     payloads = list(log.payloads)
     payloads[needed - 1] = None  # round 1 holds positions 0..S-1

@@ -23,8 +23,8 @@ from oracles import (
 )
 
 SCHEME_LISTS = (["hkd", "rk", "sr", "t1", "conv"], ["conv"], ["t1", "t1"], ["t1", "nope"])
-# Every table builds its curves afresh and the scan spends four Fraction operations
-# on each cell, so K 1..24 at every step would take seconds. The coarse steps run on
+# The scan builds its curves afresh and spends four Fraction operations on each
+# cell, so K 1..24 at every step would take seconds. The coarse steps run on
 # six K from 1 to 24; the finest on two: K = 12 puts a corner on every 50th grid
 # point, K = 7 puts none on the grid.
 KS_BY_STEP = {F(1, 600): (7, 12)} | {
@@ -97,11 +97,10 @@ def arrays(draw):
 @settings(max_examples=60, deadline=None)
 @given(p=arrays(), l=st.integers(1, 5))
 def test_expand_matches_the_generator(p, l):
-    """_lift's placement, retrieve and delivery grids are the three star
-    expansions, and its cells are the delivery grid's constituents."""
-    placement, retrieve, delivery, cells = _lift(p, l)
+    """_lift's placement and delivery grids are the two star expansions, and
+    its cells are the delivery grid's constituents."""
+    placement, delivery, cells = _lift(p, l)
     cached_last = (False,) * (l - 1) + (True,)
     assert repr(placement) == repr(expand_by_generator(p, cached_last, lambda v: False))
-    assert repr(retrieve) == repr(expand_by_generator(p, (True,) * l, lambda v: False))
     assert repr(delivery) == repr(expand_by_generator(p, (STAR,) * l, lambda v: v))
     assert repr(cells) == repr(constituents(delivery))

@@ -1,4 +1,4 @@
-"""Cyclic multiaccess lift: placement, retrieve and delivery grids."""
+"""Cyclic multiaccess lift: the placement and delivery grids and their rounds."""
 
 import dataclasses
 import json
@@ -17,15 +17,20 @@ from macc import (
     Pda,
     build_scheme,
     mn_pda,
-    node_placement,
     partition_pda,
     scheme_from_json,
     scheme_to_json,
-    shift_round,
 )
 from macc.transform import RoundArray
 from macc.util import mod1
-from oracles import delivery_fill_maps, user_delivery, user_retrieve
+from oracles import (
+    delivery_fill_maps,
+    node_placement,
+    shift_grid,
+    star_sets,
+    user_delivery,
+    user_retrieve,
+)
 
 # Worked (8, 3, 2) goldens: star columns per row of the first two rounds'
 # placement and retrieve grids, the first two delivery grids, and the
@@ -75,13 +80,13 @@ FILL_MAPS = (
 
 
 def test_worked_832_round_one_and_two(scheme832):
-    s = scheme832
-    assert [tuple(sorted(r)) for r in s.c(1).star_sets] == C1_STARS
-    assert [tuple(sorted(r)) for r in s.c(2).star_sets] == C2_STARS
-    assert [tuple(sorted(r)) for r in s.u(1).star_sets] == U1_STARS
-    assert [tuple(sorted(r)) for r in s.u(2).star_sets] == U2_STARS
-    assert [list(r) for r in s.q(1).grid] == Q1_GRID
-    assert [list(r) for r in s.q(2).grid] == Q2_GRID
+    c1, q1 = scheme832.placement.grid, scheme832.delivery.grid
+    assert star_sets(c1) == C1_STARS
+    assert star_sets(shift_grid(c1, 2)) == C2_STARS
+    assert star_sets(q1, STAR) == U1_STARS
+    assert star_sets(shift_grid(q1, 2), STAR) == U2_STARS
+    assert [list(r) for r in q1] == Q1_GRID
+    assert [list(r) for r in shift_grid(q1, 2)] == Q2_GRID
 
 
 def test_worked_832_fill_maps():
@@ -102,9 +107,9 @@ def test_worked_832_figures(scheme832):
 def test_small_531_instance():
     # hand-derived lift of the 3-column array at K=5, L=3
     s = build_scheme(mn_pda(3, 1), 5, 3)
-    assert [tuple(sorted(r)) for r in s.c(1).star_sets] == [(3,), (4,), (5,)]
-    assert [tuple(sorted(r)) for r in s.u(1).star_sets] == [(1, 2, 3), (2, 3, 4), (3, 4, 5)]
-    assert [list(r) for r in s.q(1).grid] == [
+    assert star_sets(s.placement.grid) == [(3,), (4,), (5,)]
+    assert star_sets(s.delivery.grid, STAR) == [(1, 2, 3), (2, 3, 4), (3, 4, 5)]
+    assert [list(r) for r in s.delivery.grid] == [
         [0, 0, 0, 1, 2],
         [1, 0, 0, 0, 3],
         [2, 3, 0, 0, 0],
@@ -116,30 +121,28 @@ def test_small_531_instance():
 def test_rounds_are_cyclic_shifts(scheme832):
     s = scheme832
     k = s.params.k
-    base = s.c(1).grid
+    c1, q1 = s.placement.grid, s.delivery.grid
     for g in range(1, k + 1):
-        got = s.c(g).grid
-        for j in range(len(base)):
-            for c in range(1, k + 1):
-                assert got[j][c - 1] == base[j][mod1(c - (g - 1), k) - 1]
-    # same rule for retrieve and delivery grids
-    baseq = s.q(1).grid
-    got = s.q(4).grid
-    for j in range(len(baseq)):
-        for c in range(1, k + 1):
-            assert got[j][c - 1] == baseq[j][mod1(c - 3, k) - 1]
+        for base, got in ((c1, shift_grid(c1, g)), (q1, s.q(g).grid)):
+            for j in range(len(base)):
+                for c in range(1, k + 1):
+                    assert got[j][c - 1] == base[j][mod1(c - (g - 1), k) - 1]
 
 
-def test_shift_round_requires_base():
-    p = mn_pda(4, 2)
-    c1 = node_placement(p, 8, 3)
-    c3 = shift_round(c1, 3)
-    with pytest.raises(OutOfRange):
-        shift_round(c3, 2)
-    with pytest.raises(OutOfRange):
-        shift_round(c1, 0)
-    with pytest.raises(OutOfRange):
-        shift_round(c1, 9)
+def test_q_is_the_shifted_delivery_grid():
+    arrays = [mn_pda(kp, t) for kp in range(1, 7) for t in range(kp + 1)]
+    arrays += [partition_pda(m, q)[0] for m in (2, 3) for q in (2, 3)]
+    for p in arrays:
+        for l in (1, 2, 3):
+            s = build_scheme(p, p.cols + p.z * p.cols // p.rows * (l - 1), l)
+            for g in range(1, s.params.k + 1):
+                assert s.q(g) == RoundArray(round=g, grid=shift_grid(s.delivery.grid, g))
+
+
+def test_q_rejects_bad_rounds(scheme832):
+    for g in (0, -1, 9, 1.5, 2.0, "2", True, False, None):
+        with pytest.raises(OutOfRange, match=r"outside \[1, 8\]"):
+            scheme832.q(g)
 
 
 def test_placement_gap_at_least_l():
@@ -147,7 +150,7 @@ def test_placement_gap_at_least_l():
         k = k_prime + t * (l - 1)
         s = build_scheme(mn_pda(k_prime, t), k, l)
         for g in range(1, k + 1):
-            for stars in s.c(g).star_sets:
+            for stars in star_sets(shift_grid(s.placement.grid, g)):
                 cols = sorted(stars)
                 for a, b in zip(cols, cols[1:]):
                     assert b - a >= l, (g, cols)
@@ -158,12 +161,12 @@ def test_placement_gap_at_least_l():
 def test_stacked_star_budget(scheme832):
     s = scheme832
     p = s.pda
-    per_round = sum(len(r) for r in s.c(1).star_sets)
+    per_round = sum(len(r) for r in star_sets(s.placement.grid))
     assert per_round == p.z * p.cols  # 12 for the worked instance
     k = s.params.k
     col_totals = [0] * k
     for g in range(1, k + 1):
-        for stars in s.c(g).star_sets:
+        for stars in star_sets(shift_grid(s.placement.grid, g)):
             for c in stars:
                 col_totals[c - 1] += 1
     assert set(col_totals) == {p.z * p.cols}
@@ -171,7 +174,7 @@ def test_stacked_star_budget(scheme832):
 
 def test_retrieve_rows_have_tl_stars(scheme832):
     t, l = scheme832.params.t, scheme832.params.l
-    for row in scheme832.u(1).star_sets:
+    for row in star_sets(scheme832.delivery.grid, STAR):
         assert len(row) == t * l
 
 
@@ -183,7 +186,7 @@ def test_subfile_sets_repeat_k_prime_times():
         s = build_scheme(mn_pda(k_prime, t), k, l)
         seen: dict[tuple, int] = {}
         for g in range(1, k + 1):
-            for stars in s.c(g).star_sets:
+            for stars in star_sets(shift_grid(s.placement.grid, g)):
                 key = tuple(sorted(stars))
                 seen[key] = seen.get(key, 0) + 1
         assert set(seen.values()) == {k_prime}, (k_prime, t, l)
@@ -228,11 +231,6 @@ def test_user_retrieve_rejects_empty_grid():
         user_retrieve(RoundArray(round=1, grid=()), 3)
 
 
-def test_shift_round_rejects_empty_grid():
-    with pytest.raises(DimensionMismatch):
-        shift_round(RoundArray(round=1, grid=()), 1)
-
-
 def test_partition_lift():
     p, _ = partition_pda(2, 2)
     s = build_scheme(p, 6, 2)
@@ -246,8 +244,8 @@ def test_degenerate_t_zero():
     for l in (1, 3):
         s = build_scheme(p, 5, l)
         assert s.params.t == 0
-        assert all(len(r) == 0 for r in s.c(1).star_sets)
-        assert [list(r) for r in s.q(1).grid] == [[1, 2, 3, 4, 5]]
+        assert all(len(r) == 0 for r in star_sets(s.placement.grid))
+        assert [list(r) for r in s.delivery.grid] == [[1, 2, 3, 4, 5]]
         assert str(s.load) == "5"
 
 
@@ -285,6 +283,18 @@ def test_scheme_json_round_trip(scheme832):
         txt = scheme_to_json(scheme832, include_arrays=arrays)
         back = scheme_from_json(txt)
         assert back == scheme832
+
+
+def test_scheme_json_arrays_render_the_worked_grids(scheme832):
+    def marks(stars):
+        return ["".join("*" if c in row else "." for c in range(1, 9)) for row in stars]
+
+    arrays = json.loads(scheme_to_json(scheme832, include_arrays=True))["arrays"]
+    assert arrays == {
+        "node_placement": marks(C1_STARS),
+        "user_retrieve": marks(U1_STARS),
+        "user_delivery": [" ".join(str(v) if v else "*" for v in row) for row in Q1_GRID],
+    }
 
 
 def test_scheme_json_rejects_garbage(scheme832):

@@ -2,9 +2,13 @@
 
 When every index-wise star spread lambda_h = a_h + l - b_h is positive, each
 user sees complete rounds (full retrieve columns) sum(lambda) times, so it can
-rebuild sum(lambda)*S messages on its own. The server then ships only
-(K - sum(lambda))*S Cauchy-coded combinations of all K*S messages and every
-user solves for its unknowns.
+rebuild sum(lambda)*S messages on its own. Its known set is whole rounds, so
+for every integer s it knows the same sum(lambda) of the K messages (g, s).
+The server therefore codes each integer on its own: one (K - sum(lambda)) x K
+Cauchy block B, shared by all S integers, turns the K messages (g, s) into
+K - sum(lambda) rows, and every user solves each integer's unknown rounds
+with the closed-form inverse of B's columns for those rounds. The load is
+that of one MDS code over all K*S messages, (K - sum(lambda))*S rows.
 """
 
 from dataclasses import dataclass
@@ -87,29 +91,34 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
 class CodedBatch:
     """Coded transmission: payload rows of G @ messages plus the G parameters.
 
-    Column i of G weights the message at log position i. G is not stored: it
-    is the m1 x m2 Cauchy matrix over GF(2^field_width), so the batch names it
-    by its shape and field and compares by value.
+    G is kron(B, I_S) for the (m1/S) x (m2/S) Cauchy block B over
+    GF(2^field_width), S the block count: coded row i*S + s - 1 is
+    sum_g B[i, g-1] * message (g, s), and column (g-1)*S + s - 1 weights the
+    message at that log position. G is not stored, so the batch names it by
+    its shape, block count and field and compares by value.
     """
 
     field_width: int
     m1: int
     m2: int
+    blocks: int
     packet_bytes: int
     payloads: tuple[int, ...]
 
     @property
     def coding_matrix(self) -> np.ndarray:
         """G, read-only and shared by every batch of this shape and field."""
-        return _coding_matrix(self.m1, self.m2, self.field_width)
+        return _coding_matrix(self.m1, self.m2, self.blocks, self.field_width)
 
 
-def _pick_field(m1: int, m2: int, packet_bytes: int, field_width: int | None) -> GF:
+def _pick_field(rows: int, k: int, s: int, packet_bytes: int, field_width: int | None) -> GF:
+    """The batch's field: 8 bits when the whole (rows*s) x (k*s) code would fit
+    in GF(2^8), else 16; only one rows x k block needs distinct elements."""
     if field_width is None:
-        field_width = 8 if m1 + m2 <= 256 else 16
+        field_width = 8 if (rows + k) * s <= 256 else 16
     gf = field(field_width)
-    if m1 + m2 > gf.order:
-        raise FieldTooSmall(f"m1+m2={m1 + m2} needs order > {gf.order}; pass a wider field")
+    if rows + k > gf.order:
+        raise FieldTooSmall(f"a {rows} x {k} block needs order >= {rows + k}; pass a wider field")
     if gf.width < 8 or packet_bytes % (gf.width // 8):
         raise FieldTooSmall(
             f"packet_bytes={packet_bytes} is not a multiple of the "
@@ -119,9 +128,17 @@ def _pick_field(m1: int, m2: int, packet_bytes: int, field_width: int | None) ->
 
 
 @lru_cache(maxsize=4)
-def _coding_matrix(m1: int, m2: int, width: int) -> np.ndarray:
-    """cauchy_matrix(m1, m2) over GF(2^width), built once and read-only."""
-    g_mat = cauchy_matrix(m1, m2, field(width))
+def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
+    """cauchy_matrix(rows, k) over GF(2^width), built once and read-only."""
+    block = cauchy_matrix(rows, k, field(width))
+    block.flags.writeable = False
+    return block
+
+
+@lru_cache(maxsize=4)
+def _coding_matrix(m1: int, m2: int, blocks: int, width: int) -> np.ndarray:
+    """kron(B, I_blocks) for the (m1/blocks) x (m2/blocks) block B, read-only."""
+    g_mat = np.kron(_coding_block(m1 // blocks, m2 // blocks, width), np.eye(blocks, dtype=np.uint32))
     g_mat.flags.writeable = False
     return g_mat
 
@@ -129,46 +146,40 @@ def _coding_matrix(m1: int, m2: int, width: int) -> np.ndarray:
 def compressed_deliver(
     library: PacketLibrary, scheme: Scheme, demand, field_width: int | None = None
 ) -> CodedBatch:
-    """Code all K*S messages down to (K - sum(lambda))*S rows."""
+    """Code all K*S messages down to (K - sum(lambda))*S rows.
+
+    The log holds message (g, s) at (g-1)*S + s - 1, so its symbols reshape
+    to K rows of S packets each; one product with the block codes every
+    integer at once, and coded row (i, s) lands at i*S + s - 1.
+    """
     prof = lambda_profile(scheme.pda, scheme.params.l)
     if not prof.applicable:
         raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
     log = deliver(library, scheme, demand)
-    m2 = len(log.payloads)
-    m1 = (scheme.params.k - prof.total) * scheme.pda.s
-    gf = _pick_field(m1, m2, library.packet_bytes, field_width)
-    g_mat = _coding_matrix(m1, m2, gf.width)
-    x = packets_to_symbols(log.payloads, library.packet_bytes, gf.width)
-    payloads = tuple(symbols_to_packets(gf.matmul(g_mat, x), library.packet_bytes, gf.width))
+    k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
+    rows = k - prof.total
+    gf = _pick_field(rows, k, s, b, field_width)
+    x = packets_to_symbols(log.payloads, b, gf.width)
+    coded = gf.matmul(_coding_block(rows, k, gf.width), x.reshape(k, -1))
     return CodedBatch(
         field_width=gf.width,
-        m1=m1,
-        m2=m2,
-        packet_bytes=library.packet_bytes,
-        payloads=payloads,
+        m1=rows * s,
+        m2=k * s,
+        blocks=s,
+        packet_bytes=b,
+        payloads=tuple(symbols_to_packets(coded.reshape(rows * s, -1), b, gf.width)),
     )
 
 
-def _check_batch(batch: CodedBatch, m2: int, packet_bytes: int) -> None:
+def _check_batch(batch: CodedBatch, m2: int, blocks: int, packet_bytes: int) -> None:
     """The batch's rows and dimensions fit K*S messages of packet_bytes bytes."""
-    if batch.m2 != m2 or batch.packet_bytes != packet_bytes or len(batch.payloads) != batch.m1:
+    shape = (batch.m2, batch.blocks, batch.packet_bytes, len(batch.payloads))
+    if shape != (m2, blocks, packet_bytes, batch.m1):
         raise DimensionMismatch(
             f"batch of {len(batch.payloads)} rows, m1={batch.m1}, m2={batch.m2}, "
-            f"{batch.packet_bytes}-byte packets does not fit K*S={m2}, {packet_bytes}-byte packets"
+            f"{batch.blocks} blocks, {batch.packet_bytes}-byte packets does not fit "
+            f"K*S={m2}, S={blocks}, {packet_bytes}-byte packets"
         )
-
-
-def messages_read(scheme: Scheme, user: int) -> frozenset[int]:
-    """Log positions of the messages whose payloads the user's decode XORs."""
-    k = scheme.params.k
-    check_user(user, k)
-    recipes = scheme.plan.recipes
-    return frozenset(
-        (g - 1) * scheme.pda.s + step[0] - 1
-        for g in range(1, k + 1)
-        for step in recipes[(user - g) % k]
-        if step is not None
-    )
 
 
 def compressed_decode(
@@ -176,35 +187,37 @@ def compressed_decode(
 ) -> bytes:
     """Recover the user's file from its view plus the coded batch.
 
-    The fully seen rounds give their messages straight from the view. Of the
-    m1 unknowns, only those the user's decode reads are solved, each as one
-    row of the closed-form inverse of the batch's Cauchy columns, so no
-    elimination runs.
+    The fully seen rounds give their messages straight from the view. They
+    are the same rounds for every integer, so folding them out of the batch
+    leaves, per integer, the block's columns of the unseen rounds: one
+    square Cauchy matrix, whose closed-form inverse solves every unseen
+    round at once, so no elimination runs.
     """
+    k, s = scheme.params.k, scheme.pda.s
     _check_dims(library, scheme)
-    d = check_demand(demand, scheme.params.k, library.n_files)
-    check_user(user, scheme.params.k)
+    d = check_demand(demand, k, library.n_files)
+    check_user(user, k)
     gf = field(batch.field_width)
-    s = scheme.pda.s
-    payloads: list[int | None] = [None] * (scheme.params.k * s)
-    for g in full_view_rounds(scheme, user):
-        payloads[(g - 1) * s:g * s] = round_payloads(library, scheme, d, g)
-    known = [i for i, p in enumerate(payloads) if p is not None]
-    unknown = [i for i, p in enumerate(payloads) if p is None]
-    if len(unknown) != batch.m1:
-        raise SingularSystem(
-            f"{len(unknown)} unknowns against {batch.m1} coded rows"
-        )
-    _check_batch(batch, len(payloads), library.packet_bytes)
-    g_mat = batch.coding_matrix
-    read = messages_read(scheme, user)
-    rows = [r for r, i in enumerate(unknown) if i in read]
+    known = [g - 1 for g in full_view_rounds(scheme, user)]
+    unknown = sorted(set(range(k)) - set(known))
+    if len(unknown) * s != batch.m1:
+        raise SingularSystem(f"{len(unknown) * s} unknowns against {batch.m1} coded rows")
+    _check_batch(batch, k * s, s, library.packet_bytes)
     b, w = batch.packet_bytes, gf.width
-    rhs = packets_to_symbols(batch.payloads, b, w)
-    rhs ^= gf.matmul(g_mat[:, known], packets_to_symbols((payloads[i] for i in known), b, w))
-    solved = gf.matmul(gf.cauchy_inverse(batch.m1, unknown, rows), rhs)
-    for r, payload in zip(rows, symbols_to_packets(solved, b, w)):
-        payloads[unknown[r]] = payload
+    seen = [p for g in known for p in round_payloads(library, scheme, d, g + 1)]
+    coded = packets_to_symbols(batch.payloads, b, w)
+    per_round = s * coded.shape[1]  # symbols of one round's S messages
+    rhs = coded.reshape(len(unknown), per_round)
+    rhs ^= gf.matmul(
+        _coding_block(len(unknown), k, w)[:, known],
+        packets_to_symbols(seen, b, w).reshape(len(known), per_round),
+    )
+    solved = gf.matmul(gf.cauchy_inverse(len(unknown), unknown), rhs)
+    solved = symbols_to_packets(solved.reshape(coded.shape), b, w)
+    payloads = [0] * (k * s)
+    for rounds, found in ((known, seen), (unknown, solved)):
+        for r, g in enumerate(rounds):
+            payloads[g * s:(g + 1) * s] = found[r * s:(r + 1) * s]
     return decode_from_messages(library, scheme, demand, payloads, user)
 
 

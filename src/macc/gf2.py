@@ -49,14 +49,16 @@ class GF:
             x <<= 1
             if x & self.order:
                 x ^= PRIMITIVE_POLY[width]
-        # the generator must have full period, otherwise the poly is not primitive
-        assert x == 1, f"polynomial for width {width} is not primitive"
         self.zero_log = 2 * n - 1
         exp = np.zeros(2 * n, dtype=np.uint8 if width <= 8 else np.uint16)
         exp[:n] = np.frombuffer(powers, dtype=np.uint32)
         exp[n:self.zero_log] = exp[:n - 1]
         log = np.full(self.order, self.zero_log, dtype=np.int32)
         log[exp[:n]] = np.arange(n, dtype=np.int32)
+        # the generator has full period, so the poly is primitive, only if
+        # every nonzero element is one of its powers
+        if (log[1:] == self.zero_log).any():
+            raise OutOfRange(f"polynomial for width {width} is not primitive")
         self._exp = exp
         self._log = log
 
@@ -154,13 +156,12 @@ class GF:
             out[i:i + step] = self._log[a[i:i + step, None] ^ b].sum(axis=1, dtype=np.int64)
         return out
 
-    def cauchy_inverse(self, m1: int, cols, rows=None) -> np.ndarray:
-        """Rows of the inverse of cauchy_matrix(m1, m2, self)[:, cols], in closed form.
+    def cauchy_inverse(self, m1: int, cols) -> np.ndarray:
+        """The inverse of cauchy_matrix(m1, m2, self)[:, cols], in closed form.
 
         cols names m1 distinct columns; row r of the inverse recovers the
-        unknown of column cols[r], and rows picks which r to return (all by
-        default). With row labels x_i = i and column labels y = m1 + cols,
-        entry (r, i) is
+        unknown of column cols[r]. With row labels x_i = i and column labels
+        y = m1 + cols, entry (r, i) is
 
             prod_k (x_i + y_k) * prod_k (x_k + y_r)
             / ((x_i + y_r) * prod_{k != i} (x_i + x_k) * prod_{k != r} (y_r + y_k))
@@ -176,15 +177,11 @@ class GF:
             raise OutOfRange("cauchy_inverse needs distinct nonnegative column indices")
         if m1 + max(cols) >= self.order:
             raise FieldTooSmall(f"column label {m1 + max(cols)} exceeds field order {self.order}")
-        r = range(m1) if rows is None else [int(i) for i in rows]
-        if any(not 0 <= i < m1 for i in r):
-            raise OutOfRange(f"inverse rows must lie in [0, {m1})")
         x = np.arange(m1, dtype=np.int32)
         y = m1 + np.array(cols, dtype=np.int32)
-        yr = y[list(r)]
         num_i = self._log_sums(x, y) - self._log_sums(x, x) + self.zero_log
-        num_r = self._log_sums(yr, x) - self._log_sums(yr, y) + self.zero_log
-        logs = num_r[:, None] + num_i - self._log[yr[:, None] ^ x]
+        num_r = self._log_sums(y, x) - self._log_sums(y, y) + self.zero_log
+        logs = num_r[:, None] + num_i - self._log[y[:, None] ^ x]
         return self._exp[logs % (self.order - 1)].astype(np.uint32)
 
 

@@ -13,20 +13,34 @@ from functools import lru_cache
 from math import ceil, comb, lcm
 
 from .errors import DuplicateRatio, EmptyInput, OutOfRange
-from .util import comb0
+from .util import comb0, is_int
 
 SCHEME_KEYS = ("hkd", "rk", "sr", "t1")
 
 
-def _check_klt(k: int, l: int, t: int, t_max: int) -> None:
+def _check_ints(**values) -> None:
+    """Raise OutOfRange naming every value that is not an int (bools excluded)."""
+    bad = [f"{name}={v!r}" for name, v in values.items() if not is_int(v)]
+    if bad:
+        raise OutOfRange(f"not an integer: {', '.join(bad)}")
+
+
+def _check_kl(k: int, l: int) -> None:
+    _check_ints(k=k, l=l)
     if k < 1 or l < 1:
         raise OutOfRange(f"k={k}, l={l} must be >= 1")
+
+
+def _check_klt(k: int, l: int, t: int, t_max: int) -> None:
+    _check_kl(k, l)
+    _check_ints(t=t)
     if not (0 <= t <= t_max):
         raise OutOfRange(f"t={t} outside [0, {t_max}]")
 
 
 def r_mn(k: int, t: int) -> Fraction:
     """Shared-link baseline load at memory point t/K."""
+    _check_ints(k=k, t=t)
     if k < 1:
         raise OutOfRange(f"k={k} must be >= 1")
     if not (0 <= t <= k):
@@ -36,8 +50,7 @@ def r_mn(k: int, t: int) -> Fraction:
 
 def r_hkd(k: int, l: int, t: int) -> Fraction:
     """Reduction-to-shared-link scheme; branch depends on whether l | k."""
-    if l < 1:
-        raise OutOfRange(f"k={k}, l={l} must be >= 1")
+    _check_kl(k, l)
     if k % l == 0:
         _check_klt(k, l, t, k // l)
         return Fraction(k - t * l, t + 1)
@@ -83,6 +96,7 @@ def f_t1(k: int, l: int, t: int) -> int:
 
 def r_t3(q: int) -> Fraction:
     """Partition-family load; independent of m and l."""
+    _check_ints(q=q)
     if q < 2:
         raise OutOfRange(f"q={q} must be >= 2")
     return Fraction(q - 1)
@@ -90,6 +104,7 @@ def r_t3(q: int) -> Fraction:
 
 def r_cor1(k: int, l: int, t: int) -> Fraction:
     """Compressed load of the binomial instantiation on its validity window."""
+    _check_ints(k=k, l=l, t=t)
     if not (t * l + 1 < k < t * l + l):
         raise OutOfRange(f"need tL+1 < K < tL+L, got K={k}, L={l}, t={t}")
     return Fraction((k - t * l) ** 2, k)
@@ -97,6 +112,7 @@ def r_cor1(k: int, l: int, t: int) -> Fraction:
 
 def r_cor2(q: int, l: int) -> Fraction:
     """Compressed load of the partition instantiation when l >= q."""
+    _check_ints(q=q, l=l)
     if q < 2:
         raise OutOfRange(f"q={q} must be >= 2")
     if l < q:
@@ -115,8 +131,8 @@ class ConverseInstance:
 
 def converse_bound(k: int, l: int, t: int) -> Fraction:
     """Lower bound on the optimal load under the gap-constrained placement."""
-    if k < 1 or l < 1:
-        raise OutOfRange(f"k={k}, l={l} must be >= 1")
+    _check_kl(k, l)
+    _check_ints(t=t)
     if not (1 <= t <= k // l):
         raise OutOfRange(f"t={t} outside [1, {k // l}]")
     x = t * l - t + 1
@@ -136,6 +152,8 @@ def converse_instance(k: int, l: int, t: int) -> ConverseInstance:
 
 def count_sq(k: int, l: int, t: int, q: int) -> int:
     """Closed-form count of gap-constrained t-subsets used by the converse."""
+    _check_kl(k, l)
+    _check_ints(t=t, q=q)
     if not (1 <= t <= k // l):
         raise OutOfRange(f"t={t} outside [1, {k // l}]")
     if not (t * l <= q <= k):
@@ -233,8 +251,7 @@ def scheme_points(k: int, l: int, scheme: str) -> tuple[LoadPoint, ...]:
     The zero-load corner (1/l, 0) belongs to hkd, sr and t1; rk stops at its
     last integer corner.
     """
-    if k < 1 or l < 1:
-        raise OutOfRange(f"k={k}, l={l} must be >= 1")
+    _check_kl(k, l)
     tmax = k // l
     pts: list[LoadPoint] = []
     if scheme == "hkd":
@@ -296,6 +313,7 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
 
     Returns (header, rows); each row is [x, load_1, load_2, ...].
     """
+    _check_ints(k=k, l=l)
     step = Fraction(step)
     if step <= 0:
         raise OutOfRange(f"step={step} must be positive")
@@ -335,8 +353,7 @@ def gap_checks(k: int, l: int) -> dict:
     Nothing here asserts; strictness is recorded per point together with the
     hypothesis that licenses it (tests assert on the proven regions only).
     """
-    if k < 1 or l < 1:
-        raise OutOfRange(f"k={k}, l={l} must be >= 1")
+    _check_kl(k, l)
     tmax = k // l
     report: dict = {"k": k, "l": l}
 

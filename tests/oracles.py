@@ -33,7 +33,7 @@ from macc.compress import CodedBatch
 from macc.gf2 import GF, _symbol_bytes, field
 from macc.pda import constituents, crossing_violations, missing_values
 from macc.rates import converse_step
-from macc.sim import PacketLibrary, check_demand, decode_from_messages, round_payloads
+from macc.sim import PacketLibrary, check_demand, check_user, decode_from_messages, round_payloads
 from macc.transform import Scheme
 from macc.util import mod1
 
@@ -358,6 +358,19 @@ def symbols_to_packet_by_bytes(symbols, packet_bytes: int, width: int) -> int:
     except OverflowError as e:
         raise OutOfRange(f"symbol outside GF(2^{width})") from e
     return int.from_bytes(raw, "big")
+
+
+def messages_read(scheme: Scheme, user: int) -> frozenset[int]:
+    """Log positions of the messages whose payloads the user's decode XORs."""
+    k = scheme.params.k
+    check_user(user, k)
+    recipes = scheme.plan.recipes
+    return frozenset(
+        (g - 1) * scheme.pda.s + step[0] - 1
+        for g in range(1, k + 1)
+        for step in recipes[(user - g) % k]
+        if step is not None
+    )
 
 
 def compressed_decode_by_elimination(

@@ -10,6 +10,7 @@ from macc import (
     GF,
     STAR,
     DimensionMismatch,
+    FieldTooSmall,
     NotApplicable,
     OutOfRange,
     SingularSystem,
@@ -31,8 +32,7 @@ from macc import (
     r_rk,
     reconstructable_messages,
 )
-from macc.compress import messages_read
-from oracles import compressed_decode_by_elimination, shift_grid
+from oracles import compressed_decode_by_elimination, is_invertible, messages_read, shift_grid
 
 
 def binomial_instances(k_max: int):
@@ -159,12 +159,81 @@ def test_coded_batch_names_its_coding_matrix(scheme832):
     demand = tuple(range(1, 9))
     batch = compressed_deliver(lib, scheme832, demand)
     g_mat = batch.coding_matrix
-    assert np.array_equal(g_mat, cauchy_matrix(24, 32, field(8)))
+    assert batch.blocks == 4
+    assert np.array_equal(g_mat, np.kron(cauchy_matrix(6, 8, field(8)), np.eye(4)))
     assert not g_mat.flags.writeable
     assert compressed_deliver(lib, scheme832, demand) == batch
     assert compressed_deliver(lib, scheme832, demand).coding_matrix is g_mat
     with pytest.raises(TypeError):
         dataclasses.replace(batch, coding_matrix=g_mat)
+
+
+def test_coding_matrix_is_one_block_per_integer():
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=3)
+    batch = compressed_deliver(lib, scheme, tuple(range(1, 16)))
+    s = p.s
+    g_mat = batch.coding_matrix
+    assert g_mat.shape == (batch.m1, batch.m2) == (216, 270)
+    same_integer = np.arange(batch.m1)[:, None] % s == np.arange(batch.m2) % s
+    assert np.all((g_mat != 0) == same_integer)
+    n = batch.m1 // s
+    for user in range(1, 16):
+        unknown = sorted(set(range(batch.m2)) - reconstructable_messages(scheme, user))
+        squares = []
+        for i in range(s):
+            cols = [c for c in unknown if c % s == i]
+            rows = np.flatnonzero(same_integer[:, i])
+            assert len(cols) == len(rows) == n
+            squares.append(g_mat[np.ix_(rows, cols)])
+        # every integer meets the same square, and it is invertible
+        assert all(np.array_equal(sq, squares[0]) for sq in squares)
+        assert is_invertible(field(16), squares[0])
+
+
+def test_part33_decodes_over_gf256():
+    # the whole 216 x 270 code needs GF(2^16); one 12 x 15 block fits GF(2^8)
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=3, seed=7)
+    demand = (4, 9, 1, 15, 2, 2, 7, 11, 3, 8, 6, 13, 5, 14, 10)
+    batch = compressed_deliver(lib, scheme, demand, field_width=8)
+    assert (batch.field_width, batch.m1, batch.m2, batch.blocks) == (8, 216, 270, 18)
+    for user in range(1, 16):
+        got = compressed_decode(lib, scheme, demand, batch, user)
+        assert got == lib.file_bytes(demand[user - 1]), user
+
+
+def test_block_does_not_fit_field():
+    s = build_scheme(mn_pda(2, 1), 4, 3)
+    lib = library_for_scheme(s, packet_bytes=1, seed=0)
+    with pytest.raises(FieldTooSmall, match="a 2 x 4 block"):
+        compressed_deliver(lib, s, (1, 2, 3, 4), field_width=2)
+
+
+def test_compressed_decode_inverts_blocks_only(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("GF.solve called")
+
+    sizes = []
+    inverse = GF.cauchy_inverse
+
+    def recorded(self, m1, cols):
+        sizes.append(m1)
+        return inverse(self, m1, cols)
+
+    monkeypatch.setattr(GF, "solve", no_solve)
+    monkeypatch.setattr(GF, "cauchy_inverse", recorded)
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=2)
+    demand = tuple(range(15, 0, -1))
+    batch = compressed_deliver(lib, scheme, demand)
+    assert batch.field_width == 16
+    for user in range(1, 16):
+        assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
+    assert sizes == [15 - lambda_profile(p, 3).total] * 15
 
 
 def test_compressed_decode_rejects_malformed_payloads(scheme832):

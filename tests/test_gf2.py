@@ -35,6 +35,20 @@ def ref_mul(a: int, b: int, width: int) -> int:
     return out
 
 
+@pytest.mark.parametrize("width", sorted(PRIMITIVE_POLY))
+def test_primitive_polys_have_full_period(width):
+    gf = GF(width)
+    n = gf.order - 1
+    assert sorted(gf._exp[:n].tolist()) == list(range(1, gf.order))
+
+
+def test_non_primitive_poly_is_rejected(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5, not 15
+    monkeypatch.setitem(PRIMITIVE_POLY, 4, 0b11111)
+    with pytest.raises(OutOfRange, match="width 4 is not primitive"):
+        GF(4)
+
+
 @pytest.mark.parametrize("width", [2, 3, 4, 8])
 def test_mul_matches_reference(width):
     gf = field(width)
@@ -154,8 +168,6 @@ def test_cauchy_inverse_matches_identity_and_solve(width, m1, m2):
         assert np.array_equal(gf.matmul(g[:, cols], inv), eye)
         if trial < 3:
             assert np.array_equal(inv, gf.solve(g[:, cols], eye))
-        rows = sorted(rng.sample(range(m1), m1 // 4))
-        assert np.array_equal(gf.cauchy_inverse(m1, cols, rows), inv[rows])
 
 
 def test_cauchy_inverse_rejects_bad_columns():
@@ -166,8 +178,6 @@ def test_cauchy_inverse_rejects_bad_columns():
         gf.cauchy_inverse(2, [1, 1])
     with pytest.raises(OutOfRange):
         gf.cauchy_inverse(2, [-1, 1])
-    with pytest.raises(OutOfRange):
-        gf.cauchy_inverse(2, [0, 1], rows=[2])
     with pytest.raises(FieldTooSmall):
         gf.cauchy_inverse(2, [0, 254])
 

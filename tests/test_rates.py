@@ -263,3 +263,24 @@ def test_unknown_scheme_names_raise_before_the_cache():
             scheme_curve(8, 3, name)
     with pytest.raises(OutOfRange, match="unknown scheme"):
         comparison_table(8, 3, [["t1"]], "1/6")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: scheme_curve(8.0, 3, "t1"),
+        lambda: scheme_curve(8, 1.5, "hkd"),
+        lambda: r_t1(8.0, 3, 1),
+        lambda: r_t1(8, 3, True),
+        lambda: comparison_table(8.0, 3, ["t1"], "1/6"),
+        lambda: comparison_table(8, 3.0, ["conv"], "1/6"),
+        lambda: converse_bound(8, 3, 1.0),
+        lambda: gap_checks(8, 3.0),
+        lambda: r_mn(8.0, 2),
+        lambda: r_t3(3.0),
+        lambda: count_sq(8.0, 3, 1, 4),
+    ],
+)
+def test_non_integer_parameters_raise_out_of_range(call):
+    with pytest.raises(OutOfRange, match="not an integer"):
+        call()

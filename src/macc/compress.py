@@ -4,11 +4,17 @@ When every index-wise star spread lambda_h = a_h + l - b_h is positive, each
 user sees complete rounds (full retrieve columns) sum(lambda) times, so it can
 rebuild sum(lambda)*S messages on its own. Its known set is whole rounds, so
 for every integer s it knows the same sum(lambda) of the K messages (g, s).
-The server therefore codes each integer on its own: one (K - sum(lambda)) x K
-Cauchy block B, shared by all S integers, turns the K messages (g, s) into
-K - sum(lambda) rows, and every user solves each integer's unknown rounds
-with the closed-form inverse of B's columns for those rounds. The load is
-that of one MDS code over all K*S messages, (K - sum(lambda))*S rows.
+The server therefore codes each integer on its own with one systematic
+block G = [I | P], shared by all S integers: P is (K - sum(lambda)) x
+sum(lambda), the first sum(lambda) columns of a (K - sum(lambda)) x K Cauchy
+matrix. Coded row i of integer s is message (i+1, s) plus P's row i times
+the last sum(lambda) rounds' messages (the parity rounds). Every square
+submatrix of a Cauchy matrix is invertible, so any K - sum(lambda) columns
+of G are (Roth and Seroussi 1985): G is MDS, and each user solves its
+unseen parity rounds with the closed-form inverse of a P minor at most
+sum(lambda) square, then reads its unseen systematic rounds off the batch.
+The load is that of one MDS code over all K*S messages, (K - sum(lambda))*S
+rows.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, SingularSystem
+from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, OutOfRange, SingularSystem
 from .gf2 import GF, cauchy_matrix, field, packets_to_symbols, symbols_to_packets
 from .pda import Pda, star_profile
 from .sim import (
@@ -30,7 +36,7 @@ from .sim import (
     round_payloads,
 )
 from .transform import Scheme
-from .util import mod1
+from .util import is_int, mod1
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,8 @@ def lambda_profile(p: Pda, l: int) -> LambdaProfile:
 
     Not applicable at t = 0 (no star indices to span rounds with).
     """
+    if not (is_int(l) and l >= 1):
+        raise OutOfRange(f"access degree l={l!r} must be an integer >= 1")
     prof = star_profile(p)
     lambdas = tuple(prof.a[h] + l - prof.b[h] for h in range(prof.t))
     applicable = prof.t >= 1 and all(x > 0 for x in lambdas)
@@ -56,6 +64,7 @@ def lambda_profile(p: Pda, l: int) -> LambdaProfile:
 def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
     """Rounds in which the user's view holds every row of the part."""
     k = scheme.params.k
+    check_user(user, k)
     rows = scheme.pda.rows
     return tuple(sorted(
         mod1(user - c, k) for c, view in enumerate(scheme.plan.views) if len(view) == rows
@@ -91,11 +100,12 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
 class CodedBatch:
     """Coded transmission: payload rows of G @ messages plus the G parameters.
 
-    G is kron(B, I_S) for the (m1/S) x (m2/S) Cauchy block B over
-    GF(2^field_width), S the block count: coded row i*S + s - 1 is
-    sum_g B[i, g-1] * message (g, s), and column (g-1)*S + s - 1 weights the
-    message at that log position. G is not stored, so the batch names it by
-    its shape, block count and field and compares by value.
+    G is kron([I | P], I_S) for the (m1/S) x (m2/S) systematic block [I | P]
+    over GF(2^field_width), S the block count: coded row i*S + s - 1 is
+    message (i+1, s) plus sum_j P[i, j] * message (m1/S + j + 1, s), and
+    column (g-1)*S + s - 1 weights the message at that log position. G is not
+    stored, so the batch names it by its shape, block count and field and
+    compares by value.
     """
 
     field_width: int
@@ -129,16 +139,22 @@ def _pick_field(rows: int, k: int, s: int, packet_bytes: int, field_width: int |
 
 @lru_cache(maxsize=4)
 def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
-    """cauchy_matrix(rows, k) over GF(2^width), built once and read-only."""
-    block = cauchy_matrix(rows, k, field(width))
+    """P, the parity part of the systematic block [I_rows | P]: the first
+    k - rows columns of cauchy_matrix(rows, k) over GF(2^width), built once
+    and read-only. Entry (i, g - rows) is 1/(i + g) for 0-based parity round g."""
+    block = np.ascontiguousarray(cauchy_matrix(rows, k, field(width))[:, :k - rows])
     block.flags.writeable = False
     return block
 
 
 @lru_cache(maxsize=4)
 def _coding_matrix(m1: int, m2: int, blocks: int, width: int) -> np.ndarray:
-    """kron(B, I_blocks) for the (m1/blocks) x (m2/blocks) block B, read-only."""
-    g_mat = np.kron(_coding_block(m1 // blocks, m2 // blocks, width), np.eye(blocks, dtype=np.uint32))
+    """kron([I | P], I_blocks) for the (m1/blocks) x (m2/blocks) block, read-only."""
+    if blocks < 1 or m1 % blocks or m2 % blocks:
+        raise DimensionMismatch(f"m1={m1} and m2={m2} are not multiples of {blocks} >= 1 blocks")
+    rows, k = m1 // blocks, m2 // blocks
+    block = np.hstack([np.eye(rows, dtype=np.uint32), _coding_block(rows, k, width)])
+    g_mat = np.kron(block, np.eye(blocks, dtype=np.uint32))
     g_mat.flags.writeable = False
     return g_mat
 
@@ -149,8 +165,9 @@ def compressed_deliver(
     """Code all K*S messages down to (K - sum(lambda))*S rows.
 
     The log holds message (g, s) at (g-1)*S + s - 1, so its symbols reshape
-    to K rows of S packets each; one product with the block codes every
-    integer at once, and coded row (i, s) lands at i*S + s - 1.
+    to K rows of S packets each; one product of P with the sum(lambda) parity
+    rows, added to the systematic rows, codes every integer at once, and
+    coded row (i, s) lands at i*S + s - 1.
     """
     prof = lambda_profile(scheme.pda, scheme.params.l)
     if not prof.applicable:
@@ -159,8 +176,8 @@ def compressed_deliver(
     k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
     rows = k - prof.total
     gf = _pick_field(rows, k, s, b, field_width)
-    x = packets_to_symbols(log.payloads, b, gf.width)
-    coded = gf.matmul(_coding_block(rows, k, gf.width), x.reshape(k, -1))
+    x = packets_to_symbols(log.payloads, b, gf.width).reshape(k, -1)
+    coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
     return CodedBatch(
         field_width=gf.width,
         m1=rows * s,
@@ -188,10 +205,12 @@ def compressed_decode(
     """Recover the user's file from its view plus the coded batch.
 
     The fully seen rounds give their messages straight from the view. They
-    are the same rounds for every integer, so folding them out of the batch
-    leaves, per integer, the block's columns of the unseen rounds: one
-    square Cauchy matrix, whose closed-form inverse solves every unseen
-    round at once, so no elimination runs.
+    are the same rounds for every integer. Each coded row of a seen
+    systematic round, less that round and the seen parity rounds, leaves P's
+    minor on those rows and the unseen parity rounds: a square Cauchy
+    matrix, whose closed-form inverse solves those rounds. With every parity
+    round known, each unseen systematic round is its coded row less P's row
+    times the parity rounds, so no elimination runs.
     """
     k, s = scheme.params.k, scheme.pda.s
     _check_dims(library, scheme)
@@ -200,20 +219,25 @@ def compressed_decode(
     gf = field(batch.field_width)
     known = [g - 1 for g in full_view_rounds(scheme, user)]
     unknown = sorted(set(range(k)) - set(known))
-    if len(unknown) * s != batch.m1:
-        raise SingularSystem(f"{len(unknown) * s} unknowns against {batch.m1} coded rows")
+    n = len(unknown)  # systematic rounds, one per coded row of an integer
+    if n * s != batch.m1:
+        raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
     _check_batch(batch, k * s, s, library.packet_bytes)
     b, w = batch.packet_bytes, gf.width
     seen = [p for g in known for p in round_payloads(library, scheme, d, g + 1)]
     coded = packets_to_symbols(batch.payloads, b, w)
     per_round = s * coded.shape[1]  # symbols of one round's S messages
-    rhs = coded.reshape(len(unknown), per_round)
-    rhs ^= gf.matmul(
-        _coding_block(len(unknown), k, w)[:, known],
-        packets_to_symbols(seen, b, w).reshape(len(known), per_round),
-    )
-    solved = gf.matmul(gf.cauchy_inverse(len(unknown), unknown), rhs)
-    solved = symbols_to_packets(solved.reshape(coded.shape), b, w)
+    coded = coded.reshape(n, per_round)
+    x = np.empty((k, per_round), dtype=np.uint32)
+    x[known] = packets_to_symbols(seen, b, w).reshape(len(known), per_round)
+    p_mat, parity = _coding_block(n, k, w), x[n:]
+    ks, kp = [g for g in known if g < n], [g - n for g in known if g >= n]
+    us, up = [g for g in unknown if g < n], [g - n for g in unknown if g >= n]
+    if ks:  # as many unseen parity rounds as seen systematic ones
+        rhs = coded[ks] ^ x[ks] ^ gf.matmul(p_mat[np.ix_(ks, kp)], parity[kp])
+        parity[up] = gf.matmul(gf.cauchy_inverse(n, up, rows=ks), rhs)
+    x[us] = coded[us] ^ gf.matmul(p_mat[us], parity)
+    solved = symbols_to_packets(x[unknown].reshape(n * s, -1), b, w)
     payloads = [0] * (k * s)
     for rounds, found in ((known, seen), (unknown, solved)):
         for r, g in enumerate(rounds):

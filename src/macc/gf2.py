@@ -156,11 +156,12 @@ class GF:
             out[i:i + step] = self._log[a[i:i + step, None] ^ b].sum(axis=1, dtype=np.int64)
         return out
 
-    def cauchy_inverse(self, m1: int, cols) -> np.ndarray:
-        """The inverse of cauchy_matrix(m1, m2, self)[:, cols], in closed form.
+    def cauchy_inverse(self, m1: int, cols, rows=None) -> np.ndarray:
+        """The inverse of cauchy_matrix(m1, m2, self)[rows][:, cols], in closed form.
 
-        cols names m1 distinct columns; row r of the inverse recovers the
-        unknown of column cols[r]. With row labels x_i = i and column labels
+        rows names distinct rows of the m1 (all of them by default) and cols
+        as many distinct columns; row r of the inverse recovers the unknown
+        of column cols[r]. With row labels x = rows and column labels
         y = m1 + cols, entry (r, i) is
 
             prod_k (x_i + y_k) * prod_k (x_k + y_r)
@@ -171,13 +172,17 @@ class GF:
         diagonal term, which is log 0, the sentinel.
         """
         cols = [int(c) for c in cols]
-        if m1 < 1 or len(cols) != m1:
-            raise DimensionMismatch(f"cols must name m1={m1} >= 1 columns, got {len(cols)}")
-        if min(cols) < 0 or len(set(cols)) != m1:
+        rows = list(range(m1)) if rows is None else [int(r) for r in rows]
+        n = len(cols)
+        if n < 1 or len(rows) != n:
+            raise DimensionMismatch(f"need as many rows as columns, at least one; got {len(rows)} and {n}")
+        if min(cols) < 0 or len(set(cols)) != n:
             raise OutOfRange("cauchy_inverse needs distinct nonnegative column indices")
+        if min(rows) < 0 or max(rows) >= m1 or len(set(rows)) != n:
+            raise OutOfRange(f"cauchy_inverse needs distinct row indices in [0, {m1})")
         if m1 + max(cols) >= self.order:
             raise FieldTooSmall(f"column label {m1 + max(cols)} exceeds field order {self.order}")
-        x = np.arange(m1, dtype=np.int32)
+        x = np.array(rows, dtype=np.int32)
         y = m1 + np.array(cols, dtype=np.int32)
         num_i = self._log_sums(x, y) - self._log_sums(x, x) + self.zero_log
         num_r = self._log_sums(y, x) - self._log_sums(y, y) + self.zero_log

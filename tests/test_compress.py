@@ -1,6 +1,7 @@
 """Message compression: lambda profiles, self-reconstruction and MDS coding."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -160,7 +161,8 @@ def test_coded_batch_names_its_coding_matrix(scheme832):
     batch = compressed_deliver(lib, scheme832, demand)
     g_mat = batch.coding_matrix
     assert batch.blocks == 4
-    assert np.array_equal(g_mat, np.kron(cauchy_matrix(6, 8, field(8)), np.eye(4)))
+    block = np.hstack([np.eye(6), cauchy_matrix(6, 8, field(8))[:, :2]])
+    assert np.array_equal(g_mat, np.kron(block, np.eye(4)))
     assert not g_mat.flags.writeable
     assert compressed_deliver(lib, scheme832, demand) == batch
     assert compressed_deliver(lib, scheme832, demand).coding_matrix is g_mat
@@ -176,9 +178,13 @@ def test_coding_matrix_is_one_block_per_integer():
     s = p.s
     g_mat = batch.coding_matrix
     assert g_mat.shape == (batch.m1, batch.m2) == (216, 270)
-    same_integer = np.arange(batch.m1)[:, None] % s == np.arange(batch.m2) % s
-    assert np.all((g_mat != 0) == same_integer)
     n = batch.m1 // s
+    same_integer = np.arange(batch.m1)[:, None] % s == np.arange(batch.m2) % s
+    # [I | P]: row i of an integer meets its own round i and every parity round
+    round_of_row = np.arange(batch.m1)[:, None] // s
+    round_of_col = np.arange(batch.m2) // s
+    systematic = same_integer & ((round_of_col == round_of_row) | (round_of_col >= n))
+    assert np.all((g_mat != 0) == systematic)
     for user in range(1, 16):
         unknown = sorted(set(range(batch.m2)) - reconstructable_messages(scheme, user))
         squares = []
@@ -219,9 +225,9 @@ def test_compressed_decode_inverts_blocks_only(monkeypatch):
     sizes = []
     inverse = GF.cauchy_inverse
 
-    def recorded(self, m1, cols):
-        sizes.append(m1)
-        return inverse(self, m1, cols)
+    def recorded(self, m1, cols, rows=None):
+        sizes.append(len(cols))
+        return inverse(self, m1, cols, rows)
 
     monkeypatch.setattr(GF, "solve", no_solve)
     monkeypatch.setattr(GF, "cauchy_inverse", recorded)
@@ -233,7 +239,70 @@ def test_compressed_decode_inverts_blocks_only(monkeypatch):
     assert batch.field_width == 16
     for user in range(1, 16):
         assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
-    assert sizes == [15 - lambda_profile(p, 3).total] * 15
+    total = lambda_profile(p, 3).total
+    n = 15 - total
+    # one inverse per user, as wide as its seen systematic rounds
+    seen_systematic = [sum(g <= n for g in full_view_rounds(scheme, u)) for u in range(1, 16)]
+    assert sizes == seen_systematic
+    assert set(sizes) == {2, 3} and max(sizes) <= total
+
+
+def test_coding_matrix_rejects_malformed_shape(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
+    batch = compressed_deliver(lib, scheme832, tuple(range(1, 9)))
+    for change in (dict(m1=23), dict(m2=30), dict(blocks=3), dict(blocks=0), dict(blocks=-4)):
+        with pytest.raises(DimensionMismatch, match="not multiples"):
+            dataclasses.replace(batch, **change).coding_matrix
+
+
+def _mds_cases():
+    p33, _ = partition_pda(3, 3)
+    return {
+        "832": (build_scheme(mn_pda(4, 2), 8, 3), None, 28),
+        "mn21_gf16": (build_scheme(mn_pda(2, 1), 4, 3), 16, 6),
+        "part33": (build_scheme(p33, 15, 3), None, 455),
+    }
+
+
+@pytest.mark.parametrize("name", ["832", "mn21_gf16", "part33"])
+def test_systematic_block_is_mds(name):
+    scheme, width, n_subsets = _mds_cases()[name]
+    k = scheme.params.k
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=0)
+    batch = compressed_deliver(lib, scheme, tuple(range(1, k + 1)), field_width=width)
+    s, gf = batch.blocks, field(batch.field_width)
+    block = batch.coding_matrix[::s, ::s]  # integer 1's [I | P]
+    total = lambda_profile(scheme.pda, scheme.params.l).total
+    assert block.shape == (k - total, k)
+    # any sum(lambda) rounds may be the known ones, not only the users' sets
+    subsets = list(itertools.combinations(range(k), total))
+    assert len(subsets) == n_subsets
+    for known in subsets:
+        rest = [g for g in range(k) if g not in known]
+        assert is_invertible(gf, block[:, rest]), known
+
+
+def test_encode_multiplies_by_parity_block_only(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("GF.solve called")
+
+    shapes = []
+    matmul = GF.matmul
+
+    def recorded(self, a, x):
+        shapes.append((a.shape, x.shape))
+        return matmul(self, a, x)
+
+    monkeypatch.setattr(GF, "solve", no_solve)
+    monkeypatch.setattr(GF, "matmul", recorded)
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=4, seed=1)
+    batch = compressed_deliver(lib, scheme, tuple(range(1, 16)))
+    total = lambda_profile(p, 3).total
+    # one (K - sum(lambda)) x sum(lambda) product over all S integers' symbols
+    assert shapes == [((15 - total, total), (total, p.s * 2))]
+    assert batch.m1 == (15 - total) * p.s
 
 
 def test_compressed_decode_rejects_malformed_payloads(scheme832):

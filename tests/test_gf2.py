@@ -182,6 +182,35 @@ def test_cauchy_inverse_rejects_bad_columns():
         gf.cauchy_inverse(2, [0, 254])
 
 
+@pytest.mark.parametrize("width, m1, m2", [(8, 12, 15), (8, 24, 32), (16, 216, 270)])
+def test_cauchy_inverse_of_row_and_column_selection_matches_solve(width, m1, m2):
+    gf = field(width)
+    g = cauchy_matrix(m1, m2, gf)
+    rng = random.Random(m1 + width)
+    for _ in range(10):
+        n = rng.randint(1, min(m1, 6))
+        rows, cols = rng.sample(range(m1), n), rng.sample(range(m2), n)
+        minor = g[np.ix_(rows, cols)]
+        inv = gf.cauchy_inverse(m1, cols, rows=rows)
+        assert np.array_equal(inv, gf.solve(minor, np.eye(n, dtype=np.uint32)))
+    # rows defaults to all m1 rows
+    full = list(range(m2 - m1, m2))
+    assert np.array_equal(gf.cauchy_inverse(m1, full, rows=range(m1)), gf.cauchy_inverse(m1, full))
+
+
+def test_cauchy_inverse_rejects_bad_rows():
+    gf = field(8)
+    with pytest.raises(DimensionMismatch):
+        gf.cauchy_inverse(6, [0, 1], rows=[2])
+    with pytest.raises(DimensionMismatch):
+        gf.cauchy_inverse(6, [0], rows=[2, 3])
+    with pytest.raises(DimensionMismatch):
+        gf.cauchy_inverse(6, [], rows=[])
+    for rows in ([1, 1], [-1, 2], [2, 6], [0, 9]):
+        with pytest.raises(OutOfRange, match="distinct row indices in"):
+            gf.cauchy_inverse(6, [0, 1], rows=rows)
+
+
 def test_cauchy_2x4_minors_nonzero():
     gf = field(3)
     m = cauchy_matrix(2, 4, gf)

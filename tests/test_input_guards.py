@@ -11,6 +11,7 @@ import pytest
 import macc
 from conftest import PNEG_ROWS
 from macc import (
+    DemandOutOfRange,
     DimensionMismatch,
     DuplicateRatio,
     MaccError,
@@ -23,8 +24,12 @@ from macc import (
     decode_from_messages,
     deliver,
     envelope,
+    full_view_rounds,
+    lambda_profile,
     library_for_scheme,
+    mn_pda,
     r_hkd,
+    reconstructable_messages,
 )
 
 
@@ -39,6 +44,19 @@ def test_duplicate_ratio_is_a_macc_error():
 def test_r_hkd_rejects_access_degree_below_one(l):
     with pytest.raises(OutOfRange, match=f"l={l} must be >= 1"):
         r_hkd(6, l, 1)
+
+
+@pytest.mark.parametrize("l", ["x", 2.5, 3.0, True, 0, -1])
+def test_lambda_profile_needs_an_integer_access_degree(l):
+    with pytest.raises(OutOfRange, match=f"access degree l={l!r} must be an integer >= 1"):
+        lambda_profile(mn_pda(4, 2), l)
+
+
+@pytest.mark.parametrize("find", [full_view_rounds, reconstructable_messages])
+@pytest.mark.parametrize("user", [0, 9, 99, -1, 1.0, "1", True])
+def test_full_view_lookups_need_a_user_in_range(scheme832, find, user):
+    with pytest.raises(DemandOutOfRange, match=r"user .* outside \[1, 8\]"):
+        find(scheme832, user)
 
 
 def test_starless_lift_builds_no_star_cells():

@@ -7,6 +7,8 @@ trade-off analysis.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .errors import (
     BadSubset,
     C3ViolationInQ,
@@ -19,7 +21,6 @@ from .errors import (
     FieldTooSmall,
     MaccError,
     MalformedPda,
-    NonUniformStars,
     NotApplicable,
     OutOfRange,
     ParseError,
@@ -101,87 +102,8 @@ from .rates import (
     scheme_points,
 )
 
-__all__ = [
-    "__version__",
-    "STAR",
-    "Pda",
-    "StarProfile",
-    "ValidationReport",
-    "check_c4",
-    "parse_pda",
-    "parse_pda_with_map",
-    "serialize_pda",
-    "star_profile",
-    "validate_pda",
-    "MnParams",
-    "PartitionParams",
-    "lex_rank",
-    "lex_unrank",
-    "mn_pda",
-    "partition_pda",
-    "MultiaccessParams",
-    "RoundArray",
-    "Scheme",
-    "build_scheme",
-    "check_c5",
-    "scheme_from_json",
-    "scheme_to_json",
-    "PacketLibrary",
-    "TransmissionLog",
-    "decode",
-    "decode_from_messages",
-    "deliver",
-    "demand_suite",
-    "library_for_scheme",
-    "populate_caches",
-    "user_view",
-    "CodedBatch",
-    "LambdaProfile",
-    "compressed_decode",
-    "compressed_deliver",
-    "compressed_load",
-    "coverable_messages",
-    "full_view_rounds",
-    "lambda_profile",
-    "reconstructable_messages",
-    "GF",
-    "cauchy_matrix",
-    "field",
-    "LoadCurve",
-    "LoadPoint",
-    "comparison_table",
-    "converse_bound",
-    "converse_instance",
-    "count_sq",
-    "envelope",
-    "envelope_eval",
-    "gap_checks",
-    "r_cor1",
-    "r_cor2",
-    "r_hkd",
-    "r_mn",
-    "r_rk",
-    "r_sr",
-    "r_t1",
-    "f_t1",
-    "r_t3",
-    "scheme_curve",
-    "scheme_points",
-    "MaccError",
-    "ParseError",
-    "BadSubset",
-    "NonUniformStars",
-    "MalformedPda",
-    "DimensionMismatch",
-    "C4Violation",
-    "ConditionViolation",
-    "C3ViolationInQ",
-    "DemandOutOfRange",
-    "UndecodablePacket",
-    "FieldTooSmall",
-    "NotApplicable",
-    "SingularSystem",
-    "OutOfRange",
-    "EmptyInput",
-    "DuplicateRatio",
+# Every name imported above is public; the submodules they come from are not.
+__all__ = ["__version__"] + [
+    name for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, _Module)
 ]

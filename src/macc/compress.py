@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, OutOfRange, SingularSystem
+from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, SingularSystem
 from .gf2 import GF, cauchy_matrix, field, packets_to_symbols, symbols_to_packets
 from .pda import Pda, star_profile
 from .sim import (
@@ -35,8 +35,8 @@ from .sim import (
     deliver,
     round_payloads,
 )
-from .transform import Scheme
-from .util import is_int, mod1
+from .transform import Scheme, check_degree
+from .util import mod1, require_type
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,7 @@ def lambda_profile(p: Pda, l: int) -> LambdaProfile:
 
     Not applicable at t = 0 (no star indices to span rounds with).
     """
-    if not (is_int(l) and l >= 1):
-        raise OutOfRange(f"access degree l={l!r} must be an integer >= 1")
+    check_degree(l)
     prof = star_profile(p)
     lambdas = tuple(prof.a[h] + l - prof.b[h] for h in range(prof.t))
     applicable = prof.t >= 1 and all(x > 0 for x in lambdas)
@@ -63,6 +62,7 @@ def lambda_profile(p: Pda, l: int) -> LambdaProfile:
 
 def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
     """Rounds in which the user's view holds every row of the part."""
+    require_type(scheme, Scheme, "scheme")
     k = scheme.params.k
     check_user(user, k)
     rows = scheme.pda.rows
@@ -73,10 +73,9 @@ def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
 
 def reconstructable_messages(scheme: Scheme, user: int) -> frozenset[int]:
     """Log positions of the messages the user rebuilds because it sees the whole round."""
+    rounds = full_view_rounds(scheme, user)
     s = scheme.pda.s
-    return frozenset(
-        i for g in full_view_rounds(scheme, user) for i in range((g - 1) * s, g * s)
-    )
+    return frozenset(i for g in rounds for i in range((g - 1) * s, g * s))
 
 
 def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
@@ -85,6 +84,7 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
     A superset of reconstructable_messages; the protocol only banks on the
     full-view rounds.
     """
+    require_type(scheme, Scheme, "scheme")
     k = scheme.params.k
     check_user(user, k)
     plan = scheme.plan
@@ -119,6 +119,15 @@ class CodedBatch:
     def coding_matrix(self) -> np.ndarray:
         """G, read-only and shared by every batch of this shape and field."""
         return _coding_matrix(self.m1, self.m2, self.blocks, self.field_width)
+
+
+def _applicable_profile(scheme: Scheme) -> LambdaProfile:
+    """The scheme's lambda profile; NotApplicable unless every lambda is positive."""
+    require_type(scheme, Scheme, "scheme")
+    prof = lambda_profile(scheme.pda, scheme.params.l)
+    if not prof.applicable:
+        raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
+    return prof
 
 
 def _pick_field(rows: int, k: int, s: int, packet_bytes: int, field_width: int | None) -> GF:
@@ -169,9 +178,7 @@ def compressed_deliver(
     rows, added to the systematic rows, codes every integer at once, and
     coded row (i, s) lands at i*S + s - 1.
     """
-    prof = lambda_profile(scheme.pda, scheme.params.l)
-    if not prof.applicable:
-        raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
+    prof = _applicable_profile(scheme)
     log = deliver(library, scheme, demand)
     k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
     rows = k - prof.total
@@ -212,10 +219,11 @@ def compressed_decode(
     round known, each unseen systematic round is its coded row less P's row
     times the parity rounds, so no elimination runs.
     """
-    k, s = scheme.params.k, scheme.pda.s
     _check_dims(library, scheme)
+    k, s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
     check_user(user, k)
+    require_type(batch, CodedBatch, "batch")
     gf = field(batch.field_width)
     known = [g - 1 for g in full_view_rounds(scheme, user)]
     unknown = sorted(set(range(k)) - set(known))
@@ -247,8 +255,6 @@ def compressed_decode(
 
 def compressed_load(scheme: Scheme) -> Fraction:
     """(S/F') * (K - sum(lambda)) / K when applicable."""
-    prof = lambda_profile(scheme.pda, scheme.params.l)
-    if not prof.applicable:
-        raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
+    prof = _applicable_profile(scheme)
     k = scheme.params.k
     return Fraction(scheme.pda.s, scheme.pda.rows) * Fraction(k - prof.total, k)

@@ -6,7 +6,7 @@ from math import comb
 
 from .errors import BadSubset, OutOfRange
 from .pda import STAR, Pda
-from .util import mod1
+from .util import converted, is_int, mod1, require_ints
 
 
 def lex_rank(subset: tuple[int, ...], n: int) -> int:
@@ -15,9 +15,10 @@ def lex_rank(subset: tuple[int, ...], n: int) -> int:
     Rank is taken among all subsets of the same size; the empty subset has
     rank 1.
     """
-    sub = tuple(subset)
+    require_ints(n=n)
+    sub = converted(tuple, subset, "subset", BadSubset)
     r = len(sub)
-    if any(not (1 <= x <= n) for x in sub):
+    if any(not (is_int(x) and 1 <= x <= n) for x in sub):
         raise BadSubset(f"{sub} leaves the ground set [1, {n}]")
     if any(sub[i] >= sub[i + 1] for i in range(r - 1)):
         raise BadSubset(f"{sub} is not strictly increasing")
@@ -32,6 +33,7 @@ def lex_rank(subset: tuple[int, ...], n: int) -> int:
 
 def lex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
     """Inverse of lex_rank: the rank-th size-subset of [1, n]."""
+    require_ints(rank=rank, size=size, n=n)
     if size < 0 or size > n:
         raise BadSubset(f"size {size} outside [0, {n}]")
     if not (1 <= rank <= comb(n, size)):
@@ -61,13 +63,11 @@ class MnParams:
     t: int
 
     def __post_init__(self):
+        require_ints(k_prime=self.k_prime, t=self.t)
         if self.k_prime < 1:
             raise OutOfRange(f"k_prime={self.k_prime} must be >= 1")
         if not (0 <= self.t <= self.k_prime):
             raise OutOfRange(f"t={self.t} outside [0, {self.k_prime}]")
-
-    def build(self) -> Pda:
-        return mn_pda(self.k_prime, self.t)
 
     def as_dict(self) -> dict:
         return {"family": "mn", "k_prime": self.k_prime, "t": self.t}
@@ -112,13 +112,11 @@ class PartitionParams:
     q: int
 
     def __post_init__(self):
+        require_ints(m=self.m, q=self.q)
         if self.m < 2:
             raise OutOfRange(f"m={self.m} must be >= 2")
         if self.q < 2:
             raise OutOfRange(f"q={self.q} must be >= 2")
-
-    def build(self) -> Pda:
-        return partition_pda(self.m, self.q)[0]
 
     def as_dict(self) -> dict:
         return {"family": "partition", "m": self.m, "q": self.q}
@@ -155,13 +153,11 @@ def partition_pda(m: int, q: int) -> tuple[Pda, tuple[tuple[int, ...], ...]]:
                     labels.append(e)
                 row.append(numbering[e])
         grid.append(tuple(row))
-    s = (q - 1) * q ** (m - 1)
-    assert len(labels) == s, (len(labels), s)
     pda = Pda(
         rows=q ** (m - 1),
         cols=m * q,
         entries=tuple(grid),
         z=q ** (m - 2),
-        s=s,
+        s=(q - 1) * q ** (m - 1),
     )
     return pda, tuple(labels)

@@ -18,10 +18,6 @@ class BadSubset(MaccError):
     """Subset is not strictly increasing or leaves the ground set."""
 
 
-class NonUniformStars(MaccError):
-    """Rows of the array carry differing numbers of stars."""
-
-
 class MalformedPda(MaccError, ValueError):
     """An array's cells disagree with its declared shape, Z or S."""
 

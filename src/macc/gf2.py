@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
+from .util import require_ints, require_type
 
 PRIMITIVE_POLY = {
     2: 0b111,
@@ -37,6 +38,7 @@ class GF:
     """GF(2^width) with log/antilog tables and vectorized row operations."""
 
     def __init__(self, width: int):
+        require_ints(width=width)
         if width not in PRIMITIVE_POLY:
             raise OutOfRange(f"unsupported field width {width}, know {sorted(PRIMITIVE_POLY)}")
         self.width = width
@@ -190,9 +192,14 @@ class GF:
         return self._exp[logs % (self.order - 1)].astype(np.uint32)
 
 
-@lru_cache(maxsize=None)
 def field(width: int) -> GF:
     """Shared GF instance per width (table build is not free for 2^16)."""
+    require_ints(width=width)
+    return _field(width)
+
+
+@lru_cache(maxsize=None)
+def _field(width: int) -> GF:
     return GF(width)
 
 
@@ -202,6 +209,8 @@ def cauchy_matrix(m1: int, m2: int, gf: GF) -> np.ndarray:
     Row labels are the first m1 field elements, column labels the next m2;
     entry (i, j) is 1/(x_i + y_j). Needs m1 + m2 distinct elements.
     """
+    require_ints(m1=m1, m2=m2)
+    require_type(gf, GF, "gf")
     if m1 < 1 or m2 < 1 or m1 > m2:
         raise OutOfRange(f"need 1 <= m1 <= m2, got m1={m1} m2={m2}")
     if m1 + m2 > gf.order:
@@ -244,7 +253,7 @@ def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     try:
         raw = b"".join(p.to_bytes(packet_bytes, "big") for p in packets)
     except (AttributeError, OverflowError) as e:
-        raise OutOfRange(f"packet is not an integer of {packet_bytes} bytes") from e
+        raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
     symbols = np.frombuffer(raw, dtype=_symbol_dtype(sw)).astype(np.uint32)
     return symbols.reshape(len(packets), packet_bytes // sw)
 

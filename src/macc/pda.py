@@ -9,7 +9,8 @@ are 1-based; storage is 0-based.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import MalformedPda, NonUniformStars, ParseError
+from .errors import C4Violation, MalformedPda, ParseError
+from .util import is_tuple_of, require_ints, require_type
 
 STAR = 0  # cell value reserved for stars; integers use [1, S]
 
@@ -25,20 +26,21 @@ class Pda:
     s: int
 
     def __post_init__(self):
+        require_ints(MalformedPda, rows=self.rows, cols=self.cols, z=self.z, s=self.s)
         if self.rows < 1 or self.cols < 1:
             raise MalformedPda(f"need at least one row and column, got {self.rows}x{self.cols}")
         if not (0 <= self.z <= self.rows):
             raise MalformedPda(f"Z={self.z} outside [0, {self.rows}]")
         if self.s < 0:
             raise MalformedPda(f"S={self.s} negative")
-        if len(self.entries) != self.rows:
-            raise MalformedPda(f"{len(self.entries)} entry rows, declared {self.rows}")
-        for r, row in enumerate(self.entries):
-            if len(row) != self.cols:
-                raise MalformedPda(f"row {r + 1} has {len(row)} cells, declared {self.cols}")
+        if not is_tuple_of(self.entries, self.rows):
+            raise MalformedPda(f"entries are not a tuple of {self.rows} rows")
+        for r, row in enumerate(self.entries, start=1):
+            if not is_tuple_of(row, self.cols):
+                raise MalformedPda(f"row {r} is not a tuple of {self.cols} cells")
             for v in row:
-                if not (0 <= v <= self.s):
-                    raise MalformedPda(f"cell value {v} outside star/[1, {self.s}]")
+                if type(v) is not int or not 0 <= v <= self.s:
+                    raise MalformedPda(f"cell value {v!r} outside star/[1, {self.s}]")
 
     def at(self, row: int, col: int) -> int:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
@@ -80,10 +82,10 @@ def constituents(grid) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
-def missing_values(p: Pda) -> list[int]:
-    """Integers of [1, S] that occur in no cell; C2 holds when there are none."""
-    used = {v for row in p.entries for v in row}
-    return [v for v in range(1, p.s + 1) if v not in used]
+def absent_integers(cells, s: int) -> list[int]:
+    """Integers of [1, s] with no cells in cells, an index by integer as
+    constituents builds it; C2 holds when there are none."""
+    return [v for v in range(1, s + 1) if v not in cells]
 
 
 def _crossings(grid, cells, exhaustive: bool = False) -> list[tuple]:
@@ -111,10 +113,11 @@ def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
 
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
     """Check the three defining conditions and report counterexamples."""
+    require_type(p, Pda, "validate_pda's array")
     stars = (col.count(STAR) for col in zip(*p.entries))
     c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
     cells = constituents(p.entries)
-    c2 = [(v,) for v in range(1, p.s + 1) if v not in cells]
+    c2 = [(v,) for v in absent_integers(cells, p.s)]
     if not exhaustive:
         c1, c2 = c1[:1], c2[:1]
     c3 = _crossings(p.entries, cells, exhaustive)
@@ -146,13 +149,15 @@ class StarProfile:
 
 
 def star_profile(p: Pda) -> StarProfile:
-    """Extract the uniform star layout; rows must agree on the star count."""
+    """Extract the uniform star layout; rows must agree on the star count,
+    else C4Violation."""
+    require_type(p, Pda, "star_profile's array")
     sets = tuple(
         tuple(c for c, v in enumerate(row, start=1) if v == STAR) for row in p.entries
     )
     counts = {len(s) for s in sets}
     if len(counts) > 1:
-        raise NonUniformStars(f"row star counts differ: {sorted(counts)}")
+        raise C4Violation(f"row star counts differ: {sorted(counts)}")
     t = counts.pop()
     a = tuple(min(s[h] for s in sets) for h in range(t))
     b = tuple(max(s[h] for s in sets) for h in range(t))
@@ -161,6 +166,7 @@ def star_profile(p: Pda) -> StarProfile:
 
 def check_c4(p: Pda) -> bool:
     """True when K'Z/F' is an integer and every row has exactly that many stars."""
+    require_type(p, Pda, "check_c4's array")
     if (p.cols * p.z) % p.rows != 0:
         return False
     t = (p.cols * p.z) // p.rows
@@ -169,6 +175,7 @@ def check_c4(p: Pda) -> bool:
 
 def serialize_pda(p: Pda) -> str:
     """Render the canonical text form: 'K' F' Z S' header then F' token rows."""
+    require_type(p, Pda, "serialize_pda's array")
     lines = [f"{p.cols} {p.rows} {p.z} {p.s}"]
     for row in p.entries:
         lines.append(" ".join("*" if v == STAR else str(v) for v in row))
@@ -181,6 +188,7 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
     Returns the array and, when renumbering happened, the old->new value map
     (ascending order preserving). Raises ParseError on malformed input.
     """
+    require_type(text, str, "array text", ParseError)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input")

@@ -13,34 +13,29 @@ from functools import lru_cache
 from math import ceil, comb, lcm
 
 from .errors import DuplicateRatio, EmptyInput, OutOfRange
-from .util import comb0, is_int
+from .util import comb0, converted, require_ints, require_type
 
 SCHEME_KEYS = ("hkd", "rk", "sr", "t1")
 
 
-def _check_ints(**values) -> None:
-    """Raise OutOfRange naming every value that is not an int (bools excluded)."""
-    bad = [f"{name}={v!r}" for name, v in values.items() if not is_int(v)]
-    if bad:
-        raise OutOfRange(f"not an integer: {', '.join(bad)}")
-
-
 def _check_kl(k: int, l: int) -> None:
-    _check_ints(k=k, l=l)
+    require_ints(k=k, l=l)
     if k < 1 or l < 1:
         raise OutOfRange(f"k={k}, l={l} must be >= 1")
 
 
-def _check_klt(k: int, l: int, t: int, t_max: int) -> None:
+def _check_klt(k: int, l: int, t: int, span: int = 1) -> None:
+    """Check k and l, then t in [0, K // (span * L)]."""
     _check_kl(k, l)
-    _check_ints(t=t)
+    require_ints(t=t)
+    t_max = k // (span * l)
     if not (0 <= t <= t_max):
         raise OutOfRange(f"t={t} outside [0, {t_max}]")
 
 
 def r_mn(k: int, t: int) -> Fraction:
     """Shared-link baseline load at memory point t/K."""
-    _check_ints(k=k, t=t)
+    require_ints(k=k, t=t)
     if k < 1:
         raise OutOfRange(f"k={k} must be >= 1")
     if not (0 <= t <= k):
@@ -52,21 +47,21 @@ def r_hkd(k: int, l: int, t: int) -> Fraction:
     """Reduction-to-shared-link scheme; branch depends on whether l | k."""
     _check_kl(k, l)
     if k % l == 0:
-        _check_klt(k, l, t, k // l)
+        _check_klt(k, l, t)
         return Fraction(k - t * l, t + 1)
-    _check_klt(k, l, t, k // (2 * l))
+    _check_klt(k, l, t, 2)
     return Fraction(k - t, t + 1)
 
 
 def r_rk(k: int, l: int, t: int) -> Fraction:
     """MDS-precoded scheme."""
-    _check_klt(k, l, t, k // l)
+    _check_klt(k, l, t)
     return Fraction((k - t * l) ** 2, k)
 
 
 def r_sr(k: int, l: int, t: int) -> Fraction:
     """Low-subpacketization scheme; three branches on K - tL."""
-    _check_klt(k, l, t, k // l)
+    _check_klt(k, l, t)
     r = k - t * l
     if r == 1:
         return Fraction(1, k)
@@ -84,19 +79,19 @@ def r_sr(k: int, l: int, t: int) -> Fraction:
 
 def r_t1(k: int, l: int, t: int) -> Fraction:
     """Cyclic-transform scheme at corner t."""
-    _check_klt(k, l, t, k // l)
+    _check_klt(k, l, t)
     return Fraction(k - t * l, t + 1)
 
 
 def f_t1(k: int, l: int, t: int) -> int:
     """Subpacketization of the cyclic-transform scheme at corner t."""
-    _check_klt(k, l, t, k // l)
+    _check_klt(k, l, t)
     return k * comb(k - t * (l - 1), t)
 
 
 def r_t3(q: int) -> Fraction:
     """Partition-family load; independent of m and l."""
-    _check_ints(q=q)
+    require_ints(q=q)
     if q < 2:
         raise OutOfRange(f"q={q} must be >= 2")
     return Fraction(q - 1)
@@ -104,7 +99,7 @@ def r_t3(q: int) -> Fraction:
 
 def r_cor1(k: int, l: int, t: int) -> Fraction:
     """Compressed load of the binomial instantiation on its validity window."""
-    _check_ints(k=k, l=l, t=t)
+    require_ints(k=k, l=l, t=t)
     if not (t * l + 1 < k < t * l + l):
         raise OutOfRange(f"need tL+1 < K < tL+L, got K={k}, L={l}, t={t}")
     return Fraction((k - t * l) ** 2, k)
@@ -112,7 +107,7 @@ def r_cor1(k: int, l: int, t: int) -> Fraction:
 
 def r_cor2(q: int, l: int) -> Fraction:
     """Compressed load of the partition instantiation when l >= q."""
-    _check_ints(q=q, l=l)
+    require_ints(q=q, l=l)
     if q < 2:
         raise OutOfRange(f"q={q} must be >= 2")
     if l < q:
@@ -132,7 +127,7 @@ class ConverseInstance:
 def converse_bound(k: int, l: int, t: int) -> Fraction:
     """Lower bound on the optimal load under the gap-constrained placement."""
     _check_kl(k, l)
-    _check_ints(t=t)
+    require_ints(t=t)
     if not (1 <= t <= k // l):
         raise OutOfRange(f"t={t} outside [1, {k // l}]")
     x = t * l - t + 1
@@ -141,27 +136,24 @@ def converse_bound(k: int, l: int, t: int) -> Fraction:
         + (k - l - 1) * comb0(k - l - x + 1, t)
         - comb0(k - l - x, t + 1)
     )
-    den = k * comb0(k - x, t - 1)
-    assert den > 0, (k, l, t)
-    return Fraction(num, den)
+    return Fraction(num, k * comb0(k - x, t - 1))
 
 
 def converse_instance(k: int, l: int, t: int) -> ConverseInstance:
-    return ConverseInstance(k=k, l=l, t=t, x=Fraction(t, k), bound=converse_bound(k, l, t))
+    bound = converse_bound(k, l, t)
+    return ConverseInstance(k=k, l=l, t=t, x=Fraction(t, k), bound=bound)
 
 
 def count_sq(k: int, l: int, t: int, q: int) -> int:
     """Closed-form count of gap-constrained t-subsets used by the converse."""
     _check_kl(k, l)
-    _check_ints(t=t, q=q)
+    require_ints(t=t, q=q)
     if not (1 <= t <= k // l):
         raise OutOfRange(f"t={t} outside [1, {k // l}]")
     if not (t * l <= q <= k):
         raise OutOfRange(f"q={q} outside [tL, K] = [{t * l}, {k}]")
     x = t * l - t + 1
-    val = Fraction(comb0(q - x, t - 1) * q, t)
-    assert val.denominator == 1, (k, l, t, q, val)
-    return int(val)
+    return comb0(q - x, t - 1) * q // t
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ class LoadCurve:
 
 def envelope(points) -> LoadCurve:
     """Lower convex hull of exact corner points (distinct ratios required)."""
-    pts = [p if isinstance(p, LoadPoint) else LoadPoint(Fraction(p[0]), Fraction(p[1])) for p in points]
+    pts = [_corner(p) for p in converted(tuple, points, "corner points", OutOfRange)]
     if not pts:
         raise EmptyInput("no corner points")
     pts.sort(key=lambda p: (p.ratio, p.load))
@@ -201,9 +193,20 @@ def envelope(points) -> LoadCurve:
     return LoadCurve(points=tuple(hull))
 
 
+def _corner(p) -> LoadPoint:
+    """A corner point given as a LoadPoint or a (ratio, load) pair."""
+    if isinstance(p, LoadPoint):
+        return p
+    pair = converted(tuple, p, "corner point", OutOfRange)
+    if len(pair) != 2:
+        raise OutOfRange(f"corner point {p!r} is not a (ratio, load) pair")
+    return LoadPoint(*(converted(Fraction, v, "corner value", OutOfRange) for v in pair))
+
+
 def envelope_eval(curve: LoadCurve, x) -> Fraction:
     """Interpolate on the hull; flat beyond the last corner, error below the first."""
-    x = Fraction(x)
+    require_type(curve, LoadCurve, "curve")
+    x = converted(Fraction, x, "x", OutOfRange)
     pts = curve.points
     if x < pts[0].ratio:
         raise OutOfRange(f"x={x} below the first corner {pts[0].ratio}")
@@ -283,6 +286,7 @@ def scheme_points(k: int, l: int, scheme: str) -> tuple[LoadPoint, ...]:
 def scheme_curve(k: int, l: int, scheme: str) -> LoadCurve:
     """The envelope of scheme_points, cached for known names; any other name,
     unhashable ones included, goes to scheme_points, which rejects it."""
+    _check_kl(k, l)
     if scheme in SCHEME_KEYS:
         return _cached_curve(k, l, scheme)
     return envelope(scheme_points(k, l, scheme))
@@ -313,8 +317,11 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
 
     Returns (header, rows); each row is [x, load_1, load_2, ...].
     """
-    _check_ints(k=k, l=l)
-    step = Fraction(step)
+    require_ints(k=k, l=l)
+    if l < 1:  # k < 1 is left to the curves: the converse alone reads 0 there
+        raise OutOfRange(f"k={k}, l={l} must be >= 1")
+    schemes = converted(tuple, schemes, "schemes", OutOfRange)
+    step = converted(Fraction, step, "step", OutOfRange)
     if step <= 0:
         raise OutOfRange(f"step={step} must be positive")
     curves = {}
@@ -331,7 +338,7 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
         return bounds[t]
 
     # _sweep needs x at or past a curve's first corner; every scheme curve starts at 0.
-    header = ["m_over_n"] + list(schemes)
+    header = ["m_over_n", *schemes]
     columns = [conv if name == "conv" else curves[name] for name in header[1:]]
     rows = []
     x = Fraction(0)

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
-from .transform import Scheme
-from .util import is_int, mod1
-
-
-def _require_ints(**values) -> None:
-    for name, v in values.items():
-        if not is_int(v):
-            raise OutOfRange(f"{name}={v!r} is not an integer")
+from .transform import Scheme, check_round
+from .util import converted, is_int, is_tuple_of, mod1, require_ints, require_type
 
 
 @dataclass(frozen=True)
@@ -35,13 +29,13 @@ class PacketLibrary:
     data: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        _require_ints(n_files=self.n_files, parts_per_file=self.parts_per_file,
-                      packets_per_part=self.packets_per_part, packet_bytes=self.packet_bytes)
+        require_ints(n_files=self.n_files, parts_per_file=self.parts_per_file,
+                     packets_per_part=self.packets_per_part, packet_bytes=self.packet_bytes)
         if self.packet_bytes < 1:
             raise DimensionMismatch(f"packet_bytes={self.packet_bytes} must be >= 1")
-        if len(self.data) != self.n_files or any(
-            len(parts) != self.parts_per_file
-            or any(len(part) != self.packets_per_part for part in parts)
+        if not is_tuple_of(self.data, self.n_files) or any(
+            not is_tuple_of(parts, self.parts_per_file)
+            or any(not is_tuple_of(part, self.packets_per_part) for part in parts)
             for parts in self.data
         ):
             raise DimensionMismatch(
@@ -54,7 +48,7 @@ class PacketLibrary:
                 for p in part:
                     if not (is_int(p) and 0 <= p < limit):
                         raise OutOfRange(
-                            f"packet {p!r} is not an integer of {self.packet_bytes} bytes"
+                            f"packet {p!r} lies outside the {self.packet_bytes}-byte integers"
                         )
 
     def packet(self, n: int, g: int, j: int) -> int:
@@ -73,8 +67,9 @@ def library_for_scheme(
     scheme: Scheme, n_files: int | None = None, packet_bytes: int = 1, seed: int = 0
 ) -> PacketLibrary:
     """Deterministic random library sized to the scheme's dimensions."""
+    require_type(scheme, Scheme, "scheme")
     n = scheme.params.n if n_files is None else n_files
-    _require_ints(n_files=n, packet_bytes=packet_bytes)
+    require_ints(n_files=n, packet_bytes=packet_bytes, seed=seed)
     if packet_bytes < 1:
         raise DimensionMismatch(f"packet_bytes={packet_bytes} must be >= 1")
     rng = random.Random(seed)
@@ -96,6 +91,8 @@ def library_for_scheme(
 
 
 def _check_dims(library: PacketLibrary, scheme: Scheme) -> None:
+    require_type(library, PacketLibrary, "library")
+    require_type(scheme, Scheme, "scheme")
     if (
         library.parts_per_file != scheme.params.k
         or library.packets_per_part != scheme.pda.rows
@@ -121,8 +118,10 @@ def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, 
 
 def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
     """Rows of part g (1-based) the user can read through its l consecutive nodes."""
+    require_type(scheme, Scheme, "scheme")
     k = scheme.params.k
     check_user(user, k)
+    check_round(g, k)
     return frozenset(j + 1 for j in scheme.plan.views[(user - g) % k])
 
 
@@ -143,7 +142,7 @@ class TransmissionLog:
 
 
 def check_demand(demand, k: int, n_files: int) -> tuple[int, ...]:
-    d = tuple(demand)
+    d = converted(tuple, demand, "demand", DemandOutOfRange)
     if len(d) != k:
         raise DemandOutOfRange(f"demand length {len(d)} != K={k}")
     for x in d:
@@ -201,10 +200,7 @@ def decode_from_messages(
     k, n_s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
     check_user(user, k)
-    try:
-        payloads = tuple(payloads)
-    except TypeError as e:
-        raise DimensionMismatch(f"message payloads {payloads!r} are not a sequence") from e
+    payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
     if len(payloads) != k * n_s:
         raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
     limit = 1 << 8 * library.packet_bytes
@@ -224,7 +220,7 @@ def decode_from_messages(
                 raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
             if not (is_int(val) and 0 <= val < limit):
                 raise OutOfRange(
-                    f"message payload {val!r} is not an integer of {library.packet_bytes} bytes"
+                    f"message payload {val!r} lies outside the {library.packet_bytes}-byte integers"
                 )
             for jj, cc in peers:
                 val ^= parts[cc][jj]
@@ -236,6 +232,8 @@ def decode(
     library: PacketLibrary, scheme: Scheme, demand, log: TransmissionLog, user: int
 ) -> bytes:
     """Decode straight from a transmission log of the library's packet size."""
+    require_type(log, TransmissionLog, "log")
+    _check_dims(library, scheme)
     if log.packet_bytes != library.packet_bytes:
         raise DimensionMismatch(
             f"log packets are {log.packet_bytes} bytes, library packets {library.packet_bytes}"
@@ -250,6 +248,9 @@ def demand_suite(k: int, n: int, seed: int = 0, n_random: int = 20,
     The recipe is identity (cyclic when n < k), constant, reversed, then
     seeded uniform samples.
     """
+    require_ints(k=k, n=n, seed=seed, n_random=n_random, exhaustive_cap=exhaustive_cap)
+    if k < 1 or n < 1:
+        raise OutOfRange(f"k={k}, n={n} must be >= 1")
     if n**k <= exhaustive_cap:
         return tuple(product(range(1, n + 1), repeat=k))
     rng = random.Random(seed)

@@ -8,9 +8,9 @@ the delivery grid they are L stars, the L users that reach that node, and
 the integer cells keep their values. A user's view is the delivery grid's
 stars. One walk of the base rows builds both grids and the delivery grid's
 cells by integer, which `check_c5` and `Scheme` read for C5, the crossing
-rule C3 on the delivery grid. A `Scheme` stores only its inputs (base array,
-K, L, N) and derives the rest when built, so none can disagree with the
-array or break C5. Rounds 2..K are cyclic column shifts of round 1: the
+rule C3 on the delivery grid; `Scheme` reads C2 off the same index. A
+`Scheme` stores only its inputs (base array, K, L, N) and derives the rest
+when built, so none can disagree with the array or break C5. Rounds 2..K are cyclic column shifts of round 1: the
 library reaches them by offset arithmetic and builds no shifted grid.
 """
 
@@ -30,12 +30,12 @@ from .pda import (
     STAR,
     Pda,
     _crossings,
+    absent_integers,
     check_c4,
-    missing_values,
     parse_pda,
     serialize_pda,
 )
-from .util import is_int
+from .util import is_int, require_ints, require_type
 
 SCHEME_FORMAT = "macc-scheme-v1"
 
@@ -51,6 +51,7 @@ class MultiaccessParams:
     k_prime: int
 
     def __post_init__(self):
+        require_ints(k=self.k, l=self.l, t=self.t, n=self.n, k_prime=self.k_prime)
         if self.k < 1 or self.l < 1:
             raise OutOfRange(f"k={self.k}, l={self.l} must be >= 1")
         if self.t < 0 or self.t * self.l > self.k:
@@ -106,6 +107,13 @@ def _lift(p: Pda, l: int):
     return tuple(placement), tuple(delivery), cells
 
 
+def check_degree(l: int) -> None:
+    """Raise OutOfRange unless the access degree l is an integer >= 1."""
+    require_ints(l=l)
+    if l < 1:
+        raise OutOfRange(f"access degree l={l} must be >= 1")
+
+
 def check_c5(p: Pda, l: int) -> bool:
     """C5: the lift at access degree l keeps the crossing rule.
 
@@ -113,8 +121,7 @@ def check_c5(p: Pda, l: int) -> bool:
     every star widened to l stars, has no crossing violation. At l = 1 this
     is the plain crossing condition C3.
     """
-    if l < 1:
-        raise OutOfRange(f"access degree l={l} must be >= 1")
+    check_degree(l)
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
     return not _crossings(*_lift(p, l)[1:])
@@ -168,11 +175,12 @@ class Scheme:
     scheme runs the checks of the lift, so every Scheme, however made
     (constructor, build_scheme or dataclasses.replace), satisfies C2, C4 and
     C5. It raises OutOfRange, first of all, when k, l or a given n is not an
-    int or k or l is below 1; then ConditionViolation naming the failed
-    condition: "C2" when an integer of [1, S] never occurs, "C4"
-    (C4Violation) when rows differ in star count, and, after the check of K
-    against the array, "C5" (C3ViolationInQ) when the delivery grid breaks
-    the crossing rule.
+    int, DimensionMismatch when pda is not a Pda, and OutOfRange when k or l
+    is below 1. It then lifts the array and raises ConditionViolation naming
+    the failed condition: "C2" when an integer of [1, S] is absent from the
+    lift's cells index, "C4" (C4Violation) when rows differ in star count,
+    and, after the check of K against the array, "C5" (C3ViolationInQ) when
+    the delivery grid breaks the crossing rule.
 
     params, the round-1 placement and delivery grids and the lift's cells
     index are set here; a user's view is the delivery grid's stars. Rounds
@@ -192,12 +200,15 @@ class Scheme:
 
     def __post_init__(self):
         p, k, l = self.pda, self.k, self.l
-        for name, v in (("k", k), ("l", l), ("n", k if self.n is None else self.n)):
-            if not is_int(v):
-                raise OutOfRange(f"scheme parameter {name}={v!r} is not an integer")
+        require_ints(k=k, l=l, n=k if self.n is None else self.n)
+        require_type(p, Pda, "scheme base array")
         if k < 1 or l < 1:
             raise OutOfRange(f"k={k}, l={l} must be >= 1")
-        missing = missing_values(p)
+        # A lift at l > K is cut to K: a starless array lifts alike at every
+        # l, and a starred one fits K only at l <= K, so the check of K
+        # raises once C2 and C4 hold.
+        placement, delivery, cells = _lift(p, min(l, k))
+        missing = absent_integers(cells, p.s)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
         if not check_c4(p):
@@ -207,7 +218,6 @@ class Scheme:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        placement, delivery, cells = _lift(p, l)
         bad = _crossings(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
@@ -218,8 +228,7 @@ class Scheme:
     def q(self, g: int) -> RoundArray:
         """Round g's delivery grid: round 1 with its columns shifted right by g - 1."""
         k = self.params.k
-        if not is_int(g) or not 1 <= g <= k:
-            raise OutOfRange(f"round g={g!r} outside [1, {k}]")
+        check_round(g, k)
         cut = k - g + 1
         return RoundArray(round=g, grid=tuple(row[cut:] + row[:cut] for row in self.delivery.grid))
 
@@ -242,6 +251,12 @@ class Scheme:
         return Fraction(self.pda.z * self.pda.cols, self.params.k * self.pda.rows)
 
 
+def check_round(g: int, k: int) -> None:
+    """Raise OutOfRange unless g names one of the K rounds."""
+    if not (is_int(g) and 1 <= g <= k):
+        raise OutOfRange(f"round g={g!r} outside [1, {k}]")
+
+
 def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
     """Lift p to K nodes at access degree l; raises as Scheme does."""
     return Scheme(p, k, l, n)
@@ -260,6 +275,7 @@ def _arrays_text(scheme: Scheme) -> dict[str, list[str]]:
 
 def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
     """Serialize with the base array inline; only round-1 arrays are stored."""
+    require_type(scheme, Scheme, "scheme")
     doc: dict = {
         "format": SCHEME_FORMAT,
         "params": scheme.params.as_dict(),
@@ -273,6 +289,7 @@ def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
 def scheme_from_json(text: str, read_file=None) -> Scheme:
     """Rebuild a scheme from its descriptor; arrays are recomputed and, when
     present in the document, cross-checked against the rebuilt ones."""
+    require_type(text, str, "scheme text", ParseError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -290,9 +307,7 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
         k, l, n = params["k"], params["l"], params["n"]
     except KeyError as e:
         raise ParseError(f"scheme descriptor missing field: {e}") from e
-    for name, v in (("k", k), ("l", l), ("n", n)):
-        if not is_int(v):
-            raise ParseError(f"scheme parameter {name}={v!r} is not an integer")
+    require_ints(ParseError, k=k, l=l, n=n)
     source = next((key for key in ("inline", "path") if key in pref), None)
     if source is None:
         raise ParseError("pda section needs 'inline' or 'path'")

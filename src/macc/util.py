@@ -1,12 +1,41 @@
-"""Small shared helpers."""
+"""Small shared helpers, the input guards among them."""
 
 from fractions import Fraction
 from math import comb
+
+from .errors import DimensionMismatch, OutOfRange
 
 
 def is_int(v) -> bool:
     """True for an int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_tuple_of(v, n: int) -> bool:
+    """True for a tuple of n items."""
+    return isinstance(v, tuple) and len(v) == n
+
+
+def require_ints(error=OutOfRange, **values) -> None:
+    """Raise error naming the first of values that is not an int (bools excluded)."""
+    for name, v in values.items():
+        if not is_int(v):
+            raise error(f"{name}={v!r} is not an integer")
+
+
+def require_type(value, kind: type, name: str, error=DimensionMismatch) -> None:
+    """Raise error unless value is an instance of kind."""
+    if not isinstance(value, kind):
+        raise error(f"{name} is a {type(value).__name__}, not a {kind.__name__}")
+
+
+def converted(kind: type, value, name: str, error):
+    """kind(value), or error when kind rejects value: a tuple of no iterable,
+    a Fraction of no rational number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as e:
+        raise error(f"{name}={value!r} cannot be read as a {kind.__name__}") from e
 
 
 def mod1(x: int, a: int) -> int:

@@ -31,7 +31,7 @@ from macc import (
 )
 from macc.compress import CodedBatch
 from macc.gf2 import GF, _symbol_bytes, field
-from macc.pda import constituents, crossing_violations, missing_values
+from macc.pda import constituents, crossing_violations
 from macc.rates import converse_step
 from macc.sim import PacketLibrary, check_demand, check_user, decode_from_messages, round_payloads
 from macc.transform import Scheme
@@ -273,7 +273,8 @@ def build_scheme_by_steps(
     """
     if k < 1 or l < 1:
         raise OutOfRange(f"k={k}, l={l} must be >= 1")
-    missing = missing_values(p)
+    used = {v for row in p.entries for v in row}
+    missing = [v for v in range(1, p.s + 1) if v not in used]
     if missing:
         raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
     if not check_c4(p):

@@ -1,5 +1,6 @@
 """Inputs at the edges of their range: each meets a MaccError or costs no more than it needs."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import macc
+from macc.util import is_int
 from conftest import PNEG_ROWS
 from macc import (
+    GF,
+    ConditionViolation,
     DemandOutOfRange,
     DimensionMismatch,
     DuplicateRatio,
@@ -18,18 +22,34 @@ from macc import (
     MalformedPda,
     OutOfRange,
     PacketLibrary,
+    ParseError,
     Pda,
     build_scheme,
     check_c5,
+    comparison_table,
+    compressed_decode,
+    compressed_deliver,
+    decode,
     decode_from_messages,
     deliver,
+    demand_suite,
     envelope,
+    envelope_eval,
+    field,
     full_view_rounds,
     lambda_profile,
+    lex_unrank,
     library_for_scheme,
     mn_pda,
+    parse_pda,
+    partition_pda,
     r_hkd,
     reconstructable_messages,
+    scheme_from_json,
+    scheme_to_json,
+    star_profile,
+    user_view,
+    validate_pda,
 )
 
 
@@ -48,7 +68,8 @@ def test_r_hkd_rejects_access_degree_below_one(l):
 
 @pytest.mark.parametrize("l", ["x", 2.5, 3.0, True, 0, -1])
 def test_lambda_profile_needs_an_integer_access_degree(l):
-    with pytest.raises(OutOfRange, match=f"access degree l={l!r} must be an integer >= 1"):
+    message = f"access degree l={l} must be >= 1" if is_int(l) else f"l={l!r} is not an integer"
+    with pytest.raises(OutOfRange, match=message):
         lambda_profile(mn_pda(4, 2), l)
 
 
@@ -100,7 +121,7 @@ def with_first_packet(data, value):
 @pytest.mark.parametrize("value", [256, -1, 1.0, "x"])
 def test_library_packets_must_fit_their_bytes(scheme832, value):
     lib = library_for_scheme(scheme832, packet_bytes=1)
-    with pytest.raises(OutOfRange, match=f"packet {value!r} is not an integer of 1 bytes"):
+    with pytest.raises(OutOfRange, match=f"packet {value!r} lies outside the 1-byte integers"):
         PacketLibrary(8, 8, 6, 1, with_first_packet(lib.data, value))
 
 
@@ -135,7 +156,7 @@ def message_payloads_832(scheme832):
 def test_decode_rejects_malformed_payloads(scheme832, value):
     lib, demand, payloads, read = message_payloads_832(scheme832)
     bad = payloads[:read] + (value,) + payloads[read + 1:]
-    with pytest.raises(OutOfRange, match=f"message payload {value!r} is not an integer of 1 bytes"):
+    with pytest.raises(OutOfRange, match=f"message payload {value!r} lies outside the 1-byte integers"):
         decode_from_messages(lib, scheme832, demand, bad, 1)
 
 
@@ -147,8 +168,96 @@ def test_decode_rejects_a_log_of_the_wrong_length(scheme832):
     # a full (g, s) -> payload dict, the former protocol, yields its (g, s) keys
     s = scheme832.pda.s
     old = {(i // s + 1, i % s + 1): p for i, p in enumerate(payloads)}
-    with pytest.raises(OutOfRange, match=r"message payload \(1, \d+\) is not an integer"):
+    with pytest.raises(OutOfRange, match=r"message payload \(1, \d+\) lies outside the 1-byte integers"):
         decode_from_messages(lib, scheme832, demand, old, 1)
+
+
+def guarded_calls():
+    """(error, match, call) for calls that once escaped with a TypeError,
+    AttributeError, ValueError or ZeroDivisionError or, for user_view's round,
+    wrapped silently; call takes the worked scheme and a 1-byte library."""
+    pda = mn_pda(4, 2)
+    demand = tuple(range(1, 9))
+    curve = envelope([(0, 1), (1, 0)])
+    return [
+        (OutOfRange, r"k_prime=4\.0 is not an integer", lambda s, lib: mn_pda(4.0, 2)),
+        (OutOfRange, r"q=3\.0 is not an integer", lambda s, lib: partition_pda(3, 3.0)),
+        (OutOfRange, r"width=8\.0 is not an integer", lambda s, lib: field(8.0)),
+        (OutOfRange, r"width=8\.0 is not an integer", lambda s, lib: GF(8.0)),
+        (OutOfRange, r"l=3\.0 is not an integer", lambda s, lib: check_c5(pda, 3.0)),
+        (OutOfRange, r"n=4\.0 is not an integer", lambda s, lib: lex_unrank(1, 2, 4.0)),
+        (OutOfRange, r"k=3\.0 is not an integer", lambda s, lib: demand_suite(3.0, 3)),
+        (OutOfRange, r"k=0, n=3 must be >= 1", lambda s, lib: demand_suite(0, 3)),
+        (OutOfRange, r"step='1/0' cannot be read as a Fraction",
+         lambda s, lib: comparison_table(8, 3, ["t1"], "1/0")),
+        (OutOfRange, r"step='abc' cannot be read as a Fraction",
+         lambda s, lib: comparison_table(8, 3, ["t1"], "abc")),
+        (OutOfRange, r"schemes=None cannot be read as a tuple",
+         lambda s, lib: comparison_table(8, 3, None, "1/6")),
+        (OutOfRange, r"corner value='abc' cannot be read as a Fraction",
+         lambda s, lib: envelope([(0, 1), ("abc", 0)])),
+        (OutOfRange, r"corner point=1 cannot be read as a tuple", lambda s, lib: envelope([(0, 1), 1])),
+        (OutOfRange, r"corner point \(1, 2, 3\) is not a \(ratio, load\) pair",
+         lambda s, lib: envelope([(0, 1), (1, 2, 3)])),
+        (OutOfRange, r"corner points=None cannot be read as a tuple", lambda s, lib: envelope(None)),
+        (OutOfRange, r"x='1/0' cannot be read as a Fraction", lambda s, lib: envelope_eval(curve, "1/0")),
+        (OutOfRange, r"x='abc' cannot be read as a Fraction", lambda s, lib: envelope_eval(curve, "abc")),
+        (OutOfRange, r"round g=0 outside \[1, 8\]", lambda s, lib: user_view(s, 1, 0)),
+        (OutOfRange, r"round g=9 outside \[1, 8\]", lambda s, lib: user_view(s, 1, 9)),
+        (OutOfRange, r"round g=1\.5 outside \[1, 8\]", lambda s, lib: user_view(s, 1, 1.5)),
+        (DemandOutOfRange, "demand=None cannot be read", lambda s, lib: deliver(lib, s, None)),
+        (DemandOutOfRange, "demand=5 cannot be read", lambda s, lib: deliver(lib, s, 5)),
+        (DemandOutOfRange, "demand=None cannot be read", lambda s, lib: compressed_deliver(lib, s, None)),
+        (DemandOutOfRange, "demand=5 cannot be read", lambda s, lib: compressed_deliver(lib, s, 5)),
+        (DimensionMismatch, "log is a str, not a TransmissionLog",
+         lambda s, lib: decode(lib, s, demand, "log", 1)),
+        (DimensionMismatch, "batch is a str, not a CodedBatch",
+         lambda s, lib: compressed_decode(lib, s, demand, "batch", 1)),
+        (DimensionMismatch, "library is a NoneType, not a PacketLibrary",
+         lambda s, lib: deliver(None, s, demand)),
+        (DimensionMismatch, "scheme is a NoneType, not a Scheme", lambda s, lib: user_view(None, 1, 1)),
+        (DimensionMismatch, "validate_pda's array is a NoneType, not a Pda", lambda s, lib: validate_pda(None)),
+        (DimensionMismatch, "star_profile's array is a list, not a Pda", lambda s, lib: star_profile([[1]])),
+        (DimensionMismatch, "scheme base array is a str, not a Pda", lambda s, lib: build_scheme("x", 8, 3)),
+        (ParseError, "array text is a NoneType, not a str", lambda s, lib: parse_pda(None)),
+        (ParseError, "array text is a bytes, not a str", lambda s, lib: parse_pda(b"1 1 0 1\n1\n")),
+        (ParseError, "scheme text is a NoneType, not a str", lambda s, lib: scheme_from_json(None)),
+        (ParseError, "scheme text is a bytes, not a str",
+         lambda s, lib: scheme_from_json(scheme_to_json(s).encode())),
+        (MalformedPda, r"cell value 1\.5 outside star", lambda s, lib: Pda(1, 1, ((1.5,),), 0, 2)),
+        (MalformedPda, r"cell value 'a' outside star", lambda s, lib: Pda(1, 1, (("a",),), 0, 2)),
+        (MalformedPda, r"cell value True outside star", lambda s, lib: Pda(1, 1, ((True,),), 0, 2)),
+        (MalformedPda, r"entries are not a tuple of 1 rows", lambda s, lib: Pda(1, 1, [[1]], 0, 1)),
+        (MalformedPda, r"row 1 is not a tuple of 1 cells", lambda s, lib: Pda(1, 1, ([1],), 0, 1)),
+        (MalformedPda, r"z=None is not an integer", lambda s, lib: Pda(1, 1, ((1,),), None, 1)),
+        (MalformedPda, r"rows=True is not an integer", lambda s, lib: Pda(True, 1, ((1,),), 0, 1)),
+        (MalformedPda, r"cols=1\.0 is not an integer", lambda s, lib: Pda(1, 1.0, ((1,),), 0, 1)),
+        (MalformedPda, r"s='1' is not an integer", lambda s, lib: Pda(1, 1, ((1,),), 0, "1")),
+    ]
+
+
+@pytest.mark.parametrize("error, match, call", guarded_calls())
+def test_malformed_arguments_raise_macc_errors(scheme832, error, match, call):
+    lib = library_for_scheme(scheme832, packet_bytes=1)
+    with pytest.raises(error, match=match):
+        call(scheme832, lib)
+
+
+@pytest.mark.parametrize("pda, error", [
+    (mn_pda(4, 2), OutOfRange),  # t*L > K once C2 and C4 hold
+    (dataclasses.replace(mn_pda(4, 2), s=5), ConditionViolation),  # C2 first
+])
+def test_lift_past_k_costs_no_more_than_k(pda, error):
+    """At L > K the lift is cut to K columns per star: the error comes at
+    once, in its usual order, with no L-long run of cells built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            build_scheme(pda, 8, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # Run under python -O, where assert statements are stripped, so it checks

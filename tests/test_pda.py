@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from macc import (
     STAR,
     C4Violation,
-    NonUniformStars,
     OutOfRange,
     ParseError,
     Pda,
@@ -136,7 +135,7 @@ def test_star_profile_all_star_grid():
 
 def test_star_profile_rejects_ragged_star_counts():
     p = Pda(rows=2, cols=2, entries=((STAR, STAR), (1, STAR)), z=1, s=1)
-    with pytest.raises(NonUniformStars):
+    with pytest.raises(C4Violation, match=r"C4: row star counts differ: \[1, 2\]"):
         star_profile(p)
 
 

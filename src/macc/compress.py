@@ -15,28 +15,43 @@ unseen parity rounds with the closed-form inverse of a P minor at most
 sum(lambda) square, then reads its unseen systematic rounds off the batch.
 The load is that of one MDS code over all K*S messages, (K - sum(lambda))*S
 rows.
+
+Packets reach the code as bytes, never as ints: round_messages gathers and
+XORs a round's messages straight from the library's uint8 array, and their
+symbols are those bytes read as big-endian words. The batch's payloads are
+ints, as the CodedBatch format says; a batch splits them into symbols once
+(CodedBatch.symbols), which every user's decode shares, and a decode
+rebuilds the file with one gather from the library array
+(sim.file_from_messages).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, FieldTooSmall, NotApplicable, SingularSystem
-from .gf2 import GF, cauchy_matrix, field, packets_to_symbols, symbols_to_packets
+from .gf2 import (
+    GF,
+    bytes_to_symbols,
+    cauchy_matrix,
+    field,
+    packets_to_symbols,
+    symbols_to_bytes,
+    symbols_to_packets,
+)
 from .pda import Pda, star_profile
 from .sim import (
     PacketLibrary,
     _check_dims,
     check_demand,
     check_user,
-    decode_from_messages,
-    deliver,
-    round_payloads,
+    file_from_messages,
+    round_messages,
 )
 from .transform import Scheme, check_degree
-from .util import mod1, require_type
+from .util import mod1, require_ints, require_type
 
 
 @dataclass(frozen=True)
@@ -118,7 +133,17 @@ class CodedBatch:
     @property
     def coding_matrix(self) -> np.ndarray:
         """G, read-only and shared by every batch of this shape and field."""
+        require_ints(m1=self.m1, m2=self.m2, blocks=self.blocks, field_width=self.field_width)
         return _coding_matrix(self.m1, self.m2, self.blocks, self.field_width)
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        """The payloads split into field symbols, one read-only uint32 row per
+        payload; converted on first use, so every user decoding the batch
+        shares one conversion."""
+        symbols = packets_to_symbols(self.payloads, self.packet_bytes, self.field_width)
+        symbols.flags.writeable = False
+        return symbols
 
 
 def _applicable_profile(scheme: Scheme) -> LambdaProfile:
@@ -162,6 +187,8 @@ def _coding_matrix(m1: int, m2: int, blocks: int, width: int) -> np.ndarray:
     if blocks < 1 or m1 % blocks or m2 % blocks:
         raise DimensionMismatch(f"m1={m1} and m2={m2} are not multiples of {blocks} >= 1 blocks")
     rows, k = m1 // blocks, m2 // blocks
+    if not 1 <= rows <= k:
+        raise DimensionMismatch(f"a {rows} x {k} block needs 1 <= {rows} <= {k} rows")
     block = np.hstack([np.eye(rows, dtype=np.uint32), _coding_block(rows, k, width)])
     g_mat = np.kron(block, np.eye(blocks, dtype=np.uint32))
     g_mat.flags.writeable = False
@@ -173,17 +200,18 @@ def compressed_deliver(
 ) -> CodedBatch:
     """Code all K*S messages down to (K - sum(lambda))*S rows.
 
-    The log holds message (g, s) at (g-1)*S + s - 1, so its symbols reshape
+    round_messages lays message (g, s) at [g-1, s-1], so its symbols reshape
     to K rows of S packets each; one product of P with the sum(lambda) parity
     rows, added to the systematic rows, codes every integer at once, and
     coded row (i, s) lands at i*S + s - 1.
     """
     prof = _applicable_profile(scheme)
-    log = deliver(library, scheme, demand)
+    _check_dims(library, scheme)
     k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
+    d = check_demand(demand, k, library.n_files)
     rows = k - prof.total
     gf = _pick_field(rows, k, s, b, field_width)
-    x = packets_to_symbols(log.payloads, b, gf.width).reshape(k, -1)
+    x = bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)), gf.width).reshape(k, -1)
     coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
     return CodedBatch(
         field_width=gf.width,
@@ -217,7 +245,8 @@ def compressed_decode(
     minor on those rows and the unseen parity rounds: a square Cauchy
     matrix, whose closed-form inverse solves those rounds. With every parity
     round known, each unseen systematic round is its coded row less P's row
-    times the parity rounds, so no elimination runs.
+    times the parity rounds, so no elimination runs. The solved messages
+    then fill the rows outside the user's view in one gather.
     """
     _check_dims(library, scheme)
     k, s = scheme.params.k, scheme.pda.s
@@ -231,13 +260,12 @@ def compressed_decode(
     if n * s != batch.m1:
         raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
     _check_batch(batch, k * s, s, library.packet_bytes)
-    b, w = batch.packet_bytes, gf.width
-    seen = [p for g in known for p in round_payloads(library, scheme, d, g + 1)]
-    coded = packets_to_symbols(batch.payloads, b, w)
-    per_round = s * coded.shape[1]  # symbols of one round's S messages
-    coded = coded.reshape(n, per_round)
+    w = gf.width
+    per_round = s * batch.symbols.shape[1]  # symbols of one round's S messages
+    coded = batch.symbols.reshape(n, per_round)
     x = np.empty((k, per_round), dtype=np.uint32)
-    x[known] = packets_to_symbols(seen, b, w).reshape(len(known), per_round)
+    seen = round_messages(library, scheme, d, [g + 1 for g in known])
+    x[known] = bytes_to_symbols(seen, w).reshape(len(known), per_round)
     p_mat, parity = _coding_block(n, k, w), x[n:]
     ks, kp = [g for g in known if g < n], [g - n for g in known if g >= n]
     us, up = [g for g in unknown if g < n], [g - n for g in unknown if g >= n]
@@ -245,12 +273,8 @@ def compressed_decode(
         rhs = coded[ks] ^ x[ks] ^ gf.matmul(p_mat[np.ix_(ks, kp)], parity[kp])
         parity[up] = gf.matmul(gf.cauchy_inverse(n, up, rows=ks), rhs)
     x[us] = coded[us] ^ gf.matmul(p_mat[us], parity)
-    solved = symbols_to_packets(x[unknown].reshape(n * s, -1), b, w)
-    payloads = [0] * (k * s)
-    for rounds, found in ((known, seen), (unknown, solved)):
-        for r, g in enumerate(rounds):
-            payloads[g * s:(g + 1) * s] = found[r * s:(r + 1) * s]
-    return decode_from_messages(library, scheme, demand, payloads, user)
+    messages = symbols_to_bytes(x, w).reshape(k, s, batch.packet_bytes)
+    return file_from_messages(library, scheme, d, user, messages)
 
 
 def compressed_load(scheme: Scheme) -> Fraction:

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
-from .util import require_ints, require_type
+from .util import converted, is_int, require_ints, require_type
 
 PRIMITIVE_POLY = {
     2: 0b111,
@@ -68,31 +68,38 @@ class GF:
         """exp at each log-sum; sums reaching the zero sentinel clip to the last entry, 0."""
         return self._exp.take(logs, mode="clip")
 
-    def _check_elements(self, *operands) -> None:
-        """Raise OutOfRange unless every operand holds only elements of the field.
+    def _elements(self, x) -> np.ndarray:
+        """x, an int or an integer array, as an array of field elements.
 
-        The log table is indexed by raw values: a negative one would wrap
-        around to a wrong answer, one past the table would raise IndexError.
+        Raises OutOfRange for anything else: the log table is indexed by raw
+        values, so a negative one would wrap around to a wrong answer, and
+        one past the table, a float or a string would raise a TypeError or
+        an IndexError.
         """
-        for x in operands:
-            if isinstance(x, (int, np.integer)):
-                lo = hi = x
-            else:
-                x = np.asarray(x)
-                if not x.size:
-                    continue
-                lo, hi = x.min(), x.max()
-            if lo < 0 or hi >= self.order:
-                raise OutOfRange(f"element outside GF(2^{self.width})")
+        try:
+            arr = np.asarray(x)
+        except ValueError as e:  # a ragged nesting of lists
+            raise OutOfRange(f"a ragged operand holds no GF(2^{self.width}) elements") from e
+        if arr.dtype.kind not in "iu":
+            raise OutOfRange(f"an operand of {arr.dtype} holds no GF(2^{self.width}) elements")
+        if arr.size and (arr.min() < 0 or arr.max() >= self.order):
+            raise OutOfRange(f"element outside GF(2^{self.width})")
+        return arr
+
+    def _element(self, a) -> int:
+        """a as one field element; OutOfRange for anything but an int in the field."""
+        if not ((is_int(a) or isinstance(a, np.integer)) and 0 <= a < self.order):
+            raise OutOfRange(f"{a!r} is not an element of GF(2^{self.width})")
+        return int(a)
 
     def mul(self, a: int, b: int) -> int:
-        self._check_elements(a, b)
+        a, b = self._element(a), self._element(b)
         return int(self._antilog(self._log[a] + self._log[b]))
 
     def inv(self, a: int) -> int:
-        self._check_elements(a)
+        a = self._element(a)
         if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
+            raise SingularSystem("0 has no inverse")
         return int(self._exp[self.order - 1 - self._log[a]])
 
     def _outer(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -100,7 +107,7 @@ class GF:
         return self._antilog(self._log[u][:, None] + self._log[v][None, :])
 
     def scale_row(self, v: np.ndarray, s: int) -> np.ndarray:
-        self._check_elements(v, s)
+        v, s = self._elements(v), self._element(s)
         return self._antilog(self._log[v] + self._log[s])
 
     def matmul(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,9 +117,9 @@ class GF:
         XORed into the output. Rows of a go in blocks of _STEP_ELEMENTS // n,
         which bounds the temporaries of one step.
         """
+        a, x = self._elements(a), self._elements(x)
         if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[0]:
             raise DimensionMismatch(f"cannot multiply {a.shape} by {x.shape}")
-        self._check_elements(a, x)
         m, k = a.shape
         out = np.zeros((m, x.shape[1]), dtype=self._exp.dtype)
         lx = self._log[x]
@@ -126,9 +133,9 @@ class GF:
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve a @ x = b by Gauss-Jordan elimination; a must be square."""
-        a = np.array(a, dtype=np.uint32, copy=True)
-        b = np.array(b, dtype=np.uint32, copy=True)
-        n = a.shape[0]
+        a = self._elements(a).astype(np.uint32)
+        b = self._elements(b).astype(np.uint32)
+        n = a.shape[0] if a.ndim else 0
         if a.shape != (n, n) or b.shape[:1] != (n,):
             raise DimensionMismatch(f"cannot solve {a.shape} against {b.shape}")
         for col in range(n):
@@ -173,8 +180,9 @@ class GF:
         sum of logs. Each product over k != i is the full log-sum less the
         diagonal term, which is log 0, the sentinel.
         """
-        cols = [int(c) for c in cols]
-        rows = list(range(m1)) if rows is None else [int(r) for r in rows]
+        require_ints(m1=m1)
+        cols = _labels(cols, "cols")
+        rows = list(range(m1)) if rows is None else _labels(rows, "rows")
         n = len(cols)
         if n < 1 or len(rows) != n:
             raise DimensionMismatch(f"need as many rows as columns, at least one; got {len(rows)} and {n}")
@@ -190,6 +198,14 @@ class GF:
         num_r = self._log_sums(y, x) - self._log_sums(y, y) + self.zero_log
         logs = num_r[:, None] + num_i - self._log[y[:, None] ^ x]
         return self._exp[logs % (self.order - 1)].astype(np.uint32)
+
+
+def _labels(values, name: str) -> list[int]:
+    """values as a list of ints; OutOfRange for no iterable or a non-integer entry."""
+    values = converted(list, values, name, OutOfRange)
+    if not all(is_int(v) or isinstance(v, np.integer) for v in values):
+        raise OutOfRange(f"{name}={values!r} holds a non-integer")
+    return [int(v) for v in values]
 
 
 def field(width: int) -> GF:
@@ -222,6 +238,7 @@ def cauchy_matrix(m1: int, m2: int, gf: GF) -> np.ndarray:
 
 def _symbol_bytes(width: int, packet_bytes: int) -> int:
     """Bytes per symbol: packets split into 8- or 16-bit symbols only."""
+    require_ints(packet_bytes=packet_bytes)
     if width not in (8, 16):
         raise OutOfRange(f"packets split into 8- or 16-bit symbols, not {width}-bit")
     sw = width // 8
@@ -246,16 +263,28 @@ def _symbol_dtype(sw: int) -> np.dtype:
     return np.dtype(">u2" if sw == 2 else np.uint8)
 
 
+def bytes_to_symbols(packets: np.ndarray, width: int) -> np.ndarray:
+    """uint8 packets, bytes on the last axis, as big-endian symbols: a uint32
+    array with width/8 times fewer entries on that axis."""
+    sw = _symbol_bytes(width, packets.shape[-1])
+    return np.ascontiguousarray(packets).view(_symbol_dtype(sw)).astype(np.uint32)
+
+
+def symbols_to_bytes(symbols: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of bytes_to_symbols for symbols already in the field."""
+    return symbols.astype(_symbol_dtype(width // 8), order="C").view(np.uint8)
+
+
 def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     """Split many packet integers into symbols at once: one uint32 row per packet."""
-    sw = _symbol_bytes(width, packet_bytes)
-    packets = list(packets)
+    _symbol_bytes(width, packet_bytes)
+    packets = converted(list, packets, "packets", OutOfRange)
     try:
         raw = b"".join(p.to_bytes(packet_bytes, "big") for p in packets)
     except (AttributeError, OverflowError) as e:
         raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
-    symbols = np.frombuffer(raw, dtype=_symbol_dtype(sw)).astype(np.uint32)
-    return symbols.reshape(len(packets), packet_bytes // sw)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packets), packet_bytes)
+    return bytes_to_symbols(rows, width)
 
 
 def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> list[int]:
@@ -266,5 +295,5 @@ def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> li
         raise DimensionMismatch(f"symbol rows of shape {symbols.shape} do not fill {packet_bytes} bytes")
     if symbols.size and (symbols.min() < 0 or int(symbols.max()) >> width):
         raise OutOfRange(f"symbol outside GF(2^{width})")
-    raw = symbols.astype(_symbol_dtype(sw)).tobytes()
+    raw = symbols_to_bytes(symbols, width).tobytes()
     return [int.from_bytes(raw[i:i + packet_bytes], "big") for i in range(0, len(raw), packet_bytes)]

@@ -1,8 +1,12 @@
 """End-to-end delivery over a built scheme with real packet payloads.
 
-Packets are B-byte values held as ints (XOR is the only server-side
-operation). A file consists of K parts of F' packets each; part g is covered
-by the round-g arrays. No round-g array is built: delivery and decoding read
+A file consists of K parts of F' packets each; part g is covered by the
+round-g arrays. A library holds its packets as B-byte ints, the form that
+the plain path (deliver, decode) and every public payload format use; XOR
+is the only server-side operation. It also views them, once, as one
+read-only uint8 array of shape (N, K, F', B), from which file_bytes and the
+coded path (round_messages, file_from_messages) read whole packets with no
+int <-> bytes work. No round-g array is built: delivery and decoding read
 the scheme's round-1 plan (Scheme.plan) and locate round g by offset
 arithmetic, round-1 column c standing for column mod1(c + g - 1, K).
 Message (g, s), the XOR for integer s of round g, is named by its log
@@ -11,7 +15,10 @@ position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+
+import numpy as np
 
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
 from .transform import Scheme, check_round
@@ -51,16 +58,31 @@ class PacketLibrary:
                             f"packet {p!r} lies outside the {self.packet_bytes}-byte integers"
                         )
 
+    def _check_indices(self, **indices) -> None:
+        """Raise OutOfRange unless each index, file then part then packet, is an int in [1, top]."""
+        tops = (self.n_files, self.parts_per_file, self.packets_per_part)
+        for (name, v), top in zip(indices.items(), tops):
+            if not (is_int(v) and 1 <= v <= top):
+                raise OutOfRange(f"{name}={v!r} outside [1, {top}]")
+
     def packet(self, n: int, g: int, j: int) -> int:
+        self._check_indices(n=n, g=g, j=j)
         return self.data[n - 1][g - 1][j - 1]
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The packets as one read-only uint8 array of shape (N, K, F', B):
+        array[n-1, g-1, j-1] is packet (n, g, j) in big-endian bytes. Built
+        on first use over one joined bytes object, the only copy."""
+        b = self.packet_bytes
+        raw = b"".join(p.to_bytes(b, "big") for parts in self.data for part in parts for p in part)
+        shape = (self.n_files, self.parts_per_file, self.packets_per_part, b)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
     def file_bytes(self, n: int) -> bytes:
         """Whole file n, parts then packets in ascending order."""
-        return b"".join(
-            p.to_bytes(self.packet_bytes, "big")
-            for part in self.data[n - 1]
-            for p in part
-        )
+        self._check_indices(n=n)
+        return self.array[n - 1].tobytes()
 
 
 def library_for_scheme(
@@ -187,6 +209,25 @@ def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
     return TransmissionLog(payloads=payloads, packet_bytes=library.packet_bytes)
 
 
+def _words(packets: np.ndarray) -> np.ndarray:
+    """A uint8 array's last axis of packet bytes viewed as the widest unsigned
+    words that divide it, for XOR; the words keep the bytes' memory order."""
+    size = next(w for w in (8, 4, 2, 1) if packets.shape[-1] % w == 0)
+    return packets.view(f"u{size}")
+
+
+def round_messages(library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], rounds) -> np.ndarray:
+    """Messages s = 1..S of each listed round under a checked demand d, as a
+    (len(rounds), S, B) uint8 array: one gather of every integer's cells from
+    the library array, padding zeroed, then one XOR-reduce over the cells."""
+    plan = scheme.plan
+    g = np.array(rounds, dtype=np.intp).reshape(-1, 1, 1) - 1
+    files = np.array(d, dtype=np.intp)[(plan.cell_cols + g) % scheme.params.k] - 1
+    cells = _words(library.array)[files, g, plan.cell_rows]
+    cells[:, plan.cell_pad] = 0
+    return np.bitwise_xor.reduce(cells, axis=1).view(np.uint8)
+
+
 def decode_from_messages(
     library: PacketLibrary, scheme: Scheme, demand, payloads, user: int
 ) -> bytes:
@@ -226,6 +267,27 @@ def decode_from_messages(
                 val ^= parts[cc][jj]
             out.append(val)
     return b"".join(p.to_bytes(library.packet_bytes, "big") for p in out)
+
+
+def file_from_messages(
+    library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], user: int, messages: np.ndarray
+) -> bytes:
+    """The user's file under a checked demand d, from the library array and
+    a (K, S, B) uint8 array of every round's messages, in log order.
+
+    One gather: a copy of the demanded file whose rows outside the user's
+    views are each overwritten by its message XOR its peer cells. Messages
+    of a round the user sees whole are not read.
+    """
+    plan, k = scheme.plan, scheme.params.k
+    packets = _words(library.array)
+    files = np.array(d, dtype=np.intp) - 1
+    g = (user - 1 - plan.miss_cols) % k  # 0-based round of each missing row
+    peers = packets[files[(plan.peer_cols + g) % k], g, plan.peer_rows]
+    peers[plan.peer_pad] = 0
+    out = packets[files[user - 1]].copy()
+    out[g, plan.miss_rows] = _words(messages)[g, plan.miss_ints] ^ np.bitwise_xor.reduce(peers, axis=0)
+    return out.tobytes()
 
 
 def decode(

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
+import numpy as np
+
 from .errors import (
     C3ViolationInQ,
     C4Violation,
@@ -120,6 +122,10 @@ def check_c5(p: Pda, l: int) -> bool:
     True when the round-1 delivery array of the lift, the base array with
     every star widened to l stars, has no crossing violation. At l = 1 this
     is the plain crossing condition C3.
+
+    The whole lift is built at any l, since no K bounds it here, so time and
+    memory grow as rows * stars * l: check_c5(mn_pda(4, 2), 10**5) peaks at
+    about 23 MB. A Scheme cuts its own lift to K.
     """
     check_degree(l)
     if not check_c4(p):
@@ -145,11 +151,39 @@ class DeliveryPlan:
     cells[s]: the round-1 cells (row, column) holding integer s, row-major.
     views[c]: the rows a user at round-1 column c reads from its nodes.
     recipes[c][j]: None when row j is in views[c], else its PlanStep.
+
+    The same index as read-only arrays, for gathers over a packet array. A
+    list of cell groups is laid out as a rows and a columns intp array of
+    shape (longest group, groups), group i in column i; a shorter group is
+    padded with cell (0, 0), which a boolean array of that shape marks.
+    cell_rows, cell_cols, cell_pad: the cells of s = 1..S, s in column s - 1.
+    miss_cols, miss_rows, miss_ints: every row outside a view, column by
+    column, and the 0-based integer s - 1 of the message that carries it.
+    peer_rows, peer_cols, peer_pad: the peer cells of each missing row.
     """
 
     cells: dict[int, tuple[tuple[int, int], ...]]
     views: tuple[frozenset[int], ...]
     recipes: tuple[tuple[PlanStep | None, ...], ...]
+    cell_rows: np.ndarray = field(compare=False, repr=False)
+    cell_cols: np.ndarray = field(compare=False, repr=False)
+    cell_pad: np.ndarray = field(compare=False, repr=False)
+    miss_cols: np.ndarray = field(compare=False, repr=False)
+    miss_rows: np.ndarray = field(compare=False, repr=False)
+    miss_ints: np.ndarray = field(compare=False, repr=False)
+    peer_rows: np.ndarray = field(compare=False, repr=False)
+    peer_cols: np.ndarray = field(compare=False, repr=False)
+    peer_pad: np.ndarray = field(compare=False, repr=False)
+
+
+def _padded(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and padding mask of cell groups, laid out as DeliveryPlan says."""
+    shape = (max(map(len, groups), default=0), len(groups))
+    rows, cols, pad = np.zeros(shape, np.intp), np.zeros(shape, np.intp), np.ones(shape, bool)
+    for i, group in enumerate(groups):
+        for n, (j, c) in enumerate(group):
+            rows[n, i], cols[n, i], pad[n, i] = j, c, False
+    return rows, cols, pad
 
 
 def _delivery_plan(q1, index) -> DeliveryPlan:
@@ -164,7 +198,20 @@ def _delivery_plan(q1, index) -> DeliveryPlan:
         )
         for c, view in enumerate(views)
     )
-    return DeliveryPlan(cells=cells, views=views, recipes=recipes)
+    missing = [(c, j) + step for c, column in enumerate(recipes)
+               for j, step in enumerate(column) if step is not None]
+    miss_cols, miss_rows, miss_ints, peers = zip(*missing) if missing else ((),) * 4
+    cell_rows, cell_cols, cell_pad = _padded([cells[s] for s in sorted(cells)])
+    peer_rows, peer_cols, peer_pad = _padded(peers)
+    arrays = dict(
+        cell_rows=cell_rows, cell_cols=cell_cols, cell_pad=cell_pad,
+        miss_cols=np.array(miss_cols, np.intp), miss_rows=np.array(miss_rows, np.intp),
+        miss_ints=np.array(miss_ints, np.intp) - 1,
+        peer_rows=peer_rows, peer_cols=peer_cols, peer_pad=peer_pad,
+    )
+    for a in arrays.values():
+        a.flags.writeable = False
+    return DeliveryPlan(cells=cells, views=views, recipes=recipes, **arrays)
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,26 @@ from macc import (
     scheme_points,
     star_profile,
 )
-from macc.compress import CodedBatch
-from macc.gf2 import GF, _symbol_bytes, field
+from macc.compress import (
+    CodedBatch,
+    _applicable_profile,
+    _check_batch,
+    _coding_block,
+    _pick_field,
+    full_view_rounds,
+)
+from macc.gf2 import GF, _symbol_bytes, field, packets_to_symbols, symbols_to_packets
 from macc.pda import constituents, crossing_violations
 from macc.rates import converse_step
-from macc.sim import PacketLibrary, check_demand, check_user, decode_from_messages, round_payloads
+from macc.sim import (
+    PacketLibrary,
+    _check_dims,
+    check_demand,
+    check_user,
+    decode_from_messages,
+    deliver,
+    round_payloads,
+)
 from macc.transform import Scheme
 from macc.util import mod1
 
@@ -415,3 +430,64 @@ def compressed_decode_by_elimination(
     for row, i in enumerate(unknown):
         msgs[order[i]] = symbols_to_packet_by_bytes(solved[row], batch.packet_bytes, gf.width)
     return decode_from_messages(library, scheme, demand, [msgs[gs] for gs in order], user)
+
+
+def compressed_deliver_by_ints(
+    library: PacketLibrary, scheme: Scheme, demand, field_width: int | None = None
+) -> CodedBatch:
+    """The coded delivery over the plain log of packet ints: every payload
+    converted to symbols, coded and converted back."""
+    prof = _applicable_profile(scheme)
+    log = deliver(library, scheme, demand)
+    k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
+    rows = k - prof.total
+    gf = _pick_field(rows, k, s, b, field_width)
+    x = packets_to_symbols(log.payloads, b, gf.width).reshape(k, -1)
+    coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
+    return CodedBatch(
+        field_width=gf.width,
+        m1=rows * s,
+        m2=k * s,
+        blocks=s,
+        packet_bytes=b,
+        payloads=tuple(symbols_to_packets(coded.reshape(rows * s, -1), b, gf.width)),
+    )
+
+
+def compressed_decode_by_ints(
+    library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
+) -> bytes:
+    """The closed-form coded decode over packet ints: the seen rounds'
+    payloads from round_payloads, the batch converted on every call, and the
+    solved messages handed to the plain decode_from_messages."""
+    _check_dims(library, scheme)
+    k, s = scheme.params.k, scheme.pda.s
+    d = check_demand(demand, k, library.n_files)
+    check_user(user, k)
+    gf = field(batch.field_width)
+    known = [g - 1 for g in full_view_rounds(scheme, user)]
+    unknown = sorted(set(range(k)) - set(known))
+    n = len(unknown)
+    if n * s != batch.m1:
+        raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
+    _check_batch(batch, k * s, s, library.packet_bytes)
+    b, w = batch.packet_bytes, gf.width
+    seen = [p for g in known for p in round_payloads(library, scheme, d, g + 1)]
+    coded = packets_to_symbols(batch.payloads, b, w)
+    per_round = s * coded.shape[1]
+    coded = coded.reshape(n, per_round)
+    x = np.empty((k, per_round), dtype=np.uint32)
+    x[known] = packets_to_symbols(seen, b, w).reshape(len(known), per_round)
+    p_mat, parity = _coding_block(n, k, w), x[n:]
+    ks, kp = [g for g in known if g < n], [g - n for g in known if g >= n]
+    us, up = [g for g in unknown if g < n], [g - n for g in unknown if g >= n]
+    if ks:
+        rhs = coded[ks] ^ x[ks] ^ gf.matmul(p_mat[np.ix_(ks, kp)], parity[kp])
+        parity[up] = gf.matmul(gf.cauchy_inverse(n, up, rows=ks), rhs)
+    x[us] = coded[us] ^ gf.matmul(p_mat[us], parity)
+    solved = symbols_to_packets(x[unknown].reshape(n * s, -1), b, w)
+    payloads = [0] * (k * s)
+    for rounds, found in ((known, seen), (unknown, solved)):
+        for r, g in enumerate(rounds):
+            payloads[g * s:(g + 1) * s] = found[r * s:(r + 1) * s]
+    return decode_from_messages(library, scheme, demand, payloads, user)

@@ -14,6 +14,7 @@ from macc import (
     FieldTooSmall,
     NotApplicable,
     OutOfRange,
+    Pda,
     SingularSystem,
     build_scheme,
     cauchy_matrix,
@@ -33,7 +34,16 @@ from macc import (
     r_rk,
     reconstructable_messages,
 )
-from oracles import compressed_decode_by_elimination, is_invertible, messages_read, shift_grid
+from macc import compress, gf2, sim
+from macc.sim import round_messages, round_payloads
+from oracles import (
+    compressed_decode_by_elimination,
+    compressed_decode_by_ints,
+    compressed_deliver_by_ints,
+    is_invertible,
+    messages_read,
+    shift_grid,
+)
 
 
 def binomial_instances(k_max: int):
@@ -400,3 +410,81 @@ def test_partition_corner_compressed_load():
                 want = Fraction(2 * (q - 1) ** 2, q + l - 1)
                 assert compressed_load(scheme) == want
                 assert r_cor2(q, l) == want
+
+
+def ragged_pda() -> Pda:
+    """mn_pda(4, 2) with its first cell of integer 1 relabelled S + 1: the
+    integers then fill 2, 3, 3, 3 and 1 cells."""
+    p = mn_pda(4, 2)
+    rows = [list(row) for row in p.entries]
+    r, c = next((r, c) for r, row in enumerate(rows) for c, v in enumerate(row) if v == 1)
+    rows[r][c] = p.s + 1
+    return Pda(rows=p.rows, cols=p.cols, entries=tuple(map(tuple, rows)), z=p.z, s=p.s + 1)
+
+
+def _array_path_cases():
+    """(scheme, packet_bytes, field width, demand_suite options); the packet
+    sizes read the library as 1-, 2-, 4- and 8-byte words."""
+    p33, _ = partition_pda(3, 3)
+    part33 = build_scheme(p33, 15, 3)
+    return {
+        "832": (build_scheme(mn_pda(4, 2), 8, 3), 2, None, dict(n_random=3)),
+        "part33_gf16": (part33, 6, None, dict(n_random=1)),
+        "part33_gf8": (part33, 3, 8, dict(n_random=1)),
+        "mn21_gf16": (build_scheme(mn_pda(2, 1), 4, 3), 4, 16, {}),
+        "ragged": (build_scheme(ragged_pda(), 8, 3), 8, None, dict(n_random=3)),
+    }
+
+
+@pytest.mark.parametrize("name", ["832", "part33_gf16", "part33_gf8", "mn21_gf16", "ragged"])
+def test_array_path_matches_int_oracle(name):
+    scheme, packet_bytes, width, suite = _array_path_cases()[name]
+    k, b = scheme.params.k, packet_bytes
+    lib = library_for_scheme(scheme, packet_bytes=b, seed=13)
+    for demand in demand_suite(k, k, seed=4, **suite):
+        got = round_messages(lib, scheme, demand, range(1, k + 1))
+        assert got.shape == (k, scheme.pda.s, b) and got.dtype == np.uint8
+        for g in range(1, k + 1):
+            want = b"".join(p.to_bytes(b, "big") for p in round_payloads(lib, scheme, demand, g))
+            assert got[g - 1].tobytes() == want, (demand, g)
+        batch = compressed_deliver(lib, scheme, demand, field_width=width)
+        assert batch == compressed_deliver_by_ints(lib, scheme, demand, field_width=width)
+        for user in range(1, k + 1):
+            decoded = compressed_decode(lib, scheme, demand, batch, user)
+            assert decoded == compressed_decode_by_ints(lib, scheme, demand, batch, user)
+            assert decoded == lib.file_bytes(demand[user - 1]), (demand, user)
+
+
+def test_ragged_integer_groups_compress():
+    scheme = build_scheme(ragged_pda(), 8, 3)
+    assert sorted(len(cells) for cells in scheme.plan.cells.values()) == [1, 2, 3, 3, 3]
+    assert compressed_load(scheme) == Fraction(5, 8)
+
+
+def test_compressed_decode_reads_the_library_array_only(monkeypatch):
+    """No int payload path runs in a coded decode, and the batch is split
+    into symbols once for all K users."""
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=4, seed=8)
+    demand = (3, 3, 1, 15, 9, 2, 7, 7, 12, 4, 6, 13, 5, 14, 10)
+    batch = compressed_deliver(lib, scheme, demand)
+
+    def refuse(*args):
+        raise AssertionError("an int payload path ran")
+
+    for module in (sim, gf2, compress):
+        for name in ("round_payloads", "decode_from_messages", "symbols_to_packets"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    conversions = []
+    split = compress.packets_to_symbols
+
+    def counted(*args):
+        conversions.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(compress, "packets_to_symbols", counted)
+    for user in range(1, 16):
+        assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
+    assert len(conversions) == 1
+    assert not batch.symbols.flags.writeable

@@ -174,8 +174,9 @@ def test_decode_rejects_a_log_of_the_wrong_length(scheme832):
 
 def guarded_calls():
     """(error, match, call) for calls that once escaped with a TypeError,
-    AttributeError, ValueError or ZeroDivisionError or, for user_view's round,
-    wrapped silently; call takes the worked scheme and a 1-byte library."""
+    AttributeError, ValueError, IndexError or ZeroDivisionError or, for
+    user_view's round and the library's file and packet indices, wrapped
+    silently; call takes the worked scheme and a 1-byte library."""
     pda = mn_pda(4, 2)
     demand = tuple(range(1, 9))
     curve = envelope([(0, 1), (1, 0)])
@@ -233,6 +234,26 @@ def guarded_calls():
         (MalformedPda, r"rows=True is not an integer", lambda s, lib: Pda(True, 1, ((1,),), 0, 1)),
         (MalformedPda, r"cols=1\.0 is not an integer", lambda s, lib: Pda(1, 1.0, ((1,),), 0, 1)),
         (MalformedPda, r"s='1' is not an integer", lambda s, lib: Pda(1, 1, ((1,),), 0, "1")),
+        (OutOfRange, r"n=0 outside \[1, 8\]", lambda s, lib: lib.file_bytes(0)),
+        (OutOfRange, r"n=9 outside \[1, 8\]", lambda s, lib: lib.file_bytes(9)),
+        (OutOfRange, r"n='x' outside \[1, 8\]", lambda s, lib: lib.file_bytes("x")),
+        (OutOfRange, r"n=1\.0 outside \[1, 8\]", lambda s, lib: lib.file_bytes(1.0)),
+        (OutOfRange, r"n=0 outside \[1, 8\]", lambda s, lib: lib.packet(0, 0, 0)),
+        (OutOfRange, r"g=9 outside \[1, 8\]", lambda s, lib: lib.packet(1, 9, 1)),
+        (OutOfRange, r"j=7 outside \[1, 6\]", lambda s, lib: lib.packet(1, 1, 7)),
+        (OutOfRange, r"'x' is not an element of GF\(2\^8\)", lambda s, lib: field(8).inv("x")),
+        (OutOfRange, r"1\.5 is not an element of GF\(2\^8\)", lambda s, lib: field(8).inv(1.5)),
+        (OutOfRange, r"'x' is not an element of GF\(2\^8\)", lambda s, lib: field(8).mul("x", 1)),
+        (OutOfRange, r"1\.5 is not an element of GF\(2\^8\)",
+         lambda s, lib: field(8).scale_row([1, 2], 1.5)),
+        (OutOfRange, r"an operand of <U1 holds no GF\(2\^8\) elements",
+         lambda s, lib: field(8).scale_row("x", 1)),
+        (OutOfRange, r"a ragged operand holds no GF\(2\^8\) elements",
+         lambda s, lib: field(8).matmul([[1], [1, 2]], [[1]])),
+        (OutOfRange, r"cols=None cannot be read as a list",
+         lambda s, lib: field(8).cauchy_inverse(2, None)),
+        (OutOfRange, r"blocks=\[\[1\]\] is not an integer",
+         lambda s, lib: dataclasses.replace(compressed_deliver(lib, s, demand), blocks=[[1]]).coding_matrix),
     ]
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from macc import (
@@ -47,6 +48,20 @@ def test_library_layout(scheme832):
         lib.packet(1, g, j).to_bytes(2, "big") for g in range(1, 9) for j in range(1, 7)
     )
     assert lib.file_bytes(1) == joined
+
+
+def test_library_array_is_one_read_only_copy(scheme832):
+    lib = library_for_scheme(scheme832, packet_bytes=3, seed=2)
+    twin = library_for_scheme(scheme832, packet_bytes=3, seed=2)
+    arr = lib.array
+    assert arr is lib.array
+    assert arr.shape == (8, 8, 6, 3) and arr.dtype == np.uint8
+    assert not arr.flags.writeable
+    assert isinstance(arr.base.base, bytes) and len(arr.base.base) == arr.size  # a view, no copy
+    assert arr[2, 4, 5].tobytes() == lib.packet(3, 5, 6).to_bytes(3, "big")
+    assert lib == twin and "array" not in vars(twin)
+    for n in range(1, 9):
+        assert lib.file_bytes(n) == b"".join(p.to_bytes(3, "big") for part in lib.data[n - 1] for p in part)
 
 
 def test_library_is_seed_deterministic(scheme832):

@@ -19,15 +19,20 @@ rows.
 Packets reach the code as bytes, never as ints: round_messages gathers and
 XORs a round's messages straight from the library's uint8 array, and their
 symbols are those bytes read as big-endian words. The batch's payloads are
-ints, as the CodedBatch format says; a batch splits them into symbols once
-(CodedBatch.symbols), which every user's decode shares, and a decode
-rebuilds the file with one gather from the library array
-(sim.file_from_messages).
+ints, as the CodedBatch format says, but delivery hands the batch the coded
+symbols they came from (CodedBatch.symbols), so no decode converts them. A
+user reads only the messages that carry its missing rows, one per row
+outside its views, so its decode solves the unseen parity rounds and then
+only those messages, and rebuilds the file with one gather from the library
+array (sim.file_from_messages). What a decode needs of the scheme alone,
+the user's rounds, its needed messages and their coefficients, is built once
+per user and field width and kept on the scheme, as is the lambda profile.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,17 +144,28 @@ class CodedBatch:
     @cached_property
     def symbols(self) -> np.ndarray:
         """The payloads split into field symbols, one read-only uint32 row per
-        payload; converted on first use, so every user decoding the batch
-        shares one conversion."""
+        payload. compressed_deliver hands over the symbols it coded; any other
+        batch, a dataclasses.replace copy included, converts its payloads on
+        first use, once for every user decoding it."""
         symbols = packets_to_symbols(self.payloads, self.packet_bytes, self.field_width)
         symbols.flags.writeable = False
         return symbols
 
 
+def _kept(scheme: Scheme, key, build):
+    """The scheme's table under key: build() on first use, then kept on the
+    scheme (Scheme._tables)."""
+    tables = scheme._tables
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
+
+
 def _applicable_profile(scheme: Scheme) -> LambdaProfile:
-    """The scheme's lambda profile; NotApplicable unless every lambda is positive."""
+    """The scheme's lambda profile, kept on the scheme; NotApplicable unless
+    every lambda is positive."""
     require_type(scheme, Scheme, "scheme")
-    prof = lambda_profile(scheme.pda, scheme.params.l)
+    prof = _kept(scheme, "lambda", lambda: lambda_profile(scheme.pda, scheme.params.l))
     if not prof.applicable:
         raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
     return prof
@@ -212,15 +228,18 @@ def compressed_deliver(
     rows = k - prof.total
     gf = _pick_field(rows, k, s, b, field_width)
     x = bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)), gf.width).reshape(k, -1)
-    coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
-    return CodedBatch(
+    coded = (x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])).reshape(rows * s, -1)
+    batch = CodedBatch(
         field_width=gf.width,
         m1=rows * s,
         m2=k * s,
         blocks=s,
         packet_bytes=b,
-        payloads=tuple(symbols_to_packets(coded.reshape(rows * s, -1), b, gf.width)),
+        payloads=tuple(symbols_to_packets(coded, b, gf.width)),
     )
+    coded.flags.writeable = False
+    object.__setattr__(batch, "symbols", coded)  # CodedBatch.symbols, already converted
+    return batch
 
 
 def _check_batch(batch: CodedBatch, m2: int, blocks: int, packet_bytes: int) -> None:
@@ -234,19 +253,90 @@ def _check_batch(batch: CodedBatch, m2: int, blocks: int, packet_bytes: int) -> 
         )
 
 
+class _UserRounds(NamedTuple):
+    """What a user's decode needs of the scheme alone, 0-based; kept apart
+    from _DecodeTable because the batch checks read n before any field work.
+
+    known: the user's full-view rounds, ascending, so the systematic ones
+    come first; n: its unseen rounds, as many as coded rows per integer.
+    ks: the seen systematic rounds; kp, up: the seen and the unseen parity
+    rounds, parity round n + j counted as j. The messages the user reads,
+    one per missing row in plan.miss_* order, split by their round: sys_at
+    lists the positions of those in systematic rounds, sys_rounds and
+    sys_ints their rounds and integers; par_at, par_rounds and par_ints the
+    same for those in parity rounds, as parity indices.
+    """
+
+    known: np.ndarray
+    n: int
+    ks: np.ndarray
+    kp: np.ndarray
+    up: np.ndarray
+    sys_at: np.ndarray
+    sys_rounds: np.ndarray
+    sys_ints: np.ndarray
+    par_at: np.ndarray
+    par_rounds: np.ndarray
+    par_ints: np.ndarray
+
+
+def _user_rounds(scheme: Scheme, user: int) -> _UserRounds:
+    k, plan = scheme.params.k, scheme.plan
+    known = np.array(full_view_rounds(scheme, user), dtype=np.intp) - 1
+    n = k - len(known)
+    seen = np.zeros(k, dtype=bool)
+    seen[known] = True
+    rounds = (user - 1 - plan.miss_cols) % k  # of each missing row, as in file_from_messages
+    systematic = rounds < n
+    return _UserRounds(
+        known=known, n=n, ks=known[known < n], kp=known[known >= n] - n,
+        up=np.flatnonzero(~seen[n:]),
+        sys_at=np.flatnonzero(systematic), sys_rounds=rounds[systematic],
+        sys_ints=plan.miss_ints[systematic],
+        par_at=np.flatnonzero(~systematic), par_rounds=rounds[~systematic] - n,
+        par_ints=plan.miss_ints[~systematic],
+    )
+
+
+class _DecodeTable(NamedTuple):
+    """A user's decode over one field. solve: the closed-form inverse of P's
+    minor on its seen systematic and unseen parity rounds, times [I | P's
+    minor on the same rows and its seen parity rounds], so that it maps the
+    seen rounds, the systematic ones less their coded rows, to the unseen
+    parity rounds; None when the user sees no systematic round. sys_logs:
+    the logs of P's row of each needed systematic message."""
+
+    solve: np.ndarray | None
+    sys_logs: np.ndarray
+
+
+def _decode_table(scheme: Scheme, rounds: _UserRounds, gf: GF) -> _DecodeTable:
+    n, ks = rounds.n, rounds.ks
+    p_mat = _coding_block(n, scheme.params.k, gf.width)
+    solve = None
+    if len(ks):
+        inverse = gf.cauchy_inverse(n, rounds.up, rows=ks)
+        solve = np.hstack([inverse, gf.matmul(inverse, p_mat[np.ix_(ks, rounds.kp)])])
+    return _DecodeTable(solve=solve, sys_logs=gf.logs(p_mat[rounds.sys_rounds]))
+
+
 def compressed_decode(
     library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
 ) -> bytes:
     """Recover the user's file from its view plus the coded batch.
 
-    The fully seen rounds give their messages straight from the view. They
-    are the same rounds for every integer. Each coded row of a seen
-    systematic round, less that round and the seen parity rounds, leaves P's
-    minor on those rows and the unseen parity rounds: a square Cauchy
-    matrix, whose closed-form inverse solves those rounds. With every parity
-    round known, each unseen systematic round is its coded row less P's row
-    times the parity rounds, so no elimination runs. The solved messages
-    then fill the rows outside the user's view in one gather.
+    The user reads one message per row outside its views, and solves only
+    those. The fully seen rounds give their messages straight from the
+    view; they are the same rounds for every integer. Each coded row of a
+    seen systematic round, less that round and the seen parity rounds,
+    leaves P's minor on those rows and the unseen parity rounds: a square
+    Cauchy matrix, whose closed-form inverse solves those rounds, so every
+    parity round is known and no elimination runs. A needed message of a
+    parity round is then read off them, and one of a systematic round is
+    its coded row less its P row times its integer's parity messages. The
+    messages fill the rows outside the user's view in one gather. The
+    user's rounds and the P entries its decode reads are kept on the scheme
+    after its first decode at this field width.
     """
     _check_dims(library, scheme)
     k, s = scheme.params.k, scheme.pda.s
@@ -254,27 +344,27 @@ def compressed_decode(
     check_user(user, k)
     require_type(batch, CodedBatch, "batch")
     gf = field(batch.field_width)
-    known = [g - 1 for g in full_view_rounds(scheme, user)]
-    unknown = sorted(set(range(k)) - set(known))
-    n = len(unknown)  # systematic rounds, one per coded row of an integer
+    r = _kept(scheme, ("rounds", user), lambda: _user_rounds(scheme, user))
+    n = r.n  # systematic rounds, one per coded row of an integer
     if n * s != batch.m1:
         raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
     _check_batch(batch, k * s, s, library.packet_bytes)
-    w = gf.width
-    per_round = s * batch.symbols.shape[1]  # symbols of one round's S messages
-    coded = batch.symbols.reshape(n, per_round)
-    x = np.empty((k, per_round), dtype=np.uint32)
-    seen = round_messages(library, scheme, d, [g + 1 for g in known])
-    x[known] = bytes_to_symbols(seen, w).reshape(len(known), per_round)
-    p_mat, parity = _coding_block(n, k, w), x[n:]
-    ks, kp = [g for g in known if g < n], [g - n for g in known if g >= n]
-    us, up = [g for g in unknown if g < n], [g - n for g in unknown if g >= n]
-    if ks:  # as many unseen parity rounds as seen systematic ones
-        rhs = coded[ks] ^ x[ks] ^ gf.matmul(p_mat[np.ix_(ks, kp)], parity[kp])
-        parity[up] = gf.matmul(gf.cauchy_inverse(n, up, rows=ks), rhs)
-    x[us] = coded[us] ^ gf.matmul(p_mat[us], parity)
-    messages = symbols_to_bytes(x, w).reshape(k, s, batch.packet_bytes)
-    return file_from_messages(library, scheme, d, user, messages)
+    w, per_packet = gf.width, batch.symbols.shape[1]
+    coded = batch.symbols.reshape(n, s * per_packet)
+    table = _kept(scheme, ("decode", user, w), lambda: _decode_table(scheme, r, gf))
+    seen = bytes_to_symbols(round_messages(library, scheme, d, r.known + 1), w).reshape(len(r.known), -1)
+    parity = np.empty((k - n, s * per_packet), dtype=np.uint32)
+    parity[r.kp] = seen[len(r.ks):]
+    if table.solve is not None:  # as many unseen parity rounds as seen systematic ones
+        seen[:len(r.ks)] ^= coded[r.ks]
+        parity[r.up] = gf.matmul(table.solve, seen)
+    coded, parity = coded.reshape(n, s, per_packet), parity.reshape(k - n, s, per_packet)
+    messages = np.empty((len(r.sys_at) + len(r.par_at), per_packet), dtype=np.uint32)
+    messages[r.sys_at] = coded[r.sys_rounds, r.sys_ints] ^ gf.dot_logs(
+        table.sys_logs, parity[:, r.sys_ints]
+    )
+    messages[r.par_at] = parity[r.par_rounds, r.par_ints]
+    return file_from_messages(library, scheme, d, user, symbols_to_bytes(messages, w))
 
 
 def compressed_load(scheme: Scheme) -> Fraction:

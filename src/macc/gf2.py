@@ -68,6 +68,16 @@ class GF:
         """exp at each log-sum; sums reaching the zero sentinel clip to the last entry, 0."""
         return self._exp.take(logs, mode="clip")
 
+    def _integers(self, x) -> np.ndarray:
+        """x, an int or an integer array, as an array; OutOfRange for anything else."""
+        try:
+            arr = np.asarray(x)
+        except ValueError as e:  # a ragged nesting of lists
+            raise OutOfRange(f"a ragged operand holds no GF(2^{self.width}) elements") from e
+        if arr.dtype.kind not in "iu":
+            raise OutOfRange(f"an operand of {arr.dtype} holds no GF(2^{self.width}) elements")
+        return arr
+
     def _elements(self, x) -> np.ndarray:
         """x, an int or an integer array, as an array of field elements.
 
@@ -76,14 +86,17 @@ class GF:
         one past the table, a float or a string would raise a TypeError or
         an IndexError.
         """
-        try:
-            arr = np.asarray(x)
-        except ValueError as e:  # a ragged nesting of lists
-            raise OutOfRange(f"a ragged operand holds no GF(2^{self.width}) elements") from e
-        if arr.dtype.kind not in "iu":
-            raise OutOfRange(f"an operand of {arr.dtype} holds no GF(2^{self.width}) elements")
+        arr = self._integers(x)
         if arr.size and (arr.min() < 0 or arr.max() >= self.order):
             raise OutOfRange(f"element outside GF(2^{self.width})")
+        return arr
+
+    def _log_operand(self, a_logs) -> np.ndarray:
+        """a_logs as an integer array of logs, each below 2^w - 1 or the
+        sentinel; OutOfRange for anything else, as for _elements."""
+        arr = self._integers(a_logs)
+        if arr.size and (arr.min() < 0 or ((arr >= self.order - 1) & (arr != self.zero_log)).any()):
+            raise OutOfRange(f"a log outside GF(2^{self.width})'s logs")
         return arr
 
     def _element(self, a) -> int:
@@ -122,13 +135,33 @@ class GF:
             raise DimensionMismatch(f"cannot multiply {a.shape} by {x.shape}")
         m, k = a.shape
         out = np.zeros((m, x.shape[1]), dtype=self._exp.dtype)
-        lx = self._log[x]
+        lx = self._log.take(x)
         block = max(1, _STEP_ELEMENTS // max(1, x.shape[1]))
         for i in range(0, m, block):
             la = self._log[a[i:i + block].T][:, :, None]
             acc = out[i:i + block]
             for j in range(k):
                 acc ^= self._antilog(la[j] + lx[j])
+        return out.astype(np.uint32)
+
+    def logs(self, a) -> np.ndarray:
+        """The logs of field elements a, 0's being the sentinel: the form in
+        which dot_logs takes its matrix."""
+        return self._log[self._elements(a)]
+
+    def dot_logs(self, a_logs, x) -> np.ndarray:
+        """Each row of a matrix a times its own vectors of x: out[i] =
+        sum_j a[i, j] * x[j, i] for a (m, k) given by its logs and x of shape
+        (k, m, n). One gather per j is XORed into the output, so m rows cost
+        m*k*n products however many rows a full matmul would take.
+        """
+        a_logs, x = self._log_operand(a_logs), self._elements(x)
+        if a_logs.ndim != 2 or x.ndim != 3 or x.shape[:2] != a_logs.shape[::-1]:
+            raise DimensionMismatch(f"cannot take rows of {a_logs.shape} against {x.shape}")
+        out = np.zeros(x.shape[1:], dtype=self._exp.dtype)
+        lx = self._log.take(x)
+        for j in range(a_logs.shape[1]):
+            out ^= self._antilog(a_logs[:, j, None] + lx[j])
         return out.astype(np.uint32)
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -273,11 +273,12 @@ def file_from_messages(
     library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], user: int, messages: np.ndarray
 ) -> bytes:
     """The user's file under a checked demand d, from the library array and
-    a (K, S, B) uint8 array of every round's messages, in log order.
+    an (M, B) uint8 array of the M messages it reads: message i carries
+    missing row i of plan.miss_*, read in the round where the user's view
+    lacks it.
 
     One gather: a copy of the demanded file whose rows outside the user's
-    views are each overwritten by its message XOR its peer cells. Messages
-    of a round the user sees whole are not read.
+    views are each overwritten by its message XOR its peer cells.
     """
     plan, k = scheme.plan, scheme.params.k
     packets = _words(library.array)
@@ -286,7 +287,7 @@ def file_from_messages(
     peers = packets[files[(plan.peer_cols + g) % k], g, plan.peer_rows]
     peers[plan.peer_pad] = 0
     out = packets[files[user - 1]].copy()
-    out[g, plan.miss_rows] = _words(messages)[g, plan.miss_ints] ^ np.bitwise_xor.reduce(peers, axis=0)
+    out[g, plan.miss_rows] = _words(messages) ^ np.bitwise_xor.reduce(peers, axis=0)
     return out.tobytes()
 
 

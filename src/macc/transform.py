@@ -233,7 +233,8 @@ class Scheme:
     index are set here; a user's view is the delivery grid's stars. Rounds
     2..K are never stored: delivery and decoding read `plan`, a round-1 index
     that replaces the cells index on first use and is cached, and `q` builds
-    round g's delivery grid on request.
+    round g's delivery grid on request. Other modules keep what they derive
+    from the scheme in `_tables`, also built on first use.
     """
 
     pda: Pda
@@ -284,6 +285,12 @@ class Scheme:
         plan = _delivery_plan(self.delivery.grid, self._cells)
         object.__setattr__(self, "_cells", None)
         return plan
+
+    @cached_property
+    def _tables(self) -> dict:
+        """Tables derived from the scheme by other modules, each under its
+        maker's key and kept like plan; a dataclasses.replace copy starts empty."""
+        return {}
 
     @property
     def subpacketization(self) -> int:

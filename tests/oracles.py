@@ -37,7 +37,15 @@ from macc.compress import (
     _pick_field,
     full_view_rounds,
 )
-from macc.gf2 import GF, _symbol_bytes, field, packets_to_symbols, symbols_to_packets
+from macc.gf2 import (
+    GF,
+    _symbol_bytes,
+    bytes_to_symbols,
+    field,
+    packets_to_symbols,
+    symbols_to_bytes,
+    symbols_to_packets,
+)
 from macc.pda import constituents, crossing_violations
 from macc.rates import converse_step
 from macc.sim import (
@@ -47,6 +55,8 @@ from macc.sim import (
     check_user,
     decode_from_messages,
     deliver,
+    file_from_messages,
+    round_messages,
     round_payloads,
 )
 from macc.transform import Scheme
@@ -454,12 +464,14 @@ def compressed_deliver_by_ints(
     )
 
 
-def compressed_decode_by_ints(
+def compressed_decode_all_rounds(
     library: PacketLibrary, scheme: Scheme, demand, batch: CodedBatch, user: int
 ) -> bytes:
-    """The closed-form coded decode over packet ints: the seen rounds'
-    payloads from round_payloads, the batch converted on every call, and the
-    solved messages handed to the plain decode_from_messages."""
+    """The closed-form coded decode that solves every unseen round of every
+    integer: the unseen parity rounds by the inverse of P's minor, then every
+    unseen systematic round by one product of P's rows with all parity
+    rounds, before the file is built from the K*S messages; the batch's
+    symbols and the user's rounds are worked out again on every call."""
     _check_dims(library, scheme)
     k, s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
@@ -471,13 +483,13 @@ def compressed_decode_by_ints(
     if n * s != batch.m1:
         raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
     _check_batch(batch, k * s, s, library.packet_bytes)
-    b, w = batch.packet_bytes, gf.width
-    seen = [p for g in known for p in round_payloads(library, scheme, d, g + 1)]
-    coded = packets_to_symbols(batch.payloads, b, w)
+    w = gf.width
+    coded = packets_to_symbols(batch.payloads, batch.packet_bytes, w)
     per_round = s * coded.shape[1]
     coded = coded.reshape(n, per_round)
     x = np.empty((k, per_round), dtype=np.uint32)
-    x[known] = packets_to_symbols(seen, b, w).reshape(len(known), per_round)
+    seen = round_messages(library, scheme, d, [g + 1 for g in known])
+    x[known] = bytes_to_symbols(seen, w).reshape(len(known), per_round)
     p_mat, parity = _coding_block(n, k, w), x[n:]
     ks, kp = [g for g in known if g < n], [g - n for g in known if g >= n]
     us, up = [g for g in unknown if g < n], [g - n for g in unknown if g >= n]
@@ -485,9 +497,7 @@ def compressed_decode_by_ints(
         rhs = coded[ks] ^ x[ks] ^ gf.matmul(p_mat[np.ix_(ks, kp)], parity[kp])
         parity[up] = gf.matmul(gf.cauchy_inverse(n, up, rows=ks), rhs)
     x[us] = coded[us] ^ gf.matmul(p_mat[us], parity)
-    solved = symbols_to_packets(x[unknown].reshape(n * s, -1), b, w)
-    payloads = [0] * (k * s)
-    for rounds, found in ((known, seen), (unknown, solved)):
-        for r, g in enumerate(rounds):
-            payloads[g * s:(g + 1) * s] = found[r * s:(r + 1) * s]
-    return decode_from_messages(library, scheme, demand, payloads, user)
+    messages = symbols_to_bytes(x, w).reshape(k, s, batch.packet_bytes)
+    plan = scheme.plan
+    rounds = (user - 1 - plan.miss_cols) % k
+    return file_from_messages(library, scheme, d, user, messages[rounds, plan.miss_ints])

@@ -37,8 +37,8 @@ from macc import (
 from macc import compress, gf2, sim
 from macc.sim import round_messages, round_payloads
 from oracles import (
+    compressed_decode_all_rounds,
     compressed_decode_by_elimination,
-    compressed_decode_by_ints,
     compressed_deliver_by_ints,
     is_invertible,
     messages_read,
@@ -438,10 +438,13 @@ def _array_path_cases():
 
 @pytest.mark.parametrize("name", ["832", "part33_gf16", "part33_gf8", "mn21_gf16", "ragged"])
 def test_array_path_matches_int_oracle(name):
+    """The array path against the int oracles, and the decode of only the
+    needed messages against the all-rounds decode for every demand and
+    against elimination for every user of the first demand."""
     scheme, packet_bytes, width, suite = _array_path_cases()[name]
     k, b = scheme.params.k, packet_bytes
     lib = library_for_scheme(scheme, packet_bytes=b, seed=13)
-    for demand in demand_suite(k, k, seed=4, **suite):
+    for i, demand in enumerate(demand_suite(k, k, seed=4, **suite)):
         got = round_messages(lib, scheme, demand, range(1, k + 1))
         assert got.shape == (k, scheme.pda.s, b) and got.dtype == np.uint8
         for g in range(1, k + 1):
@@ -451,7 +454,9 @@ def test_array_path_matches_int_oracle(name):
         assert batch == compressed_deliver_by_ints(lib, scheme, demand, field_width=width)
         for user in range(1, k + 1):
             decoded = compressed_decode(lib, scheme, demand, batch, user)
-            assert decoded == compressed_decode_by_ints(lib, scheme, demand, batch, user)
+            assert decoded == compressed_decode_all_rounds(lib, scheme, demand, batch, user)
+            if i == 0:
+                assert decoded == compressed_decode_by_elimination(lib, scheme, demand, batch, user)
             assert decoded == lib.file_bytes(demand[user - 1]), (demand, user)
 
 
@@ -462,8 +467,8 @@ def test_ragged_integer_groups_compress():
 
 
 def test_compressed_decode_reads_the_library_array_only(monkeypatch):
-    """No int payload path runs in a coded decode, and the batch is split
-    into symbols once for all K users."""
+    """No int payload path runs in a coded decode; a delivered batch carries
+    its symbols, and a copy of it splits its payloads once for all K users."""
     p, _ = partition_pda(3, 3)
     scheme = build_scheme(p, 15, 3)
     lib = library_for_scheme(scheme, packet_bytes=4, seed=8)
@@ -484,7 +489,104 @@ def test_compressed_decode_reads_the_library_array_only(monkeypatch):
         return split(*args)
 
     monkeypatch.setattr(compress, "packets_to_symbols", counted)
+    copy = dataclasses.replace(batch)
     for user in range(1, 16):
         assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
+    assert conversions == []
+    for user in range(1, 16):
+        assert compressed_decode(lib, scheme, demand, copy, user) == lib.file_bytes(demand[user - 1])
     assert len(conversions) == 1
-    assert not batch.symbols.flags.writeable
+    assert np.array_equal(copy.symbols, batch.symbols)
+    assert not batch.symbols.flags.writeable and not copy.symbols.flags.writeable
+
+
+def test_compressed_decode_multiplies_only_needed_messages(monkeypatch):
+    """The decode's products: the parity solve, at most sum(lambda) rows,
+    and one P row per needed message of a systematic round, never P's rows
+    of every unseen round against every integer."""
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=256, seed=6)
+    demand = tuple(range(1, 16))
+    batch = compressed_deliver(lib, scheme, demand)
+    total = lambda_profile(p, 3).total
+    n = 15 - total
+    matmul_rows, dot_rows = [], []
+    matmul, dot_logs = GF.matmul, GF.dot_logs
+
+    def recorded_matmul(self, a, x):
+        matmul_rows.append(np.shape(a)[0])
+        return matmul(self, a, x)
+
+    def recorded_dot(self, a_logs, x):
+        dot_rows.append(np.shape(a_logs)[0])
+        return dot_logs(self, a_logs, x)
+
+    monkeypatch.setattr(GF, "matmul", recorded_matmul)
+    monkeypatch.setattr(GF, "dot_logs", recorded_dot)
+    for user in range(1, 16):
+        dot_rows.clear()
+        assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
+        read = messages_read(scheme, user)
+        assert len(read) == len(scheme.plan.miss_cols) == 54
+        assert dot_rows == [sum(i // p.s < n for i in read)]
+        assert 0 < dot_rows[0] < len(read)
+    assert matmul_rows and max(matmul_rows) <= total
+
+
+def test_decode_tables_are_built_once_per_user_and_width(monkeypatch):
+    p, _ = partition_pda(3, 3)
+    scheme = build_scheme(p, 15, 3)
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=9)
+    demand = (5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9)
+    batches = [compressed_deliver(lib, scheme, demand, field_width=w) for w in (16, 8)]
+    user_of, built = {}, []
+    user_rounds, decode_table = compress._user_rounds, compress._decode_table
+
+    def recorded_rounds(scheme, user):
+        rounds = user_rounds(scheme, user)
+        user_of[id(rounds)] = user
+        return rounds
+
+    def recorded_table(scheme, rounds, gf):
+        built.append((user_of[id(rounds)], gf.width))
+        return decode_table(scheme, rounds, gf)
+
+    monkeypatch.setattr(compress, "_user_rounds", recorded_rounds)
+    monkeypatch.setattr(compress, "_decode_table", recorded_table)
+    for batch in batches + batches:
+        for user in range(1, 16):
+            assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
+    assert built == [(u, w) for w in (16, 8) for u in range(1, 16)]
+    assert len(user_of) == 15
+    kept = dict(scheme._tables)
+    copy = dataclasses.replace(scheme)
+    assert copy == scheme and copy._tables == {}
+    assert compressed_decode(lib, copy, demand, batches[0], 4) == lib.file_bytes(demand[3])
+    assert built[-1] == (4, 16) and len(built) == 31
+    assert all(scheme._tables[key] is table for key, table in kept.items())
+    assert len(scheme._tables) == len(kept) and copy._tables is not scheme._tables
+
+
+def test_lambda_profile_is_kept_per_scheme(scheme832, monkeypatch):
+    profiles = []
+    profile = compress.lambda_profile
+
+    def recorded(p, l):
+        profiles.append((p, l))
+        return profile(p, l)
+
+    monkeypatch.setattr(compress, "lambda_profile", recorded)
+    scheme = dataclasses.replace(scheme832)
+    lib = library_for_scheme(scheme, packet_bytes=1, seed=2)
+    for demand in demand_suite(8, 8, n_random=2):
+        compressed_deliver(lib, scheme, demand)
+        assert compressed_load(scheme) == Fraction(1, 2)
+    assert profiles == [(scheme.pda, 3)]
+    flat = build_scheme(mn_pda(4, 2), 6, 2)
+    for _ in range(2):
+        with pytest.raises(NotApplicable, match=r"^lambdas \(0, 0\) are not all positive$"):
+            compressed_load(flat)
+        with pytest.raises(NotApplicable, match=r"^lambdas \(0, 0\) are not all positive$"):
+            compressed_deliver(library_for_scheme(flat, packet_bytes=1), flat, (1,) * 6)
+    assert len(profiles) == 2

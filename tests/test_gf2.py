@@ -355,3 +355,38 @@ def test_matmul_rejects_elements_outside_the_field(bad):
         gf.matmul(np.array([[bad]]), np.array([[1]]))
     with pytest.raises(OutOfRange):
         gf.matmul(np.array([[1, 1]]), np.array([[1], [bad]]))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_dot_logs_matches_one_matmul_per_row(width):
+    gf = field(width)
+    rng = np.random.default_rng(width)
+    a = rng.integers(0, gf.order, size=(7, 3), dtype=np.uint32)
+    x = rng.integers(0, gf.order, size=(3, 7, 5), dtype=np.uint32)
+    a[1] = 0
+    x[:, 2] = 0
+    a[4, 1] = x[2, 5] = 0
+    logs = gf.logs(a)
+    assert logs[1].tolist() == [gf.zero_log] * 3
+    got = gf.dot_logs(logs, x)
+    assert got.dtype == np.uint32 and got.shape == (7, 5)
+    for i in range(7):
+        assert got[i].tolist() == gf.matmul(a[i:i + 1], x[:, i])[0].tolist()
+    assert gf.dot_logs(logs[:0], x[:, :0]).shape == (0, 5)
+
+
+def test_dot_logs_rejects_bad_logs_and_shapes():
+    gf = field(8)
+    x = np.ones((2, 1, 4), dtype=np.uint32)
+    for bad in (-1, 255, gf.zero_log + 1):
+        with pytest.raises(OutOfRange):
+            gf.dot_logs(np.array([[0, bad]]), x)
+    with pytest.raises(OutOfRange):
+        gf.dot_logs(np.array([[0.5, 1]]), x)
+    with pytest.raises(OutOfRange):
+        gf.dot_logs(np.array([[0, 1]]), x + 255)
+    with pytest.raises(OutOfRange):
+        gf.logs([256])
+    for logs, operand in (([[0, 1]], x[:1]), ([0, 1], x), ([[0, 1], [1, 0]], x)):
+        with pytest.raises(DimensionMismatch):
+            gf.dot_logs(np.array(logs), operand)

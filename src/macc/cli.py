@@ -201,11 +201,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    try:
-        step = Fraction(args.step)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad --step {args.step!r}") from e
-    header, rows = comparison_table(args.K, args.L, schemes, step)
+    header, rows = comparison_table(args.K, args.L, schemes, args.step)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(float12(v) for v in row))
@@ -226,7 +222,7 @@ def cmd_compare(args) -> int:
         "n": args.N,
         "csv": args.csv,
         "rows": len(rows),
-        "step": step,
+        "step": Fraction(args.step),  # comparison_table has read it as one
         "t1_best_up_to": crossover,
     }
     _emit(_report(args, {}, results, []), args.output)

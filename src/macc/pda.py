@@ -3,11 +3,16 @@
 An array has F' rows and K' columns; every cell is either a star or an
 integer from [1, S]. Stars mark cached rows, equal integers mark cells that
 share one multicast message. All public coordinates and column/row indices
-are 1-based; storage is 0-based.
+are 1-based; storage is 0-based. The checks read `Pda.array`: C1 and C4 are
+star counts per column and row, C2 a count per value, and C3 (and C5, on the
+lifted array) one vectorised test of the pairs of equal integers.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
+
+import numpy as np
 
 from .errors import C4Violation, MalformedPda, ParseError
 from .util import is_tuple_of, require_ints, require_type
@@ -46,6 +51,13 @@ class Pda:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
         return self.entries[row - 1][col - 1]
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only int64 array, built on first use."""
+        a = np.fromiter(chain.from_iterable(self.entries), np.int64, self.rows * self.cols)
+        a.flags.writeable = False
+        return a.reshape(self.rows, self.cols)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -82,14 +94,15 @@ def constituents(grid) -> dict[int, list[tuple[int, int]]]:
     return out
 
 
-def absent_integers(cells, s: int) -> list[int]:
-    """Integers of [1, s] with no cells in cells, an index by integer as
-    constituents builds it; C2 holds when there are none."""
-    return [v for v in range(1, s + 1) if v not in cells]
+def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
+    """Cell pairs ((r1, c1), (r2, c2)) of equal integers that break the crossing rule.
 
-
-def _crossings(grid, cells, exhaustive: bool = False) -> list[tuple]:
-    """The crossing pairs of grid, given its cells by integer as constituents returns them."""
+    Equal integers must sit in distinct rows and columns with stars at
+    (r1, c2) and (r2, c1). The star test alone covers distinctness: a shared
+    row or column puts the integer itself at a crossing. Pairs are listed by
+    ascending integer; only the first is returned unless exhaustive.
+    """
+    cells = constituents(grid)
     out = []
     for v in sorted(cells):
         for (r1, c1), (r2, c2) in combinations(cells[v], 2):
@@ -100,27 +113,57 @@ def _crossings(grid, cells, exhaustive: bool = False) -> list[tuple]:
     return out
 
 
-def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
-    """Cell pairs ((r1, c1), (r2, c2)) of equal integers that break the crossing rule.
+def _integer_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of a's integer cells, stably sorted by value
+    from row-major order, so each value's cells stay row-major."""
+    rows, cols = np.nonzero(a)
+    values = a[rows, cols]
+    order = np.argsort(values, kind="stable")
+    return rows[order], cols[order], values[order]
 
-    Equal integers must sit in distinct rows and columns with stars at
-    (r1, c2) and (r2, c1). The star test alone covers distinctness: a shared
-    row or column puts the integer itself at a crossing. Pairs are listed by
-    ascending integer; only the first is returned unless exhaustive.
-    """
-    return _crossings(grid, constituents(grid), exhaustive)
+
+def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:
+    """crossing_violations of grid a, given _integer_cells(a). Sorted cells i and
+    i + d of one value pair up, for d = 1, 2, ... while a value has d + 1 cells;
+    sorting the clashes by (i, i + d) gives crossing_violations' order. Short of
+    exhaustive, only cells before the first clash found are paired further."""
+    rows, cols, values = cells
+    found, end = [], len(values)
+    for d in range(1, len(values)):
+        i = np.flatnonzero(values[:min(end, len(values) - d)] == values[d:d + end])
+        if not i.size:
+            break
+        bad = i[(a[rows[i], cols[i + d]] != STAR) | (a[rows[i + d], cols[i]] != STAR)]
+        if bad.size:
+            found.append((bad, bad + d))
+            if not exhaustive:
+                end = int(bad[0])
+    if not found:
+        return []
+    i, j = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((j, i))[: None if exhaustive else 1]
+    i, j = i[order], j[order]
+    ends = np.stack([rows[i], cols[i], rows[j], cols[j]], axis=1) + 1
+    return [((r1, c1), (r2, c2)) for r1, c1, r2, c2 in ends.tolist()]
+
+
+def absent_integers(p: Pda) -> list[int]:
+    """Integers of [1, S] that no cell of p holds; C2 holds when there are none.
+    A lift keeps every integer cell, so this is also C2 of any lift of p."""
+    counts = np.bincount(p.array.ravel(), minlength=p.s + 1)
+    return (np.flatnonzero(counts[1:] == 0) + 1).tolist()
 
 
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
     """Check the three defining conditions and report counterexamples."""
     require_type(p, Pda, "validate_pda's array")
-    stars = (col.count(STAR) for col in zip(*p.entries))
+    a = p.array
+    stars = (a == STAR).sum(axis=0).tolist()
     c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
-    cells = constituents(p.entries)
-    c2 = [(v,) for v in absent_integers(cells, p.s)]
+    c2 = [(v,) for v in absent_integers(p)]
     if not exhaustive:
         c1, c2 = c1[:1], c2[:1]
-    c3 = _crossings(p.entries, cells, exhaustive)
+    c3 = _clashes(a, _integer_cells(a), exhaustive)
 
     return ValidationReport(
         c1_ok=not c1,
@@ -170,15 +213,17 @@ def check_c4(p: Pda) -> bool:
     if (p.cols * p.z) % p.rows != 0:
         return False
     t = (p.cols * p.z) // p.rows
-    return all(row.count(STAR) == t for row in p.entries)
+    return bool(((p.array == STAR).sum(axis=1) == t).all())
 
 
 def serialize_pda(p: Pda) -> str:
     """Render the canonical text form: 'K' F' Z S' header then F' token rows."""
     require_type(p, Pda, "serialize_pda's array")
+    values = np.sort(p.array, axis=None)
+    used = values[np.diff(values, prepend=-1) != 0].tolist()
+    tokens = dict(zip(used, map(str, used))) | {STAR: "*"}  # values held only: any S is cheap
     lines = [f"{p.cols} {p.rows} {p.z} {p.s}"]
-    for row in p.entries:
-        lines.append(" ".join("*" if v == STAR else str(v) for v in row))
+    lines += [" ".join(map(tokens.__getitem__, row)) for row in p.entries]
     return "\n".join(lines) + "\n"
 
 
@@ -203,26 +248,23 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
     if len(body) != rows:
         raise ParseError(f"expected {rows} data rows, found {len(body)}")
 
+    values = {"*": STAR}  # each distinct token is read once
     grid = []
     for i, ln in enumerate(body, start=1):
         toks = ln.split()
         if len(toks) != cols:
             raise ParseError(f"row {i} has {len(toks)} tokens, expected {cols}")
-        row = []
         for tok in toks:
-            if tok == "*":
-                row.append(STAR)
-                continue
-            try:
-                v = int(tok)
-            except ValueError as e:
-                raise ParseError(f"row {i}: bad token {tok!r}") from e
-            if not (1 <= v <= s):
-                raise ParseError(f"row {i}: value {v} outside [1, {s}]")
-            row.append(v)
-        grid.append(tuple(row))
+            if tok not in values:
+                try:
+                    values[tok] = int(tok)
+                except ValueError as e:
+                    raise ParseError(f"row {i}: bad token {tok!r}") from e
+                if not (1 <= values[tok] <= s):
+                    raise ParseError(f"row {i}: value {values[tok]} outside [1, {s}]")
+        grid.append(tuple([values[tok] for tok in toks]))  # sized once, as Scheme's grids
 
-    used = sorted({v for row in grid for v in row if v != STAR})
+    used = sorted(set(values.values()) - {STAR})
     relabel = None
     if used != list(range(1, len(used) + 1)) or s != len(used):
         relabel = {old: new for new, old in enumerate(used, start=1)}

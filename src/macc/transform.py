@@ -6,12 +6,13 @@ star of a base row becomes L cells and each integer stays one cell. In the
 placement grid the L cells are L-1 uncached nodes, then the caching node; in
 the delivery grid they are L stars, the L users that reach that node, and
 the integer cells keep their values. A user's view is the delivery grid's
-stars. One walk of the base rows builds both grids and the delivery grid's
-cells by integer, which `check_c5` and `Scheme` read for C5, the crossing
-rule C3 on the delivery grid; `Scheme` reads C2 off the same index. A
-`Scheme` stores only its inputs (base array, K, L, N) and derives the rest
-when built, so none can disagree with the array or break C5. Rounds 2..K are cyclic column shifts of round 1: the
-library reaches them by offset arithmetic and builds no shifted grid.
+stars. One scatter of `Pda.array` builds both grids and groups the delivery
+grid's integer cells by value; `check_c5` and `Scheme` test C5, the crossing
+rule C3 on the delivery grid, on them, and `Scheme.plan` takes the cells over.
+A `Scheme` stores only its inputs (base array, K, L, N) and derives the rest
+when built, so none can disagree with the array or break C5. Rounds 2..K are
+cyclic column shifts of round 1: the library reaches them by offset
+arithmetic and builds no shifted grid.
 """
 
 import json
@@ -31,7 +32,8 @@ from .errors import (
 from .pda import (
     STAR,
     Pda,
-    _crossings,
+    _clashes,
+    _integer_cells,
     absent_integers,
     check_c4,
     parse_pda,
@@ -83,30 +85,19 @@ class RoundArray:
 
 
 def _lift(p: Pda, l: int):
-    """The placement and delivery grids at access degree l, and the delivery
-    grid's cells by integer as constituents returns them.
-
-    A user retrieves exactly the delivery grid's stars. Star cells are built
-    only when some row has a star, so a starless array costs nothing at any l.
-    """
-    if any(STAR in row for row in p.entries):
-        place, wide = (False,) * (l - 1) + (True,), (STAR,) * l
-    else:
-        place = wide = ()
-    placement, delivery, cells = [], [], {}
-    for r, row in enumerate(p.entries, start=1):
-        c_row, q_row = [], []
-        for v in row:
-            if v == STAR:
-                c_row += place
-                q_row += wide
-            else:
-                c_row.append(False)
-                q_row.append(v)
-                cells.setdefault(v, []).append((r, len(q_row)))
-        placement.append(tuple(c_row))
-        delivery.append(tuple(q_row))
-    return tuple(placement), tuple(delivery), cells
+    """The placement and delivery arrays of a C4 array at access degree l, and
+    the delivery array's _integer_cells. Base cell (r, c) goes to column
+    c + (l - 1)(stars before c in row r), where a star widens to l cells as
+    the module docstring says."""
+    a = p.array
+    star = a == STAR
+    at = np.arange(p.cols) + (l - 1) * (np.cumsum(star, axis=1) - star)
+    rows = np.broadcast_to(np.arange(p.rows)[:, None], a.shape)
+    placement = np.zeros((p.rows, p.cols + (l - 1) * int(star[0].sum())), bool)
+    delivery = np.zeros(placement.shape, np.int64)
+    placement[rows[star], at[star] + l - 1] = True
+    delivery[rows[~star], at[~star]] = a[~star]
+    return placement, delivery, _integer_cells(delivery)
 
 
 def check_degree(l: int) -> None:
@@ -123,14 +114,18 @@ def check_c5(p: Pda, l: int) -> bool:
     every star widened to l stars, has no crossing violation. At l = 1 this
     is the plain crossing condition C3.
 
-    The whole lift is built at any l, since no K bounds it here, so time and
-    memory grow as rows * stars * l: check_c5(mn_pda(4, 2), 10**5) peaks at
-    about 23 MB. A Scheme cuts its own lift to K.
+    It lifts at min(l, K' + 1), so its cost does not grow with l: with
+    M = l - 1, base cell (r2, c2) with b2 stars before it lands in column
+    c2 + M b2, inside the block of a star of row r1 at column c with h stars
+    before it when M(h - b2) <= c2 - c <= M(h - b2 + 1). Once M >= K' > |c2 - c|
+    that holds exactly when h = b2 and c2 >= c, or h = b2 - 1 and c2 <= c, so
+    the order of (stars before, column) decides every crossing test and C5 at
+    any l > K' is C5 at K' + 1.
     """
     check_degree(l)
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not _crossings(*_lift(p, l)[1:])
+    return not _clashes(*_lift(p, min(l, p.cols + 1))[1:])
 
 
 # How a user rebuilds one row outside its view: the integer s of the message
@@ -187,8 +182,13 @@ def _padded(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _delivery_plan(q1, index) -> DeliveryPlan:
-    """Index the round-1 delivery grid from the lift's 1-based cells; a view is a column's stars."""
-    cells = {s: tuple((j - 1, c - 1) for j, c in group) for s, group in index.items()}
+    """Index the round-1 delivery grid from the lift's integer cells; a view is a column's stars."""
+    rows, cols, values = index
+    starts = np.flatnonzero(np.diff(values, prepend=STAR))
+    groups = np.split(np.column_stack((rows, cols)), starts[1:])
+    # Keyed in the order a row-major walk of the grid meets each integer.
+    cells = {values[starts[g]].item(): tuple([tuple(cell) for cell in groups[g].tolist()])
+             for g in np.lexsort((cols[starts], rows[starts])).tolist()}
     views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
     recipes = tuple(
         tuple(
@@ -223,14 +223,14 @@ class Scheme:
     (constructor, build_scheme or dataclasses.replace), satisfies C2, C4 and
     C5. It raises OutOfRange, first of all, when k, l or a given n is not an
     int, DimensionMismatch when pda is not a Pda, and OutOfRange when k or l
-    is below 1. It then lifts the array and raises ConditionViolation naming
-    the failed condition: "C2" when an integer of [1, S] is absent from the
-    lift's cells index, "C4" (C4Violation) when rows differ in star count,
-    and, after the check of K against the array, "C5" (C3ViolationInQ) when
-    the delivery grid breaks the crossing rule.
+    is below 1. It then raises ConditionViolation naming the failed
+    condition: "C2" when an integer of [1, S] is absent from the array (and
+    so from any lift), "C4" (C4Violation) when rows differ in star count,
+    and, after the check of K against the array, lifts it and raises "C5"
+    (C3ViolationInQ) when the delivery grid breaks the crossing rule.
 
-    params, the round-1 placement and delivery grids and the lift's cells
-    index are set here; a user's view is the delivery grid's stars. Rounds
+    params, the round-1 placement and delivery grids and the lift's integer
+    cells are set here; a user's view is the delivery grid's stars. Rounds
     2..K are never stored: delivery and decoding read `plan`, a round-1 index
     that replaces the cells index on first use and is cached, and `q` builds
     round g's delivery grid on request. Other modules keep what they derive
@@ -252,11 +252,7 @@ class Scheme:
         require_type(p, Pda, "scheme base array")
         if k < 1 or l < 1:
             raise OutOfRange(f"k={k}, l={l} must be >= 1")
-        # A lift at l > K is cut to K: a starless array lifts alike at every
-        # l, and a starred one fits K only at l <= K, so the check of K
-        # raises once C2 and C4 hold.
-        placement, delivery, cells = _lift(p, min(l, k))
-        missing = absent_integers(cells, p.s)
+        missing = absent_integers(p)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
         if not check_c4(p):
@@ -266,11 +262,13 @@ class Scheme:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        bad = _crossings(delivery, cells)
+        placement, delivery, cells = _lift(p, min(l, k))  # l > K only if starless
+        bad = _clashes(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
-        put("placement", RoundArray(round=1, grid=placement))
-        put("delivery", RoundArray(round=1, grid=delivery))
+        # Tuples from lists are sized once, so the tuple free lists reuse them.
+        put("placement", RoundArray(round=1, grid=tuple([tuple(r) for r in placement.tolist()])))
+        put("delivery", RoundArray(round=1, grid=tuple([tuple(r) for r in delivery.tolist()])))
         put("_cells", cells)
 
     def q(self, g: int) -> RoundArray:
@@ -316,27 +314,33 @@ def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
     return Scheme(p, k, l, n)
 
 
-def _arrays_text(scheme: Scheme) -> dict[str, list[str]]:
-    """The round-1 grids as text rows, keyed as in the JSON form; the user
-    retrieve rows mark the delivery grid's stars."""
-    place, deliver = scheme.placement.grid, scheme.delivery.grid
+def _arrays_text(scheme: Scheme, pda_text: str) -> dict[str, list[str]]:
+    """The round-1 grids as text rows, keyed as in the JSON form: the base
+    rows of pda_text, serialize_pda's form, and of the star marks, with each
+    star widened as the lift widens it."""
+    p = scheme.pda
+    l = scheme.l if scheme.params.t else 1  # a starless array has no star to widen
+    marks = np.where(p.array == STAR, b"*", b".").tobytes().decode()
+    marks = [marks[i:i + p.cols] for i in range(0, len(marks), p.cols)]
+    wide = " ".join("*" * l)
     return {
-        "node_placement": ["".join("*" if v else "." for v in row) for row in place],
-        "user_retrieve": ["".join("*" if v == STAR else "." for v in row) for row in deliver],
-        "user_delivery": [" ".join("*" if v == STAR else str(v) for v in row) for row in deliver],
+        "node_placement": [row.replace("*", "." * (l - 1) + "*") for row in marks],
+        "user_retrieve": [row.replace("*", "*" * l) for row in marks],
+        "user_delivery": [row.replace("*", wide) for row in pda_text.splitlines()[1:]],
     }
 
 
 def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
     """Serialize with the base array inline; only round-1 arrays are stored."""
     require_type(scheme, Scheme, "scheme")
+    text = serialize_pda(scheme.pda)
     doc: dict = {
         "format": SCHEME_FORMAT,
         "params": scheme.params.as_dict(),
-        "pda": {"inline": serialize_pda(scheme.pda)},
+        "pda": {"inline": text},
     }
     if include_arrays:
-        doc["arrays"] = _arrays_text(scheme)
+        doc["arrays"] = _arrays_text(scheme, text)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -376,7 +380,7 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
     scheme = build_scheme(parse_pda(ptext), k, l, n)
     arrays = doc.get("arrays")
     if arrays:
-        for name, rows in _arrays_text(scheme).items():
+        for name, rows in _arrays_text(scheme, serialize_pda(scheme.pda)).items():
             stored = arrays.get(name, rows)
             if not isinstance(stored, list):
                 raise ParseError(f"stored {name} array must be a list of rows")

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from macc import Pda, build_scheme, mn_pda
+from macc import STAR, Pda, build_scheme, mn_pda
 
 # Hand-built 5x5 array with Z=2, S=14 that passes C1-C4 but breaks the
 # window-crossing condition at access degree 2: the integer 1 sits at
@@ -24,3 +25,20 @@ def pneg() -> Pda:
 def scheme832():
     """The worked (K, L, t) = (8, 3, 2) instance built from the 4x6 array."""
     return build_scheme(mn_pda(4, 2), 8, 3)
+
+
+@st.composite
+def c4_arrays(draw):
+    """Small arrays with t stars in every row, Z = tF'/K' an integer, and
+    their integers renumbered to [1, S] so that C2 holds."""
+    cols = draw(st.integers(1, 5))
+    t = draw(st.integers(0, cols))
+    rows = draw(st.integers(1, 6).filter(lambda r: r * t % cols == 0))
+    values = st.integers(1, draw(st.integers(1, 12)))
+    grid = []
+    for _ in range(rows):
+        stars = draw(st.sets(st.integers(0, cols - 1), min_size=t, max_size=t))
+        grid.append([STAR if c in stars else draw(values) for c in range(cols)])
+    rank = {v: i for i, v in enumerate(sorted({v for row in grid for v in row} - {STAR}), 1)}
+    entries = tuple(tuple(rank.get(v, STAR) for v in row) for row in grid)
+    return Pda(rows=rows, cols=cols, entries=entries, z=rows * t // cols, s=len(rank))

@@ -17,12 +17,15 @@ from macc import (
     ConditionViolation,
     DimensionMismatch,
     LoadCurve,
+    MalformedPda,
     MnParams,
     MultiaccessParams,
     OutOfRange,
+    ParseError,
     Pda,
     RoundArray,
     SingularSystem,
+    ValidationReport,
     check_c4,
     envelope,
     lex_rank,
@@ -114,6 +117,135 @@ def check_c5_by_windows(p: Pda, l: int) -> bool:
             if shifted(j2, k2) not in windows[j1 - 1]:
                 return False
     return True
+
+
+def lift_by_walk(p: Pda, l: int):
+    """The placement and delivery grids at access degree l, and the delivery
+    grid's cells by integer as constituents returns them, by one walk of the
+    base rows; any array, ragged star counts included, lifts.
+
+    Star cells are built only when some row has a star, so a starless array
+    costs nothing at any l.
+    """
+    if any(STAR in row for row in p.entries):
+        place, wide = (False,) * (l - 1) + (True,), (STAR,) * l
+    else:
+        place = wide = ()
+    placement, delivery, cells = [], [], {}
+    for r, row in enumerate(p.entries, start=1):
+        c_row, q_row = [], []
+        for v in row:
+            if v == STAR:
+                c_row += place
+                q_row += wide
+            else:
+                c_row.append(False)
+                q_row.append(v)
+                cells.setdefault(v, []).append((r, len(q_row)))
+        placement.append(tuple(c_row))
+        delivery.append(tuple(q_row))
+    return tuple(placement), tuple(delivery), cells
+
+
+def check_c4_by_rows(p: Pda) -> bool:
+    """C4 by counting the stars of each row of the entries."""
+    if (p.cols * p.z) % p.rows != 0:
+        return False
+    t = (p.cols * p.z) // p.rows
+    return all(row.count(STAR) == t for row in p.entries)
+
+
+def validate_pda_by_walk(p: Pda, exhaustive: bool = False) -> ValidationReport:
+    """C1-C3 by walking the entries: column star counts, the cells by
+    integer for C2 and every pair of equal integers for C3."""
+    stars = (col.count(STAR) for col in zip(*p.entries))
+    c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
+    cells = constituents(p.entries)
+    c2 = [(v,) for v in range(1, p.s + 1) if v not in cells]
+    if not exhaustive:
+        c1, c2 = c1[:1], c2[:1]
+    c3 = crossing_violations(p.entries, exhaustive)
+    return ValidationReport(
+        c1_ok=not c1,
+        c2_ok=not c2,
+        c3_ok=not c3,
+        c1_counterexamples=tuple(c1),
+        c2_counterexamples=tuple(c2),
+        c3_counterexamples=tuple(c3),
+        exhaustive=exhaustive,
+    )
+
+
+def check_c5_by_walk(p: Pda, l: int) -> bool:
+    """C5 on the whole lift at l, built by walking the base rows."""
+    if l < 1:
+        raise OutOfRange(f"access degree l={l} must be >= 1")
+    if not check_c4_by_rows(p):
+        raise C4Violation("uniform per-row star count required before this check")
+    return not crossing_violations(lift_by_walk(p, l)[1])
+
+
+def arrays_text_by_grids(placement, delivery) -> dict[str, list[str]]:
+    """The JSON form's text rows, rendered cell by cell from the round-1 grids."""
+    return {
+        "node_placement": ["".join("*" if v else "." for v in row) for row in placement],
+        "user_retrieve": ["".join("*" if v == STAR else "." for v in row) for row in delivery],
+        "user_delivery": [" ".join("*" if v == STAR else str(v) for v in row) for row in delivery],
+    }
+
+
+def serialize_pda_by_cells(p: Pda) -> str:
+    """The text form with every cell written on its own."""
+    lines = [f"{p.cols} {p.rows} {p.z} {p.s}"]
+    for row in p.entries:
+        lines.append(" ".join("*" if v == STAR else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def parse_pda_by_cells(text: str) -> tuple[Pda, dict[int, int] | None]:
+    """parse_pda_with_map reading every token on its own."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty input")
+    head = lines[0].split()
+    if len(head) != 4:
+        raise ParseError(f"header needs 4 integers (K' F' Z S), got {lines[0]!r}")
+    try:
+        cols, rows, z, s = (int(x) for x in head)
+    except ValueError as e:
+        raise ParseError(f"bad header {lines[0]!r}") from e
+    body = lines[1:]
+    if len(body) != rows:
+        raise ParseError(f"expected {rows} data rows, found {len(body)}")
+    grid = []
+    for i, ln in enumerate(body, start=1):
+        toks = ln.split()
+        if len(toks) != cols:
+            raise ParseError(f"row {i} has {len(toks)} tokens, expected {cols}")
+        row = []
+        for tok in toks:
+            if tok == "*":
+                row.append(STAR)
+                continue
+            try:
+                v = int(tok)
+            except ValueError as e:
+                raise ParseError(f"row {i}: bad token {tok!r}") from e
+            if not (1 <= v <= s):
+                raise ParseError(f"row {i}: value {v} outside [1, {s}]")
+            row.append(v)
+        grid.append(tuple(row))
+    used = sorted({v for row in grid for v in row if v != STAR})
+    relabel = None
+    if used != list(range(1, len(used) + 1)) or s != len(used):
+        relabel = {old: new for new, old in enumerate(used, start=1)}
+        grid = [tuple(relabel[v] if v != STAR else STAR for v in row) for row in grid]
+        s = len(used)
+    try:
+        p = Pda(rows=rows, cols=cols, entries=tuple(grid), z=z, s=s)
+    except MalformedPda as e:
+        raise ParseError(f"inconsistent header {lines[0]!r}: {e}") from e
+    return p, relabel
 
 
 def mn_pda_by_lex_rank(k_prime: int, t: int) -> Pda:

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macc import STAR, MultiaccessParams, Pda, build_scheme, mn_pda, partition_pda
+from conftest import c4_arrays
+from macc import MultiaccessParams, build_scheme, mn_pda, partition_pda
 from oracles import build_scheme_by_steps
 
 
@@ -42,23 +43,6 @@ def test_stock_families_match_the_step_by_step_lift():
             for k in fitting_ks(p, l):
                 built += assert_same_lift(p, k, l)
     assert built > len(arrays)
-
-
-@st.composite
-def c4_arrays(draw):
-    """Small arrays with t stars in every row, Z = tF'/K' an integer, and
-    their integers renumbered to [1, S] so that C2 holds."""
-    cols = draw(st.integers(1, 5))
-    t = draw(st.integers(0, cols))
-    rows = draw(st.integers(1, 6).filter(lambda r: r * t % cols == 0))
-    values = st.integers(1, draw(st.integers(1, 12)))
-    grid = []
-    for _ in range(rows):
-        stars = draw(st.sets(st.integers(0, cols - 1), min_size=t, max_size=t))
-        grid.append([STAR if c in stars else draw(values) for c in range(cols)])
-    rank = {v: i for i, v in enumerate(sorted({v for row in grid for v in row} - {STAR}), 1)}
-    entries = tuple(tuple(rank.get(v, STAR) for v in row) for row in grid)
-    return Pda(rows=rows, cols=cols, entries=entries, z=rows * t // cols, s=len(rank))
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from macc import STAR, OutOfRange, Pda, comparison_table, envelope_eval, mn_pda, scheme_curve
 from macc.pda import constituents
-from macc.transform import _lift
 from macc.rates import SCHEME_KEYS
 from oracles import (
     comparison_table_by_scan,
     envelope_eval_by_scan,
     expand_by_generator,
+    lift_by_walk,
     mn_pda_by_lex_rank,
 )
 
@@ -85,7 +85,7 @@ def test_mn_pda_matches_lex_rank_per_cell():
 
 @st.composite
 def arrays(draw):
-    """Arrays of any shape with stars anywhere; _lift reads only the entries, so Z is 0."""
+    """Arrays of any shape with stars anywhere; lift_by_walk reads only the entries, so Z is 0."""
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 6))
     s = draw(st.integers(0, 9))
@@ -97,9 +97,9 @@ def arrays(draw):
 @settings(max_examples=60, deadline=None)
 @given(p=arrays(), l=st.integers(1, 5))
 def test_expand_matches_the_generator(p, l):
-    """_lift's placement and delivery grids are the two star expansions, and
-    its cells are the delivery grid's constituents."""
-    placement, delivery, cells = _lift(p, l)
+    """lift_by_walk's placement and delivery grids are the two star
+    expansions, and its cells are the delivery grid's constituents."""
+    placement, delivery, cells = lift_by_walk(p, l)
     cached_last = (False,) * (l - 1) + (True,)
     assert repr(placement) == repr(expand_by_generator(p, cached_last, lambda v: False))
     assert repr(delivery) == repr(expand_by_generator(p, (STAR,) * l, lambda v: v))

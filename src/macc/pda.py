@@ -116,10 +116,10 @@ def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
 def _integer_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of a's integer cells, stably sorted by value
     from row-major order, so each value's cells stay row-major."""
-    rows, cols = np.nonzero(a)
-    values = a[rows, cols]
+    pos = np.flatnonzero(a)
+    values = a.ravel()[pos]
     order = np.argsort(values, kind="stable")
-    return rows[order], cols[order], values[order]
+    return *np.divmod(pos[order], a.shape[1]), values[order]
 
 
 def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:

@@ -89,15 +89,17 @@ def _lift(p: Pda, l: int):
     the delivery array's _integer_cells. Base cell (r, c) goes to column
     c + (l - 1)(stars before c in row r), where a star widens to l cells as
     the module docstring says."""
-    a = p.array
-    star = a == STAR
+    star = p.array == STAR
     at = np.arange(p.cols) + (l - 1) * (np.cumsum(star, axis=1) - star)
-    rows = np.broadcast_to(np.arange(p.rows)[:, None], a.shape)
     placement = np.zeros((p.rows, p.cols + (l - 1) * int(star[0].sum())), bool)
+    r, c = np.nonzero(star)
+    placement[r, at[r, c] + l - 1] = True
+    # The lift keeps each row's order, so the base cells' sort order is the lift's.
+    rows, cols, values = _integer_cells(p.array)
+    cols = at[rows, cols]
     delivery = np.zeros(placement.shape, np.int64)
-    placement[rows[star], at[star] + l - 1] = True
-    delivery[rows[~star], at[~star]] = a[~star]
-    return placement, delivery, _integer_cells(delivery)
+    delivery[rows, cols] = values
+    return placement, delivery, (rows, cols, values)
 
 
 def check_degree(l: int) -> None:

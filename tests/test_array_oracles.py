@@ -30,6 +30,7 @@ from oracles import (
 
 STOCK = [mn_pda(kp, t) for kp in range(1, 7) for t in range(kp + 1)]
 STOCK += [partition_pda(m, q)[0] for m in (2, 3) for q in (2, 3)]
+STOCK += [Pda(rows=2, cols=2, entries=((STAR, 2), (1, STAR)), z=1, s=2)]  # 2 is met before 1
 
 
 def outcome(fn, *args):

@@ -220,10 +220,10 @@ def serialize_pda(p: Pda) -> str:
     """Render the canonical text form: 'K' F' Z S' header then F' token rows."""
     require_type(p, Pda, "serialize_pda's array")
     values = np.sort(p.array, axis=None)
-    used = values[np.diff(values, prepend=-1) != 0].tolist()
-    tokens = dict(zip(used, map(str, used))) | {STAR: "*"}  # values held only: any S is cheap
+    used = values[np.diff(values, prepend=-1) != 0]  # a token per value held: any S is cheap
+    tokens = np.array(["*" if v == STAR else str(v) for v in used.tolist()], dtype=object)
     lines = [f"{p.cols} {p.rows} {p.z} {p.s}"]
-    lines += [" ".join(map(tokens.__getitem__, row)) for row in p.entries]
+    lines += [" ".join(row) for row in tokens[np.searchsorted(used, p.array)].tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -249,7 +249,7 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
         raise ParseError(f"expected {rows} data rows, found {len(body)}")
 
     values = {"*": STAR}  # each distinct token is read once
-    grid = []
+    tokens = []
     for i, ln in enumerate(body, start=1):
         toks = ln.split()
         if len(toks) != cols:
@@ -262,7 +262,9 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
                     raise ParseError(f"row {i}: bad token {tok!r}") from e
                 if not (1 <= values[tok] <= s):
                     raise ParseError(f"row {i}: value {values[tok]} outside [1, {s}]")
-        grid.append(tuple([values[tok] for tok in toks]))  # sized once, as Scheme's grids
+        tokens += toks
+    cells = list(map(values.__getitem__, tokens))
+    grid = [tuple(cells[i:i + cols]) for i in range(0, len(cells), cols)]  # sized once
 
     used = sorted(set(values.values()) - {STAR})
     relabel = None

@@ -264,7 +264,7 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
                     raise ParseError(f"row {i}: value {values[tok]} outside [1, {s}]")
         tokens += toks
     cells = list(map(values.__getitem__, tokens))
-    grid = [tuple(cells[i:i + cols]) for i in range(0, len(cells), cols)]  # from lists, as in Scheme
+    grid = [tuple(cells[r * cols:(r + 1) * cols]) for r in range(rows)]  # from lists, as in Scheme
 
     used = sorted(set(values.values()) - {STAR})
     relabel = None

@@ -2,21 +2,25 @@
 
 A file consists of K parts of F' packets each; part g is covered by the
 round-g arrays. A library holds its packets as B-byte ints, the form that
-the plain path (deliver, decode) and every public payload format use; XOR
-is the only server-side operation. It also views them, once, as one
-read-only uint8 array of shape (N, K, F', B), from which file_bytes and the
-coded path (round_messages, file_from_messages) read whole packets with no
-int <-> bytes work. No round-g array is built: delivery and decoding read
-the scheme's round-1 plan (Scheme.plan) and locate round g by offset
-arithmetic, round-1 column c standing for column mod1(c + g - 1, K).
-Message (g, s), the XOR for integer s of round g, is named by its log
-position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
+every public payload format uses; XOR is the only server-side operation.
+The plain deliver XORs those ints, whole columns of cells at a time. A
+library also views its packets, once, as one read-only uint8 array of shape
+(N, K, F', B), from which file_bytes and the coded deliver (round_messages)
+read whole packets with no int <-> bytes work. Plain and coded decode share
+one gather from that array (file_from_messages); a plain decode turns only
+the log entries its user reads to bytes. No round-g array is built:
+delivery and decoding read the scheme's round-1 plan (Scheme.plan) and
+locate round g by offset arithmetic, round-1 column c standing for column
+mod1(c + g - 1, K). Message (g, s), the XOR for integer s of round g, is
+named by its log position (g - 1)*S + s - 1; the coded batch's Cauchy
+columns use that order.
 """
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial, reduce
+from itertools import product, repeat
+from operator import itemgetter, xor
 
 import numpy as np
 
@@ -154,6 +158,13 @@ class TransmissionLog:
     payloads: tuple[int, ...]
     packet_bytes: int
 
+    def __post_init__(self):
+        """Check the log's shape; payload values are checked by the decode that reads them."""
+        require_type(self.payloads, tuple, "payloads")
+        require_ints(packet_bytes=self.packet_bytes)
+        if self.packet_bytes < 1:
+            raise OutOfRange(f"packet_bytes={self.packet_bytes} must be >= 1")
+
     @property
     def total_packets_sent(self) -> int:
         return len(self.payloads)
@@ -178,35 +189,32 @@ def check_user(user: int, k: int) -> None:
         raise DemandOutOfRange(f"user {user!r} outside [1, {k}]")
 
 
-def _round_parts(library: PacketLibrary, d: tuple[int, ...], k: int, g: int) -> list:
-    """Part g of each user's demanded file, listed by 0-based round-1 column."""
-    data = library.data
-    return [data[d[(c + g - 1) % k] - 1][g - 1] for c in range(k)]
-
-
-def round_payloads(
-    library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], g: int
-) -> list[int]:
-    """Payloads of round g's messages s = 1..S under a checked demand d."""
-    parts = _round_parts(library, d, scheme.params.k, g)
-    cells = scheme.plan.cells
-    out = []
-    for s in range(1, scheme.pda.s + 1):
-        payload = 0
-        for j, c in cells[s]:
-            payload ^= parts[c][j]
-        out.append(payload)
-    return out
-
-
 def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
-    """XOR the demanded packets cell-group by cell-group, all K rounds."""
+    """XOR the demanded packets cell-group by cell-group, all K rounds.
+
+    Round g lists the demanded packets of part g column by column, plus a
+    trailing 0 that padding cells read. Row n of plan.cell_* holds the n-th
+    cell of each of the S integers: one gather per row takes those S packets
+    from the list, and the gathered columns fold together with XOR.
+    """
     _check_dims(library, scheme)
-    d = check_demand(demand, scheme.params.k, library.n_files)
-    payloads = tuple(
-        p for g in range(1, scheme.params.k + 1) for p in round_payloads(library, scheme, d, g)
-    )
-    return TransmissionLog(payloads=payloads, packet_bytes=library.packet_bytes)
+    k, f, n_s = scheme.params.k, scheme.pda.rows, scheme.pda.s
+    d = check_demand(demand, k, library.n_files)
+    payloads: list[int] = []
+    if n_s:
+        plan = scheme.plan
+        index = np.where(plan.cell_pad, k * f, plan.cell_cols * f + plan.cell_rows).tolist()
+        # itemgetter of one index returns the item itself, not a 1-tuple
+        gathers = [itemgetter(*row) if n_s > 1 else (lambda seq, i=row[0]: (seq[i],))
+                   for row in index]
+        data = library.data
+        for g in range(k):
+            packets = []
+            for c in range(k):
+                packets += data[d[(c + g) % k] - 1][g]
+            packets.append(0)
+            payloads.extend(reduce(partial(map, xor), [gather(packets) for gather in gathers]))
+    return TransmissionLog(payloads=tuple(payloads), packet_bytes=library.packet_bytes)
 
 
 def _words(packets: np.ndarray) -> np.ndarray:
@@ -234,8 +242,13 @@ def decode_from_messages(
     """Rebuild the user's demanded file from its view plus message payloads.
 
     payloads holds K*S entries in log order, None for a message the user
-    lacks. Raises UndecodablePacket when a needed message is None, and
-    checks only the entries the decode reads.
+    lacks. The decode reads only the entries of the messages that carry the
+    user's missing rows, one per row of plan.miss_*: row i is missing in the
+    0-based round r = (user - 1 - miss_cols[i]) mod K and read from log
+    position r*S + miss_ints[i]. Only those entries are checked. When one is
+    bad, the first bad one in (round, row) order raises: UndecodablePacket
+    when it is None, else OutOfRange unless it is an int of packet_bytes
+    bytes. The good entries reach file_from_messages as one bytes array.
     """
     _check_dims(library, scheme)
     k, n_s = scheme.params.k, scheme.pda.s
@@ -244,29 +257,22 @@ def decode_from_messages(
     payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
     if len(payloads) != k * n_s:
         raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
-    limit = 1 << 8 * library.packet_bytes
-    recipes = scheme.plan.recipes
-    want = library.data[d[user - 1] - 1]
-    out = []
-    for g in range(1, k + 1):
-        parts = _round_parts(library, d, k, g)
-        own = want[g - 1]
-        for j, step in enumerate(recipes[(user - g) % k]):
-            if step is None:
-                out.append(own[j])
-                continue
-            s, peers = step
-            val = payloads[(g - 1) * n_s + s - 1]
+    plan, b = scheme.plan, library.packet_bytes
+    rounds = (user - 1 - plan.miss_cols) % k
+    values = [payloads[i] for i in (rounds * n_s + plan.miss_ints).tolist()]
+    limit = 1 << 8 * b
+    ints = set(map(type, values)) <= {int}
+    if not (ints and 0 <= min(values, default=0) <= max(values, default=0) < limit):
+        for i in np.lexsort((plan.miss_rows, rounds)).tolist():
+            val = values[i]
             if val is None:
-                raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
-            if not (is_int(val) and 0 <= val < limit):
-                raise OutOfRange(
-                    f"message payload {val!r} lies outside the {library.packet_bytes}-byte integers"
+                raise UndecodablePacket(
+                    f"message (g={rounds[i] + 1}, s={plan.miss_ints[i] + 1}) missing from the log"
                 )
-            for jj, cc in peers:
-                val ^= parts[cc][jj]
-            out.append(val)
-    return b"".join(p.to_bytes(library.packet_bytes, "big") for p in out)
+            if not (is_int(val) and 0 <= val < limit):
+                raise OutOfRange(f"message payload {val!r} lies outside the {b}-byte integers")
+    raw = b"".join(map(int.to_bytes, values, repeat(b), repeat("big")))
+    return file_from_messages(library, scheme, d, user, np.frombuffer(raw, np.uint8).reshape(-1, b))
 
 
 def file_from_messages(

@@ -27,6 +27,16 @@ def scheme832():
     return build_scheme(mn_pda(4, 2), 8, 3)
 
 
+def ragged_pda() -> Pda:
+    """mn_pda(4, 2) with its first cell of integer 1 relabelled S + 1: the
+    integers then fill 2, 3, 3, 3 and 1 cells."""
+    p = mn_pda(4, 2)
+    rows = [list(row) for row in p.entries]
+    r, c = next((r, c) for r, row in enumerate(rows) for c, v in enumerate(row) if v == 1)
+    rows[r][c] = p.s + 1
+    return Pda(rows=p.rows, cols=p.cols, entries=tuple(map(tuple, rows)), z=p.z, s=p.s + 1)
+
+
 @st.composite
 def c4_arrays(draw):
     """Small arrays with t stars in every row, Z = tF'/K' an integer, and

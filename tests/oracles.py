@@ -25,6 +25,7 @@ from macc import (
     Pda,
     RoundArray,
     SingularSystem,
+    UndecodablePacket,
     ValidationReport,
     check_c4,
     envelope,
@@ -53,6 +54,7 @@ from macc.pda import constituents, crossing_violations
 from macc.rates import converse_step
 from macc.sim import (
     PacketLibrary,
+    TransmissionLog,
     _check_dims,
     check_demand,
     check_user,
@@ -60,10 +62,9 @@ from macc.sim import (
     deliver,
     file_from_messages,
     round_messages,
-    round_payloads,
 )
 from macc.transform import Scheme
-from macc.util import mod1
+from macc.util import converted, is_int, mod1
 
 
 def shift_grid(grid, g: int) -> tuple[tuple, ...]:
@@ -459,6 +460,75 @@ def user_view_via_nodes(
         node = mod1(user + off, k)
         rows.update(j for (gg, j) in caches[node - 1] if gg == g)
     return frozenset(rows)
+
+
+def _round_parts(library: PacketLibrary, d: tuple[int, ...], k: int, g: int) -> list:
+    """Part g of each user's demanded file, listed by 0-based round-1 column."""
+    data = library.data
+    return [data[d[(c + g - 1) % k] - 1][g - 1] for c in range(k)]
+
+
+def round_payloads(
+    library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], g: int
+) -> list[int]:
+    """Payloads of round g's messages s = 1..S under a checked demand d, one
+    cell's packet int at a time."""
+    parts = _round_parts(library, d, scheme.params.k, g)
+    cells = scheme.plan.cells
+    out = []
+    for s in range(1, scheme.pda.s + 1):
+        payload = 0
+        for j, c in cells[s]:
+            payload ^= parts[c][j]
+        out.append(payload)
+    return out
+
+
+def deliver_by_cells(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
+    """The plain delivery as round_payloads over all K rounds."""
+    _check_dims(library, scheme)
+    d = check_demand(demand, scheme.params.k, library.n_files)
+    payloads = tuple(
+        p for g in range(1, scheme.params.k + 1) for p in round_payloads(library, scheme, d, g)
+    )
+    return TransmissionLog(payloads=payloads, packet_bytes=library.packet_bytes)
+
+
+def decode_by_recipes(
+    library: PacketLibrary, scheme: Scheme, demand, payloads, user: int
+) -> bytes:
+    """The plain decode as a walk of plan.recipes, round by round and row by
+    row, XORing packet ints; each payload is checked as the walk reads it."""
+    _check_dims(library, scheme)
+    k, n_s = scheme.params.k, scheme.pda.s
+    d = check_demand(demand, k, library.n_files)
+    check_user(user, k)
+    payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
+    if len(payloads) != k * n_s:
+        raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
+    limit = 1 << 8 * library.packet_bytes
+    recipes = scheme.plan.recipes
+    want = library.data[d[user - 1] - 1]
+    out = []
+    for g in range(1, k + 1):
+        parts = _round_parts(library, d, k, g)
+        own = want[g - 1]
+        for j, step in enumerate(recipes[(user - g) % k]):
+            if step is None:
+                out.append(own[j])
+                continue
+            s, peers = step
+            val = payloads[(g - 1) * n_s + s - 1]
+            if val is None:
+                raise UndecodablePacket(f"message (g={g}, s={s}) missing from the log")
+            if not (is_int(val) and 0 <= val < limit):
+                raise OutOfRange(
+                    f"message payload {val!r} lies outside the {library.packet_bytes}-byte integers"
+                )
+            for jj, cc in peers:
+                val ^= parts[cc][jj]
+            out.append(val)
+    return b"".join(p.to_bytes(library.packet_bytes, "big") for p in out)
 
 
 def count_sq_oracle(k: int, l: int, t: int, q: int) -> dict[str, int]:

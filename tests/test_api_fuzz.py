@@ -27,7 +27,8 @@ def built_objects() -> dict:
     scheme = macc.build_scheme(macc.mn_pda(2, 1), 4, 3)
     library = macc.library_for_scheme(scheme, packet_bytes=2, seed=0)
     batch = macc.compressed_deliver(library, scheme, (1, 2, 3, 4))
-    return {obj.__class__.__name__: obj for obj in (macc.field(8), library, batch, scheme)}
+    log = macc.deliver(library, scheme, (1, 2, 3, 4))
+    return {obj.__class__.__name__: obj for obj in (macc.field(8), library, batch, log, scheme)}
 
 
 BUILT = built_objects()

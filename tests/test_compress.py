@@ -14,7 +14,6 @@ from macc import (
     FieldTooSmall,
     NotApplicable,
     OutOfRange,
-    Pda,
     SingularSystem,
     build_scheme,
     cauchy_matrix,
@@ -35,13 +34,15 @@ from macc import (
     reconstructable_messages,
 )
 from macc import compress, gf2, sim
-from macc.sim import round_messages, round_payloads
+from conftest import ragged_pda
+from macc.sim import round_messages
 from oracles import (
     compressed_decode_all_rounds,
     compressed_decode_by_elimination,
     compressed_deliver_by_ints,
     is_invertible,
     messages_read,
+    round_payloads,
     shift_grid,
 )
 
@@ -410,16 +411,6 @@ def test_partition_corner_compressed_load():
                 want = Fraction(2 * (q - 1) ** 2, q + l - 1)
                 assert compressed_load(scheme) == want
                 assert r_cor2(q, l) == want
-
-
-def ragged_pda() -> Pda:
-    """mn_pda(4, 2) with its first cell of integer 1 relabelled S + 1: the
-    integers then fill 2, 3, 3, 3 and 1 cells."""
-    p = mn_pda(4, 2)
-    rows = [list(row) for row in p.entries]
-    r, c = next((r, c) for r, row in enumerate(rows) for c, v in enumerate(row) if v == 1)
-    rows[r][c] = p.s + 1
-    return Pda(rows=p.rows, cols=p.cols, entries=tuple(map(tuple, rows)), z=p.z, s=p.s + 1)
 
 
 def _array_path_cases():

@@ -24,6 +24,7 @@ from macc import (
     PacketLibrary,
     ParseError,
     Pda,
+    TransmissionLog,
     build_scheme,
     check_c5,
     comparison_table,
@@ -212,6 +213,13 @@ def guarded_calls():
         (DemandOutOfRange, "demand=5 cannot be read", lambda s, lib: compressed_deliver(lib, s, 5)),
         (DimensionMismatch, "log is a str, not a TransmissionLog",
          lambda s, lib: decode(lib, s, demand, "log", 1)),
+        (DimensionMismatch, "payloads is a NoneType, not a tuple",
+         lambda s, lib: TransmissionLog(payloads=None, packet_bytes=1).total_packets_sent),
+        (DimensionMismatch, "payloads is a list, not a tuple", lambda s, lib: TransmissionLog([1], 1)),
+        (OutOfRange, "packet_bytes='x' is not an integer", lambda s, lib: TransmissionLog((1,), "x")),
+        (OutOfRange, "packet_bytes=True is not an integer", lambda s, lib: TransmissionLog((1,), True)),
+        (OutOfRange, "packet_bytes=-3 must be >= 1", lambda s, lib: TransmissionLog((1,), -3).bytes_sent),
+        (OutOfRange, "packet_bytes=0 must be >= 1", lambda s, lib: TransmissionLog((), 0)),
         (DimensionMismatch, "batch is a str, not a CodedBatch",
          lambda s, lib: compressed_decode(lib, s, demand, "batch", 1)),
         (DimensionMismatch, "library is a NoneType, not a PacketLibrary",

@@ -235,6 +235,8 @@ def test_parse_errors():
         parse_pda("2 2 1 1\n* x\n1 *\n")  # bad token
     with pytest.raises(ParseError):
         parse_pda("2 2 1 1\n* 9\n1 *\n")  # value above declared S
+    with pytest.raises(ParseError, match="need at least one row"):
+        parse_pda("0 0 0 0\n")  # no rows and no columns
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,24 +1,27 @@
-"""The plan-based simulator against the loop reference it replaced.
+"""The plan-based simulator against the loop references it replaced.
 
 The oracle_* helpers below rebuild every round-g grid with oracles.shift_grid
-and walk it cell by cell. The library reads the scheme's round-1 plan instead;
-its results, including which UndecodablePacket it raises, must match the
-loops exactly.
+and walk it cell by cell. oracles.deliver_by_cells and
+oracles.decode_by_recipes walk the round-1 plan one packet int at a time. The
+library gathers over the plan's index arrays instead; its results, including
+which UndecodablePacket or OutOfRange it raises, must match the loops exactly.
 """
 
 import dataclasses
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PNEG_ROWS
+from conftest import PNEG_ROWS, ragged_pda
 from macc import (
     STAR,
     C3ViolationInQ,
     C4Violation,
     ConditionViolation,
+    MaccError,
     OutOfRange,
     Pda,
     Scheme,
@@ -26,6 +29,7 @@ from macc import (
     build_scheme,
     check_c5,
     coverable_messages,
+    decode,
     decode_from_messages,
     deliver,
     demand_suite,
@@ -35,10 +39,16 @@ from macc import (
     populate_caches,
     scheme_to_json,
 )
-from macc import pda, transform
+from macc import pda, sim, transform
 from macc.pda import constituents
 from macc.sim import TransmissionLog, check_demand, user_view
-from oracles import build_scheme_by_steps, shift_grid
+from oracles import (
+    build_scheme_by_steps,
+    decode_by_recipes,
+    deliver_by_cells,
+    messages_read,
+    shift_grid,
+)
 
 
 def position(scheme, g, s) -> int:
@@ -110,21 +120,23 @@ def oracle_coverable_messages(scheme, user) -> frozenset:
 
 
 def outcome(fn, *args):
-    """The decoded bytes, or the UndecodablePacket text."""
+    """The decoded bytes, or the name and text of the MaccError raised."""
     try:
         return fn(*args)
-    except UndecodablePacket as e:
-        return f"UndecodablePacket: {e}"
+    except MaccError as e:
+        return f"{type(e).__name__}: {e}"
 
 
 # label -> (scheme, files): the worked instance, the plain benchmark instance,
-# the partition instance, no caching (t = 0), and a single user.
+# the partition instance, no caching (t = 0), a single user, and integers
+# that fill 2, 3, 3, 3 and 1 cells.
 SCHEMES = {
     "worked": (build_scheme(mn_pda(4, 2), 8, 3), 8),
     "mn12_2": (build_scheme(mn_pda(12, 2), 16, 3), 16),
     "part33": (build_scheme(partition_pda(3, 3)[0], 15, 3), 15),
     "t0": (build_scheme(mn_pda(5, 0), 5, 2), 5),
     "k1": (build_scheme(mn_pda(1, 0), 1, 1), 2),
+    "ragged": (build_scheme(ragged_pda(), 8, 3), 8),
 }
 
 
@@ -137,9 +149,11 @@ def case(request):
 def assert_matches_oracle(scheme, library, demand):
     log = deliver(library, scheme, demand)
     assert log == oracle_deliver(library, scheme, demand)
+    assert log == deliver_by_cells(library, scheme, demand)
     for u in range(1, scheme.params.k + 1):
         got = decode_from_messages(library, scheme, demand, log.payloads, u)
         assert got == oracle_decode_from_messages(library, scheme, demand, log.payloads, u)
+        assert got == decode_by_recipes(library, scheme, demand, log.payloads, u)
         assert got == library.file_bytes(demand[u - 1])
 
 
@@ -180,8 +194,59 @@ def test_missing_message_matches_oracle(scheme832):
         for u in range(1, k + 1):
             got = outcome(decode_from_messages, library, scheme832, demand, msgs, u)
             assert got == outcome(oracle_decode_from_messages, library, scheme832, demand, msgs, u)
+            assert got == outcome(decode_by_recipes, library, scheme832, demand, msgs, u)
             missing += got == f"UndecodablePacket: message (g={g}, s={s}) missing from the log"
     assert missing > 0
+
+
+@pytest.mark.parametrize("label", ["worked", "ragged", "part33"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_corrupted_log_matches_the_loop_oracle(label, data):
+    """Two to four bad entries among those one user reads, and up to two
+    anywhere: every user's decode gives the recipe walk's bytes or its error.
+    So the first bad entry in (round, row) order is the one reported, and an
+    entry a user does not read is never checked."""
+    scheme, n = SCHEMES[label]
+    k = scheme.params.k
+    b = data.draw(st.sampled_from([1, 2]), label="packet_bytes")
+    library = library_for_scheme(scheme, n_files=n, packet_bytes=b, seed=k)
+    demand = tuple(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k), label="demand"))
+    payloads = list(deliver(library, scheme, demand).payloads)
+    read = sorted(messages_read(scheme, data.draw(st.integers(1, k), label="user")))
+    spots = data.draw(st.lists(st.sampled_from(read), min_size=2, max_size=4, unique=True),
+                      label="read")
+    spots += data.draw(st.lists(st.integers(0, len(payloads) - 1), max_size=2), label="anywhere")
+    bad = st.sampled_from([None, -1, 1 << 8 * b, "x", 1.5, np.int64(1)])
+    for i in spots:
+        payloads[i] = data.draw(bad, label=f"entry {i}")
+    for u in range(1, k + 1):
+        got = outcome(decode_from_messages, library, scheme, demand, payloads, u)
+        assert got == outcome(decode_by_recipes, library, scheme, demand, payloads, u)
+
+
+def test_plain_decode_is_one_gather(monkeypatch):
+    """Each plain decode hands file_from_messages one array of the
+    len(plan.miss_cols) messages its user reads; deliver matches the loop on
+    a ragged plan, on one integer (S = 1) and on none (S = 0)."""
+    calls, gather = [], sim.file_from_messages
+
+    def spied(library, scheme, d, user, messages):
+        calls.append(messages.shape)
+        return gather(library, scheme, d, user, messages)
+
+    monkeypatch.setattr(sim, "file_from_messages", spied)
+    for p, k, l in ((ragged_pda(), 8, 3), (mn_pda(2, 1), 2, 1), (mn_pda(3, 3), 3, 1)):
+        scheme = build_scheme(p, k, l)
+        library = library_for_scheme(scheme, packet_bytes=3, seed=k)
+        demand = tuple(range(k, 0, -1))
+        log = deliver(library, scheme, demand)
+        assert log == deliver_by_cells(library, scheme, demand)
+        assert len(log.payloads) == k * p.s
+        for u in range(1, k + 1):
+            calls.clear()
+            assert decode(library, scheme, demand, log, u) == library.file_bytes(demand[u - 1])
+            assert calls == [(len(scheme.plan.miss_cols), 3)]
 
 
 def outcome_of_build(build):

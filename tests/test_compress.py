@@ -470,7 +470,7 @@ def test_compressed_decode_reads_the_library_array_only(monkeypatch):
         raise AssertionError("an int payload path ran")
 
     for module in (sim, gf2, compress):
-        for name in ("round_payloads", "decode_from_messages", "symbols_to_packets"):
+        for name in ("deliver", "decode_from_messages", "symbols_to_packets"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     conversions = []
     split = compress.packets_to_symbols

@@ -85,10 +85,8 @@ def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
     require_type(scheme, Scheme, "scheme")
     k = scheme.params.k
     check_user(user, k)
-    rows = scheme.pda.rows
-    return tuple(sorted(
-        mod1(user - c, k) for c, view in enumerate(scheme.plan.views) if len(view) == rows
-    ))
+    full = np.flatnonzero(scheme.plan.views.all(axis=0))
+    return tuple(sorted(mod1(user - c, k) for c in full.tolist()))
 
 
 def reconstructable_messages(scheme: Scheme, user: int) -> frozenset[int]:
@@ -108,12 +106,10 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
     k = scheme.params.k
     check_user(user, k)
     plan = scheme.plan
-    return frozenset(
-        (g - 1) * scheme.pda.s + s - 1
-        for g in range(1, k + 1)
-        for s, cells in plan.cells.items()
-        if all(j in plan.views[(user - g) % k] for j, _ in cells)
-    )
+    # covered[s - 1, c]: every cell of integer s lies in round-1 column c's view
+    covered = (plan.views[plan.cell_rows] | plan.cell_pad[..., None]).all(axis=0)
+    g, s = np.nonzero(covered[:, (user - 1 - np.arange(k)) % k].T)
+    return frozenset((g * scheme.pda.s + s).tolist())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ lifted array) one vectorised test of the pairs of equal integers.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -84,35 +84,6 @@ class ValidationReport:
         return self.c1_ok and self.c2_ok and self.c3_ok
 
 
-def constituents(grid) -> dict[int, list[tuple[int, int]]]:
-    """Map integer value -> its 1-based (row, column) cells in row-major order."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(grid, start=1):
-        for c, v in enumerate(row, start=1):
-            if v != STAR:
-                out.setdefault(v, []).append((r, c))
-    return out
-
-
-def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
-    """Cell pairs ((r1, c1), (r2, c2)) of equal integers that break the crossing rule.
-
-    Equal integers must sit in distinct rows and columns with stars at
-    (r1, c2) and (r2, c1). The star test alone covers distinctness: a shared
-    row or column puts the integer itself at a crossing. Pairs are listed by
-    ascending integer; only the first is returned unless exhaustive.
-    """
-    cells = constituents(grid)
-    out = []
-    for v in sorted(cells):
-        for (r1, c1), (r2, c2) in combinations(cells[v], 2):
-            if grid[r1 - 1][c2 - 1] != STAR or grid[r2 - 1][c1 - 1] != STAR:
-                out.append(((r1, c1), (r2, c2)))
-                if not exhaustive:
-                    return out
-    return out
-
-
 def _integer_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows, columns and values of a's integer cells, stably sorted by value
     from row-major order, so each value's cells stay row-major."""
@@ -123,9 +94,15 @@ def _integer_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:
-    """crossing_violations of grid a, given _integer_cells(a). Sorted cells i and
-    i + d of one value pair up, for d = 1, 2, ... while a value has d + 1 cells;
-    sorting the clashes by (i, i + d) gives crossing_violations' order. Short of
+    """Cell pairs ((r1, c1), (r2, c2)), 1-based, of equal integers of grid a
+    that break the crossing rule, given _integer_cells(a).
+
+    Equal integers must sit in distinct rows and columns with stars at
+    (r1, c2) and (r2, c1). The star test alone covers distinctness: a shared
+    row or column puts the integer itself at a crossing. Sorted cells i and
+    i + d of one value pair up, for d = 1, 2, ... while a value has d + 1
+    cells, and the clashes are listed by (i, i + d): by ascending integer,
+    then row-major. Only the first is returned unless exhaustive; short of
     exhaustive, only cells before the first clash found are paired further."""
     rows, cols, values = cells
     found, end = [], len(values)

@@ -9,11 +9,12 @@ library also views its packets, once, as one read-only uint8 array of shape
 read whole packets with no int <-> bytes work. Plain and coded decode share
 one gather from that array (file_from_messages); a plain decode turns only
 the log entries its user reads to bytes. No round-g array is built:
-delivery and decoding read the scheme's round-1 plan (Scheme.plan) and
-locate round g by offset arithmetic, round-1 column c standing for column
-mod1(c + g - 1, K). Message (g, s), the XOR for integer s of round g, is
-named by its log position (g - 1)*S + s - 1; the coded batch's Cauchy
-columns use that order.
+delivery and decoding read the scheme's round-1 plan (Scheme.plan), read-only
+index arrays whose views are the delivery grid's star mask and which store
+no per-row recipe, and locate round g by offset arithmetic, round-1 column c
+standing for column mod1(c + g - 1, K). Message (g, s), the XOR for integer
+s of round g, is named by its log position (g - 1)*S + s - 1; the coded
+batch's Cauchy columns use that order.
 """
 
 import random
@@ -148,7 +149,7 @@ def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
     k = scheme.params.k
     check_user(user, k)
     check_round(g, k)
-    return frozenset(j + 1 for j in scheme.plan.views[(user - g) % k])
+    return frozenset((np.flatnonzero(scheme.plan.views[:, (user - g) % k]) + 1).tolist())
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ the delivery grid they are L stars, the L users that reach that node, and
 the integer cells keep their values. A user's view is the delivery grid's
 stars. One scatter of `Pda.array` builds both grids and groups the delivery
 grid's integer cells by value; `check_c5` and `Scheme` test C5, the crossing
-rule C3 on the delivery grid, on them, and `Scheme.plan` takes the cells over.
+rule C3 on the delivery grid, on them, and `Scheme.plan` lays the same cells
+out as read-only index arrays in one vectorised pass, its views being the
+grid's star mask. No per-row recipe is stored.
 A `Scheme` stores only its inputs (base array, K, L, N) and derives the rest
 when built, so none can disagree with the array or break C5. Rounds 2..K are
 cyclic column shifts of round 1: the library reaches them by offset
@@ -130,90 +132,69 @@ def check_c5(p: Pda, l: int) -> bool:
     return not _clashes(*_lift(p, min(l, p.cols + 1))[1:])
 
 
-# How a user rebuilds one row outside its view: the integer s of the message
-# that carries it and the other cells (row, column) of s, whose packets it
-# XORs out. C5 puts every such cell inside the view.
-PlanStep = tuple[int, tuple[tuple[int, int], ...]]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeliveryPlan:
     """Round-1 delivery index that serves every round by offset arithmetic.
 
     Round g is round 1 with its columns shifted cyclically by g - 1: round-1
     column c is column mod1(c + g - 1, K) of round g, and user u reads round
     g through round-1 column mod1(u - (g - 1), K). Rows and columns are
-    0-based here.
+    0-based here, and every field is a read-only array.
 
-    cells[s]: the round-1 cells (row, column) holding integer s, row-major.
-    views[c]: the rows a user at round-1 column c reads from its nodes.
-    recipes[c][j]: None when row j is in views[c], else its PlanStep.
+    views: the (F', K) star mask of the delivery grid; views[j, c] is True
+    when a user at round-1 column c reads row j from its nodes.
 
-    The same index as read-only arrays, for gathers over a packet array. A
-    list of cell groups is laid out as a rows and a columns intp array of
+    A list of cell groups is laid out as a rows and a columns intp array of
     shape (longest group, groups), group i in column i; a shorter group is
     padded with cell (0, 0), which a boolean array of that shape marks.
-    cell_rows, cell_cols, cell_pad: the cells of s = 1..S, s in column s - 1.
+    cell_rows, cell_cols, cell_pad: the cells of s = 1..S, s in column s - 1,
+    each group row-major.
     miss_cols, miss_rows, miss_ints: every row outside a view, column by
     column, and the 0-based integer s - 1 of the message that carries it.
-    peer_rows, peer_cols, peer_pad: the peer cells of each missing row.
+    peer_rows, peer_cols, peer_pad: the peer cells of each missing row, the
+    other cells of its integer, whose packets a user XORs out of the message.
+    C5 puts every peer inside the user's view. No per-row recipe is stored:
+    these arrays are the whole of it.
     """
 
-    cells: dict[int, tuple[tuple[int, int], ...]]
-    views: tuple[frozenset[int], ...]
-    recipes: tuple[tuple[PlanStep | None, ...], ...]
-    cell_rows: np.ndarray = field(compare=False, repr=False)
-    cell_cols: np.ndarray = field(compare=False, repr=False)
-    cell_pad: np.ndarray = field(compare=False, repr=False)
-    miss_cols: np.ndarray = field(compare=False, repr=False)
-    miss_rows: np.ndarray = field(compare=False, repr=False)
-    miss_ints: np.ndarray = field(compare=False, repr=False)
-    peer_rows: np.ndarray = field(compare=False, repr=False)
-    peer_cols: np.ndarray = field(compare=False, repr=False)
-    peer_pad: np.ndarray = field(compare=False, repr=False)
+    views: np.ndarray
+    cell_rows: np.ndarray
+    cell_cols: np.ndarray
+    cell_pad: np.ndarray
+    miss_cols: np.ndarray
+    miss_rows: np.ndarray
+    miss_ints: np.ndarray
+    peer_rows: np.ndarray
+    peer_cols: np.ndarray
+    peer_pad: np.ndarray
 
 
-def _padded(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and padding mask of cell groups, laid out as DeliveryPlan says."""
-    shape = (max(map(len, groups), default=0), len(groups))
-    rows, cols, pad = np.zeros(shape, np.intp), np.zeros(shape, np.intp), np.ones(shape, bool)
-    for i, group in enumerate(groups):
-        for n, (j, c) in enumerate(group):
-            rows[n, i], cols[n, i], pad[n, i] = j, c, False
-    return rows, cols, pad
-
-
-def _delivery_plan(q1, index) -> DeliveryPlan:
-    """Index the round-1 delivery grid from the lift's integer cells; a view is a column's stars."""
+def _delivery_plan(shape: tuple[int, int], index) -> DeliveryPlan:
+    """Index the (F', K) round-1 delivery grid from the lift's integer cells,
+    sorted by value and row-major within a value; a view is a column's stars."""
     rows, cols, values = index
-    starts = np.flatnonzero(np.diff(values, prepend=STAR))
-    groups = np.split(np.column_stack((rows, cols)), starts[1:])
-    # Keyed in the order a row-major walk of the grid meets each integer.
-    cells = {values[starts[g]].item(): tuple([tuple(cell) for cell in groups[g].tolist()])
-             for g in np.lexsort((cols[starts], rows[starts])).tolist()}
-    views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
-    recipes = tuple(
-        tuple(
-            None if j in view
-            else (row[c], tuple(cell for cell in cells[row[c]] if cell != (j, c)))
-            for j, row in enumerate(q1)
-        )
-        for c, view in enumerate(views)
-    )
-    missing = [(c, j) + step for c, column in enumerate(recipes)
-               for j, step in enumerate(column) if step is not None]
-    miss_cols, miss_rows, miss_ints, peers = zip(*missing) if missing else ((),) * 4
-    cell_rows, cell_cols, cell_pad = _padded([cells[s] for s in sorted(cells)])
-    peer_rows, peer_cols, peer_pad = _padded(peers)
+    group = values - 1
+    counts = np.bincount(group)
+    place = np.arange(group.size) - (np.cumsum(counts) - counts)[group]
+    size = (counts.max(initial=0), counts.size)
+    cell_rows, cell_cols = np.zeros(size, np.intp), np.zeros(size, np.intp)
+    cell_pad = np.ones(size, bool)
+    cell_rows[place, group], cell_cols[place, group], cell_pad[place, group] = rows, cols, False
+    views = np.ones(shape, bool)
+    views[rows, cols] = False
+    i = np.lexsort((rows, cols))  # the integer cells, column by column
+    miss_ints = group[i]
+    others = np.arange(max(size[0] - 1, 0))[:, None]
+    others = others + (others >= place[i])  # each group's places but the missing cell's own
     arrays = dict(
-        cell_rows=cell_rows, cell_cols=cell_cols, cell_pad=cell_pad,
-        miss_cols=np.array(miss_cols, np.intp), miss_rows=np.array(miss_rows, np.intp),
-        miss_ints=np.array(miss_ints, np.intp) - 1,
-        peer_rows=peer_rows, peer_cols=peer_cols, peer_pad=peer_pad,
+        views=views, cell_rows=cell_rows, cell_cols=cell_cols, cell_pad=cell_pad,
+        miss_cols=cols[i], miss_rows=rows[i], miss_ints=miss_ints,
+        peer_rows=cell_rows[others, miss_ints], peer_cols=cell_cols[others, miss_ints],
+        peer_pad=cell_pad[others, miss_ints],
     )
     for a in arrays.values():
         a.flags.writeable = False
-    return DeliveryPlan(cells=cells, views=views, recipes=recipes, **arrays)
+    return DeliveryPlan(**arrays)
 
 
 @dataclass(frozen=True)
@@ -233,10 +214,12 @@ class Scheme:
 
     params, the round-1 placement and delivery grids and the lift's integer
     cells are set here; a user's view is the delivery grid's stars. Rounds
-    2..K are never stored: delivery and decoding read `plan`, a round-1 index
-    that replaces the cells index on first use and is cached, and `q` builds
-    round g's delivery grid on request. Other modules keep what they derive
-    from the scheme in `_tables`, also built on first use.
+    2..K are never stored: delivery and decoding read `plan`, a round-1
+    DeliveryPlan of read-only arrays (views, the star mask; no recipe) that
+    is built from the cells index alone, replaces it on first use and is
+    cached, and `q` builds round g's delivery grid on request. Other modules
+    keep what they derive from the scheme in `_tables`, also built on first
+    use.
     """
 
     pda: Pda
@@ -246,7 +229,7 @@ class Scheme:
     params: MultiaccessParams = field(init=False, repr=False, compare=False)
     placement: RoundArray = field(init=False, repr=False, compare=False)
     delivery: RoundArray = field(init=False, repr=False, compare=False)
-    _cells: dict | None = field(init=False, repr=False, compare=False)
+    _cells: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, k, l = self.pda, self.k, self.l
@@ -282,7 +265,7 @@ class Scheme:
 
     @cached_property
     def plan(self) -> DeliveryPlan:
-        plan = _delivery_plan(self.delivery.grid, self._cells)
+        plan = _delivery_plan((self.pda.rows, self.params.k), self._cells)
         object.__setattr__(self, "_cells", None)
         return plan
 

@@ -5,8 +5,10 @@ computes another way.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from macc.gf2 import (
     symbols_to_bytes,
     symbols_to_packets,
 )
-from macc.pda import constituents, crossing_violations
 from macc.rates import converse_step
 from macc.sim import (
     PacketLibrary,
@@ -65,6 +66,104 @@ from macc.sim import (
 )
 from macc.transform import Scheme
 from macc.util import converted, is_int, mod1
+
+
+def constituents(grid) -> dict[int, list[tuple[int, int]]]:
+    """Map integer value -> its 1-based (row, column) cells in row-major order."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(grid, start=1):
+        for c, v in enumerate(row, start=1):
+            if v != STAR:
+                out.setdefault(v, []).append((r, c))
+    return out
+
+
+def crossing_violations(grid, exhaustive: bool = False) -> list[tuple]:
+    """Cell pairs ((r1, c1), (r2, c2)) of equal integers that break the crossing rule.
+
+    Equal integers must sit in distinct rows and columns with stars at
+    (r1, c2) and (r2, c1). The star test alone covers distinctness: a shared
+    row or column puts the integer itself at a crossing. Pairs are listed by
+    ascending integer; only the first is returned unless exhaustive.
+    """
+    cells = constituents(grid)
+    out = []
+    for v in sorted(cells):
+        for (r1, c1), (r2, c2) in combinations(cells[v], 2):
+            if grid[r1 - 1][c2 - 1] != STAR or grid[r2 - 1][c1 - 1] != STAR:
+                out.append(((r1, c1), (r2, c2)))
+                if not exhaustive:
+                    return out
+    return out
+
+
+def _padded(groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and padding mask of cell groups, laid out as DeliveryPlan
+    says, filled one cell at a time."""
+    shape = (max(map(len, groups), default=0), len(groups))
+    rows, cols, pad = np.zeros(shape, np.intp), np.zeros(shape, np.intp), np.ones(shape, bool)
+    for i, group in enumerate(groups):
+        for n, (j, c) in enumerate(group):
+            rows[n, i], cols[n, i], pad[n, i] = j, c, False
+    return rows, cols, pad
+
+
+PLAN_ARRAYS = ("cell_rows", "cell_cols", "cell_pad", "miss_cols", "miss_rows", "miss_ints",
+               "peer_rows", "peer_cols", "peer_pad")
+
+
+def plan_by_walk(scheme: Scheme) -> SimpleNamespace:
+    """The scheme's delivery plan by a walk of its round-1 delivery grid."""
+    return plan_of_grid(scheme.delivery.grid)
+
+
+@lru_cache(maxsize=64)
+def plan_of_grid(q1) -> SimpleNamespace:
+    """The delivery plan of a round-1 delivery grid by a walk of it, 0-based.
+
+    cells[s]: the cells (row, column) holding integer s, row-major, keyed in
+    the order the walk meets each integer. views[c]: the rows of column c's
+    stars. recipes[c][j]: None when row j is in views[c], else (s, peers),
+    the integer s of the message that carries it and its other cells. The
+    nine index arrays of DeliveryPlan (PLAN_ARRAYS) are read off these,
+    read-only.
+    """
+    cells = {s: tuple((j - 1, c - 1) for j, c in group) for s, group in constituents(q1).items()}
+    views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
+    recipes = tuple(
+        tuple(
+            None if j in view
+            else (row[c], tuple(cell for cell in cells[row[c]] if cell != (j, c)))
+            for j, row in enumerate(q1)
+        )
+        for c, view in enumerate(views)
+    )
+    missing = [(c, j) + step for c, column in enumerate(recipes)
+               for j, step in enumerate(column) if step is not None]
+    miss_cols, miss_rows, miss_ints, peers = zip(*missing) if missing else ((),) * 4
+    cell_rows, cell_cols, cell_pad = _padded([cells[s] for s in sorted(cells)])
+    peer_rows, peer_cols, peer_pad = _padded(peers)
+    arrays = dict(
+        cell_rows=cell_rows, cell_cols=cell_cols, cell_pad=cell_pad,
+        miss_cols=np.array(miss_cols, np.intp), miss_rows=np.array(miss_rows, np.intp),
+        miss_ints=np.array(miss_ints, np.intp) - 1,
+        peer_rows=peer_rows, peer_cols=peer_cols, peer_pad=peer_pad,
+    )
+    for a in arrays.values():
+        a.flags.writeable = False
+    return SimpleNamespace(cells=cells, views=views, recipes=recipes, **arrays)
+
+
+def plan_record(plan) -> tuple:
+    """A plan's nine index arrays as plain values to compare: each one's
+    name, dtype, shape, read-only flag and entries."""
+    return tuple((name, a.dtype, a.shape, a.flags.writeable, a.tolist())
+                 for name in PLAN_ARRAYS for a in [getattr(plan, name)])
+
+
+def view_sets(views: np.ndarray) -> tuple[frozenset[int], ...]:
+    """A star mask's columns as the sets of their rows, as the walk keeps views."""
+    return tuple(frozenset(np.flatnonzero(col).tolist()) for col in views.T)
 
 
 def shift_grid(grid, g: int) -> tuple[tuple, ...]:
@@ -474,7 +573,7 @@ def round_payloads(
     """Payloads of round g's messages s = 1..S under a checked demand d, one
     cell's packet int at a time."""
     parts = _round_parts(library, d, scheme.params.k, g)
-    cells = scheme.plan.cells
+    cells = plan_by_walk(scheme).cells
     out = []
     for s in range(1, scheme.pda.s + 1):
         payload = 0
@@ -497,8 +596,9 @@ def deliver_by_cells(library: PacketLibrary, scheme: Scheme, demand) -> Transmis
 def decode_by_recipes(
     library: PacketLibrary, scheme: Scheme, demand, payloads, user: int
 ) -> bytes:
-    """The plain decode as a walk of plan.recipes, round by round and row by
-    row, XORing packet ints; each payload is checked as the walk reads it."""
+    """The plain decode as a walk of plan_by_walk's recipes, round by round
+    and row by row, XORing packet ints; each payload is checked as the walk
+    reads it."""
     _check_dims(library, scheme)
     k, n_s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
@@ -507,7 +607,7 @@ def decode_by_recipes(
     if len(payloads) != k * n_s:
         raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
     limit = 1 << 8 * library.packet_bytes
-    recipes = scheme.plan.recipes
+    recipes = plan_by_walk(scheme).recipes
     want = library.data[d[user - 1] - 1]
     out = []
     for g in range(1, k + 1):
@@ -592,7 +692,7 @@ def messages_read(scheme: Scheme, user: int) -> frozenset[int]:
     """Log positions of the messages whose payloads the user's decode XORs."""
     k = scheme.params.k
     check_user(user, k)
-    recipes = scheme.plan.recipes
+    recipes = plan_by_walk(scheme).recipes
     return frozenset(
         (g - 1) * scheme.pda.s + step[0] - 1
         for g in range(1, k + 1)

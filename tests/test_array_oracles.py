@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from conftest import c4_arrays
 from macc import (STAR, Pda, build_scheme, check_c4, check_c5, mn_pda, parse_pda_with_map,
                   partition_pda, serialize_pda, validate_pda)
-from macc.pda import constituents
 from macc.transform import _arrays_text, scheme_from_json, scheme_to_json
 from oracles import (
     arrays_text_by_grids,
@@ -24,8 +23,11 @@ from oracles import (
     check_c4_by_rows,
     check_c5_by_walk,
     parse_pda_by_cells,
+    plan_of_grid,
+    plan_record,
     serialize_pda_by_cells,
     validate_pda_by_walk,
+    view_sets,
 )
 
 STOCK = [mn_pda(kp, t) for kp in range(1, 7) for t in range(kp + 1)]
@@ -150,20 +152,20 @@ def test_starless_arrays_lift_and_render_at_any_l():
 
 def scheme_view(p, k, l):
     """What a built scheme shows of its lift: params, both grids, the plan's
-    cells and views, and the JSON form's text rows."""
+    views and index arrays, and the JSON form's text rows."""
     scheme = build_scheme(p, k, l)
     text = _arrays_text(scheme, serialize_pda(p))
     return (scheme.params, scheme.placement.grid, scheme.delivery.grid,
-            scheme.plan.cells, scheme.plan.views, text)
+            view_sets(scheme.plan.views), plan_record(scheme.plan), text)
 
 
 def scheme_view_by_steps(p, k, l):
-    """The same from the step-by-step lift, its cells by constituents and
-    its text cell by cell."""
+    """The same from the step-by-step lift, its plan by a walk of its
+    delivery grid and its text cell by cell."""
     params, c1, q1 = build_scheme_by_steps(p, k, l)
-    cells = {s: tuple((j - 1, c - 1) for j, c in group) for s, group in constituents(q1.grid).items()}
-    views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1.grid))
-    return params, c1.grid, q1.grid, cells, views, arrays_text_by_grids(c1.grid, q1.grid)
+    walk = plan_of_grid(q1.grid)
+    return (params, c1.grid, q1.grid, walk.views, plan_record(walk),
+            arrays_text_by_grids(c1.grid, q1.grid))
 
 
 @settings(max_examples=200, deadline=None)

@@ -42,6 +42,7 @@ from oracles import (
     compressed_deliver_by_ints,
     is_invertible,
     messages_read,
+    plan_by_walk,
     round_payloads,
     shift_grid,
 )
@@ -453,7 +454,7 @@ def test_array_path_matches_int_oracle(name):
 
 def test_ragged_integer_groups_compress():
     scheme = build_scheme(ragged_pda(), 8, 3)
-    assert sorted(len(cells) for cells in scheme.plan.cells.values()) == [1, 2, 3, 3, 3]
+    assert sorted(len(cells) for cells in plan_by_walk(scheme).cells.values()) == [1, 2, 3, 3, 3]
     assert compressed_load(scheme) == Fraction(5, 8)
 
 

@@ -12,6 +12,7 @@ import pytest
 import macc
 from macc.util import is_int
 from conftest import PNEG_ROWS
+from oracles import plan_by_walk
 from macc import (
     GF,
     ConditionViolation,
@@ -149,7 +150,7 @@ def message_payloads_832(scheme832):
     """The worked instance's log at 1-byte packets, and a position user 1 reads."""
     lib = library_for_scheme(scheme832, packet_bytes=1, seed=3)
     demand = tuple(range(1, 9))
-    step = next(step for step in scheme832.plan.recipes[0] if step is not None)
+    step = next(step for step in plan_by_walk(scheme832).recipes[0] if step is not None)
     return lib, demand, deliver(lib, scheme832, demand).payloads, step[0] - 1
 
 

@@ -8,6 +8,7 @@ which UndecodablePacket or OutOfRange it raises, must match the loops exactly.
 """
 
 import dataclasses
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PNEG_ROWS, ragged_pda
+from conftest import PNEG_ROWS, c4_arrays, ragged_pda
 from macc import (
     STAR,
     C3ViolationInQ,
@@ -39,15 +40,18 @@ from macc import (
     populate_caches,
     scheme_to_json,
 )
-from macc import pda, sim, transform
-from macc.pda import constituents
+from macc import sim, transform
 from macc.sim import TransmissionLog, check_demand, user_view
 from oracles import (
     build_scheme_by_steps,
+    constituents,
     decode_by_recipes,
     deliver_by_cells,
     messages_read,
+    plan_by_walk,
+    plan_record,
     shift_grid,
+    view_sets,
 )
 
 
@@ -308,21 +312,36 @@ def test_one_lift_serves_the_build_the_plan_and_delivery(monkeypatch):
         return real_lift(*args)
 
     monkeypatch.setattr(transform, "_lift", counted)
-    monkeypatch.setattr(pda, "constituents", refuse)
-    monkeypatch.setattr(transform, "constituents", refuse, raising=False)
     scheme = build_scheme(mn_pda(4, 2), 8, 3)
     library = library_for_scheme(scheme, packet_bytes=1, seed=0)
-    assert scheme.plan.recipes
+    cells_index = transform._integer_cells
+    monkeypatch.setattr(transform, "_integer_cells", refuse)
+    assert scheme.plan.miss_cols.size
     assert scheme._cells is None, "the plan holds the only copy of the cells index"
     deliver(library, scheme, tuple(range(1, 9)))
     assert len(lifts) == 1
+    monkeypatch.setattr(transform, "_integer_cells", cells_index)
     assert check_c5(mn_pda(4, 2), 3)
     assert len(lifts) == 2
 
 
+def assert_plan_is_the_walks(scheme):
+    """Every field of scheme.plan equals plan_by_walk's: the views as a
+    read-only (F', K) bool mask of the walk's views, and the nine index
+    arrays in value, shape, dtype (intp or bool, as the walk builds them)
+    and read-only flag."""
+    plan, walk = scheme.plan, plan_by_walk(scheme)
+    views = plan.views
+    assert (views.shape, views.dtype, views.flags.writeable) == (
+        (scheme.pda.rows, scheme.params.k), np.dtype(bool), False)
+    assert view_sets(views) == walk.views
+    assert plan_record(plan) == plan_record(walk)
+
+
 def test_plan_indexes_the_delivery_grid():
-    """plan.cells and plan.views are the 0-based constituents and column stars
-    of the delivery grid, on every stock array that lifts."""
+    """The plan is the walk's on every stock array that lifts, among them
+    mn_pda(3, 3) with no integer (S = 0) and mn_pda(k', 0) with no star
+    (t = 0), and on integers of ragged group sizes."""
     arrays = [mn_pda(kp, t) for kp in range(1, 9) for t in range(kp + 1)]
     arrays += [partition_pda(m, q)[0] for m in (2, 3) for q in (2, 3)]
     built = 0
@@ -333,16 +352,34 @@ def test_plan_indexes_the_delivery_grid():
                 scheme = build_scheme(p, k, l)
             except ConditionViolation:
                 continue
-            q1 = scheme.delivery.grid
-            cells = {
-                s: tuple((j - 1, c - 1) for j, c in group)
-                for s, group in constituents(q1).items()
-            }
-            views = tuple(frozenset(j for j, v in enumerate(col) if v == STAR) for col in zip(*q1))
-            assert repr(scheme.plan.cells) == repr(cells), (p, k, l)
-            assert scheme.plan.views == views, (p, k, l)
+            assert_plan_is_the_walks(scheme)
             built += 1
     assert built > len(arrays)
+    assert_plan_is_the_walks(build_scheme(ragged_pda(), 8, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=c4_arrays(), l=st.integers(1, 4))
+def test_drawn_plans_are_the_walks(p, l):
+    k = p.cols + p.z * p.cols // p.rows * (l - 1)
+    try:
+        scheme = build_scheme(p, k, l)
+    except C3ViolationInQ:
+        return
+    assert_plan_is_the_walks(scheme)
+
+
+def test_plan_memory_is_its_index_arrays():
+    """At K=20, L=3, t=2 the plan keeps only its index arrays, about 130 KB."""
+    scheme = build_scheme(mn_pda(16, 2), 20, 3)
+    tracemalloc.start()
+    try:
+        plan = scheme.plan
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan is scheme.plan
+    assert kept < 200_000, kept
 
 
 def test_scheme_grids_cannot_be_supplied(scheme832):

@@ -20,9 +20,8 @@ from macc import (
     populate_caches,
     user_view,
 )
-from macc.pda import constituents
 from macc.sim import check_demand
-from oracles import node_cache_bytes, shift_grid, user_view_via_nodes
+from oracles import constituents, node_cache_bytes, shift_grid, user_view_via_nodes
 
 # per-user part-1 views of the worked (8, 3, 2) instance
 VIEWS_832_G1 = {

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import STAR, OutOfRange, Pda, comparison_table, envelope_eval, mn_pda, scheme_curve
-from macc.pda import constituents
 from macc.rates import SCHEME_KEYS
 from oracles import (
     comparison_table_by_scan,
+    constituents,
     envelope_eval_by_scan,
     expand_by_generator,
     lift_by_walk,

@@ -2,9 +2,11 @@
 
 The oracle_* helpers below rebuild every round-g grid with oracles.shift_grid
 and walk it cell by cell. oracles.deliver_by_cells and
-oracles.decode_by_recipes walk the round-1 plan one packet int at a time. The
-library gathers over the plan's index arrays instead; its results, including
-which UndecodablePacket or OutOfRange it raises, must match the loops exactly.
+oracles.decode_by_recipes walk the round-1 plan that oracles.plan_by_walk
+builds from the delivery grid, one packet int at a time. The library gathers
+over Scheme.plan's index arrays instead; its results, including which
+UndecodablePacket or OutOfRange it raises, must match the loops exactly, and
+its arrays must equal the walk's.
 """
 
 import dataclasses

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from types import ModuleType as _Module
 
 from .errors import (
-    BadSubset,
     C3ViolationInQ,
     C4Violation,
     ConditionViolation,
@@ -42,8 +41,6 @@ from .pda import (
 from .constructions import (
     MnParams,
     PartitionParams,
-    lex_rank,
-    lex_unrank,
     mn_pda,
     partition_pda,
 )

@@ -1,56 +1,14 @@
 """Stock array constructions: the binomial family and the partition family."""
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations
 from math import comb
 
-from .errors import BadSubset, OutOfRange
-from .pda import STAR, Pda
-from .util import converted, is_int, mod1, require_ints
+import numpy as np
 
-
-def lex_rank(subset: tuple[int, ...], n: int) -> int:
-    """1-based rank of a strictly increasing subset of [1, n] in lex order.
-
-    Rank is taken among all subsets of the same size; the empty subset has
-    rank 1.
-    """
-    require_ints(n=n)
-    sub = converted(tuple, subset, "subset", BadSubset)
-    r = len(sub)
-    if any(not (is_int(x) and 1 <= x <= n) for x in sub):
-        raise BadSubset(f"{sub} leaves the ground set [1, {n}]")
-    if any(sub[i] >= sub[i + 1] for i in range(r - 1)):
-        raise BadSubset(f"{sub} is not strictly increasing")
-    rank = 1
-    prev = 0
-    for i, x in enumerate(sub):
-        for y in range(prev + 1, x):
-            rank += comb(n - y, r - i - 1)
-        prev = x
-    return rank
-
-
-def lex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
-    """Inverse of lex_rank: the rank-th size-subset of [1, n]."""
-    require_ints(rank=rank, size=size, n=n)
-    if size < 0 or size > n:
-        raise BadSubset(f"size {size} outside [0, {n}]")
-    if not (1 <= rank <= comb(n, size)):
-        raise OutOfRange(f"rank {rank} outside [1, {comb(n, size)}]")
-    out = []
-    rank -= 1
-    x = 1
-    for i in range(size):
-        while True:
-            block = comb(n - x, size - i - 1)
-            if rank < block:
-                break
-            rank -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)
+from .errors import OutOfRange
+from .pda import Pda
+from .util import require_ints
 
 
 @dataclass(frozen=True)
@@ -77,31 +35,23 @@ def mn_pda(k_prime: int, t: int) -> Pda:
     """Binomial array: rows are the t-subsets of [1, k_prime] in lex order.
 
     Row T carries a star in every column of T; column k outside T carries the
-    lex rank of T u {k} among the (t+1)-subsets.
+    lex rank of T u {k} among the (t+1)-subsets. So each (t+1)-subset U, of
+    rank r, puts r in the row of U minus its i-th member, at the column of
+    that member, for every i.
     """
     MnParams(k_prime, t)  # range check
-    ground = range(1, k_prime + 1)
-    rank = {sub: r for r, sub in enumerate(combinations(ground, t + 1), 1)}
-    rows = list(combinations(ground, t))
-    grid = []
-    for tt in rows:
-        row = []
-        i = 0  # members of tt below k
-        for k in ground:
-            if i < t and tt[i] == k:
-                row.append(STAR)
-                i += 1
-            else:
-                row.append(rank[tt[:i] + (k,) + tt[i:]])
-        grid.append(tuple(row))
+    n, rows = k_prime, comb(k_prime, t)
+    ups = np.fromiter(chain.from_iterable(combinations(range(n), t + 1)), np.intp)
+    ups = ups.reshape(-1, t + 1)  # 0-based, in lex order
+    # The 0-based lex rank of a t-subset x_0 < ... < x_{t-1} of [0, n) is
+    # C(n, t) - 1 - sum_h C(n - 1 - x_h, t - h).
+    binom = np.array([[comb(x, h) for h in range(t + 1)] for x in range(n)], np.int64)
+    a, ranks = np.zeros((rows, n), np.int64), np.arange(1, len(ups) + 1)
+    for i in range(t + 1):
+        rest = np.delete(ups, i, axis=1)
+        a[rows - 1 - binom[n - 1 - rest, t - np.arange(t)].sum(axis=1), ups[:, i]] = ranks
     z = comb(k_prime - 1, t - 1) if t >= 1 else 0
-    return Pda(
-        rows=len(rows),
-        cols=k_prime,
-        entries=tuple(grid),
-        z=z,
-        s=comb(k_prime, t + 1),
-    )
+    return Pda(rows=rows, cols=n, entries=tuple(map(tuple, a.tolist())), z=z, s=len(ups))
 
 
 @dataclass(frozen=True)
@@ -134,30 +84,24 @@ def partition_pda(m: int, q: int) -> tuple[Pda, tuple[tuple[int, ...], ...]]:
     vector behind integer s.
     """
     PartitionParams(m, q)  # range check
-    rows = []
-    for free in product(range(1, q + 1), repeat=m - 1):
-        rows.append(free + (mod1(sum(free), q),))
-    numbering: dict[tuple[int, ...], int] = {}
-    labels: list[tuple[int, ...]] = []
-    grid = []
-    for f in rows:
-        row = []
-        for delta in range(1, m + 1):
-            for b in range(1, q + 1):
-                if f[delta - 1] == b:
-                    row.append(STAR)
-                    continue
-                e = f[: delta - 1] + (b,) + f[delta:]
-                if e not in numbering:
-                    numbering[e] = len(numbering) + 1
-                    labels.append(e)
-                row.append(numbering[e])
-        grid.append(tuple(row))
+    # Vectors are 1-based; a vector's key is its 0-based digits read base q.
+    free = np.indices((q,) * (m - 1)).reshape(m - 1, -1).T + 1  # lex order
+    f = np.column_stack([free, (free.sum(axis=1) - 1) % q + 1])
+    place = q ** np.arange(m - 1, -1, -1)
+    col = np.arange(m * q)
+    delta, b = col // q, col % q + 1  # column (delta, b), 0-based delta
+    star = f[:, delta] == b
+    keys = ((f - 1) @ place)[:, None] + (b - f[:, delta]) * place[delta]
+    found, first, inverse = np.unique(keys[~star], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the found vectors by first appearance, row-major
+    a = np.zeros(star.shape, np.int64)
+    a[~star] = np.argsort(order)[inverse] + 1
+    labels = found[order, None] // place % q + 1
     pda = Pda(
         rows=q ** (m - 1),
         cols=m * q,
-        entries=tuple(grid),
+        entries=tuple(map(tuple, a.tolist())),
         z=q ** (m - 2),
         s=(q - 1) * q ** (m - 1),
     )
-    return pda, tuple(labels)
+    return pda, tuple(map(tuple, labels.tolist()))

@@ -14,10 +14,6 @@ class ParseError(MaccError):
     """Input file or literal could not be parsed."""
 
 
-class BadSubset(MaccError):
-    """Subset is not strictly increasing or leaves the ground set."""
-
-
 class MalformedPda(MaccError, ValueError):
     """An array's cells disagree with its declared shape, Z or S."""
 

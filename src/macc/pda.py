@@ -8,8 +8,8 @@ star counts per column and row, C2 a count per value, and C3 (and C5, on the
 lifted array) one vectorised test of the pairs of equal integers.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from contextlib import suppress
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -22,13 +22,17 @@ STAR = 0  # cell value reserved for stars; integers use [1, S]
 
 @dataclass(frozen=True)
 class Pda:
-    """Immutable F' x K' array over {star} u [1, S] with declared Z and S."""
+    """Immutable F' x K' array over {star} u [1, S] with declared Z and S.
+
+    Building one checks the cells once, in bulk, and keeps them as `array`,
+    a read-only int64 array; a cell beyond int64 is a MalformedPda."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
     z: int
     s: int
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_ints(MalformedPda, rows=self.rows, cols=self.cols, z=self.z, s=self.s)
@@ -40,23 +44,26 @@ class Pda:
             raise MalformedPda(f"S={self.s} negative")
         if not is_tuple_of(self.entries, self.rows):
             raise MalformedPda(f"entries are not a tuple of {self.rows} rows")
-        for r, row in enumerate(self.entries, start=1):
-            if not is_tuple_of(row, self.cols):
-                raise MalformedPda(f"row {r} is not a tuple of {self.cols} cells")
-            for v in row:
-                if type(v) is not int or not 0 <= v <= self.s:
-                    raise MalformedPda(f"cell value {v!r} outside star/[1, {self.s}]")
+        shaped = all(is_tuple_of(row, self.cols) for row in self.entries)
+        cells = list(chain.from_iterable(self.entries)) if shaped else []
+        a = None
+        if shaped and set(map(type, cells)) <= {int}:
+            with suppress(OverflowError):
+                a = np.array(cells, np.int64).reshape(self.rows, self.cols)
+        if a is None or a.min() < 0 or int(a.max()) > self.s:
+            for r, row in enumerate(self.entries, start=1):  # name the first fault
+                if not is_tuple_of(row, self.cols):
+                    raise MalformedPda(f"row {r} is not a tuple of {self.cols} cells")
+                for v in row:
+                    if type(v) is not int or not 0 <= v <= self.s:
+                        raise MalformedPda(f"cell value {v!r} outside star/[1, {self.s}]")
+            raise MalformedPda(f"cell value {max(cells)} beyond int64")
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     def at(self, row: int, col: int) -> int:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
         return self.entries[row - 1][col - 1]
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The entries as a read-only int64 array, built on first use."""
-        a = np.fromiter(chain.from_iterable(self.entries), np.int64, self.rows * self.cols)
-        a.flags.writeable = False
-        return a.reshape(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -125,10 +132,21 @@ def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:
 
 
 def absent_integers(p: Pda) -> list[int]:
-    """Integers of [1, S] that no cell of p holds; C2 holds when there are none.
-    A lift keeps every integer cell, so this is also C2 of any lift of p."""
+    """Integers of [1, S] that no cell of p holds, from an S-long count; C2
+    holds when there are none. A lift keeps every integer cell, so this is
+    also C2 of any lift of p."""
     counts = np.bincount(p.array.ravel(), minlength=p.s + 1)
     return (np.flatnonzero(counts[1:] == 0) + 1).tolist()
+
+
+def _first_absent(p: Pda) -> list[int]:
+    """The least of absent_integers(p), as a list of at most one, at a cost
+    bounded by the cell count, whatever S: n cells hold at most n integers,
+    so one of [1, n + 1] is absent when S > n."""
+    cells = p.array.ravel()
+    n = min(p.s, cells.size + 1)
+    gaps = np.flatnonzero(np.bincount(cells[cells <= n], minlength=n + 1)[1:] == 0)
+    return [int(gaps[0]) + 1] if gaps.size else []
 
 
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
@@ -137,9 +155,9 @@ def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
     a = p.array
     stars = (a == STAR).sum(axis=0).tolist()
     c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
-    c2 = [(v,) for v in absent_integers(p)]
+    c2 = [(v,) for v in (absent_integers if exhaustive else _first_absent)(p)]
     if not exhaustive:
-        c1, c2 = c1[:1], c2[:1]
+        c1 = c1[:1]
     c3 = _clashes(a, _integer_cells(a), exhaustive)
 
     return ValidationReport(
@@ -172,15 +190,14 @@ def star_profile(p: Pda) -> StarProfile:
     """Extract the uniform star layout; rows must agree on the star count,
     else C4Violation."""
     require_type(p, Pda, "star_profile's array")
-    sets = tuple(
-        tuple(c for c, v in enumerate(row, start=1) if v == STAR) for row in p.entries
-    )
-    counts = {len(s) for s in sets}
-    if len(counts) > 1:
-        raise C4Violation(f"row star counts differ: {sorted(counts)}")
-    t = counts.pop()
-    a = tuple(min(s[h] for s in sets) for h in range(t))
-    b = tuple(max(s[h] for s in sets) for h in range(t))
+    star = p.array == STAR
+    counts = star.sum(axis=1)
+    if counts.min() != counts.max():
+        raise C4Violation(f"row star counts differ: {sorted(set(counts.tolist()))}")
+    t = int(counts[0])
+    cols = np.nonzero(star)[1].reshape(p.rows, t) + 1  # row-major, so each row ascends
+    sets = tuple(map(tuple, cols.tolist()))
+    a, b = tuple(cols.min(axis=0).tolist()), tuple(cols.max(axis=0).tolist())
     return StarProfile(star_sets=sets, t=t, a=a, b=b)
 
 
@@ -225,30 +242,31 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
     if len(body) != rows:
         raise ParseError(f"expected {rows} data rows, found {len(body)}")
 
-    values = {"*": STAR}  # each distinct token is read once
-    tokens = []
-    for i, ln in enumerate(body, start=1):
-        toks = ln.split()
-        if len(toks) != cols:
-            raise ParseError(f"row {i} has {len(toks)} tokens, expected {cols}")
-        for tok in toks:
-            if tok not in values:
-                try:
-                    values[tok] = int(tok)
-                except ValueError as e:
-                    raise ParseError(f"row {i}: bad token {tok!r}") from e
-                if not (1 <= values[tok] <= s):
-                    raise ParseError(f"row {i}: value {values[tok]} outside [1, {s}]")
-        tokens += toks
-    cells = list(map(values.__getitem__, tokens))
-    grid = [tuple(cells[r * cols:(r + 1) * cols]) for r in range(rows)]  # from lists, as in Scheme
+    split = [ln.split() for ln in body]
+    short = next((i for i, toks in enumerate(split) if len(toks) != cols), rows)
+    tokens = list(chain.from_iterable(split[:short]))  # the rows before the first short one
+    values = {"*": STAR}
+    for tok in dict.fromkeys(tokens):  # each distinct token once, in order of first appearance
+        if tok in values:
+            continue
+        try:
+            values[tok] = int(tok)
+        except ValueError as e:
+            raise ParseError(f"row {tokens.index(tok) // cols + 1}: bad token {tok!r}") from e
+        if not (1 <= values[tok] <= s):
+            raise ParseError(
+                f"row {tokens.index(tok) // cols + 1}: value {values[tok]} outside [1, {s}]"
+            )
+    if short < rows:
+        raise ParseError(f"row {short + 1} has {len(split[short])} tokens, expected {cols}")
 
     used = sorted(set(values.values()) - {STAR})
     relabel = None
     if used != list(range(1, len(used) + 1)) or s != len(used):
         relabel = {old: new for new, old in enumerate(used, start=1)}
-        grid = [tuple(relabel[v] if v != STAR else STAR for v in row) for row in grid]
+        values = {tok: relabel.get(v, STAR) for tok, v in values.items()}
         s = len(used)
+    grid = zip(*[map(values.__getitem__, tokens)] * cols)  # the rows, cols cells each
     try:
         p = Pda(rows=rows, cols=cols, entries=tuple(grid), z=z, s=s)
     except MalformedPda as e:

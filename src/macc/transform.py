@@ -35,8 +35,8 @@ from .pda import (
     STAR,
     Pda,
     _clashes,
+    _first_absent,
     _integer_cells,
-    absent_integers,
     check_c4,
     parse_pda,
     serialize_pda,
@@ -237,7 +237,7 @@ class Scheme:
         require_type(p, Pda, "scheme base array")
         if k < 1 or l < 1:
             raise OutOfRange(f"k={k}, l={l} must be >= 1")
-        missing = absent_integers(p)
+        missing = _first_absent(p)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
         if not check_c4(p):

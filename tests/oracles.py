@@ -6,7 +6,7 @@ computes another way.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
 
@@ -19,11 +19,13 @@ from macc import (
     ConditionViolation,
     DimensionMismatch,
     LoadCurve,
+    MaccError,
     MalformedPda,
     MnParams,
     MultiaccessParams,
     OutOfRange,
     ParseError,
+    PartitionParams,
     Pda,
     RoundArray,
     SingularSystem,
@@ -31,7 +33,6 @@ from macc import (
     ValidationReport,
     check_c4,
     envelope,
-    lex_rank,
     scheme_points,
     star_profile,
 )
@@ -59,13 +60,11 @@ from macc.sim import (
     _check_dims,
     check_demand,
     check_user,
-    decode_from_messages,
     deliver,
-    file_from_messages,
     round_messages,
 )
 from macc.transform import Scheme
-from macc.util import converted, is_int, mod1
+from macc.util import converted, is_int, mod1, require_ints
 
 
 def constituents(grid) -> dict[int, list[tuple[int, int]]]:
@@ -346,6 +345,87 @@ def parse_pda_by_cells(text: str) -> tuple[Pda, dict[int, int] | None]:
     except MalformedPda as e:
         raise ParseError(f"inconsistent header {lines[0]!r}: {e}") from e
     return p, relabel
+
+
+class BadSubset(MaccError):
+    """Subset is not strictly increasing or leaves the ground set."""
+
+
+def lex_rank(subset: tuple[int, ...], n: int) -> int:
+    """1-based rank of a strictly increasing subset of [1, n] in lex order.
+
+    Rank is taken among all subsets of the same size; the empty subset has
+    rank 1.
+    """
+    require_ints(n=n)
+    sub = converted(tuple, subset, "subset", BadSubset)
+    r = len(sub)
+    if any(not (is_int(x) and 1 <= x <= n) for x in sub):
+        raise BadSubset(f"{sub} leaves the ground set [1, {n}]")
+    if any(sub[i] >= sub[i + 1] for i in range(r - 1)):
+        raise BadSubset(f"{sub} is not strictly increasing")
+    rank = 1
+    prev = 0
+    for i, x in enumerate(sub):
+        for y in range(prev + 1, x):
+            rank += comb(n - y, r - i - 1)
+        prev = x
+    return rank
+
+
+def lex_unrank(rank: int, size: int, n: int) -> tuple[int, ...]:
+    """Inverse of lex_rank: the rank-th size-subset of [1, n]."""
+    require_ints(rank=rank, size=size, n=n)
+    if size < 0 or size > n:
+        raise BadSubset(f"size {size} outside [0, {n}]")
+    if not (1 <= rank <= comb(n, size)):
+        raise OutOfRange(f"rank {rank} outside [1, {comb(n, size)}]")
+    out = []
+    rank -= 1
+    x = 1
+    for i in range(size):
+        while True:
+            block = comb(n - x, size - i - 1)
+            if rank < block:
+                break
+            rank -= block
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def partition_pda_by_walk(m: int, q: int) -> tuple[Pda, tuple[tuple[int, ...], ...]]:
+    """partition_pda by a walk of its cells, numbering the off-row vectors
+    through a dict as the walk meets them."""
+    PartitionParams(m, q)  # range check
+    rows = []
+    for free in product(range(1, q + 1), repeat=m - 1):
+        rows.append(free + (mod1(sum(free), q),))
+    numbering: dict[tuple[int, ...], int] = {}
+    labels: list[tuple[int, ...]] = []
+    grid = []
+    for f in rows:
+        row = []
+        for delta in range(1, m + 1):
+            for b in range(1, q + 1):
+                if f[delta - 1] == b:
+                    row.append(STAR)
+                    continue
+                e = f[: delta - 1] + (b,) + f[delta:]
+                if e not in numbering:
+                    numbering[e] = len(numbering) + 1
+                    labels.append(e)
+                row.append(numbering[e])
+        grid.append(tuple(row))
+    pda = Pda(
+        rows=q ** (m - 1),
+        cols=m * q,
+        entries=tuple(grid),
+        z=q ** (m - 2),
+        s=(q - 1) * q ** (m - 1),
+    )
+    return pda, tuple(labels)
 
 
 def mn_pda_by_lex_rank(k_prime: int, t: int) -> Pda:
@@ -707,8 +787,9 @@ def compressed_decode_by_elimination(
     """The coded decode by Gauss-Jordan elimination on the whole m1 x m1 system.
 
     Full-view rounds come from the delivery grid's stars, every unknown is solved
-    with GF.solve against the batch's own matrix, and packets are converted
-    one at a time by slicing bytes.
+    with GF.solve against the batch's own matrix, packets are converted
+    one at a time by slicing bytes, and the file comes from the K*S messages
+    by decode_by_recipes, a walk of plan_by_walk's recipes.
     """
     k = scheme.params.k
     d = check_demand(demand, k, library.n_files)
@@ -741,7 +822,7 @@ def compressed_decode_by_elimination(
     solved = gf.solve(g_mat[:, unknown], rhs)
     for row, i in enumerate(unknown):
         msgs[order[i]] = symbols_to_packet_by_bytes(solved[row], batch.packet_bytes, gf.width)
-    return decode_from_messages(library, scheme, demand, [msgs[gs] for gs in order], user)
+    return decode_by_recipes(library, scheme, demand, [msgs[gs] for gs in order], user)
 
 
 def compressed_deliver_by_ints(
@@ -772,8 +853,9 @@ def compressed_decode_all_rounds(
     """The closed-form coded decode that solves every unseen round of every
     integer: the unseen parity rounds by the inverse of P's minor, then every
     unseen systematic round by one product of P's rows with all parity
-    rounds, before the file is built from the K*S messages; the batch's
-    symbols and the user's rounds are worked out again on every call."""
+    rounds, before decode_by_recipes builds the file from the K*S messages
+    by a walk of plan_by_walk's recipes; the batch's symbols and the user's
+    rounds are worked out again on every call."""
     _check_dims(library, scheme)
     k, s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
@@ -799,7 +881,6 @@ def compressed_decode_all_rounds(
         rhs = coded[ks] ^ x[ks] ^ gf.matmul(p_mat[np.ix_(ks, kp)], parity[kp])
         parity[up] = gf.matmul(gf.cauchy_inverse(n, up, rows=ks), rhs)
     x[us] = coded[us] ^ gf.matmul(p_mat[us], parity)
-    messages = symbols_to_bytes(x, w).reshape(k, s, batch.packet_bytes)
-    plan = scheme.plan
-    rounds = (user - 1 - plan.miss_cols) % k
-    return file_from_messages(library, scheme, d, user, messages[rounds, plan.miss_ints])
+    messages = symbols_to_bytes(x, w).reshape(k * s, batch.packet_bytes)
+    payloads = [int.from_bytes(m.tobytes(), "big") for m in messages]
+    return decode_by_recipes(library, scheme, demand, payloads, user)

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from macc import (
     STAR,
-    BadSubset,
     MnParams,
     OutOfRange,
     PartitionParams,
     check_c4,
     check_c5,
-    lex_rank,
-    lex_unrank,
     mn_pda,
     partition_pda,
     validate_pda,
 )
+from oracles import BadSubset, lex_rank, lex_unrank
 
 # the worked 4-column array; stars on the diagonal-ish pattern, integers
 # are ranks of the 3-subsets

@@ -250,6 +250,18 @@ def test_cauchy_range_errors():
         cauchy_matrix(4, 5, gf)
 
 
+def test_cauchy_single_row_and_column_edges():
+    """m1 = 1 and m1 = m2 = 1 are the smallest shapes accepted; m1 = 0 is not,
+    and a field one element short names both sizes."""
+    gf = field(3)
+    assert cauchy_matrix(1, 1, gf).tolist() == [[gf.inv(1)]]
+    assert cauchy_matrix(1, 7, gf).tolist() == [[gf.inv(1 + j) for j in range(7)]]
+    with pytest.raises(OutOfRange, match=r"need 1 <= m1 <= m2, got m1=0 m2=1"):
+        cauchy_matrix(0, 1, gf)
+    with pytest.raises(FieldTooSmall, match=r"^m1\+m2=9 exceeds field order 8$"):
+        cauchy_matrix(1, 8, gf)
+
+
 def test_solve_recovers_known_vector():
     gf = field(8)
     rng = np.random.default_rng(3)

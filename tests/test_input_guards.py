@@ -40,7 +40,6 @@ from macc import (
     field,
     full_view_rounds,
     lambda_profile,
-    lex_unrank,
     library_for_scheme,
     mn_pda,
     parse_pda,
@@ -188,7 +187,6 @@ def guarded_calls():
         (OutOfRange, r"width=8\.0 is not an integer", lambda s, lib: field(8.0)),
         (OutOfRange, r"width=8\.0 is not an integer", lambda s, lib: GF(8.0)),
         (OutOfRange, r"l=3\.0 is not an integer", lambda s, lib: check_c5(pda, 3.0)),
-        (OutOfRange, r"n=4\.0 is not an integer", lambda s, lib: lex_unrank(1, 2, 4.0)),
         (OutOfRange, r"k=3\.0 is not an integer", lambda s, lib: demand_suite(3.0, 3)),
         (OutOfRange, r"k=0, n=3 must be >= 1", lambda s, lib: demand_suite(0, 3)),
         (OutOfRange, r"step='1/0' cannot be read as a Fraction",

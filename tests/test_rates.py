@@ -219,6 +219,8 @@ def test_converse_step():
     assert converse_step(8, 3, F(1, 8)) == converse_bound(8, 3, 1)
     assert converse_step(8, 3, F(2, 10)) == converse_bound(8, 3, 2)
     assert converse_step(8, 3, F(1, 3)) == 0
+    with pytest.raises(OutOfRange, match=r"^x=-1/2 negative$"):  # the bound is 0, not -1
+        converse_step(8, 3, F(-1, 2))
 
 
 def test_gap_report_20_3():

@@ -2,24 +2,22 @@
 
 Prints the round-1 and round-2 node placement, user retrieve and user
 delivery grids, then the fill maps that route base-array integers into the
-delivery nulls. The scheme stores only the round-1 placement and delivery
-grids; a user retrieves exactly the delivery grid's stars, and round g is
-round 1 shifted cyclically by g - 1 columns. The simulator builds none of
-these round-g grids: it reads the round-1 delivery plan and reaches round g
-by offset arithmetic. This demo shifts its round-2 grids itself.
+delivery nulls. The scheme stores no grid: the demo reads the three
+round-1 grids from the rows of the scheme's JSON form, whose cells are "*"
+for a star and "." or an integer otherwise. A user retrieves exactly the
+delivery grid's stars, and round g is round 1 shifted cyclically by g - 1
+columns. The simulator builds none of these round-g grids: it reads the
+round-1 delivery plan and reaches round g by offset arithmetic. This demo
+shifts its round-2 grids itself.
 """
 
-from macc import STAR, build_scheme, mn_pda
+import json
+
+from macc import STAR, build_scheme, mn_pda, scheme_to_json
 
 
-def render_bool(grid):
-    return "\n".join("  " + " ".join("*" if v else "." for v in row) for row in grid)
-
-
-def render_ints(grid):
-    return "\n".join(
-        "  " + " ".join("*" if v == 0 else str(v) for v in row) for row in grid
-    )
+def render(grid):
+    return "\n".join("  " + " ".join(row) for row in grid)
 
 
 def shifted(grid, g):
@@ -35,22 +33,23 @@ def main():
     print(f"subpacketization F = {scheme.subpacketization}, "
           f"load = {scheme.load}, memory ratio = {scheme.memory_ratio}\n")
 
-    delivery = scheme.delivery.grid
-    retrieve = [[v == STAR for v in row] for row in delivery]
+    arrays = json.loads(scheme_to_json(scheme, include_arrays=True))["arrays"]
+    placement, retrieve = arrays["node_placement"], arrays["user_retrieve"]
+    delivery = [row.split() for row in arrays["user_delivery"]]
     for g in (1, 2):
         print(f"node placement, round {g} (columns are cache nodes):")
-        print(render_bool(shifted(scheme.placement.grid, g)))
+        print(render(shifted(placement, g)))
         print(f"user retrieve, round {g} (columns are users, window {scheme.params.l}):")
-        print(render_bool(shifted(retrieve, g)))
+        print(render(shifted(retrieve, g)))
         print(f"user delivery, round {g}:")
-        print(render_ints(shifted(delivery, g)))
+        print(render(shifted(delivery, g)))
         print()
 
     # The h-th null of a retrieve row, the h-th integer cell of its delivery
     # row, receives the h-th integer of the base row.
     print("fill maps (null user column <- base array column), row by row:")
     for j, (row, base) in enumerate(zip(delivery, p.entries), start=1):
-        nulls = [c for c, v in enumerate(row, start=1) if v != STAR]
+        nulls = [c for c, v in enumerate(row, start=1) if v != "*"]
         srcs = [c for c, v in enumerate(base, start=1) if v != STAR]
         pretty = ", ".join(f"{dst} <- {src}" for dst, src in zip(nulls, srcs))
         print(f"  row {j}: {pretty}")

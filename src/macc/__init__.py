@@ -59,10 +59,7 @@ from .sim import (
     decode,
     decode_from_messages,
     deliver,
-    demand_suite,
     library_for_scheme,
-    populate_caches,
-    user_view,
 )
 from .compress import (
     CodedBatch,

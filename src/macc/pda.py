@@ -4,7 +4,8 @@ An array has F' rows and K' columns; every cell is either a star or an
 integer from [1, S]. Stars mark cached rows, equal integers mark cells that
 share one multicast message. All public coordinates and column/row indices
 are 1-based; storage is 0-based. The checks read `Pda.array`: C1 and C4 are
-star counts per column and row, C2 a count per value, and C3 (and C5, on the
+star counts per column and row. C2 and C3 read one index of the integer
+cells sorted by value: C2 its distinct values, and C3 (and C5, on the
 lifted array) one vectorised test of the pairs of equal integers.
 """
 
@@ -14,10 +15,11 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import C4Violation, MalformedPda, ParseError
+from .errors import C4Violation, MalformedPda, OutOfRange, ParseError
 from .util import is_tuple_of, require_ints, require_type
 
 STAR = 0  # cell value reserved for stars; integers use [1, S]
+MAX_LISTED = 1 << 24  # the most absent integers an exhaustive C2 report lists
 
 
 @dataclass(frozen=True)
@@ -131,34 +133,39 @@ def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:
     return [((r1, c1), (r2, c2)) for r1, c1, r2, c2 in ends.tolist()]
 
 
-def absent_integers(p: Pda) -> list[int]:
-    """Integers of [1, S] that no cell of p holds, from an S-long count; C2
-    holds when there are none. A lift keeps every integer cell, so this is
-    also C2 of any lift of p."""
-    counts = np.bincount(p.array.ravel(), minlength=p.s + 1)
-    return (np.flatnonzero(counts[1:] == 0) + 1).tolist()
+def _absent(values: np.ndarray, s: int, exhaustive: bool = False) -> list[int]:
+    """Integers of [1, S] that no cell holds, given the sorted values of an
+    array's integer cells (_integer_cells); C2 holds when there are none. A
+    lift keeps every integer cell, so this is also C2 of any lift.
 
-
-def _first_absent(p: Pda) -> list[int]:
-    """The least of absent_integers(p), as a list of at most one, at a cost
-    bounded by the cell count, whatever S: n cells hold at most n integers,
-    so one of [1, n + 1] is absent when S > n."""
-    cells = p.array.ravel()
-    n = min(p.s, cells.size + 1)
-    gaps = np.flatnonzero(np.bincount(cells[cells <= n], minlength=n + 1)[1:] == 0)
-    return [int(gaps[0]) + 1] if gaps.size else []
+    Only the least is listed unless exhaustive, at a cost bounded by the cell
+    count, whatever S: n cells hold at most n integers, so one of [1, n + 1]
+    is absent when S > n. An exhaustive list of more than MAX_LISTED integers
+    raises OutOfRange instead of being built."""
+    missing = s - int(np.count_nonzero(np.diff(values, prepend=STAR)))
+    if exhaustive and missing > MAX_LISTED:
+        raise OutOfRange(f"S={s} leaves {missing} integers absent, more than the "
+                         f"{MAX_LISTED} an exhaustive report lists")
+    top = s if exhaustive else min(s, values.size + 1)
+    held = np.zeros(top + 1, bool)
+    held[values[values <= top]] = True
+    absent = np.flatnonzero(~held[1:]) + 1
+    return absent.tolist() if exhaustive else absent[:1].tolist()
 
 
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
-    """Check the three defining conditions and report counterexamples."""
+    """Check the three defining conditions and report counterexamples; C2
+    and C3 read one index of the integer cells. An exhaustive report raises
+    OutOfRange when C2 would list more than MAX_LISTED integers."""
     require_type(p, Pda, "validate_pda's array")
     a = p.array
     stars = (a == STAR).sum(axis=0).tolist()
     c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
-    c2 = [(v,) for v in (absent_integers if exhaustive else _first_absent)(p)]
     if not exhaustive:
         c1 = c1[:1]
-    c3 = _clashes(a, _integer_cells(a), exhaustive)
+    cells = _integer_cells(a)
+    c2 = [(v,) for v in _absent(cells[2], p.s, exhaustive)]
+    c3 = _clashes(a, cells, exhaustive)
 
     return ValidationReport(
         c1_ok=not c1,

@@ -20,14 +20,14 @@ batch's Cauchy columns use that order.
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import product, repeat
+from itertools import repeat
 from operator import itemgetter, xor
 
 import numpy as np
 
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
-from .transform import Scheme, check_round
-from .util import converted, is_int, is_tuple_of, mod1, require_ints, require_type
+from .transform import Scheme
+from .util import converted, is_int, is_tuple_of, require_ints, require_type
 
 
 @dataclass(frozen=True)
@@ -128,28 +128,6 @@ def _check_dims(library: PacketLibrary, scheme: Scheme) -> None:
             f"library is {library.parts_per_file}x{library.packets_per_part} "
             f"per file, scheme needs {scheme.params.k}x{scheme.pda.rows}"
         )
-
-
-def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, ...]:
-    """Per node, the (part g, packet j) pairs it stores for every file."""
-    _check_dims(library, scheme)
-    k = scheme.params.k
-    caches: list[set] = [set() for _ in range(k)]
-    for j, row in enumerate(scheme.placement.grid, start=1):
-        for c, starred in enumerate(row):
-            if starred:
-                for g in range(1, k + 1):
-                    caches[(c + g - 1) % k].add((g, j))
-    return tuple(frozenset(s) for s in caches)
-
-
-def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
-    """Rows of part g (1-based) the user can read through its l consecutive nodes."""
-    require_type(scheme, Scheme, "scheme")
-    k = scheme.params.k
-    check_user(user, k)
-    check_round(g, k)
-    return frozenset((np.flatnonzero(scheme.plan.views[:, (user - g) % k]) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -309,25 +287,3 @@ def decode(
             f"log packets are {log.packet_bytes} bytes, library packets {library.packet_bytes}"
         )
     return decode_from_messages(library, scheme, demand, log.payloads, user)
-
-
-def demand_suite(k: int, n: int, seed: int = 0, n_random: int = 20,
-                 exhaustive_cap: int = 100_000) -> tuple[tuple[int, ...], ...]:
-    """Demand vectors for sweeps: exhaustive when small, else a fixed recipe.
-
-    The recipe is identity (cyclic when n < k), constant, reversed, then
-    seeded uniform samples.
-    """
-    require_ints(k=k, n=n, seed=seed, n_random=n_random, exhaustive_cap=exhaustive_cap)
-    if k < 1 or n < 1:
-        raise OutOfRange(f"k={k}, n={n} must be >= 1")
-    if n**k <= exhaustive_cap:
-        return tuple(product(range(1, n + 1), repeat=k))
-    rng = random.Random(seed)
-    fixed = [
-        tuple(mod1(i, n) for i in range(1, k + 1)),
-        tuple(1 for _ in range(k)),
-        tuple(mod1(k - i + 1, n) for i in range(1, k + 1)),
-    ]
-    rand = [tuple(rng.randint(1, n) for _ in range(k)) for _ in range(n_random)]
-    return tuple(fixed + rand)

@@ -6,15 +6,21 @@ star of a base row becomes L cells and each integer stays one cell. In the
 placement grid the L cells are L-1 uncached nodes, then the caching node; in
 the delivery grid they are L stars, the L users that reach that node, and
 the integer cells keep their values. A user's view is the delivery grid's
-stars. One scatter of `Pda.array` builds both grids and groups the delivery
-grid's integer cells by value; `check_c5` and `Scheme` test C5, the crossing
-rule C3 on the delivery grid, on them, and `Scheme.plan` lays the same cells
-out as read-only index arrays in one vectorised pass, its views being the
-grid's star mask. No per-row recipe is stored.
-A `Scheme` stores only its inputs (base array, K, L, N) and derives the rest
-when built, so none can disagree with the array or break C5. Rounds 2..K are
-cyclic column shifts of round 1: the library reaches them by offset
-arithmetic and builds no shifted grid.
+stars. The lift moves the base array's integer cells, indexed by value
+once, into the delivery grid in one scatter; the placement grid is never
+built, and the JSON form renders it from the base rows. `check_c5` and
+`Scheme` test C5, the crossing rule C3 on the delivery grid, on the moved
+cells, and `Scheme.plan` lays the same cells out as read-only index arrays
+in one vectorised pass, its views being the grid's star mask. No per-row
+recipe is stored.
+A `Scheme` stores only its inputs (base array, K, L, N), its params and the
+lift's cells index, and derives the rest on request, so nothing stored can
+disagree with the array or break C5. Rounds 2..K are cyclic column shifts of
+round 1: the library reaches them by offset arithmetic and builds no
+shifted grid. `Scheme.delivery` and `Scheme.q` build a round's grid as
+tuples on request. No library path reads them: they are kept only because
+`make_case` and `round_grid` in perfbench/ read them, until those read the
+arrays instead.
 """
 
 import json
@@ -34,8 +40,8 @@ from .errors import (
 from .pda import (
     STAR,
     Pda,
+    _absent,
     _clashes,
-    _first_absent,
     _integer_cells,
     check_c4,
     parse_pda,
@@ -75,33 +81,28 @@ class MultiaccessParams:
 
 @dataclass(frozen=True)
 class RoundArray:
-    """One round's F' x K grid, columns indexing nodes or users.
-
-    Placement grids are True where the node caches the row; delivery grids
-    hold STAR where the user can fetch the row, else the integer of the
-    message that carries it.
-    """
+    """One round's F' x K delivery grid as tuples, columns indexing users:
+    STAR where the user can fetch the row, else the integer of the message
+    that carries it. Only Scheme.q builds one, on request; no library path
+    reads it."""
 
     round: int
     grid: tuple[tuple, ...]
 
 
-def _lift(p: Pda, l: int):
-    """The placement and delivery arrays of a C4 array at access degree l, and
-    the delivery array's _integer_cells. Base cell (r, c) goes to column
+def _lift(p: Pda, l: int, cells):
+    """The delivery array of a C4 array at access degree l and its
+    _integer_cells, given the base array's. Base cell (r, c) goes to column
     c + (l - 1)(stars before c in row r), where a star widens to l cells as
-    the module docstring says."""
+    the module docstring says; the lift keeps each row's order, so the base
+    cells' sort order is the lift's."""
     star = p.array == STAR
-    at = np.arange(p.cols) + (l - 1) * (np.cumsum(star, axis=1) - star)
-    placement = np.zeros((p.rows, p.cols + (l - 1) * int(star[0].sum())), bool)
-    r, c = np.nonzero(star)
-    placement[r, at[r, c] + l - 1] = True
-    # The lift keeps each row's order, so the base cells' sort order is the lift's.
-    rows, cols, values = _integer_cells(p.array)
+    at = np.arange(p.cols) + (l - 1) * np.cumsum(star, axis=1)  # stars before c at an integer
+    rows, cols, values = cells
     cols = at[rows, cols]
-    delivery = np.zeros(placement.shape, np.int64)
+    delivery = np.zeros((p.rows, p.cols + (l - 1) * int(star[0].sum())), np.int64)
     delivery[rows, cols] = values
-    return placement, delivery, (rows, cols, values)
+    return delivery, (rows, cols, values)
 
 
 def check_degree(l: int) -> None:
@@ -129,7 +130,7 @@ def check_c5(p: Pda, l: int) -> bool:
     check_degree(l)
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not _clashes(*_lift(p, min(l, p.cols + 1))[1:])
+    return not _clashes(*_lift(p, min(l, p.cols + 1), _integer_cells(p.array)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,14 +213,15 @@ class Scheme:
     and, after the check of K against the array, lifts it and raises "C5"
     (C3ViolationInQ) when the delivery grid breaks the crossing rule.
 
-    params, the round-1 placement and delivery grids and the lift's integer
-    cells are set here; a user's view is the delivery grid's stars. Rounds
-    2..K are never stored: delivery and decoding read `plan`, a round-1
-    DeliveryPlan of read-only arrays (views, the star mask; no recipe) that
-    is built from the cells index alone, replaces it on first use and is
-    cached, and `q` builds round g's delivery grid on request. Other modules
-    keep what they derive from the scheme in `_tables`, also built on first
-    use.
+    Only params and the lift's integer cells are set here, from one index
+    of the base array's cells that C2 and the lift share; no grid is stored.
+    A user's view is the delivery grid's stars. Delivery and decoding read
+    `plan`, a round-1 DeliveryPlan of read-only arrays (views, the star mask;
+    no recipe) that is built from the cells index alone, replaces it on first
+    use and is cached. `q(g)` builds round g's delivery grid on request by
+    one re-lift, and `delivery` is q(1); both are views kept for
+    perfbench/'s make_case and round_grid. Other modules keep what they
+    derive from the scheme in `_tables`, also built on first use.
     """
 
     pda: Pda
@@ -227,8 +229,6 @@ class Scheme:
     l: int
     n: int | None = None
     params: MultiaccessParams = field(init=False, repr=False, compare=False)
-    placement: RoundArray = field(init=False, repr=False, compare=False)
-    delivery: RoundArray = field(init=False, repr=False, compare=False)
     _cells: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -237,7 +237,8 @@ class Scheme:
         require_type(p, Pda, "scheme base array")
         if k < 1 or l < 1:
             raise OutOfRange(f"k={k}, l={l} must be >= 1")
-        missing = _first_absent(p)
+        cells = _integer_cells(p.array)
+        missing = _absent(cells[2], p.s)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
         if not check_c4(p):
@@ -247,21 +248,24 @@ class Scheme:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        placement, delivery, cells = _lift(p, min(l, k))  # l > K only if starless
+        delivery, cells = _lift(p, min(l, k), cells)  # l > K only if starless
         bad = _clashes(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
-        # Tuples from lists are sized once, so the tuple free lists reuse them.
-        put("placement", RoundArray(round=1, grid=tuple([tuple(r) for r in placement.tolist()])))
-        put("delivery", RoundArray(round=1, grid=tuple([tuple(r) for r in delivery.tolist()])))
         put("_cells", cells)
 
     def q(self, g: int) -> RoundArray:
-        """Round g's delivery grid: round 1 with its columns shifted right by g - 1."""
+        """Round g's delivery grid, built on request by one re-lift: round 1
+        with its columns shifted right by g - 1."""
         k = self.params.k
         check_round(g, k)
-        cut = k - g + 1
-        return RoundArray(round=g, grid=tuple(row[cut:] + row[:cut] for row in self.delivery.grid))
+        delivery = _lift(self.pda, min(self.l, k), _integer_cells(self.pda.array))[0]
+        return RoundArray(round=g, grid=tuple(map(tuple, np.roll(delivery, g - 1, 1).tolist())))
+
+    @property
+    def delivery(self) -> RoundArray:
+        """The round-1 delivery grid, q(1)."""
+        return self.q(1)
 
     @cached_property
     def plan(self) -> DeliveryPlan:

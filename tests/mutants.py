@@ -58,10 +58,26 @@ EQUIVALENT = {
         "numpy reads any negative size in reshape as 'the rest'",
     "gf2.cauchy_matrix: m2 < 1 -> m2 < 0":
         "m1 >= 1 and m1 <= m2 already give m2 >= 1, so the clause never decides",
-    "pda._first_absent: cells.size + 1 -> cells.size + 2":
+    "pda._absent: values.size + 1 -> values.size + 2":
         "any bound past the cell count finds the same least absent integer",
     "pda.star_profile: counts[0] -> counts[-1]":
         "every row has the same star count once the check above has passed",
+    "transform._lift: star[0] -> star[-1]":
+        "every row has the same star count once the check above has passed",
+    "transform.check_c5: p.cols + 1 -> p.cols + 2":
+        "past K' + 1 the crossing test no longer depends on l, as check_c5's docstring shows",
+    "transform.check_c5: p.cols + 1 -> p.cols + 0":
+        "at l = K' the block width K' - 1 already covers every column gap, so the argument of"
+        " check_c5's docstring holds",
+    "transform.check_c5: p.cols + 1 -> p.cols - 1":
+        "at l = K' - 1 only the first-to-last column gap exceeds the block width, and a star"
+        " block of one row never reaches across it to the other row's cell at any l",
+    "transform.Scheme.__post_init__: missing[0] -> missing[-1]":
+        "short of exhaustive, _absent lists at most one integer",
+    "transform.Scheme.__post_init__: bad[0] -> bad[-1]":
+        "short of exhaustive, _clashes returns at most one pair",
+    "transform.Scheme.__post_init__: bad[0] -> bad[-1] #2":
+        "short of exhaustive, _clashes returns at most one pair",
     "rates.converse_step: t > k // l -> t >= k // l":
         "converse_bound(k, l, k // l) is 0 for every K < 60, so both branches return 0",
 }

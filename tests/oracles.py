@@ -4,6 +4,8 @@ None of these is part of the `macc` API: each restates a result the library
 computes another way.
 """
 
+import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -63,7 +65,7 @@ from macc.sim import (
     deliver,
     round_messages,
 )
-from macc.transform import Scheme
+from macc.transform import Scheme, scheme_to_json
 from macc.util import converted, is_int, mod1, require_ints
 
 
@@ -622,6 +624,53 @@ def build_scheme_by_steps(
     c1 = node_placement(p, k, l)
     q1 = user_delivery(p, user_retrieve(c1, l))
     return params, c1, q1
+
+
+def json_placement(scheme: Scheme) -> tuple[tuple[bool, ...], ...]:
+    """The round-1 placement grid read back from the node_placement rows of
+    the scheme's JSON form: True where the node caches the row."""
+    rows = json.loads(scheme_to_json(scheme, include_arrays=True))["arrays"]["node_placement"]
+    return tuple(tuple(mark == "*" for mark in row) for row in rows)
+
+
+def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, ...]:
+    """Per node, the (part g, packet j) pairs it stores for every file, from
+    node_placement's round-1 grid: round g caches round 1's column c at node
+    mod1(c + g - 1, K)."""
+    _check_dims(library, scheme)
+    k = scheme.params.k
+    caches: list[set] = [set() for _ in range(k)]
+    for j, row in enumerate(node_placement(scheme.pda, k, scheme.l).grid, start=1):
+        for c, starred in enumerate(row):
+            if starred:
+                for g in range(1, k + 1):
+                    caches[(c + g - 1) % k].add((g, j))
+    return tuple(frozenset(s) for s in caches)
+
+
+def user_view(scheme: Scheme, user: int, g: int) -> frozenset[int]:
+    """Rows of part g (1-based) the user can read through its l consecutive nodes."""
+    views = scheme.plan.views[:, (user - g) % scheme.params.k]
+    return frozenset((np.flatnonzero(views) + 1).tolist())
+
+
+def demand_suite(k: int, n: int, seed: int = 0, n_random: int = 20,
+                 exhaustive_cap: int = 100_000) -> tuple[tuple[int, ...], ...]:
+    """Demand vectors for sweeps: exhaustive when small, else a fixed recipe.
+
+    The recipe is identity (cyclic when n < k), constant, reversed, then
+    seeded uniform samples.
+    """
+    if n**k <= exhaustive_cap:
+        return tuple(product(range(1, n + 1), repeat=k))
+    rng = random.Random(seed)
+    fixed = [
+        tuple(mod1(i, n) for i in range(1, k + 1)),
+        tuple(1 for _ in range(k)),
+        tuple(mod1(k - i + 1, n) for i in range(1, k + 1)),
+    ]
+    rand = [tuple(rng.randint(1, n) for _ in range(k)) for _ in range(n_random)]
+    return tuple(fixed + rand)
 
 
 def node_cache_bytes(library: PacketLibrary, cache: frozenset) -> int:

@@ -38,6 +38,7 @@ from macc.cli import main as cli_main
 from oracles import (
     count_sq_oracle,
     delivery_fill_maps,
+    json_placement,
     node_placement,
     shift_grid,
     star_sets,
@@ -170,7 +171,7 @@ def test_criterion_02_transform_golden():
     def check():
         p = mn_pda(4, 2)
         s = build_scheme(p, 8, 3)
-        c1, q1 = s.placement.grid, s.delivery.grid
+        c1, q1 = json_placement(s), s.delivery.grid
         assert star_sets(c1) == C1_STARS
         assert star_sets(shift_grid(c1, 2)) == C2_STARS
         assert star_sets(q1, STAR) == U1_STARS

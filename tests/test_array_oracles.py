@@ -22,6 +22,7 @@ from oracles import (
     build_scheme_by_steps,
     check_c4_by_rows,
     check_c5_by_walk,
+    json_placement,
     parse_pda_by_cells,
     plan_of_grid,
     plan_record,
@@ -155,7 +156,7 @@ def scheme_view(p, k, l):
     views and index arrays, and the JSON form's text rows."""
     scheme = build_scheme(p, k, l)
     text = _arrays_text(scheme, serialize_pda(p))
-    return (scheme.params, scheme.placement.grid, scheme.delivery.grid,
+    return (scheme.params, json_placement(scheme), scheme.delivery.grid,
             view_sets(scheme.plan.views), plan_record(scheme.plan), text)
 
 

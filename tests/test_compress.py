@@ -21,7 +21,6 @@ from macc import (
     compressed_deliver,
     compressed_load,
     coverable_messages,
-    demand_suite,
     field,
     full_view_rounds,
     lambda_profile,
@@ -40,6 +39,7 @@ from oracles import (
     compressed_decode_all_rounds,
     compressed_decode_by_elimination,
     compressed_deliver_by_ints,
+    demand_suite,
     is_invertible,
     messages_read,
     plan_by_walk,

@@ -12,7 +12,7 @@ import pytest
 import macc
 from macc.util import is_int
 from conftest import PNEG_ROWS
-from oracles import plan_by_walk
+from oracles import json_placement, plan_by_walk
 from macc import (
     GF,
     ConditionViolation,
@@ -34,7 +34,6 @@ from macc import (
     decode,
     decode_from_messages,
     deliver,
-    demand_suite,
     envelope,
     envelope_eval,
     field,
@@ -49,7 +48,6 @@ from macc import (
     scheme_from_json,
     scheme_to_json,
     star_profile,
-    user_view,
     validate_pda,
 )
 
@@ -94,7 +92,7 @@ def test_starless_lift_builds_no_star_cells():
         tracemalloc.stop()
     assert peak < 2**20
     assert scheme.delivery.grid == ((1, 2),)
-    assert scheme.placement.grid == ((False, False),)
+    assert json_placement(scheme) == ((False, False),)
 
 
 def test_malformed_pda_is_a_macc_error():
@@ -175,9 +173,9 @@ def test_decode_rejects_a_log_of_the_wrong_length(scheme832):
 
 def guarded_calls():
     """(error, match, call) for calls that once escaped with a TypeError,
-    AttributeError, ValueError, IndexError or ZeroDivisionError or, for
-    user_view's round and the library's file and packet indices, wrapped
-    silently; call takes the worked scheme and a 1-byte library."""
+    AttributeError, ValueError, IndexError or ZeroDivisionError or, for the
+    library's file and packet indices, wrapped silently; call takes the
+    worked scheme and a 1-byte library."""
     pda = mn_pda(4, 2)
     demand = tuple(range(1, 9))
     curve = envelope([(0, 1), (1, 0)])
@@ -187,8 +185,6 @@ def guarded_calls():
         (OutOfRange, r"width=8\.0 is not an integer", lambda s, lib: field(8.0)),
         (OutOfRange, r"width=8\.0 is not an integer", lambda s, lib: GF(8.0)),
         (OutOfRange, r"l=3\.0 is not an integer", lambda s, lib: check_c5(pda, 3.0)),
-        (OutOfRange, r"k=3\.0 is not an integer", lambda s, lib: demand_suite(3.0, 3)),
-        (OutOfRange, r"k=0, n=3 must be >= 1", lambda s, lib: demand_suite(0, 3)),
         (OutOfRange, r"step='1/0' cannot be read as a Fraction",
          lambda s, lib: comparison_table(8, 3, ["t1"], "1/0")),
         (OutOfRange, r"step='abc' cannot be read as a Fraction",
@@ -203,9 +199,6 @@ def guarded_calls():
         (OutOfRange, r"corner points=None cannot be read as a tuple", lambda s, lib: envelope(None)),
         (OutOfRange, r"x='1/0' cannot be read as a Fraction", lambda s, lib: envelope_eval(curve, "1/0")),
         (OutOfRange, r"x='abc' cannot be read as a Fraction", lambda s, lib: envelope_eval(curve, "abc")),
-        (OutOfRange, r"round g=0 outside \[1, 8\]", lambda s, lib: user_view(s, 1, 0)),
-        (OutOfRange, r"round g=9 outside \[1, 8\]", lambda s, lib: user_view(s, 1, 9)),
-        (OutOfRange, r"round g=1\.5 outside \[1, 8\]", lambda s, lib: user_view(s, 1, 1.5)),
         (DemandOutOfRange, "demand=None cannot be read", lambda s, lib: deliver(lib, s, None)),
         (DemandOutOfRange, "demand=5 cannot be read", lambda s, lib: deliver(lib, s, 5)),
         (DemandOutOfRange, "demand=None cannot be read", lambda s, lib: compressed_deliver(lib, s, None)),
@@ -223,7 +216,6 @@ def guarded_calls():
          lambda s, lib: compressed_decode(lib, s, demand, "batch", 1)),
         (DimensionMismatch, "library is a NoneType, not a PacketLibrary",
          lambda s, lib: deliver(None, s, demand)),
-        (DimensionMismatch, "scheme is a NoneType, not a Scheme", lambda s, lib: user_view(None, 1, 1)),
         (DimensionMismatch, "validate_pda's array is a NoneType, not a Pda", lambda s, lib: validate_pda(None)),
         (DimensionMismatch, "star_profile's array is a list, not a Pda", lambda s, lib: star_profile([[1]])),
         (DimensionMismatch, "scheme base array is a str, not a Pda", lambda s, lib: build_scheme("x", 8, 3)),

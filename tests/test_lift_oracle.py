@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import c4_arrays
-from macc import MultiaccessParams, build_scheme, mn_pda, partition_pda
-from oracles import build_scheme_by_steps
+from macc import MultiaccessParams, RoundArray, build_scheme, mn_pda, partition_pda
+from oracles import build_scheme_by_steps, json_placement
 
 
 def lift(p, k, l):
-    """The params and the two round-1 grids build_scheme derives."""
+    """The params and the two round-1 grids of the built scheme: the
+    placement read back from its JSON form, the delivery grid q(1)."""
     scheme = build_scheme(p, k, l)
-    return scheme.params, scheme.placement, scheme.delivery
+    return scheme.params, RoundArray(round=1, grid=json_placement(scheme)), scheme.delivery
 
 
 def outcome(build, p, k, l):

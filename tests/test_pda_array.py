@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macc import (STAR, ConditionViolation, MalformedPda, ParseError, Pda, build_scheme, mn_pda,
-                  parse_pda, partition_pda, validate_pda)
-from macc.pda import _first_absent, absent_integers
+from macc import (STAR, ConditionViolation, MalformedPda, OutOfRange, ParseError, Pda, build_scheme,
+                  mn_pda, parse_pda, partition_pda, validate_pda)
+from macc import pda
+from macc.pda import MAX_LISTED, _absent, _integer_cells
 from oracles import mn_pda_by_lex_rank, partition_pda_by_walk
 
 
@@ -76,6 +77,30 @@ def test_c2_of_a_huge_s_needs_no_s_long_array(s):
     assert peak_bytes(check) < 2**20
 
 
+@pytest.mark.parametrize("s", [10**12, 2**63 - 1, 2**63, 2**70])
+def test_exhaustive_c2_of_a_huge_s_is_out_of_range(s):
+    """An exhaustive report cannot list every absent integer of a huge S: it
+    raises at once, while the default report still names the least."""
+    p = Pda(rows=1, cols=1, entries=((1,),), z=0, s=s)
+
+    def check():
+        with pytest.raises(OutOfRange, match=rf"^S={s} leaves {s - 1} integers absent, more "
+                                             rf"than the {MAX_LISTED} an exhaustive report lists$"):
+            validate_pda(p, exhaustive=True)
+        assert validate_pda(p).c2_counterexamples == ((2,),)
+
+    assert peak_bytes(check) < 2**20
+
+
+def test_exhaustive_c2_lists_up_to_its_limit(monkeypatch):
+    """The limit counts absent integers, not S; patched down to 3 here."""
+    monkeypatch.setattr(pda, "MAX_LISTED", 3)
+    p = Pda(rows=1, cols=2, entries=((2, 2),), z=0, s=4)
+    assert validate_pda(p, exhaustive=True).c2_counterexamples == ((1,), (3,), (4,))
+    with pytest.raises(OutOfRange, match=r"^S=5 leaves 4 integers absent, more than the 3 "):
+        validate_pda(dataclasses.replace(p, s=5), exhaustive=True)
+
+
 @pytest.mark.parametrize("text, error", [
     ("1 2\n1", "header needs 4 integers (K' F' Z S), got '1 2'"),
     ("a b c d\n1", "bad header 'a b c d'"),
@@ -105,7 +130,12 @@ def arrays(draw):
 @settings(max_examples=300, deadline=None)
 @given(p=arrays())
 def test_first_absent_is_the_least_absent_integer(p):
-    assert _first_absent(p) == absent_integers(p)[:1]
+    """_absent lists, as ints, every integer of [1, S] that no cell holds
+    when exhaustive, else only the least of them."""
+    absent = sorted(set(range(1, p.s + 1)) - set(p.array.ravel().tolist()))
+    values = _integer_cells(p.array)[2]
+    assert repr(_absent(values, p.s, exhaustive=True)) == repr(absent)
+    assert repr(_absent(values, p.s)) == repr(absent[:1])
 
 
 def test_mn_pda_is_the_lex_rank_walk():

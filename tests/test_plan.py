@@ -35,24 +35,27 @@ from macc import (
     decode,
     decode_from_messages,
     deliver,
-    demand_suite,
     library_for_scheme,
     mn_pda,
     partition_pda,
-    populate_caches,
     scheme_to_json,
+    validate_pda,
 )
-from macc import sim, transform
-from macc.sim import TransmissionLog, check_demand, user_view
+from macc import pda, sim, transform
+from macc.sim import TransmissionLog, check_demand
 from oracles import (
     build_scheme_by_steps,
     constituents,
     decode_by_recipes,
     deliver_by_cells,
+    demand_suite,
+    json_placement,
     messages_read,
     plan_by_walk,
     plan_record,
+    populate_caches,
     shift_grid,
+    user_view,
     view_sets,
 )
 
@@ -108,7 +111,7 @@ def oracle_populate_caches(scheme) -> tuple[frozenset, ...]:
     k = scheme.params.k
     caches: list[set] = [set() for _ in range(k)]
     for g in range(1, k + 1):
-        for j, row in enumerate(shift_grid(scheme.placement.grid, g), start=1):
+        for j, row in enumerate(shift_grid(json_placement(scheme), g), start=1):
             for c, starred in enumerate(row, start=1):
                 if starred:
                     caches[c - 1].add((g, j))
@@ -274,6 +277,8 @@ BAD_LIFTS = {
     "C5": (Pda(rows=5, cols=5, entries=PNEG_ROWS, z=2, s=14), 7, 2, C3ViolationInQ),
     "wrong K": (mn_pda(4, 2), 9, 3, OutOfRange),
     "float K": (mn_pda(4, 2), 8.0, 3, OutOfRange),
+    "K=0 before C2": (dataclasses.replace(mn_pda(4, 2), s=5), 0, 3, OutOfRange),
+    "L=0 before C2": (dataclasses.replace(mn_pda(4, 2), s=5), 8, 0, OutOfRange),
 }
 
 
@@ -325,6 +330,26 @@ def test_one_lift_serves_the_build_the_plan_and_delivery(monkeypatch):
     monkeypatch.setattr(transform, "_integer_cells", cells_index)
     assert check_c5(mn_pda(4, 2), 3)
     assert len(lifts) == 2
+
+
+def test_one_index_serves_c2_c3_and_the_lift(monkeypatch):
+    """validate_pda, default and exhaustive, and a Scheme build each index
+    the base array once; the built scheme keeps no grid, only the lift's
+    cells index until its plan is built."""
+    p, calls, real_index = mn_pda(4, 2), [], pda._integer_cells
+
+    def counted(a):
+        calls.append(a)
+        return real_index(a)
+
+    monkeypatch.setattr(pda, "_integer_cells", counted)
+    monkeypatch.setattr(transform, "_integer_cells", counted)
+    validate_pda(p)
+    validate_pda(p, exhaustive=True)
+    scheme = build_scheme(p, 8, 3)
+    assert len(calls) == 3 and all(a is p.array for a in calls)
+    assert set(vars(scheme)) == {"pda", "k", "l", "n", "params", "_cells"}
+    assert [a.shape for a in scheme._cells] == [(p.s * 3,)] * 3
 
 
 def assert_plan_is_the_walks(scheme):
@@ -385,10 +410,11 @@ def test_plan_memory_is_its_index_arrays():
 
 
 def test_scheme_grids_cannot_be_supplied(scheme832):
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(scheme832, delivery=scheme832.delivery)
-    with pytest.raises(TypeError):
-        Scheme(mn_pda(4, 2), 8, 3, delivery=scheme832.delivery)
+    for name in ("placement", "delivery"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(scheme832, **{name: scheme832.delivery})
+        with pytest.raises(TypeError):
+            Scheme(mn_pda(4, 2), 8, 3, **{name: scheme832.delivery})
 
 
 def test_plan_is_lazy_and_outside_equality():

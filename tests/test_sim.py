@@ -13,15 +13,20 @@ from macc import (
     decode,
     decode_from_messages,
     deliver,
-    demand_suite,
     library_for_scheme,
     mn_pda,
     partition_pda,
-    populate_caches,
-    user_view,
 )
 from macc.sim import check_demand
-from oracles import constituents, node_cache_bytes, shift_grid, user_view_via_nodes
+from oracles import (
+    constituents,
+    demand_suite,
+    node_cache_bytes,
+    populate_caches,
+    shift_grid,
+    user_view,
+    user_view_via_nodes,
+)
 
 # per-user part-1 views of the worked (8, 3, 2) instance
 VIEWS_832_G1 = {

@@ -25,6 +25,7 @@ from macc.transform import RoundArray
 from macc.util import mod1
 from oracles import (
     delivery_fill_maps,
+    json_placement,
     node_placement,
     shift_grid,
     star_sets,
@@ -80,7 +81,7 @@ FILL_MAPS = (
 
 
 def test_worked_832_round_one_and_two(scheme832):
-    c1, q1 = scheme832.placement.grid, scheme832.delivery.grid
+    c1, q1 = json_placement(scheme832), scheme832.delivery.grid
     assert star_sets(c1) == C1_STARS
     assert star_sets(shift_grid(c1, 2)) == C2_STARS
     assert star_sets(q1, STAR) == U1_STARS
@@ -107,7 +108,7 @@ def test_worked_832_figures(scheme832):
 def test_small_531_instance():
     # hand-derived lift of the 3-column array at K=5, L=3
     s = build_scheme(mn_pda(3, 1), 5, 3)
-    assert star_sets(s.placement.grid) == [(3,), (4,), (5,)]
+    assert star_sets(json_placement(s)) == [(3,), (4,), (5,)]
     assert star_sets(s.delivery.grid, STAR) == [(1, 2, 3), (2, 3, 4), (3, 4, 5)]
     assert [list(r) for r in s.delivery.grid] == [
         [0, 0, 0, 1, 2],
@@ -121,7 +122,7 @@ def test_small_531_instance():
 def test_rounds_are_cyclic_shifts(scheme832):
     s = scheme832
     k = s.params.k
-    c1, q1 = s.placement.grid, s.delivery.grid
+    c1, q1 = json_placement(s), s.delivery.grid
     for g in range(1, k + 1):
         for base, got in ((c1, shift_grid(c1, g)), (q1, s.q(g).grid)):
             for j in range(len(base)):
@@ -150,7 +151,7 @@ def test_placement_gap_at_least_l():
         k = k_prime + t * (l - 1)
         s = build_scheme(mn_pda(k_prime, t), k, l)
         for g in range(1, k + 1):
-            for stars in star_sets(shift_grid(s.placement.grid, g)):
+            for stars in star_sets(shift_grid(json_placement(s), g)):
                 cols = sorted(stars)
                 for a, b in zip(cols, cols[1:]):
                     assert b - a >= l, (g, cols)
@@ -161,12 +162,12 @@ def test_placement_gap_at_least_l():
 def test_stacked_star_budget(scheme832):
     s = scheme832
     p = s.pda
-    per_round = sum(len(r) for r in star_sets(s.placement.grid))
+    per_round = sum(len(r) for r in star_sets(json_placement(s)))
     assert per_round == p.z * p.cols  # 12 for the worked instance
     k = s.params.k
     col_totals = [0] * k
     for g in range(1, k + 1):
-        for stars in star_sets(shift_grid(s.placement.grid, g)):
+        for stars in star_sets(shift_grid(json_placement(s), g)):
             for c in stars:
                 col_totals[c - 1] += 1
     assert set(col_totals) == {p.z * p.cols}
@@ -186,7 +187,7 @@ def test_subfile_sets_repeat_k_prime_times():
         s = build_scheme(mn_pda(k_prime, t), k, l)
         seen: dict[tuple, int] = {}
         for g in range(1, k + 1):
-            for stars in star_sets(shift_grid(s.placement.grid, g)):
+            for stars in star_sets(shift_grid(json_placement(s), g)):
                 key = tuple(sorted(stars))
                 seen[key] = seen.get(key, 0) + 1
         assert set(seen.values()) == {k_prime}, (k_prime, t, l)
@@ -244,7 +245,7 @@ def test_degenerate_t_zero():
     for l in (1, 3):
         s = build_scheme(p, 5, l)
         assert s.params.t == 0
-        assert all(len(r) == 0 for r in star_sets(s.placement.grid))
+        assert all(len(r) == 0 for r in star_sets(json_placement(s)))
         assert [list(r) for r in s.delivery.grid] == [[1, 2, 3, 4, 5]]
         assert str(s.load) == "5"
 

@@ -51,7 +51,7 @@ def mn_pda(k_prime: int, t: int) -> Pda:
         rest = np.delete(ups, i, axis=1)
         a[rows - 1 - binom[n - 1 - rest, t - np.arange(t)].sum(axis=1), ups[:, i]] = ranks
     z = comb(k_prime - 1, t - 1) if t >= 1 else 0
-    return Pda(rows=rows, cols=n, entries=tuple(map(tuple, a.tolist())), z=z, s=len(ups))
+    return Pda._of(a, z, len(ups))
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,4 @@ def partition_pda(m: int, q: int) -> tuple[Pda, tuple[tuple[int, ...], ...]]:
     a = np.zeros(star.shape, np.int64)
     a[~star] = np.argsort(order)[inverse] + 1
     labels = found[order, None] // place % q + 1
-    pda = Pda(
-        rows=q ** (m - 1),
-        cols=m * q,
-        entries=tuple(map(tuple, a.tolist())),
-        z=q ** (m - 2),
-        s=(q - 1) * q ** (m - 1),
-    )
-    return pda, tuple(map(tuple, labels.tolist()))
+    return Pda._of(a, q ** (m - 2), (q - 1) * q ** (m - 1)), tuple(map(tuple, labels.tolist()))

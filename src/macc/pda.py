@@ -27,7 +27,10 @@ class Pda:
     """Immutable F' x K' array over {star} u [1, S] with declared Z and S.
 
     Building one checks the cells once, in bulk, and keeps them as `array`,
-    a read-only int64 array; a cell beyond int64 is a MalformedPda."""
+    a read-only int64 array; a cell beyond int64 is a MalformedPda. The
+    producers in this package hand over an int64 array they built through
+    the private `Pda._of`, which runs the same bulk checks on it and reads
+    `entries` off it, so no cell is rebuilt from tuples."""
 
     rows: int
     cols: int
@@ -37,13 +40,7 @@ class Pda:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_ints(MalformedPda, rows=self.rows, cols=self.cols, z=self.z, s=self.s)
-        if self.rows < 1 or self.cols < 1:
-            raise MalformedPda(f"need at least one row and column, got {self.rows}x{self.cols}")
-        if not (0 <= self.z <= self.rows):
-            raise MalformedPda(f"Z={self.z} outside [0, {self.rows}]")
-        if self.s < 0:
-            raise MalformedPda(f"S={self.s} negative")
+        _check_header(self.rows, self.cols, self.z, self.s)
         if not is_tuple_of(self.entries, self.rows):
             raise MalformedPda(f"entries are not a tuple of {self.rows} rows")
         shaped = all(is_tuple_of(row, self.cols) for row in self.entries)
@@ -63,9 +60,37 @@ class Pda:
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
 
+    @classmethod
+    def _of(cls, a: np.ndarray, z: int, s: int) -> "Pda":
+        """The Pda of the 2-d int64 array a, which the caller gives up: the
+        constructor's bulk checks, then a made read-only and entries read off it."""
+        if not (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 2):
+            raise MalformedPda("cells are not a 2-d int64 array")
+        _check_header(*a.shape, z, s)
+        low, high = int(a.min()), int(a.max())
+        if low < 0 or high > s:
+            raise MalformedPda(f"cell value {low if low < 0 else high} outside star/[1, {s}]")
+        a.flags.writeable = False
+        p = object.__new__(cls)
+        vars(p).update(rows=a.shape[0], cols=a.shape[1], entries=tuple(map(tuple, a.tolist())),
+                       z=z, s=s, array=a)
+        return p
+
     def at(self, row: int, col: int) -> int:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
         return self.entries[row - 1][col - 1]
+
+
+def _check_header(rows: int, cols: int, z: int, s: int) -> None:
+    """Raise MalformedPda unless F' = rows and K' = cols are at least 1, Z
+    lies in [0, F'] and S >= 0, all ints."""
+    require_ints(MalformedPda, rows=rows, cols=cols, z=z, s=s)
+    if rows < 1 or cols < 1:
+        raise MalformedPda(f"need at least one row and column, got {rows}x{cols}")
+    if not (0 <= z <= rows):
+        raise MalformedPda(f"Z={z} outside [0, {rows}]")
+    if s < 0:
+        raise MalformedPda(f"S={s} negative")
 
 
 @dataclass(frozen=True)
@@ -114,12 +139,14 @@ def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:
     then row-major. Only the first is returned unless exhaustive; short of
     exhaustive, only cells before the first clash found are paired further."""
     rows, cols, values = cells
+    flat, at_row = a.ravel(), rows * a.shape[1]  # cell (r, c) is flat[r * K' + c]
     found, end = [], len(values)
     for d in range(1, len(values)):
         i = np.flatnonzero(values[:min(end, len(values) - d)] == values[d:d + end])
         if not i.size:
             break
-        bad = i[(a[rows[i], cols[i + d]] != STAR) | (a[rows[i + d], cols[i]] != STAR)]
+        j = i + d  # a crossing holds an integer when either of its cells does
+        bad = i[(flat[at_row[i] + cols[j]] | flat[at_row[j] + cols[i]]) != STAR]
         if bad.size:
             found.append((bad, bad + d))
             if not exhaustive:
@@ -142,10 +169,11 @@ def _absent(values: np.ndarray, s: int, exhaustive: bool = False) -> list[int]:
     count, whatever S: n cells hold at most n integers, so one of [1, n + 1]
     is absent when S > n. An exhaustive list of more than MAX_LISTED integers
     raises OutOfRange instead of being built."""
-    missing = s - int(np.count_nonzero(np.diff(values, prepend=STAR)))
-    if exhaustive and missing > MAX_LISTED:
-        raise OutOfRange(f"S={s} leaves {missing} integers absent, more than the "
-                         f"{MAX_LISTED} an exhaustive report lists")
+    if exhaustive:
+        missing = s - int(np.count_nonzero(np.diff(values, prepend=STAR)))
+        if missing > MAX_LISTED:
+            raise OutOfRange(f"S={s} leaves {missing} integers absent, more than the "
+                             f"{MAX_LISTED} an exhaustive report lists")
     top = s if exhaustive else min(s, values.size + 1)
     held = np.zeros(top + 1, bool)
     held[values[values <= top]] = True
@@ -273,9 +301,10 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
         relabel = {old: new for new, old in enumerate(used, start=1)}
         values = {tok: relabel.get(v, STAR) for tok, v in values.items()}
         s = len(used)
-    grid = zip(*[map(values.__getitem__, tokens)] * cols)  # the rows, cols cells each
+    cells = np.fromiter(map(values.__getitem__, tokens), np.int64, len(tokens))
     try:
-        p = Pda(rows=rows, cols=cols, entries=tuple(grid), z=z, s=s)
+        _check_header(rows, cols, z, s)  # before the reshape, which a negative K' breaks
+        p = Pda._of(cells.reshape(rows, cols), z, s)
     except MalformedPda as e:
         raise ParseError(f"inconsistent header {lines[0]!r}: {e}") from e
     return p, relabel

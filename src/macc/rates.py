@@ -1,16 +1,18 @@
 """Load formulas, the fixed-placement converse, and envelope machinery.
 
 Everything is exact: memory ratios and loads are Fractions end to end.
-Floats only appear when a table is rendered to CSV. A comparison table is
-one sweep over the hull segments: its memory ratios only ascend, so each
-curve keeps a pointer to its current segment, whose line is held as
-integers, and the converse is computed once per corner.
+Floats only appear when a table is rendered to CSV. A hull segment's line
+is held as integers, and envelope_eval finds a point's segment by
+bisection. A comparison table walks each curve's segments once and fills a
+segment's whole run of grid rows at a time, one Fraction per cell; the
+converse is computed once per corner.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb, lcm
+from math import ceil, comb, gcd
 
 from .errors import DuplicateRatio, EmptyInput, OutOfRange
 from .util import comb0, converted, require_ints, require_type
@@ -210,42 +212,23 @@ def envelope_eval(curve: LoadCurve, x) -> Fraction:
     pts = curve.points
     if x < pts[0].ratio:
         raise OutOfRange(f"x={x} below the first corner {pts[0].ratio}")
-    return _sweep(curve)(x)
+    i = bisect_right(pts, x, key=lambda p: p.ratio)  # the first corner past x
+    if i == len(pts):
+        return pts[-1].load
+    p, q, d = _line(pts[i - 1], pts[i])
+    return Fraction(p * x.numerator + q * x.denominator, d * x.denominator)
 
 
 def _line(a: LoadPoint, b: LoadPoint) -> tuple[int, int, int]:
-    """The line through a and b as integers (p, q, d): load = (p*x + q) / d."""
-    slope = (b.load - a.load) / (b.ratio - a.ratio)
-    icpt = a.load - slope * a.ratio
-    d = lcm(slope.denominator, icpt.denominator)
-    return slope.numerator * (d // slope.denominator), icpt.numerator * (d // icpt.denominator), d
-
-
-def _sweep(curve: LoadCurve):
-    """envelope_eval for ratios x at or past the first corner that never
-    decrease from one call to the next.
-
-    A pointer to the current hull segment only ever moves right, and the
-    segment's line is put in integers when a cell first lands on it, so each
-    cell is one Fraction built from ints.
-    """
-    pts = curve.points
-    ends = [(b.ratio.numerator, b.ratio.denominator) for b in pts[1:]]
-    i, line = 0, None
-
-    def at(x: Fraction) -> Fraction:
-        nonlocal i, line
-        xn, xd = x.numerator, x.denominator
-        while i < len(ends) and xn * ends[i][1] >= ends[i][0] * xd:
-            i, line = i + 1, None
-        if i == len(ends):
-            return pts[-1].load
-        if line is None:
-            line = _line(pts[i], pts[i + 1])
-        p, q, d = line
-        return Fraction(p * xn + q * xd, d * xd)
-
-    return at
+    """The line through a and b as coprime integers (p, q, d), d > 0:
+    load = (p*x + q) / d."""
+    (an, ad), (bn, bd) = a.ratio.as_integer_ratio(), b.ratio.as_integer_ratio()
+    (un, ud), (vn, vd) = a.load.as_integer_ratio(), b.load.as_integer_ratio()
+    # (x_b - x_a) load = (y_b - y_a) x + y_a x_b - y_b x_a, times ad bd ud vd
+    p, q = (vn * ud - un * vd) * ad * bd, un * vd * bn * ad - vn * ud * an * bd
+    d = (bn * ad - an * bd) * ud * vd
+    g = gcd(p, q, d)
+    return p // g, q // g, d // g
 
 
 def scheme_points(k: int, l: int, scheme: str) -> tuple[LoadPoint, ...]:
@@ -324,34 +307,33 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
     step = converted(Fraction, step, "step", OutOfRange)
     if step <= 0:
         raise OutOfRange(f"step={step} must be positive")
-    curves = {}
-    for name in schemes:
-        if name == "conv":
-            continue
-        curves[name] = _sweep(scheme_curve(k, l, name))
-    bounds: dict[int, Fraction] = {}
-
-    def conv(x: Fraction) -> Fraction:
-        t = max(1, -(-x.numerator * k // x.denominator))  # converse_step's corner
-        if t not in bounds:
-            bounds[t] = converse_step(k, l, x)
-        return bounds[t]
-
-    # _sweep needs x at or past a curve's first corner; every scheme curve starts at 0.
-    header = ["m_over_n", *schemes]
-    columns = [conv if name == "conv" else curves[name] for name in header[1:]]
-    rows = []
-    x = Fraction(0)
+    curves = {name: scheme_curve(k, l, name) for name in schemes if name != "conv"}
     top = Fraction(1, l)
     num, den = step.numerator, step.denominator
-    i = 0  # x = i * step until that reaches top
-    while True:
-        rows.append([x] + [col(x) for col in columns])
-        if x >= top:
-            break
-        i += 1
-        x = Fraction(i * num, den) if i * num * l < den else top
-    return header, rows
+    n = (den - 1) // (num * l) + 1  # grid rows x = i * step below top, then top itself
+    xs = [Fraction(i * num, den) for i in range(n)] + [top]
+    columns = {
+        name: _column(curve, num, den, n) + [envelope_eval(curve, top)]
+        for name, curve in curves.items()
+    }
+    if "conv" in schemes:
+        ts = [max(1, -(-i * num * k // den)) for i in range(n)] + [max(1, -(-k // l))]  # ceil(xK)
+        bounds = {t: converse_step(k, l, x) for t, x in dict(zip(ts, xs)).items()}
+        columns["conv"] = [bounds[t] for t in ts]
+    rows = zip(xs, *map(columns.get, schemes), strict=True)
+    return ["m_over_n", *schemes], [list(row) for row in rows]
+
+
+def _column(curve: LoadCurve, num: int, den: int, n: int) -> list[Fraction]:
+    """envelope_eval at x = i * num / den for i in range(n), for a curve whose
+    first corner is at 0: each hull segment fills, in one comprehension, the
+    rows from the last one filled up to its end."""
+    pts, col = curve.points, []
+    for a, b in zip(pts, pts[1:]):
+        end = min(n, -(-b.ratio.numerator * den // (b.ratio.denominator * num)))
+        p, q, d = _line(a, b)
+        col += [Fraction(p * i * num + q * den, d * den) for i in range(len(col), end)]
+    return col + [pts[-1].load] * (n - len(col))
 
 
 def gap_checks(k: int, l: int) -> dict:
@@ -393,16 +375,12 @@ def gap_checks(k: int, l: int) -> dict:
     else:
         report["hkd"] = {"applicable": False}
 
+    t1s = [r_t1(k, l, t) for t in range(1, tmax + 1)]
     rk_entries = []
-    for t in range(1, tmax + 1):
+    for t, t1 in enumerate(t1s, start=1):
+        rk = r_rk(k, l, t)
         rk_entries.append(
-            {
-                "t": t,
-                "t1": r_t1(k, l, t),
-                "rk": r_rk(k, l, t),
-                "hypothesis": k > (t + 1) * l,
-                "strict": r_t1(k, l, t) < r_rk(k, l, t),
-            }
+            {"t": t, "t1": t1, "rk": rk, "hypothesis": k > (t + 1) * l, "strict": t1 < rk}
         )
     report["rk"] = {
         "entries": rk_entries,
@@ -412,16 +390,11 @@ def gap_checks(k: int, l: int) -> dict:
     }
 
     sr_entries = []
-    for t in range(1, tmax + 1):
+    for t, t1 in enumerate(t1s, start=1):
         proven = Fraction(t, 2) * (1 - Fraction(t * l, k)) >= 1
+        sr = r_sr(k, l, t)
         sr_entries.append(
-            {
-                "t": t,
-                "t1": r_t1(k, l, t),
-                "sr": r_sr(k, l, t),
-                "proven_region": proven,
-                "strict": r_t1(k, l, t) < r_sr(k, l, t),
-            }
+            {"t": t, "t1": t1, "sr": sr, "proven_region": proven, "strict": t1 < sr}
         )
     report["sr"] = {
         "entries": sr_entries,

@@ -308,14 +308,14 @@ def _arrays_text(scheme: Scheme, pda_text: str) -> dict[str, list[str]]:
     rows of pda_text, serialize_pda's form, and of the star marks, with each
     star widened as the lift widens it."""
     p = scheme.pda
-    l = scheme.l if scheme.params.t else 1  # a starless array has no star to widen
-    marks = np.where(p.array == STAR, b"*", b".").tobytes().decode()
-    marks = [marks[i:i + p.cols] for i in range(0, len(marks), p.cols)]
-    wide = " ".join("*" * l)
+    l = min(scheme.l, scheme.params.k)  # l > K only if starless, where no star widens
+    marks = np.full((p.rows, p.cols + 1), b"\n")  # a row of marks per line
+    marks[:, :-1] = np.where(p.array == STAR, b"*", b".")
+    marks = marks.tobytes().decode()
     return {
-        "node_placement": [row.replace("*", "." * (l - 1) + "*") for row in marks],
-        "user_retrieve": [row.replace("*", "*" * l) for row in marks],
-        "user_delivery": [row.replace("*", wide) for row in pda_text.splitlines()[1:]],
+        "node_placement": marks.replace("*", "." * (l - 1) + "*").splitlines(),
+        "user_retrieve": marks.replace("*", "*" * l).splitlines(),
+        "user_delivery": pda_text.split("\n", 1)[1].replace("*", " ".join("*" * l)).splitlines(),
     }
 
 

@@ -80,6 +80,9 @@ EQUIVALENT = {
         "short of exhaustive, _clashes returns at most one pair",
     "rates.converse_step: t > k // l -> t >= k // l":
         "converse_bound(k, l, k // l) is 0 for every K < 60, so both branches return 0",
+    "rates.gap_checks: ratio > rhs -> ratio >= rhs":
+        "the hkd ratio exceeds rhs strictly at every probe inside the gap region, as the report"
+        " shows (no probe equals it for K <= 150, L <= 15), so equality never decides",
 }
 
 

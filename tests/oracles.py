@@ -55,7 +55,7 @@ from macc.gf2 import (
     symbols_to_bytes,
     symbols_to_packets,
 )
-from macc.rates import converse_step
+from macc.rates import converse_step, r_rk, r_sr, r_t1
 from macc.sim import (
     PacketLibrary,
     TransmissionLog,
@@ -476,6 +476,40 @@ def envelope_eval_by_scan(curve: LoadCurve, x) -> Fraction:
             w = (x - a.ratio) / (b.ratio - a.ratio)
             return a.load + w * (b.load - a.load)
     raise AssertionError("unreachable")
+
+
+def gap_checks_by_scan(k: int, l: int) -> dict:
+    """gap_checks with uncached hulls, each envelope value found by
+    envelope_eval_by_scan and each corner load computed where it is reported."""
+    tmax = k // l
+    report: dict = {"k": k, "l": l}
+    if k % l != 0 and tmax >= 1:
+        t0 = k // (2 * l)
+        rhs = Fraction(k - t0, k - l * t0)
+        hkd, t1 = (envelope(scheme_points(k, l, name)) for name in ("hkd", "t1"))
+        corners = [Fraction(t, k) for t in range(t0, tmax + 1)] + [Fraction(1, l)]
+        mids = [(a + b) / 2 for a, b in zip(corners, corners[1:])]
+        entries = []
+        for x in sorted(set(corners[1:-1] + mids)):
+            num, den = envelope_eval_by_scan(hkd, x), envelope_eval_by_scan(t1, x)
+            ratio = num / den if den else None
+            entries.append({"x": x, "ratio": ratio, "strict": ratio is not None and ratio > rhs})
+        boundary = envelope_eval_by_scan(hkd, corners[0]) / envelope_eval_by_scan(t1, corners[0])
+        report["hkd"] = {"applicable": True, "t0": t0, "rhs": rhs, "entries": entries,
+                         "equality_at_boundary": boundary == rhs,
+                         "all_strict_inside": all(e["strict"] for e in entries)}
+    else:
+        report["hkd"] = {"applicable": False}
+    rk = [{"t": t, "t1": r_t1(k, l, t), "rk": r_rk(k, l, t), "hypothesis": k > (t + 1) * l,
+           "strict": r_t1(k, l, t) < r_rk(k, l, t)} for t in range(1, tmax + 1)]
+    report["rk"] = {"entries": rk,
+                    "all_strict_on_hypothesis": all(e["strict"] for e in rk if e["hypothesis"])}
+    sr = [{"t": t, "t1": r_t1(k, l, t), "sr": r_sr(k, l, t),
+           "proven_region": Fraction(t, 2) * (1 - Fraction(t * l, k)) >= 1,
+           "strict": r_t1(k, l, t) < r_sr(k, l, t)} for t in range(1, tmax + 1)]
+    report["sr"] = {"entries": sr,
+                    "all_strict_on_proven_region": all(e["strict"] for e in sr if e["proven_region"])}
+    return report
 
 
 def comparison_table_by_scan(k: int, l: int, schemes, step) -> tuple[list[str], list[list]]:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macc import (STAR, ConditionViolation, MalformedPda, OutOfRange, ParseError, Pda, build_scheme,
-                  mn_pda, parse_pda, partition_pda, validate_pda)
+                  mn_pda, parse_pda, parse_pda_with_map, partition_pda, serialize_pda, validate_pda)
 from macc import pda
 from macc.pda import MAX_LISTED, _absent, _integer_cells
 from oracles import mn_pda_by_lex_rank, partition_pda_by_walk
@@ -43,6 +43,7 @@ def test_array_is_the_entries_validated_once():
     ((1, 1, ((1,),), -1, 1), "Z=-1 outside [0, 1]"),
     ((1, 1, ((STAR,),), 0, -1), "S=-1 negative"),
     ((1, 2, ((1, -1),), 0, 2), "cell value -1 outside star/[1, 2]"),
+    ((2, 2, ((STAR, STAR), (STAR,)), 0, 0), "row 2 is not a tuple of 2 cells"),
 ])
 def test_one_past_each_bound_is_malformed(args, text):
     with pytest.raises(MalformedPda, match=f"^{re.escape(text)}$"):
@@ -111,6 +112,10 @@ def test_exhaustive_c2_lists_up_to_its_limit(monkeypatch):
     ("2 2 0 3\n1 x\n5 *\n", "row 1: bad token 'x'"),  # the first faulty cell, row-major
     ("1 2 0 1\nx\n1 1", "row 1: bad token 'x'"),  # a row before the short row comes first
     ("1 1 2 1\n1", "inconsistent header '1 1 2 1': Z=2 outside [0, 1]"),
+    ("0 0 0 0\n", "inconsistent header '0 0 0 0': need at least one row and column, got 0x0"),
+    ("3 0 0 0\n", "inconsistent header '3 0 0 0': need at least one row and column, got 0x3"),
+    ("-2 0 0 0\n", "inconsistent header '-2 0 0 0': need at least one row and column, got 0x-2"),
+    ("0 1 0 0\n1", "row 1 has 1 tokens, expected 0"),
 ])
 def test_parse_errors_name_their_line(text, error):
     with pytest.raises(ParseError, match=f"^{re.escape(error)}$"):
@@ -151,3 +156,57 @@ def test_partition_pda_is_the_walk(m, q):
     assert np.array_equal(p.array, want.array)
     assert repr(p) == repr(want)
     assert repr(labels) == repr(want_labels)
+
+
+def built_the_public_way(p: Pda) -> None:
+    """p, handed its array by a producer, is the Pda the constructor builds from p's entries."""
+    want = Pda(p.rows, p.cols, p.entries, p.z, p.s)
+    assert repr(p) == repr(want)  # an np.int64 cell or a list row would show here
+    assert p == want and hash(p) == hash(want)
+    assert p.array.dtype == np.int64 and p.array.shape == want.array.shape
+    assert p.array.tobytes() == want.array.tobytes()
+    assert not p.array.flags.writeable
+
+
+STOCK_HANDED = [mn_pda(kp, t) for kp in range(1, 11) for t in range(kp + 1)] + [
+    partition_pda(m, q)[0] for m in range(2, 5) for q in range(2, 5) if q ** (m - 1) <= 64
+]
+
+
+def gapped(p: Pda) -> str:
+    """p's text with every integer tripled and S raised past them, so parsing renumbers."""
+    rows = (" ".join("*" if v == STAR else str(3 * v) for v in row) for row in p.entries)
+    return "\n".join([f"{p.cols} {p.rows} {p.z} {3 * p.s + 2}", *rows]) + "\n"
+
+
+def test_producers_hand_over_what_the_constructor_builds():
+    for p in STOCK_HANDED:
+        built_the_public_way(p)
+        for text in (serialize_pda(p), gapped(p)):
+            parsed, relabel = parse_pda_with_map(text)
+            built_the_public_way(parsed)
+            assert parsed == p and (relabel is None) == (text == serialize_pda(p))
+
+
+@pytest.mark.parametrize("a, z, s, text", [
+    (np.array([[0, 1]], np.int32), 0, 1, "cells are not a 2-d int64 array"),
+    (np.array([0, 1], np.int64), 0, 1, "cells are not a 2-d int64 array"),
+    ([[0, 1]], 0, 1, "cells are not a 2-d int64 array"),
+    (np.zeros((0, 2), np.int64), 0, 0, "need at least one row and column, got 0x2"),
+    (np.array([[0, -1]], np.int64), 1, 1, "cell value -1 outside star/[1, 1]"),
+    (np.array([[0, 2]], np.int64), 1, 1, "cell value 2 outside star/[1, 1]"),
+    (np.array([[0, 1]], np.int64), -1, 1, "Z=-1 outside [0, 1]"),
+    (np.array([[0, 1]], np.int64), 2, 1, "Z=2 outside [0, 1]"),
+    (np.array([[0, 1]], np.int64), 1, -1, "S=-1 negative"),
+    (np.array([[0, 1]], np.int64), True, 1, "z=True is not an integer"),
+])
+def test_handover_rejects_what_the_constructor_rejects(a, z, s, text):
+    with pytest.raises(MalformedPda, match=f"^{re.escape(text)}$"):
+        Pda._of(a, z, s)
+
+
+def test_handover_keeps_the_bounds():
+    """The cells at 0 and at S, and Z at 0 and at F', are kept."""
+    p = Pda._of(np.array([[0, 3], [2, 0]], np.int64), 2, 3)
+    assert p.at(1, 2) == 3 and p.z == 2 and not p.array.flags.writeable
+    assert Pda._of(np.array([[1]], np.int64), 0, 1) == Pda(1, 1, ((1,),), 0, 1)

@@ -2,13 +2,11 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 
 from macc import (
     EmptyInput,
-    LoadCurve,
     LoadPoint,
     OutOfRange,
     comparison_table,

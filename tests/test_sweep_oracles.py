@@ -6,18 +6,22 @@ are compared by type and text.
 """
 
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macc import STAR, OutOfRange, Pda, comparison_table, envelope_eval, mn_pda, scheme_curve
-from macc.rates import SCHEME_KEYS
+from macc import (STAR, OutOfRange, Pda, comparison_table, envelope_eval, gap_checks, mn_pda,
+                  scheme_curve)
+from macc import rates
+from macc.rates import SCHEME_KEYS, converse_step
 from oracles import (
     comparison_table_by_scan,
     constituents,
     envelope_eval_by_scan,
     expand_by_generator,
+    gap_checks_by_scan,
     lift_by_walk,
     mn_pda_by_lex_rank,
 )
@@ -57,6 +61,24 @@ def test_comparison_table_errors_match_the_scan():
         assert outcome(comparison_table, *args) == outcome(comparison_table_by_scan, *args), args
     with pytest.raises(OutOfRange, match="unknown scheme 'bogus'"):
         comparison_table(8, 3, ["rk", "bogus"], F(1, 9))
+    with pytest.raises(OutOfRange, match=r"^k=8, l=0 must be >= 1$"):  # the scan divides by l
+        comparison_table(8, 0, ["conv"], F(1, 9))
+
+
+def test_comparison_table_computes_the_converse_once_per_corner(monkeypatch):
+    """The grid rows of one corner t = max(1, ceil(xK)) share one converse_step call."""
+    corners = []
+
+    def counted(k, l, x):
+        corners.append(max(1, ceil(x * k)))
+        return converse_step(k, l, x)
+
+    monkeypatch.setattr(rates, "converse_step", counted)
+    for args in [(0, 1, F(1, 2)), (1, 3, F(1, 7)), (7, 2, F(1, 600)), (12, 3, F(1, 20)),
+                 (13, 4, F(2, 9))]:
+        corners.clear()
+        comparison_table(args[0], args[1], ["conv"], args[2])
+        assert len(corners) == len(set(corners)), args
 
 
 def test_envelope_eval_matches_the_scan():
@@ -73,6 +95,12 @@ def test_envelope_eval_matches_the_scan():
                     assert outcome(envelope_eval, *args) == outcome(envelope_eval_by_scan, *args), (
                         k, l, name, x
                     )
+
+
+def test_gap_checks_matches_the_scan():
+    for k in range(1, 25):
+        for l in range(1, 6):
+            assert outcome(gap_checks, k, l) == outcome(gap_checks_by_scan, k, l), (k, l)
 
 
 def test_mn_pda_matches_lex_rank_per_cell():

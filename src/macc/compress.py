@@ -1,20 +1,20 @@
 """Shaving redundant rounds off the delivery with an MDS code.
 
-When every index-wise star spread lambda_h = a_h + l - b_h is positive, each
-user sees complete rounds (full retrieve columns) sum(lambda) times, so it can
-rebuild sum(lambda)*S messages on its own. Its known set is whole rounds, so
-for every integer s it knows the same sum(lambda) of the K messages (g, s).
-The server therefore codes each integer on its own with one systematic
-block G = [I | P], shared by all S integers: P is (K - sum(lambda)) x
-sum(lambda), the first sum(lambda) columns of a (K - sum(lambda)) x K Cauchy
+Each user sees c rounds whole, c the full-view columns of the delivery
+plan's views, the same count for every user by cyclic symmetry: sum(lambda),
+lambda_h = a_h + l - b_h the index-wise star spreads, on the paper's arrays,
+and possibly more once their columns are reordered. The user rebuilds those
+c*S messages on its own; as its known set is whole rounds, for every integer
+s it knows the same c of the K messages (g, s). The server therefore codes
+each integer on its own with one systematic block G = [I | P], shared by all
+S integers: P is (K - c) x c, the first c columns of a (K - c) x K Cauchy
 matrix. Coded row i of integer s is message (i+1, s) plus P's row i times
-the last sum(lambda) rounds' messages (the parity rounds). Every square
-submatrix of a Cauchy matrix is invertible, so any K - sum(lambda) columns
-of G are (Roth and Seroussi 1985): G is MDS, and each user solves its
-unseen parity rounds with the closed-form inverse of a P minor at most
-sum(lambda) square, then reads its unseen systematic rounds off the batch.
-The load is that of one MDS code over all K*S messages, (K - sum(lambda))*S
-rows.
+the last c rounds' messages (the parity rounds). Every square submatrix of a
+Cauchy matrix is invertible, so any K - c columns of G are (Roth and
+Seroussi 1985): G is MDS, and each user solves its unseen parity rounds with
+the closed-form inverse of a P minor at most c square, then reads its unseen
+systematic rounds off the batch. The load is that of one MDS code over all
+K*S messages, (K - c)*S rows, and none when S = 0.
 
 Packets reach the code as bytes, never as ints: round_messages gathers and
 XORs a round's messages straight from the library's uint8 array, and their
@@ -26,7 +26,7 @@ outside its views, so its decode solves the unseen parity rounds and then
 only those messages, and rebuilds the file with one gather from the library
 array (sim.file_from_messages). What a decode needs of the scheme alone,
 the user's rounds, its needed messages and their coefficients, is built once
-per user and field width and kept on the scheme, as is the lambda profile.
+per user and field width and kept on the scheme.
 """
 
 from dataclasses import dataclass
@@ -61,7 +61,8 @@ from .util import mod1, require_ints, require_type
 
 @dataclass(frozen=True)
 class LambdaProfile:
-    """Index-wise star spreads; compression applies when all are positive."""
+    """Index-wise star spreads: if all are positive, each user sees sum(lambda)
+    rounds whole on the paper's arrays, and possibly more on reordered ones."""
 
     lambdas: tuple[int, ...]
     total: int
@@ -157,14 +158,13 @@ def _kept(scheme: Scheme, key, build):
     return tables[key]
 
 
-def _applicable_profile(scheme: Scheme) -> LambdaProfile:
-    """The scheme's lambda profile, kept on the scheme; NotApplicable unless
-    every lambda is positive."""
-    require_type(scheme, Scheme, "scheme")
-    prof = _kept(scheme, "lambda", lambda: lambda_profile(scheme.pda, scheme.params.l))
-    if not prof.applicable:
-        raise NotApplicable(f"lambdas {prof.lambdas} are not all positive")
-    return prof
+def _coded_rounds(scheme: Scheme) -> int:
+    """K - c, the coded rows per integer, c the rounds each user sees whole
+    (the same for every user, by cyclic symmetry); NotApplicable when c = 0."""
+    c = len(full_view_rounds(scheme, 1))
+    if not c:
+        raise NotApplicable("no user sees a whole round: each delivery grid column holds an integer")
+    return scheme.params.k - c
 
 
 def _pick_field(rows: int, k: int, s: int, packet_bytes: int, field_width: int | None) -> GF:
@@ -186,9 +186,10 @@ def _pick_field(rows: int, k: int, s: int, packet_bytes: int, field_width: int |
 @lru_cache(maxsize=4)
 def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
     """P, the parity part of the systematic block [I_rows | P]: the first
-    k - rows columns of cauchy_matrix(rows, k) over GF(2^width), built once
-    and read-only. Entry (i, g - rows) is 1/(i + g) for 0-based parity round g."""
-    block = np.ascontiguousarray(cauchy_matrix(rows, k, field(width))[:, :k - rows])
+    k - rows columns of cauchy_matrix(rows, k) over GF(2^width), 0 x k at rows = 0,
+    built once and read-only. Entry (i, g - rows) is 1/(i + g) for 0-based parity round g."""
+    block = cauchy_matrix(rows, k, field(width))[:, :k - rows] if rows else np.zeros((rows, k), np.uint32)
+    block = np.ascontiguousarray(block)
     block.flags.writeable = False
     return block
 
@@ -210,21 +211,21 @@ def _coding_matrix(m1: int, m2: int, blocks: int, width: int) -> np.ndarray:
 def compressed_deliver(
     library: PacketLibrary, scheme: Scheme, demand, field_width: int | None = None
 ) -> CodedBatch:
-    """Code all K*S messages down to (K - sum(lambda))*S rows.
+    """Code all K*S messages down to (K - c)*S rows, c the rounds each user sees whole.
 
     round_messages lays message (g, s) at [g-1, s-1], so its symbols reshape
-    to K rows of S packets each; one product of P with the sum(lambda) parity
-    rows, added to the systematic rows, codes every integer at once, and
-    coded row (i, s) lands at i*S + s - 1.
+    to K rows of S packets each; one product of P with the c parity rows,
+    added to the systematic rows, codes every integer at once, and coded row
+    (i, s) lands at i*S + s - 1.
     """
-    prof = _applicable_profile(scheme)
+    rows = _coded_rounds(scheme)
     _check_dims(library, scheme)
     k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
     d = check_demand(demand, k, library.n_files)
-    rows = k - prof.total
     gf = _pick_field(rows, k, s, b, field_width)
     x = bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)), gf.width).reshape(k, -1)
-    coded = (x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])).reshape(rows * s, -1)
+    coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
+    coded = coded.reshape(rows * s, b * 8 // gf.width)
     batch = CodedBatch(
         field_width=gf.width,
         m1=rows * s,
@@ -364,7 +365,6 @@ def compressed_decode(
 
 
 def compressed_load(scheme: Scheme) -> Fraction:
-    """(S/F') * (K - sum(lambda)) / K when applicable."""
-    prof = _applicable_profile(scheme)
-    k = scheme.params.k
-    return Fraction(scheme.pda.s, scheme.pda.rows) * Fraction(k - prof.total, k)
+    """(S/F') * (K - c) / K, c >= 1 the rounds each user sees whole: sum(lambda)
+    on the paper's arrays, possibly more on a reordering of their columns."""
+    return Fraction(_coded_rounds(scheme), scheme.params.k) * Fraction(scheme.pda.s, scheme.pda.rows)

@@ -58,7 +58,7 @@ class FieldTooSmall(MaccError):
 
 
 class NotApplicable(MaccError):
-    """The compression precondition (every lambda_h > 0) does not hold."""
+    """No user sees any delivery round whole; on the paper's arrays, some lambda_h <= 0 or t = 0."""
 
 
 class SingularSystem(MaccError):

@@ -40,7 +40,6 @@ from macc import (
 )
 from macc.compress import (
     CodedBatch,
-    _applicable_profile,
     _check_batch,
     _coding_block,
     _pick_field,
@@ -912,11 +911,11 @@ def compressed_deliver_by_ints(
     library: PacketLibrary, scheme: Scheme, demand, field_width: int | None = None
 ) -> CodedBatch:
     """The coded delivery over the plain log of packet ints: every payload
-    converted to symbols, coded and converted back."""
-    prof = _applicable_profile(scheme)
+    converted to symbols, coded and converted back, with one coded row per
+    integer for each delivery grid column that holds an integer."""
     log = deliver(library, scheme, demand)
     k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
-    rows = k - prof.total
+    rows = sum(any(row[c] != STAR for row in scheme.delivery.grid) for c in range(k))
     gf = _pick_field(rows, k, s, b, field_width)
     x = packets_to_symbols(log.payloads, b, gf.width).reshape(k, -1)
     coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])

@@ -150,6 +150,30 @@ def test_transform_and_simulate(tmp_path, capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("text, k, l, load, messages", [
+    # partition_pda(2, 2) with its columns reordered: 4 whole rounds, sum(lambda) = 2
+    ("4 2 1 2\n* * 1 2\n2 1 * *\n", 8, 3, "1/2", 8),
+    # mn_pda(2, 2): no integer (S = 0), so the coded batch is empty
+    (serialize_pda(mn_pda(2, 2)), 4, 2, "0/1", 0),
+], ids=["reordered", "all-star"])
+def test_simulate_codes_by_the_whole_rounds(tmp_path, capsys, text, k, l, load, messages):
+    pda_path, scheme_path = tmp_path / "p.pda", tmp_path / "s.json"
+    pda_path.write_text(text)
+    rc, _, _ = run(capsys, "verify", "--pda", str(pda_path), "--L", str(l))
+    assert rc == 0
+    rc, _, _ = run(capsys, "transform", "--pda", str(pda_path), "--K", str(k), "--L", str(l),
+                   "-o", str(scheme_path))
+    assert rc == 0
+    rc, out, err = run(capsys, "simulate", "--scheme", str(scheme_path), "--demand", "random:3",
+                       "--check-all-users", "--compressed")
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["results"]["compressed"]["load"] == load
+    assert doc["results"]["compressed"]["messages"] == messages
+    assert len(doc["checks"]) == 2 * k
+    assert all(c["pass"] for c in doc["checks"])
+
+
 def test_transform_rejects_condition_breaker(tmp_path, capsys):
     # this array fails the window condition at L = 2 (see conftest)
     from conftest import PNEG_ROWS

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +12,12 @@ import pytest
 from macc import (
     GF,
     STAR,
+    C3ViolationInQ,
     DimensionMismatch,
     FieldTooSmall,
     NotApplicable,
     OutOfRange,
+    Pda,
     SingularSystem,
     build_scheme,
     cauchy_matrix,
@@ -46,6 +50,7 @@ from oracles import (
     round_payloads,
     shift_grid,
 )
+from test_acceptance import _roster
 
 
 def binomial_instances(k_max: int):
@@ -560,25 +565,156 @@ def test_decode_tables_are_built_once_per_user_and_width(monkeypatch):
     assert len(scheme._tables) == len(kept) and copy._tables is not scheme._tables
 
 
-def test_lambda_profile_is_kept_per_scheme(scheme832, monkeypatch):
-    profiles = []
-    profile = compress.lambda_profile
+# Columns of partition_pda(2, 2) reordered: C1-C5 hold at L = 3, and every
+# user sees 4 rounds whole at K = 8, where sum(lambda) is 2.
+REPRO = Pda(rows=2, cols=4, entries=((STAR, STAR, 1, 2), (2, 1, STAR, STAR)), z=1, s=2)
 
-    def recorded(p, l):
-        profiles.append((p, l))
-        return profile(p, l)
 
-    monkeypatch.setattr(compress, "lambda_profile", recorded)
-    scheme = dataclasses.replace(scheme832)
-    lib = library_for_scheme(scheme, packet_bytes=1, seed=2)
-    for demand in demand_suite(8, 8, n_random=2):
-        compressed_deliver(lib, scheme, demand)
+def test_coded_path_reads_no_lambda_profile(monkeypatch):
+    """Deliver, decode and load count the whole rounds from plan.views alone."""
+    def refuse(*args):
+        raise AssertionError("the coded path read the lambda rule")
+
+    monkeypatch.setattr(compress, "lambda_profile", refuse)
+    monkeypatch.setattr(compress, "star_profile", refuse)
+    for scheme in (build_scheme(mn_pda(4, 2), 8, 3), build_scheme(REPRO, 8, 3)):
+        lib = library_for_scheme(scheme, packet_bytes=1, seed=2)
+        for demand in demand_suite(8, 8, n_random=1):
+            batch = compressed_deliver(lib, scheme, demand)
+            for user in range(1, 9):
+                assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
         assert compressed_load(scheme) == Fraction(1, 2)
-    assert profiles == [(scheme.pda, 3)]
+    with pytest.raises(NotApplicable):
+        compressed_load(build_scheme(mn_pda(4, 2), 6, 2))
+
+
+def test_not_applicable_says_no_round_is_seen_whole():
     flat = build_scheme(mn_pda(4, 2), 6, 2)
-    for _ in range(2):
-        with pytest.raises(NotApplicable, match=r"^lambdas \(0, 0\) are not all positive$"):
-            compressed_load(flat)
-        with pytest.raises(NotApplicable, match=r"^lambdas \(0, 0\) are not all positive$"):
-            compressed_deliver(library_for_scheme(flat, packet_bytes=1), flat, (1,) * 6)
-    assert len(profiles) == 2
+    assert not flat.plan.views.all(axis=0).any()
+    message = r"^no user sees a whole round: each delivery grid column holds an integer$"
+    with pytest.raises(NotApplicable, match=message):
+        compressed_load(flat)
+    with pytest.raises(NotApplicable, match=message):
+        compressed_deliver(library_for_scheme(flat, packet_bytes=1), flat, (1,) * 6)
+
+
+def test_repro_decodes_by_its_whole_rounds():
+    """The reordered array the lambda rule undercounts: four whole rounds,
+    not two, so the batch is (8 - 4) * 2 rows and elimination agrees."""
+    scheme = build_scheme(REPRO, 8, 3)
+    assert lambda_profile(REPRO, 3).total == 2
+    assert all(len(full_view_rounds(scheme, u)) == 4 for u in range(1, 9))
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=5)
+    for demand in demand_suite(8, 8, seed=3, n_random=2):
+        batch = compressed_deliver(lib, scheme, demand)
+        assert (batch.m1, batch.m2) == (8, 16)
+        assert batch == compressed_deliver_by_ints(lib, scheme, demand)
+        for user in range(1, 9):
+            got = compressed_decode(lib, scheme, demand, batch, user)
+            assert got == compressed_decode_by_elimination(lib, scheme, demand, batch, user)
+            assert got == lib.file_bytes(demand[user - 1]), (demand, user)
+    assert compressed_load(scheme) == Fraction(1, 2)
+    # a batch sized by the lambda rule, (8 - 2) * 2 rows, is refused
+    wide = dataclasses.replace(batch, m1=12, payloads=batch.payloads + batch.payloads[:4])
+    with pytest.raises(SingularSystem, match=r"^8 unknowns against 12 coded rows$"):
+        compressed_decode(lib, scheme, demand, wide, 1)
+
+
+@pytest.mark.parametrize("kprime, k, l", [(2, 4, 2), (1, 1, 1)])
+def test_all_star_scheme_sends_an_empty_batch(kprime, k, l):
+    """S = 0: every user sees all K rounds whole, so no coded row is sent
+    and each file comes from the view alone; K = 1 included."""
+    scheme = build_scheme(mn_pda(kprime, kprime), k, l)
+    assert scheme.pda.s == 0 and compressed_load(scheme) == 0
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=1)
+    demand = tuple(range(k, 0, -1))
+    for width in (None, 16):
+        batch = compressed_deliver(lib, scheme, demand, field_width=width)
+        assert (batch.m1, batch.m2, batch.payloads) == (0, 0, ())
+        for copy in (batch, dataclasses.replace(batch)):
+            for user in range(1, k + 1):
+                assert compressed_decode(lib, scheme, demand, copy, user) == lib.file_bytes(demand[user - 1])
+
+
+def _whole_rounds(scheme) -> int:
+    """c from the round-1 delivery grid: the columns that hold no integer."""
+    grid = scheme.delivery.grid
+    return sum(all(row[c] == STAR for row in grid) for c in range(scheme.params.k))
+
+
+# base array, how many seeded column orders (None: every order), and the
+# pinned tally (lifts built, lifts with c = 0, lifts where c is not the lambda
+# rule's count) over L = 2..4
+REORDERED = {
+    "part22": (lambda: partition_pda(2, 2)[0], None, (72, 0, 24)),
+    "mn42": (lambda: mn_pda(4, 2), None, (72, 24, 0)),
+    "mn52": (lambda: mn_pda(5, 2), 6, (18, 12, 0)),
+    "mn53": (lambda: mn_pda(5, 3), 6, (18, 6, 0)),
+    "part23": (lambda: partition_pda(2, 3)[0], 6, (15, 4, 3)),
+    "part32": (lambda: partition_pda(3, 2)[0], 6, (14, 0, 7)),
+}
+
+
+@pytest.mark.parametrize("name", list(REORDERED))
+def test_reordered_columns_code_by_their_whole_rounds(name):
+    """Over reorderings of a base array's columns, lifted at K = K' + t(L-1)
+    for L = 2..4 where C5 holds: NotApplicable exactly when no round is seen
+    whole, and otherwise (K - c)*S coded rows from which every user decodes."""
+    make, draws, tally = REORDERED[name]
+    base = make()
+    cols = list(range(base.cols))
+    rng = random.Random(1)
+    orders = (itertools.permutations(cols) if draws is None
+              else (rng.sample(cols, len(cols)) for _ in range(draws)))
+    built = flat = beyond_lambda = 0
+    for order in orders:
+        p = Pda(rows=base.rows, cols=base.cols, z=base.z, s=base.s,
+                entries=tuple(tuple(row[c] for c in order) for row in base.entries))
+        for l in (2, 3, 4):
+            k = p.cols + p.z * p.cols // p.rows * (l - 1)
+            try:
+                scheme = build_scheme(p, k, l)
+            except C3ViolationInQ:
+                continue
+            built += 1
+            c = _whole_rounds(scheme)
+            prof = lambda_profile(p, l)
+            beyond_lambda += c != (prof.total if prof.applicable else 0)
+            lib = library_for_scheme(scheme, packet_bytes=1, seed=built)
+            demand = tuple(range(k, 0, -1))
+            if c == 0:
+                flat += 1
+                with pytest.raises(NotApplicable):
+                    compressed_load(scheme)
+                with pytest.raises(NotApplicable):
+                    compressed_deliver(lib, scheme, demand)
+                continue
+            batch = compressed_deliver(lib, scheme, demand)
+            assert batch.m1 == (k - c) * p.s, (order, l)
+            assert compressed_load(scheme) == Fraction(batch.m1, scheme.subpacketization)
+            for user in range(1, k + 1):
+                assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
+    assert (built, flat, beyond_lambda) == tally
+
+
+def test_whole_rounds_are_sum_lambda_on_stock_lifts():
+    """On the paper's arrays the count from the views is the closed form:
+    c = sum(lambda) where the lambda rule applies and 0 where it does not,
+    over criterion 7's roster and the design-sweep corners with K <= 14."""
+    schemes = [scheme for _, scheme, _ in _roster()]
+    for k in range(6, 15):
+        for l in range(2, 5):
+            for t in range(1, k // l + 1):
+                kp = k - t * (l - 1)
+                if t < kp and math.comb(kp, t) <= 500:
+                    schemes.append(build_scheme(mn_pda(kp, t), k, l))
+    applicable = 0
+    for scheme in schemes:
+        k, prof = scheme.params.k, lambda_profile(scheme.pda, scheme.params.l)
+        c = len(full_view_rounds(scheme, 1))
+        assert c == (prof.total if prof.applicable else 0), scheme
+        if prof.applicable:
+            applicable += 1
+            want = Fraction(scheme.pda.s, scheme.pda.rows) * Fraction(k - prof.total, k)
+            assert compressed_load(scheme) == want
+    assert (len(schemes), applicable) == (97, 32)

@@ -16,7 +16,13 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .compress import compressed_deliver, compressed_decode, compressed_load, lambda_profile
+from .compress import (
+    compressed_decode,
+    compressed_deliver,
+    compressed_load,
+    full_view_rounds,
+    lambda_profile,
+)
 from .constructions import MnParams, PartitionParams, mn_pda, partition_pda
 from .errors import MaccError, OutOfRange, ParseError
 from .pda import check_c4, parse_pda_with_map, serialize_pda, validate_pda
@@ -188,6 +194,7 @@ def cmd_simulate(args) -> int:
         )
         results["compressed"] = {
             "lambdas": list(lambda_profile(scheme.pda, scheme.params.l).lambdas),
+            "whole_rounds": len(full_view_rounds(scheme, 1)),
             "load": compressed_load(scheme),
             "messages": batch.m1,
             "bytes_sent": batch.m1 * library.packet_bytes,

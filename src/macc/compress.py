@@ -11,10 +11,12 @@ S integers: P is (K - c) x c, the first c columns of a (K - c) x K Cauchy
 matrix. Coded row i of integer s is message (i+1, s) plus P's row i times
 the last c rounds' messages (the parity rounds). Every square submatrix of a
 Cauchy matrix is invertible, so any K - c columns of G are (Roth and
-Seroussi 1985): G is MDS, and each user solves its unseen parity rounds with
-the closed-form inverse of a P minor at most c square, then reads its unseen
-systematic rounds off the batch. The load is that of one MDS code over all
-K*S messages, (K - c)*S rows, and none when S = 0.
+Seroussi 1985): G is MDS, and each user gets its unseen parity rounds from
+the closed-form inverse of a P minor at most c square. So every message it
+reads is a fixed combination of its c seen rounds, the systematic ones less
+their coded rows, plus its own coded row when its round is systematic; the
+coefficients depend on the user and the field alone. The load is that of
+one MDS code over all K*S messages, (K - c)*S rows, and none when S = 0.
 
 Packets reach the code as bytes, never as ints: round_messages gathers and
 XORs a round's messages straight from the library's uint8 array, and their
@@ -22,11 +24,11 @@ symbols are those bytes read as big-endian words. The batch's payloads are
 ints, as the CodedBatch format says, but delivery hands the batch the coded
 symbols they came from (CodedBatch.symbols), so no decode converts them. A
 user reads only the messages that carry its missing rows, one per row
-outside its views, so its decode solves the unseen parity rounds and then
-only those messages, and rebuilds the file with one gather from the library
-array (sim.file_from_messages). What a decode needs of the scheme alone,
-the user's rounds, its needed messages and their coefficients, is built once
-per user and field width and kept on the scheme.
+outside its views: one dot_logs of their coefficients against its seen
+rounds, and it rebuilds the file with one gather from the library array
+(sim.file_from_messages). The coefficients' logs, with the user's rounds,
+are one table per user and field width, built on the first decode and kept
+on the scheme.
 """
 
 from dataclasses import dataclass
@@ -149,15 +151,6 @@ class CodedBatch:
         return symbols
 
 
-def _kept(scheme: Scheme, key, build):
-    """The scheme's table under key: build() on first use, then kept on the
-    scheme (Scheme._tables)."""
-    tables = scheme._tables
-    if key not in tables:
-        tables[key] = build()
-    return tables[key]
-
-
 def _coded_rounds(scheme: Scheme) -> int:
     """K - c, the coded rows per integer, c the rounds each user sees whole
     (the same for every user, by cyclic symmetry); NotApplicable when c = 0."""
@@ -196,14 +189,18 @@ def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _coding_matrix(m1: int, m2: int, blocks: int, width: int) -> np.ndarray:
-    """kron([I | P], I_blocks) for the (m1/blocks) x (m2/blocks) block, read-only."""
-    if blocks < 1 or m1 % blocks or m2 % blocks:
-        raise DimensionMismatch(f"m1={m1} and m2={m2} are not multiples of {blocks} >= 1 blocks")
-    rows, k = m1 // blocks, m2 // blocks
-    if not 1 <= rows <= k:
-        raise DimensionMismatch(f"a {rows} x {k} block needs 1 <= {rows} <= {k} rows")
-    block = np.hstack([np.eye(rows, dtype=np.uint32), _coding_block(rows, k, width)])
-    g_mat = np.kron(block, np.eye(blocks, dtype=np.uint32))
+    """kron([I | P], I_blocks) for the (m1/blocks) x (m2/blocks) block, read-only;
+    0 x 0 for the empty batch of an array with no integer (S = 0)."""
+    if m1 == m2 == blocks == 0:
+        g_mat = np.zeros((0, 0), dtype=np.uint32)
+    else:
+        if blocks < 1 or m1 % blocks or m2 % blocks:
+            raise DimensionMismatch(f"m1={m1} and m2={m2} are not multiples of {blocks} >= 1 blocks")
+        rows, k = m1 // blocks, m2 // blocks
+        if not 1 <= rows <= k:
+            raise DimensionMismatch(f"a {rows} x {k} block needs 1 <= {rows} <= {k} rows")
+        block = np.hstack([np.eye(rows, dtype=np.uint32), _coding_block(rows, k, width)])
+        g_mat = np.kron(block, np.eye(blocks, dtype=np.uint32))
     g_mat.flags.writeable = False
     return g_mat
 
@@ -250,71 +247,39 @@ def _check_batch(batch: CodedBatch, m2: int, blocks: int, packet_bytes: int) -> 
         )
 
 
-class _UserRounds(NamedTuple):
-    """What a user's decode needs of the scheme alone, 0-based; kept apart
-    from _DecodeTable because the batch checks read n before any field work.
-
-    known: the user's full-view rounds, ascending, so the systematic ones
-    come first; n: its unseen rounds, as many as coded rows per integer.
-    ks: the seen systematic rounds; kp, up: the seen and the unseen parity
-    rounds, parity round n + j counted as j. The messages the user reads,
-    one per missing row in plan.miss_* order, split by their round: sys_at
-    lists the positions of those in systematic rounds, sys_rounds and
-    sys_ints their rounds and integers; par_at, par_rounds and par_ints the
-    same for those in parity rounds, as parity indices.
-    """
+class _DecodeTable(NamedTuple):
+    """A user's decode over one field, 0-based. z is its c seen rounds, the
+    systematic ones first and each XORed with its coded row, which leaves P
+    times the parity rounds. known: those rounds, ascending. logs: for each
+    message the user reads, one per missing row in plan.miss_* order, the
+    logs of its c coefficients over z, its round's row of [P; I_c] @ B, B the
+    map from z to the parity rounds. sys_at, sys_rounds: the position and
+    round of each message of a systematic round, which also takes its own
+    coded row."""
 
     known: np.ndarray
-    n: int
-    ks: np.ndarray
-    kp: np.ndarray
-    up: np.ndarray
+    logs: np.ndarray
     sys_at: np.ndarray
     sys_rounds: np.ndarray
-    sys_ints: np.ndarray
-    par_at: np.ndarray
-    par_rounds: np.ndarray
-    par_ints: np.ndarray
 
 
-def _user_rounds(scheme: Scheme, user: int) -> _UserRounds:
+def _decode_table(scheme: Scheme, user: int, gf: GF) -> _DecodeTable:
     k, plan = scheme.params.k, scheme.plan
     known = np.array(full_view_rounds(scheme, user), dtype=np.intp) - 1
-    n = k - len(known)
-    seen = np.zeros(k, dtype=bool)
-    seen[known] = True
+    c = len(known)
+    n = k - c  # systematic rounds, one per coded row of an integer
+    ks, kp = known[known < n], known[known >= n] - n
+    p_mat = _coding_block(n, k, gf.width)
+    b = np.zeros((c, c), dtype=np.uint32)
+    b[kp, len(ks) + np.arange(len(kp))] = 1  # a seen parity round is its own row of z
+    if len(ks):  # as many unseen parity rounds as seen systematic ones
+        up = np.delete(np.arange(c), kp)
+        inverse = gf.cauchy_inverse(n, up, rows=ks)
+        b[up] = np.hstack([inverse, gf.matmul(inverse, p_mat[np.ix_(ks, kp)])])
+    coefficients = gf.matmul(np.vstack([p_mat, np.eye(c, dtype=np.uint32)]), b)
     rounds = (user - 1 - plan.miss_cols) % k  # of each missing row, as in file_from_messages
-    systematic = rounds < n
-    return _UserRounds(
-        known=known, n=n, ks=known[known < n], kp=known[known >= n] - n,
-        up=np.flatnonzero(~seen[n:]),
-        sys_at=np.flatnonzero(systematic), sys_rounds=rounds[systematic],
-        sys_ints=plan.miss_ints[systematic],
-        par_at=np.flatnonzero(~systematic), par_rounds=rounds[~systematic] - n,
-        par_ints=plan.miss_ints[~systematic],
-    )
-
-
-class _DecodeTable(NamedTuple):
-    """A user's decode over one field. solve: the closed-form inverse of P's
-    minor on its seen systematic and unseen parity rounds, times [I | P's
-    minor on the same rows and its seen parity rounds], so that it maps the
-    seen rounds, the systematic ones less their coded rows, to the unseen
-    parity rounds; None when the user sees no systematic round. sys_logs:
-    the logs of P's row of each needed systematic message."""
-
-    solve: np.ndarray | None
-    sys_logs: np.ndarray
-
-
-def _decode_table(scheme: Scheme, rounds: _UserRounds, gf: GF) -> _DecodeTable:
-    n, ks = rounds.n, rounds.ks
-    p_mat = _coding_block(n, scheme.params.k, gf.width)
-    solve = None
-    if len(ks):
-        inverse = gf.cauchy_inverse(n, rounds.up, rows=ks)
-        solve = np.hstack([inverse, gf.matmul(inverse, p_mat[np.ix_(ks, rounds.kp)])])
-    return _DecodeTable(solve=solve, sys_logs=gf.logs(p_mat[rounds.sys_rounds]))
+    sys_at = np.flatnonzero(rounds < n)
+    return _DecodeTable(known, gf.logs(coefficients[rounds]), sys_at, rounds[sys_at])
 
 
 def compressed_decode(
@@ -322,18 +287,18 @@ def compressed_decode(
 ) -> bytes:
     """Recover the user's file from its view plus the coded batch.
 
-    The user reads one message per row outside its views, and solves only
-    those. The fully seen rounds give their messages straight from the
-    view; they are the same rounds for every integer. Each coded row of a
-    seen systematic round, less that round and the seen parity rounds,
-    leaves P's minor on those rows and the unseen parity rounds: a square
-    Cauchy matrix, whose closed-form inverse solves those rounds, so every
-    parity round is known and no elimination runs. A needed message of a
-    parity round is then read off them, and one of a systematic round is
-    its coded row less its P row times its integer's parity messages. The
-    messages fill the rows outside the user's view in one gather. The
-    user's rounds and the P entries its decode reads are kept on the scheme
-    after its first decode at this field width.
+    The user reads one message per row outside its views. Its c fully seen
+    rounds come straight from the view, the same rounds for every integer;
+    each coded row of a seen systematic round, less that round, is P's row
+    times the parity rounds. With the seen parity rounds these c rows, z,
+    give every parity round in closed form: the unseen ones by the inverse
+    of P's minor on the seen systematic and unseen parity rounds, a square
+    Cauchy matrix, so no elimination runs. Every needed message is thus a
+    fixed combination of its integer's z, plus its coded row when its round
+    is systematic: one dot_logs over the needed messages, and the messages
+    fill the rows outside the user's view in one gather. The coefficients
+    depend on the scheme, the user and the field only: the first decode at
+    a field width builds them and the scheme keeps them.
     """
     _check_dims(library, scheme)
     k, s = scheme.params.k, scheme.pda.s
@@ -341,27 +306,24 @@ def compressed_decode(
     check_user(user, k)
     require_type(batch, CodedBatch, "batch")
     gf = field(batch.field_width)
-    r = _kept(scheme, ("rounds", user), lambda: _user_rounds(scheme, user))
-    n = r.n  # systematic rounds, one per coded row of an integer
+    key = ("decode", user, gf.width)
+    table = scheme._tables.get(key)
+    # the batch checks run before any field work, so a first decode counts
+    # its rounds without building the table
+    n = k - len(full_view_rounds(scheme, user) if table is None else table.known)
     if n * s != batch.m1:
         raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
     _check_batch(batch, k * s, s, library.packet_bytes)
-    w, per_packet = gf.width, batch.symbols.shape[1]
-    coded = batch.symbols.reshape(n, s * per_packet)
-    table = _kept(scheme, ("decode", user, w), lambda: _decode_table(scheme, r, gf))
-    seen = bytes_to_symbols(round_messages(library, scheme, d, r.known + 1), w).reshape(len(r.known), -1)
-    parity = np.empty((k - n, s * per_packet), dtype=np.uint32)
-    parity[r.kp] = seen[len(r.ks):]
-    if table.solve is not None:  # as many unseen parity rounds as seen systematic ones
-        seen[:len(r.ks)] ^= coded[r.ks]
-        parity[r.up] = gf.matmul(table.solve, seen)
-    coded, parity = coded.reshape(n, s, per_packet), parity.reshape(k - n, s, per_packet)
-    messages = np.empty((len(r.sys_at) + len(r.par_at), per_packet), dtype=np.uint32)
-    messages[r.sys_at] = coded[r.sys_rounds, r.sys_ints] ^ gf.dot_logs(
-        table.sys_logs, parity[:, r.sys_ints]
-    )
-    messages[r.par_at] = parity[r.par_rounds, r.par_ints]
-    return file_from_messages(library, scheme, d, user, symbols_to_bytes(messages, w))
+    coded = batch.symbols.reshape(n, s, batch.symbols.shape[1])
+    if table is None:
+        table = scheme._tables[key] = _decode_table(scheme, user, gf)
+    ints = scheme.plan.miss_ints
+    z = bytes_to_symbols(round_messages(library, scheme, d, table.known + 1), gf.width)
+    ks = table.known[table.known < n]
+    z[:len(ks)] ^= coded[ks]
+    messages = gf.dot_logs(table.logs, z[:, ints])
+    messages[table.sys_at] ^= coded[table.sys_rounds, ints[table.sys_at]]
+    return file_from_messages(library, scheme, d, user, symbols_to_bytes(messages, gf.width))
 
 
 def compressed_load(scheme: Scheme) -> Fraction:

@@ -55,14 +55,14 @@ EQUIVALENT = {
     " gf.width).reshape(k, -1) -> bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)),"
     " gf.width).reshape(k, -2)":
         "numpy reads any negative size in reshape as 'the rest'",
-    "compress.compressed_decode: bytes_to_symbols(round_messages(library, scheme, d, r.known + 1), w)"
-    ".reshape(len(r.known), -1) -> bytes_to_symbols(round_messages(library, scheme, d, r.known + 1), w)"
-    ".reshape(len(r.known), -2)":
-        "numpy reads any negative size in reshape as 'the rest'",
     "compress._coding_block: maxsize=4 -> maxsize=5":
         "the cache's size changes how often a block is rebuilt, never its entries",
     "compress._coding_block: maxsize=4 -> maxsize=3":
         "the cache's size changes how often a block is rebuilt, never its entries",
+    "compress._coding_matrix: maxsize=4 -> maxsize=5":
+        "the cache's size changes how often a matrix is rebuilt, never its entries",
+    "compress._coding_matrix: maxsize=4 -> maxsize=3":
+        "the cache's size changes how often a matrix is rebuilt, never its entries",
     "constructions.mn_pda: t + 1 -> t + 2 #3":
         "binom gains a column h = t + 1, which no index t - h reaches",
     "constructions.partition_pda: np.indices((q,) * (m - 1)).reshape(m - 1, -1)"

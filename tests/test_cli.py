@@ -150,13 +150,15 @@ def test_transform_and_simulate(tmp_path, capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
-@pytest.mark.parametrize("text, k, l, load, messages", [
+@pytest.mark.parametrize("text, k, l, lambdas, whole, load, messages", [
     # partition_pda(2, 2) with its columns reordered: 4 whole rounds, sum(lambda) = 2
-    ("4 2 1 2\n* * 1 2\n2 1 * *\n", 8, 3, "1/2", 8),
-    # mn_pda(2, 2): no integer (S = 0), so the coded batch is empty
-    (serialize_pda(mn_pda(2, 2)), 4, 2, "0/1", 0),
+    ("4 2 1 2\n* * 1 2\n2 1 * *\n", 8, 3, [1, 1], 4, "1/2", 8),
+    # mn_pda(2, 2): no integer (S = 0), so every round is whole and the batch is empty
+    (serialize_pda(mn_pda(2, 2)), 4, 2, [2, 2], 4, "0/1", 0),
 ], ids=["reordered", "all-star"])
-def test_simulate_codes_by_the_whole_rounds(tmp_path, capsys, text, k, l, load, messages):
+def test_simulate_codes_by_the_whole_rounds(tmp_path, capsys, text, k, l, lambdas, whole, load, messages):
+    """The report names c, the whole rounds the batch is sized by, beside the
+    lambda profile, which undercounts it on the reordered array."""
     pda_path, scheme_path = tmp_path / "p.pda", tmp_path / "s.json"
     pda_path.write_text(text)
     rc, _, _ = run(capsys, "verify", "--pda", str(pda_path), "--L", str(l))
@@ -168,8 +170,9 @@ def test_simulate_codes_by_the_whole_rounds(tmp_path, capsys, text, k, l, load, 
                        "--check-all-users", "--compressed")
     assert rc == 0, err
     doc = json.loads(out)
-    assert doc["results"]["compressed"]["load"] == load
-    assert doc["results"]["compressed"]["messages"] == messages
+    compressed = doc["results"]["compressed"]
+    assert (compressed["lambdas"], compressed["whole_rounds"]) == (lambdas, whole)
+    assert (compressed["load"], compressed["messages"]) == (load, messages)
     assert len(doc["checks"]) == 2 * k
     assert all(c["pass"] for c in doc["checks"])
 

@@ -272,6 +272,22 @@ def test_coding_matrix_rejects_malformed_shape(scheme832):
             dataclasses.replace(batch, **change).coding_matrix
 
 
+def test_coding_matrix_needs_one_to_k_rows_per_block(scheme832):
+    """A block of 1..k rows is G's [I | P]; none, or more rows than rounds,
+    names no block, so coding_matrix refuses it."""
+    lib = library_for_scheme(scheme832, packet_bytes=1, seed=1)
+    batch = compressed_deliver(lib, scheme832, tuple(range(1, 9)))
+    gf = field(batch.field_width)
+    one = dataclasses.replace(batch, m1=2, m2=8, blocks=2).coding_matrix
+    assert one.shape == (2, 8) and one[:, :2].tolist() == [[1, 0], [0, 1]]
+    assert one[0, 2::2].tolist() == cauchy_matrix(1, 4, gf)[0, :3].tolist()
+    square = dataclasses.replace(batch, m1=8, m2=8, blocks=2).coding_matrix
+    assert np.array_equal(square, np.eye(8, dtype=np.uint32))
+    for m1, k in ((0, 4), (10, 4)):
+        with pytest.raises(DimensionMismatch, match=rf"^a {m1 // 2} x {k} block needs 1 <= "):
+            dataclasses.replace(batch, m1=m1, m2=8, blocks=2).coding_matrix
+
+
 def _mds_cases():
     p33, _ = partition_pda(3, 3)
     return {
@@ -498,9 +514,9 @@ def test_compressed_decode_reads_the_library_array_only(monkeypatch):
 
 
 def test_compressed_decode_multiplies_only_needed_messages(monkeypatch):
-    """The decode's products: the parity solve, at most sum(lambda) rows,
-    and one P row per needed message of a systematic round, never P's rows
-    of every unseen round against every integer."""
+    """The decode's products: one dot_logs row of c coefficients per needed
+    message, never P's rows of every unseen round against every integer, and
+    no more than solving the unseen parity rounds of every integer first."""
     p, _ = partition_pda(3, 3)
     scheme = build_scheme(p, 15, 3)
     lib = library_for_scheme(scheme, packet_bytes=256, seed=6)
@@ -508,7 +524,7 @@ def test_compressed_decode_multiplies_only_needed_messages(monkeypatch):
     batch = compressed_deliver(lib, scheme, demand)
     total = lambda_profile(p, 3).total
     n = 15 - total
-    matmul_rows, dot_rows = [], []
+    matmul_rows, dot_shapes = [], []
     matmul, dot_logs = GF.matmul, GF.dot_logs
 
     def recorded_matmul(self, a, x):
@@ -516,19 +532,22 @@ def test_compressed_decode_multiplies_only_needed_messages(monkeypatch):
         return matmul(self, a, x)
 
     def recorded_dot(self, a_logs, x):
-        dot_rows.append(np.shape(a_logs)[0])
+        dot_shapes.append(np.shape(a_logs))
         return dot_logs(self, a_logs, x)
 
     monkeypatch.setattr(GF, "matmul", recorded_matmul)
     monkeypatch.setattr(GF, "dot_logs", recorded_dot)
     for user in range(1, 16):
-        dot_rows.clear()
+        dot_shapes.clear()
         assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
         read = messages_read(scheme, user)
         assert len(read) == len(scheme.plan.miss_cols) == 54
-        assert dot_rows == [sum(i // p.s < n for i in read)]
-        assert 0 < dot_rows[0] < len(read)
-    assert matmul_rows and max(matmul_rows) <= total
+        assert dot_shapes == [(54, total)]
+        seen_systematic = sum(g <= n for g in full_view_rounds(scheme, user))
+        in_systematic = sum(i // p.s < n for i in read)
+        assert 54 * total <= (seen_systematic * p.s + in_systematic) * total
+    # only the table builds multiply matrices, [P; I_c] of K rows the largest
+    assert matmul_rows and max(matmul_rows) == 15
 
 
 def test_decode_tables_are_built_once_per_user_and_width(monkeypatch):
@@ -537,25 +556,19 @@ def test_decode_tables_are_built_once_per_user_and_width(monkeypatch):
     lib = library_for_scheme(scheme, packet_bytes=2, seed=9)
     demand = (5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9)
     batches = [compressed_deliver(lib, scheme, demand, field_width=w) for w in (16, 8)]
-    user_of, built = {}, []
-    user_rounds, decode_table = compress._user_rounds, compress._decode_table
+    built = []
+    decode_table = compress._decode_table
 
-    def recorded_rounds(scheme, user):
-        rounds = user_rounds(scheme, user)
-        user_of[id(rounds)] = user
-        return rounds
+    def recorded_table(scheme, user, gf):
+        built.append((user, gf.width))
+        return decode_table(scheme, user, gf)
 
-    def recorded_table(scheme, rounds, gf):
-        built.append((user_of[id(rounds)], gf.width))
-        return decode_table(scheme, rounds, gf)
-
-    monkeypatch.setattr(compress, "_user_rounds", recorded_rounds)
     monkeypatch.setattr(compress, "_decode_table", recorded_table)
     for batch in batches + batches:
         for user in range(1, 16):
             assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
     assert built == [(u, w) for w in (16, 8) for u in range(1, 16)]
-    assert len(user_of) == 15
+    assert len(scheme._tables) == 30
     kept = dict(scheme._tables)
     copy = dataclasses.replace(scheme)
     assert copy == scheme and copy._tables == {}
@@ -563,6 +576,27 @@ def test_decode_tables_are_built_once_per_user_and_width(monkeypatch):
     assert built[-1] == (4, 16) and len(built) == 31
     assert all(scheme._tables[key] is table for key, table in kept.items())
     assert len(scheme._tables) == len(kept) and copy._tables is not scheme._tables
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_kept_table_decodes_without_matmul_or_inverse(monkeypatch, width):
+    """Once a user's table exists at a width, its decode is one dot_logs:
+    no matrix product and no Cauchy inverse, on every user of part33 and of
+    the reordered repro array."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decode with a kept table solved again")
+
+    for scheme, k in ((build_scheme(partition_pda(3, 3)[0], 15, 3), 15), (build_scheme(REPRO, 8, 3), 8)):
+        lib = library_for_scheme(scheme, packet_bytes=4, seed=3)
+        demand = tuple(range(k, 0, -1))
+        batch = compressed_deliver(lib, scheme, demand, field_width=width)
+        for user in range(1, k + 1):
+            compressed_decode(lib, scheme, demand, batch, user)
+        with monkeypatch.context() as m:
+            m.setattr(GF, "matmul", refuse)
+            m.setattr(GF, "cauchy_inverse", refuse)
+            for user in range(1, k + 1):
+                assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
 
 
 # Columns of partition_pda(2, 2) reordered: C1-C5 hold at L = 3, and every
@@ -630,10 +664,13 @@ def test_all_star_scheme_sends_an_empty_batch(kprime, k, l):
     demand = tuple(range(k, 0, -1))
     for width in (None, 16):
         batch = compressed_deliver(lib, scheme, demand, field_width=width)
-        assert (batch.m1, batch.m2, batch.payloads) == (0, 0, ())
+        assert (batch.m1, batch.m2, batch.blocks, batch.payloads) == (0, 0, 0, ())
+        assert batch.coding_matrix.shape == (0, 0) and not batch.coding_matrix.flags.writeable
         for copy in (batch, dataclasses.replace(batch)):
             for user in range(1, k + 1):
-                assert compressed_decode(lib, scheme, demand, copy, user) == lib.file_bytes(demand[user - 1])
+                got = compressed_decode(lib, scheme, demand, copy, user)
+                assert got == compressed_decode_by_elimination(lib, scheme, demand, copy, user)
+                assert got == lib.file_bytes(demand[user - 1])
 
 
 def _whole_rounds(scheme) -> int:

@@ -4,13 +4,16 @@ An array has F' rows and K' columns; every cell is either a star or an
 integer from [1, S]. Stars mark cached rows, equal integers mark cells that
 share one multicast message. All public coordinates and column/row indices
 are 1-based; storage is 0-based. The checks read `Pda.array`: C1 and C4 are
-star counts per column and row. C2 and C3 read one index of the integer
-cells sorted by value: C2 its distinct values, and C3 (and C5, on the
-lifted array) one vectorised test of the pairs of equal integers.
+star counts per column and row. C2 and C3 read the index of the integer
+cells sorted by value that a Pda builds on first use and keeps: C2 and
+serialize_pda its distinct values, and C3 (and C5, on the lifted array) one
+vectorised test of the pairs of equal integers. Canonical text, the form
+serialize_pda writes, is read in bulk; any other text token by token.
 """
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -20,6 +23,7 @@ from .util import is_tuple_of, require_ints, require_type
 
 STAR = 0  # cell value reserved for stars; integers use [1, S]
 MAX_LISTED = 1 << 24  # the most absent integers an exhaustive C2 report lists
+_TOKEN_CHARS = str.maketrans("", "", "0123456789* \n")  # all the body of canonical text holds
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,11 @@ class Pda:
         """Cell at 1-based (row, col); STAR or an integer in [1, S]."""
         return self.entries[row - 1][col - 1]
 
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_integer_cells(array), built on first use and kept like array."""
+        return _integer_cells(self.array)
+
 
 def _check_header(rows: int, cols: int, z: int, s: int) -> None:
     """Raise MalformedPda unless F' = rows and K' = cols are at least 1, Z
@@ -124,7 +133,10 @@ def _integer_cells(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = np.flatnonzero(a)
     values = a.ravel()[pos]
     order = np.argsort(values, kind="stable")
-    return *np.divmod(pos[order], a.shape[1]), values[order]
+    index = *np.divmod(pos[order], a.shape[1]), values[order]
+    for x in index:
+        x.flags.writeable = False
+    return index
 
 
 def _clashes(a: np.ndarray, cells, exhaustive: bool = False) -> list[tuple]:
@@ -183,27 +195,14 @@ def _absent(values: np.ndarray, s: int, exhaustive: bool = False) -> list[int]:
 
 def validate_pda(p: Pda, exhaustive: bool = False) -> ValidationReport:
     """Check the three defining conditions and report counterexamples; C2
-    and C3 read one index of the integer cells. An exhaustive report raises
-    OutOfRange when C2 would list more than MAX_LISTED integers."""
+    and C3 read the index of the integer cells that p keeps. An exhaustive
+    report raises OutOfRange when C2 would list more than MAX_LISTED integers."""
     require_type(p, Pda, "validate_pda's array")
-    a = p.array
-    stars = (a == STAR).sum(axis=0).tolist()
-    c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z]
-    if not exhaustive:
-        c1 = c1[:1]
-    cells = _integer_cells(a)
-    c2 = [(v,) for v in _absent(cells[2], p.s, exhaustive)]
-    c3 = _clashes(a, cells, exhaustive)
-
-    return ValidationReport(
-        c1_ok=not c1,
-        c2_ok=not c2,
-        c3_ok=not c3,
-        c1_counterexamples=tuple(c1),
-        c2_counterexamples=tuple(c2),
-        c3_counterexamples=tuple(c3),
-        exhaustive=exhaustive,
-    )
+    stars = (p.array == STAR).sum(axis=0).tolist()
+    c1 = [(c, n) for c, n in enumerate(stars, start=1) if n != p.z][: None if exhaustive else 1]
+    c2 = [(v,) for v in _absent(p._cells[2], p.s, exhaustive)]
+    c3 = _clashes(p.array, p._cells, exhaustive)
+    return ValidationReport(not c1, not c2, not c3, tuple(c1), tuple(c2), tuple(c3), exhaustive)
 
 
 @dataclass(frozen=True)
@@ -239,21 +238,34 @@ def star_profile(p: Pda) -> StarProfile:
 def check_c4(p: Pda) -> bool:
     """True when K'Z/F' is an integer and every row has exactly that many stars."""
     require_type(p, Pda, "check_c4's array")
-    if (p.cols * p.z) % p.rows != 0:
-        return False
-    t = (p.cols * p.z) // p.rows
-    return bool(((p.array == STAR).sum(axis=1) == t).all())
+    t, rem = divmod(p.cols * p.z, p.rows)
+    return not rem and bool(((p.array == STAR).sum(axis=1) == t).all())
 
 
 def serialize_pda(p: Pda) -> str:
     """Render the canonical text form: 'K' F' Z S' header then F' token rows."""
     require_type(p, Pda, "serialize_pda's array")
-    values = np.sort(p.array, axis=None)
-    used = values[np.diff(values, prepend=-1) != 0]  # a token per value held: any S is cheap
-    tokens = np.array(["*" if v == STAR else str(v) for v in used.tolist()], dtype=object)
-    lines = [f"{p.cols} {p.rows} {p.z} {p.s}"]
-    lines += [" ".join(row) for row in tokens[np.searchsorted(used, p.array)].tolist()]
-    return "\n".join(lines) + "\n"
+    values = p._cells[2]
+    used = values[np.diff(values, prepend=STAR) != 0]  # a token per value held: any S is cheap
+    tokens = np.array(["*", *map(str, used.tolist())], dtype=object)
+    at = p.array if used.size == p.s else np.searchsorted(used, p.array, "right")  # a cell's rank
+    return "\n".join([f"{p.cols} {p.rows} {p.z} {p.s}", *map(" ".join, tokens[at].tolist()), ""])
+
+
+def _read_canonical(text: str) -> Pda | None:
+    """The Pda whose serialize_pda rendering is text and whose integers are
+    exactly 1..S, or None; one bulk conversion of the body, then the
+    rendering compared byte for byte. Raises and warns on no input."""
+    head, _, body = text.partition("\n")
+    if body.translate(_TOKEN_CHARS):  # a character canonical text never holds
+        return None
+    try:  # a header that is no 4 ints, or a body of another size, is a ValueError
+        cols, rows, z, s = map(int, head.split(" "))
+        cells = np.fromstring(body.replace("*", "0"), np.int64, sep=" ")  # saturates past int64
+        p = Pda._of(cells.reshape(rows, cols), z, s)
+    except (ValueError, MalformedPda):
+        return None
+    return p if not _absent(p._cells[2], s) and serialize_pda(p) == text else None
 
 
 def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
@@ -261,8 +273,14 @@ def parse_pda_with_map(text: str) -> tuple[Pda, dict[int, int] | None]:
 
     Returns the array and, when renumbering happened, the old->new value map
     (ascending order preserving). Raises ParseError on malformed input.
+    Canonical text, serialize_pda's rendering of an array that holds every
+    integer of [1, S], is read in one bulk conversion; any other text goes
+    through the per-token reader, which renumbers and names the first fault.
     """
     require_type(text, str, "array text", ParseError)
+    p = _read_canonical(text)
+    if p is not None:
+        return p, None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty input")

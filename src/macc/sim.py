@@ -29,6 +29,8 @@ from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, Undecodable
 from .transform import Scheme
 from .util import converted, is_int, is_tuple_of, require_ints, require_type
 
+MAX_LIBRARY_BYTES = 1 << 26  # the most payload bytes, N*K*F'*B, library_for_scheme draws
+
 
 @dataclass(frozen=True)
 class PacketLibrary:
@@ -93,12 +95,16 @@ class PacketLibrary:
 def library_for_scheme(
     scheme: Scheme, n_files: int | None = None, packet_bytes: int = 1, seed: int = 0
 ) -> PacketLibrary:
-    """Deterministic random library sized to the scheme's dimensions."""
+    """Deterministic random library sized to the scheme's dimensions; one of
+    more than MAX_LIBRARY_BYTES payload bytes raises OutOfRange instead."""
     require_type(scheme, Scheme, "scheme")
     n = scheme.params.n if n_files is None else n_files
     require_ints(n_files=n, packet_bytes=packet_bytes, seed=seed)
     if packet_bytes < 1:
         raise DimensionMismatch(f"packet_bytes={packet_bytes} must be >= 1")
+    size = n * scheme.subpacketization * packet_bytes
+    if size > MAX_LIBRARY_BYTES:
+        raise OutOfRange(f"a library of {size} bytes exceeds the {MAX_LIBRARY_BYTES}-byte cap")
     rng = random.Random(seed)
     bits = 8 * packet_bytes
     data = tuple(

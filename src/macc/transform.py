@@ -6,21 +6,16 @@ star of a base row becomes L cells and each integer stays one cell. In the
 placement grid the L cells are L-1 uncached nodes, then the caching node; in
 the delivery grid they are L stars, the L users that reach that node, and
 the integer cells keep their values. A user's view is the delivery grid's
-stars. The lift moves the base array's integer cells, indexed by value
-once, into the delivery grid in one scatter; the placement grid is never
-built, and the JSON form renders it from the base rows. `check_c5` and
-`Scheme` test C5, the crossing rule C3 on the delivery grid, on the moved
-cells, and `Scheme.plan` lays the same cells out as read-only index arrays
-in one vectorised pass, its views being the grid's star mask. No per-row
-recipe is stored.
-A `Scheme` stores only its inputs (base array, K, L, N), its params and the
-lift's cells index, and derives the rest on request, so nothing stored can
-disagree with the array or break C5. Rounds 2..K are cyclic column shifts of
-round 1: the library reaches them by offset arithmetic and builds no
-shifted grid. `Scheme.delivery` and `Scheme.q` build a round's grid as
-tuples on request. No library path reads them: they are kept only because
-`make_case` and `round_grid` in perfbench/ read them, until those read the
-arrays instead.
+stars. The lift scatters the base array's integer cells, from the index the
+`Pda` keeps, into the delivery grid; the placement grid is never built, and
+the JSON form renders it from the base rows. `check_c5` and `Scheme` test
+C5, the crossing rule C3 on the delivery grid, on the moved cells, and
+`Scheme.plan` lays the same cells out as read-only index arrays; no per-row
+recipe is stored. A `Scheme` stores only its inputs (base array, K, L, N),
+its params and the lift's cells, so nothing stored can disagree with the
+array or break C5. Rounds 2..K are cyclic column shifts of round 1, reached
+by offset arithmetic; `Scheme.q` builds a round's grid as tuples only for
+`make_case` and `round_grid` in perfbench/.
 """
 
 import json
@@ -42,7 +37,7 @@ from .pda import (
     Pda,
     _absent,
     _clashes,
-    _integer_cells,
+    _read_canonical,
     check_c4,
     parse_pda,
     serialize_pda,
@@ -90,15 +85,15 @@ class RoundArray:
     grid: tuple[tuple, ...]
 
 
-def _lift(p: Pda, l: int, cells):
+def _lift(p: Pda, l: int):
     """The delivery array of a C4 array at access degree l and its
-    _integer_cells, given the base array's. Base cell (r, c) goes to column
+    _integer_cells, from the base array's kept index. Base cell (r, c) goes to column
     c + (l - 1)(stars before c in row r), where a star widens to l cells as
     the module docstring says; the lift keeps each row's order, so the base
     cells' sort order is the lift's."""
     star = p.array == STAR
     at = np.arange(p.cols) + (l - 1) * np.cumsum(star, axis=1)  # stars before c at an integer
-    rows, cols, values = cells
+    rows, cols, values = p._cells
     cols = at[rows, cols]
     delivery = np.zeros((p.rows, p.cols + (l - 1) * int(star[0].sum())), np.int64)
     delivery[rows, cols] = values
@@ -130,7 +125,7 @@ def check_c5(p: Pda, l: int) -> bool:
     check_degree(l)
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not _clashes(*_lift(p, min(l, p.cols + 1), _integer_cells(p.array)))
+    return not _clashes(*_lift(p, min(l, p.cols + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +208,14 @@ class Scheme:
     and, after the check of K against the array, lifts it and raises "C5"
     (C3ViolationInQ) when the delivery grid breaks the crossing rule.
 
-    Only params and the lift's integer cells are set here, from one index
-    of the base array's cells that C2 and the lift share; no grid is stored.
-    A user's view is the delivery grid's stars. Delivery and decoding read
-    `plan`, a round-1 DeliveryPlan of read-only arrays (views, the star mask;
-    no recipe) that is built from the cells index alone, replaces it on first
-    use and is cached. `q(g)` builds round g's delivery grid on request by
-    one re-lift, and `delivery` is q(1); both are views kept for
-    perfbench/'s make_case and round_grid. Other modules keep what they
+    Only params and the lift's integer cells are set here; no grid is
+    stored. C2 and the lift read the base array's index of its integer
+    cells, which the Pda keeps, so validate_pda, check_c5 and the build of
+    one array index it once. Delivery and decoding read `plan`, a round-1
+    DeliveryPlan of read-only arrays (views, the star mask; no recipe) built
+    from the lift's cells alone, which it replaces on first use. `q(g)`
+    builds round g's grid by one re-lift and `delivery` is q(1), both kept
+    for perfbench/'s make_case and round_grid. Other modules keep what they
     derive from the scheme in `_tables`, also built on first use.
     """
 
@@ -237,8 +232,7 @@ class Scheme:
         require_type(p, Pda, "scheme base array")
         if k < 1 or l < 1:
             raise OutOfRange(f"k={k}, l={l} must be >= 1")
-        cells = _integer_cells(p.array)
-        missing = _absent(cells[2], p.s)
+        missing = _absent(p._cells[2], p.s)
         if missing:
             raise ConditionViolation("C2", f"integer {missing[0]} of [1, {p.s}] never occurs")
         if not check_c4(p):
@@ -248,7 +242,7 @@ class Scheme:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        delivery, cells = _lift(p, min(l, k), cells)  # l > K only if starless
+        delivery, cells = _lift(p, min(l, k))  # l > K only if starless
         bad = _clashes(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
@@ -258,8 +252,9 @@ class Scheme:
         """Round g's delivery grid, built on request by one re-lift: round 1
         with its columns shifted right by g - 1."""
         k = self.params.k
-        check_round(g, k)
-        delivery = _lift(self.pda, min(self.l, k), _integer_cells(self.pda.array))[0]
+        if not (is_int(g) and 1 <= g <= k):
+            raise OutOfRange(f"round g={g!r} outside [1, {k}]")
+        delivery = _lift(self.pda, min(self.l, k))[0]
         return RoundArray(round=g, grid=tuple(map(tuple, np.roll(delivery, g - 1, 1).tolist())))
 
     @property
@@ -292,12 +287,6 @@ class Scheme:
         return Fraction(self.pda.z * self.pda.cols, self.params.k * self.pda.rows)
 
 
-def check_round(g: int, k: int) -> None:
-    """Raise OutOfRange unless g names one of the K rounds."""
-    if not (is_int(g) and 1 <= g <= k):
-        raise OutOfRange(f"round g={g!r} outside [1, {k}]")
-
-
 def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
     """Lift p to K nodes at access degree l; raises as Scheme does."""
     return Scheme(p, k, l, n)
@@ -323,11 +312,7 @@ def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
     """Serialize with the base array inline; only round-1 arrays are stored."""
     require_type(scheme, Scheme, "scheme")
     text = serialize_pda(scheme.pda)
-    doc: dict = {
-        "format": SCHEME_FORMAT,
-        "params": scheme.params.as_dict(),
-        "pda": {"inline": text},
-    }
+    doc = {"format": SCHEME_FORMAT, "params": scheme.params.as_dict(), "pda": {"inline": text}}
     if include_arrays:
         doc["arrays"] = _arrays_text(scheme, text)
     return json.dumps(doc, indent=2) + "\n"
@@ -349,8 +334,7 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
         if name in doc and not isinstance(doc[name], dict):
             raise ParseError(f"scheme section {name!r} must be an object")
     try:
-        pref = doc["pda"]
-        params = doc["params"]
+        pref, params = doc["pda"], doc["params"]
         k, l, n = params["k"], params["l"], params["n"]
     except KeyError as e:
         raise ParseError(f"scheme descriptor missing field: {e}") from e
@@ -366,10 +350,12 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
         raise ParseError("scheme references an external array file but no reader given")
     else:
         ptext = read_file(pref["path"])
-    scheme = build_scheme(parse_pda(ptext), k, l, n)
+    p = _read_canonical(ptext) if isinstance(ptext, str) else None  # None unless canonical
+    scheme = build_scheme(parse_pda(ptext) if p is None else p, k, l, n)
     arrays = doc.get("arrays")
-    if arrays:
-        for name, rows in _arrays_text(scheme, serialize_pda(scheme.pda)).items():
+    if arrays:  # canonical text is the rendering they are compared with
+        rendered = serialize_pda(scheme.pda) if p is None else ptext
+        for name, rows in _arrays_text(scheme, rendered).items():
             stored = arrays.get(name, rows)
             if not isinstance(stored, list):
                 raise ParseError(f"stored {name} array must be a list of rows")

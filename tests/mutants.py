@@ -95,6 +95,56 @@ EQUIVALENT = {
     "rates.gap_checks: ratio > rhs -> ratio >= rhs":
         "the hkd ratio exceeds rhs strictly at every probe inside the gap region, as the report"
         " shows (no probe equals it for K <= 150, L <= 15), so equality never decides",
+    "gf2.GF._log_sums: max(1, _STEP_ELEMENTS // max(1, len(b))) -> max(2, _STEP_ELEMENTS //"
+    " max(1, len(b)))":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "gf2.GF._log_sums: _STEP_ELEMENTS // max(1, len(b)) -> _STEP_ELEMENTS * max(1, len(b))":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "gf2.GF._log_sums: max(1, len(b)) -> max(2, len(b))":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "gf2.GF.matmul: max(1, _STEP_ELEMENTS // max(1, x.shape[1])) -> max(2, _STEP_ELEMENTS //"
+    " max(1, x.shape[1]))":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "gf2.GF.matmul: _STEP_ELEMENTS // max(1, x.shape[1]) -> _STEP_ELEMENTS * max(1, x.shape[1])":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "gf2.GF.matmul: max(1, x.shape[1]) -> max(2, x.shape[1])":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "gf2.GF.matmul: x.shape[1] -> x.shape[0] #2":
+        "only the block of rows per step moves, and it stays at least 1; every block gives the"
+        " same result",
+    "sim.decode_from_messages: set(map(type, values)) <= {int} -> set(map(type, values)) < {int}":
+        "the fast check only decides whether the exact per-entry loop runs, and that loop"
+        " accepts every payload the unmutated check passes",
+    "sim.decode_from_messages: 0 <= min(values, default=0) <= max(values, default=0) < limit ->"
+    " 0 < min(values, default=0) <= max(values, default=0) < limit":
+        "the fast check only decides whether the exact per-entry loop runs, and that loop"
+        " accepts every payload the unmutated check passes",
+    "sim.decode_from_messages: 0 <= min(values, default=0) <= max(values, default=0) < limit ->"
+    " 0 <= min(values, default=0) < max(values, default=0) < limit":
+        "the fast check only decides whether the exact per-entry loop runs, and that loop"
+        " accepts every payload the unmutated check passes",
+    "sim.decode_from_messages: 0 <= min(values, default=0) <= max(values, default=0) < limit ->"
+    " 1 <= min(values, default=0) <= max(values, default=0) < limit":
+        "the fast check only decides whether the exact per-entry loop runs, and that loop"
+        " accepts every payload the unmutated check passes",
+    "sim.decode_from_messages: default=0 -> default=1":
+        "the default is read only when the user reads no message, where the loop below has no"
+        " entry",
+    "sim.decode_from_messages: default=0 -> default=-1":
+        "the default is read only when the user reads no message, where the loop below has no"
+        " entry",
+    "sim.decode_from_messages: default=0 -> default=1 #2":
+        "the default is read only when the user reads no message, where the loop below has no"
+        " entry",
+    "sim.decode_from_messages: default=0 -> default=-1 #2":
+        "the default is read only when the user reads no message, where the loop below has no"
+        " entry",
 }
 
 

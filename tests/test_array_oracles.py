@@ -9,13 +9,15 @@ would hold; raised errors are compared by type and text.
 
 import random
 import tracemalloc
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import c4_arrays
-from macc import (STAR, Pda, build_scheme, check_c4, check_c5, mn_pda, parse_pda_with_map,
-                  partition_pda, serialize_pda, validate_pda)
+from macc import (STAR, ParseError, Pda, build_scheme, check_c4, check_c5, mn_pda,
+                  parse_pda_with_map, partition_pda, serialize_pda, validate_pda)
+from macc.pda import _read_canonical
 from macc.transform import _arrays_text, scheme_from_json, scheme_to_json
 from oracles import (
     arrays_text_by_grids,
@@ -207,3 +209,95 @@ def test_text_form_reads_and_writes_as_cell_by_cell(p, data):
         body[row][col] = data.draw(st.sampled_from(ODD_TOKENS + body[row]))
     text = "\n".join([head] + [" ".join(toks) for toks in body]) + "\n"
     assert outcome(parse_pda_with_map, text) == outcome(parse_pda_by_cells, text)
+
+
+def test_gapped_arrays_of_s_cells_render_cell_by_cell():
+    """Arrays with an absent integer and as many integer cells as S, so a
+    token table indexed by value would fit them by size alone."""
+    for entries in (((2, 3, 3),), ((1, 1, 3),), ((3, 3, 3),), ((STAR, 2), (3, 3))):
+        p = Pda(rows=len(entries), cols=len(entries[0]), entries=entries, z=0, s=3)
+        assert serialize_pda(p) == serialize_pda_by_cells(p)
+
+
+def header_set(text, **fields):
+    """text with the named header fields (cols, rows, z, s) rewritten."""
+    head, _, body = text.partition("\n")
+    values = dict(zip(("cols", "rows", "z", "s"), head.split(" ")))
+    values.update({name: str(v) for name, v in fields.items()})
+    return " ".join(values.values()) + "\n" + body
+
+
+def header_moved(text, name, by):
+    """text with the header field called name moved by the int by."""
+    head = dict(zip(("cols", "rows", "z", "s"), map(int, text.split("\n", 1)[0].split(" "))))
+    return header_set(text, **{name: head[name] + by})
+
+
+def gapped_text(text):
+    """text with every integer tripled and S tripled to match."""
+    head, _, body = text.partition("\n")
+    body = "\n".join(" ".join(tok if tok == "*" else str(3 * int(tok)) for tok in line.split(" "))
+                     for line in body.split("\n")[:-1]) + "\n"
+    return header_moved(head + "\n" + body, "s", 2 * int(head.split(" ")[3]))
+
+
+# Rewrites of canonical text, each on one side of the bulk reader's check or the other.
+REWRITES = {
+    "canonical": lambda t: t,
+    "double spaces": lambda t: t.replace(" ", "  "),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "blank lines": lambda t: t.replace("\n", "\n\n", 1) + " \n",
+    "no final newline": lambda t: t[:-1],
+    "leading zero in the header": lambda t: "0" + t,
+    "gapped alphabet": gapped_text,
+    "short alphabet": lambda t: header_moved(t, "s", 1),
+    "one row too many": lambda t: header_moved(t, "rows", 1),
+    "one row too few": lambda t: header_moved(t, "rows", -1),
+    "one column too many": lambda t: header_moved(t, "cols", 1),
+    "one column too few": lambda t: header_moved(t, "cols", -1),
+    "minus one rows": lambda t: header_set(t, rows=-1),
+    "huge row count": lambda t: header_set(t, rows=10**30),
+    "rows times columns past int64": lambda t: header_set(t, rows=2**62, cols=4),
+    "huge S": lambda t: header_set(t, s=2**70),
+    "huge Z": lambda t: header_set(t, z=10**30),
+    "header past int's digit limit": lambda t: header_set(t, s="9" * 5000),
+}
+
+
+def read_quietly(text):
+    """_read_canonical(text), failing on any warning it gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _read_canonical(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=ARRAYS, rewrite=st.sampled_from(sorted(REWRITES)))
+def test_text_form_reads_in_bulk_only_when_canonical(p, rewrite):
+    """parse_pda_with_map, its renumbering map and its errors included,
+    against the token-by-token reader on canonical text and on rewrites of
+    it on either side of the bulk reader's check. The bulk reader raises and
+    warns on none of them, and accepts a text exactly when the text is the
+    rendering of the array read from it with no renumbering."""
+    text = REWRITES[rewrite](serialize_pda(p))
+    assert outcome(parse_pda_with_map, text) == outcome(parse_pda_by_cells, text), rewrite
+    bulk = read_quietly(text)
+    try:
+        q, relabel = parse_pda_by_cells(text)
+    except ParseError:
+        assert bulk is None
+        return
+    canonical = relabel is None and serialize_pda(q) == text
+    assert (bulk is not None) == canonical, rewrite
+    assert bulk is None or repr(bulk) == repr(q)
+    if rewrite == "canonical" and not validate_pda(p).c2_ok:
+        assert bulk is None and relabel is not None  # an absent integer renumbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="0123456789* \n\t\r-+x\u0663", max_size=40))
+def test_any_text_reads_as_token_by_token(text):
+    """Short texts over the characters of the text form and a few others."""
+    assert outcome(parse_pda_with_map, text) == outcome(parse_pda_by_cells, text)
+    read_quietly(text)

@@ -123,6 +123,16 @@ def test_simulate_exit_two_on_non_integer_params(tmp_path, capsys):
         assert "not an integer" in err and "Traceback" not in err
 
 
+def test_simulate_exit_two_on_a_library_past_the_cap(tmp_path, capsys):
+    path = tmp_path / "scheme.json"
+    path.write_text(scheme_to_json(build_scheme(mn_pda(4, 2), 8, 3)))
+    rc, _, err = run(capsys, "simulate", "--scheme", str(path), "--demand", "random:1",
+                     "--packet-bytes", "400000000")
+    assert rc == 2
+    assert "a library of 153600000000 bytes exceeds the" in err and "usage:" in err
+    assert "Traceback" not in err
+
+
 def test_transform_and_simulate(tmp_path, capsys):
     pda_path = tmp_path / "mn.pda"
     pda_path.write_text(serialize_pda(mn_pda(4, 2)))

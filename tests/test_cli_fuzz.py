@@ -75,7 +75,8 @@ demand = st.one_of(
 
 @FUZZ
 @given(slot=st.sampled_from(SLOTS), value=json_value, path=pda_path, spec=demand,
-       packet_bytes=st.integers(-1, 3), compressed=st.booleans())
+       packet_bytes=st.one_of(st.integers(-1, 3), st.sampled_from([400_000_000, 2**70])),
+       compressed=st.booleans())
 def test_simulate_never_raises(workdir, slot, value, path, spec, packet_bytes, compressed):
     doc = json.loads(json.dumps(BASE_DOC))
     if slot is None:

@@ -130,6 +130,23 @@ def test_matmul_wide_with_zeros_matches_scalar_loop():
             assert got[i, j] == acc
 
 
+def test_steps_wider_than_the_step_budget():
+    """One row against more columns, or labels, than _STEP_ELEMENTS = 2^14:
+    each step then takes a single row. Against none, every sum is empty."""
+    gf = field(16)
+    rng = np.random.default_rng(14)
+    x = rng.integers(0, 1 << 16, size=(1, (1 << 14) + 1), dtype=np.uint32)
+    a = np.array([[3], [0], [1 << 15]], dtype=np.uint32)
+    got = gf.matmul(a, x)
+    assert [row.tolist() for row in got] == [gf.scale_row(x[0], int(v)).tolist() for v in a[:, 0]]
+    labels = np.arange((1 << 14) + 1, dtype=np.int32) + 7
+    rows = np.array([1, 2, 3], dtype=np.int32)
+    sums = gf._log_sums(rows, labels)
+    assert sums.tolist() == [int(gf._log[r ^ labels].sum(dtype=np.int64)) for r in rows]
+    assert gf.matmul(a, x[:, :0]).shape == (3, 0)
+    assert gf._log_sums(rows, labels[:0]).tolist() == [0, 0, 0]
+
+
 def test_mul_by_zero_through_the_sentinel():
     for width in (3, 8, 16):
         gf = field(width)
@@ -178,7 +195,7 @@ def test_cauchy_inverse_rejects_bad_columns():
         gf.cauchy_inverse(2, [1, 1])
     with pytest.raises(OutOfRange):
         gf.cauchy_inverse(2, [-1, 1])
-    with pytest.raises(FieldTooSmall):
+    with pytest.raises(FieldTooSmall, match=r"^column label 256 exceeds field order 256$"):
         gf.cauchy_inverse(2, [0, 254])
 
 

@@ -4,12 +4,14 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import macc
+from macc import sim
 from macc.util import is_int
 from conftest import PNEG_ROWS
 from oracles import json_placement, plan_by_walk
@@ -95,6 +97,32 @@ def test_starless_lift_builds_no_star_cells():
     assert json_placement(scheme) == ((False, False),)
 
 
+def test_huge_library_is_refused_before_any_packet(scheme832):
+    """N*K*F'*B is counted in exact ints before a packet is drawn: 400 MB
+    packets for the 8 x 8 x 6 packets of the worked scheme raise at once."""
+    size = 8 * 8 * 6 * 400_000_000
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(OutOfRange, match=rf"^a library of {size} bytes exceeds the "
+                                             rf"{sim.MAX_LIBRARY_BYTES}-byte cap$"):
+            library_for_scheme(scheme832, packet_bytes=400_000_000)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 2**20
+
+
+def test_library_cap_admits_its_own_size(scheme832, monkeypatch):
+    monkeypatch.setattr(sim, "MAX_LIBRARY_BYTES", 8 * 8 * 6 * 2)
+    assert library_for_scheme(scheme832, packet_bytes=2).packet_bytes == 2
+    with pytest.raises(OutOfRange, match=r"^a library of 1152 bytes exceeds the 768-byte cap$"):
+        library_for_scheme(scheme832, packet_bytes=3)
+    with pytest.raises(OutOfRange, match=r"^a library of 864 bytes"):
+        library_for_scheme(scheme832, n_files=9, packet_bytes=2)
+
+
 def test_malformed_pda_is_a_macc_error():
     with pytest.raises(MalformedPda, match=r"cell value 5 outside star/\[1, 2\]") as info:
         Pda(rows=1, cols=1, entries=((5,),), z=0, s=2)
@@ -159,11 +187,24 @@ def test_decode_rejects_malformed_payloads(scheme832, value):
         decode_from_messages(lib, scheme832, demand, bad, 1)
 
 
+def test_decode_names_the_bad_payload_past_a_zero_one(scheme832):
+    """Zero is a 1-byte payload: the per-entry check passes it and names the
+    out-of-range payload read after it."""
+    lib, demand, payloads, _ = message_payloads_832(scheme832)
+    bad = [0] * len(payloads)
+    bad[-1] = 256
+    with pytest.raises(OutOfRange, match="^message payload 256 lies outside the 1-byte integers$"):
+        decode_from_messages(lib, scheme832, demand, bad, 1)
+
+
 def test_decode_rejects_a_log_of_the_wrong_length(scheme832):
     lib, demand, payloads, _ = message_payloads_832(scheme832)
-    for bad in (payloads[:-1], payloads + (0,), 5):
-        with pytest.raises(DimensionMismatch):
+    n = 8 * scheme832.pda.s
+    for bad in (payloads[:-1], payloads + (0,)):
+        with pytest.raises(DimensionMismatch, match=rf"^{len(bad)} message payloads, K\*S={n} expected$"):
             decode_from_messages(lib, scheme832, demand, bad, 1)
+    with pytest.raises(DimensionMismatch):
+        decode_from_messages(lib, scheme832, demand, 5, 1)
     # a full (g, s) -> payload dict, the former protocol, yields its (g, s) keys
     s = scheme832.pda.s
     old = {(i // s + 1, i % s + 1): p for i, p in enumerate(payloads)}

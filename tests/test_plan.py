@@ -321,21 +321,22 @@ def test_one_lift_serves_the_build_the_plan_and_delivery(monkeypatch):
     monkeypatch.setattr(transform, "_lift", counted)
     scheme = build_scheme(mn_pda(4, 2), 8, 3)
     library = library_for_scheme(scheme, packet_bytes=1, seed=0)
-    cells_index = transform._integer_cells
-    monkeypatch.setattr(transform, "_integer_cells", refuse)
+    cells_index = pda._integer_cells
+    monkeypatch.setattr(pda, "_integer_cells", refuse)
     assert scheme.plan.miss_cols.size
-    assert scheme._cells is None, "the plan holds the only copy of the cells index"
+    assert scheme._cells is None, "the plan holds the only copy of the lift's cells index"
     deliver(library, scheme, tuple(range(1, 9)))
     assert len(lifts) == 1
-    monkeypatch.setattr(transform, "_integer_cells", cells_index)
+    monkeypatch.setattr(pda, "_integer_cells", cells_index)
     assert check_c5(mn_pda(4, 2), 3)
     assert len(lifts) == 2
 
 
 def test_one_index_serves_c2_c3_and_the_lift(monkeypatch):
-    """validate_pda, default and exhaustive, and a Scheme build each index
-    the base array once; the built scheme keeps no grid, only the lift's
-    cells index until its plan is built."""
+    """validate_pda, default and exhaustive, check_c5, a Scheme build and a
+    round grid all read one index of the base array, which the array keeps;
+    the built scheme keeps no grid, only the lift's cells index until its
+    plan is built. An equal array of its own builds its own index."""
     p, calls, real_index = mn_pda(4, 2), [], pda._integer_cells
 
     def counted(a):
@@ -343,11 +344,15 @@ def test_one_index_serves_c2_c3_and_the_lift(monkeypatch):
         return real_index(a)
 
     monkeypatch.setattr(pda, "_integer_cells", counted)
-    monkeypatch.setattr(transform, "_integer_cells", counted)
     validate_pda(p)
     validate_pda(p, exhaustive=True)
+    assert check_c5(p, 3)
     scheme = build_scheme(p, 8, 3)
-    assert len(calls) == 3 and all(a is p.array for a in calls)
+    scheme.q(2)
+    assert len(calls) == 1 and calls[0] is p.array
+    twin = mn_pda(4, 2)
+    assert twin == p and build_scheme(twin, 8, 3) == scheme
+    assert len(calls) == 2 and calls[1] is twin.array
     assert set(vars(scheme)) == {"pda", "k", "l", "n", "params", "_cells"}
     assert [a.shape for a in scheme._cells] == [(p.s * 3,)] * 3
 

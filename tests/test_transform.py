@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from math import comb
 
 import pytest
 
@@ -21,6 +22,7 @@ from macc import (
     scheme_from_json,
     scheme_to_json,
 )
+from macc import pda, transform
 from macc.transform import RoundArray
 from macc.util import mod1
 from oracles import (
@@ -309,3 +311,55 @@ def test_scheme_json_rejects_garbage(scheme832):
     del doc2["pda"]
     with pytest.raises(ParseError):
         scheme_from_json(json.dumps(doc2))
+
+
+def test_scheme_from_json_renders_canonical_text_once(monkeypatch):
+    """The inline text scheme_to_json writes is canonical, so it is the
+    rendering the stored arrays are checked against: reading the document
+    renders the array once, in the bulk reader's comparison. Text that is
+    not canonical still has its arrays checked against a rendering."""
+    scheme = build_scheme(mn_pda(4, 2), 8, 3)
+    text = scheme_to_json(scheme, include_arrays=True)
+    calls, real = [], pda.serialize_pda
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(pda, "serialize_pda", counted)
+    monkeypatch.setattr(transform, "serialize_pda", counted)
+    assert scheme_from_json(text) == scheme
+    assert len(calls) == 1
+    doc = json.loads(text)
+    doc["pda"]["inline"] = doc["pda"]["inline"].replace(" ", "  ")
+    assert scheme_from_json(json.dumps(doc)) == scheme
+    doc["arrays"]["user_delivery"][0] = doc["arrays"]["user_delivery"][1]
+    with pytest.raises(ParseError, match="stored user_delivery array disagrees"):
+        scheme_from_json(json.dumps(doc))
+
+
+# The corners of the design-sweep benchmark grid with K <= 12: mn_pda(K', t)
+# lifted to K at L, for t >= 1 with K' = K - t(L - 1) > t and C(K', t) <= 500.
+DESIGN_CORNERS = [(k, l, t) for k in range(6, 13) for l in (2, 3, 4) for t in range(1, k // l + 1)
+                  if t < k - t * (l - 1) and comb(k - t * (l - 1), t) <= 500]
+
+
+def test_design_grid_scheme_json_survives_a_round_trip_byte_for_byte():
+    assert len(DESIGN_CORNERS) > 30
+    for k, l, t in DESIGN_CORNERS:
+        scheme = build_scheme(mn_pda(k - t * (l - 1), t), k, l)
+        text = scheme_to_json(scheme, include_arrays=True)
+        back = scheme_from_json(text)
+        assert back == scheme and scheme_to_json(back, include_arrays=True) == text, (k, l, t)
+
+
+def test_scheme_from_json_reads_the_array_file_through_its_reader(scheme832, tmp_path):
+    doc = json.loads(scheme_to_json(scheme832, include_arrays=True))
+    (tmp_path / "a.pda").write_text(doc["pda"].pop("inline"))
+    doc["pda"]["path"] = "a.pda"
+    text = json.dumps(doc)
+    assert scheme_from_json(text, read_file=lambda path: (tmp_path / path).read_text()) == scheme832
+    with pytest.raises(ParseError, match="^scheme references an external array file but no reader given$"):
+        scheme_from_json(text)
+    with pytest.raises(ParseError, match="^array text is a bytes, not a str$"):
+        scheme_from_json(text, read_file=lambda path: (tmp_path / path).read_bytes())

@@ -8,7 +8,6 @@ identical command and seed.
 """
 
 import argparse
-import hashlib
 import json
 import random
 import sys
@@ -38,6 +37,7 @@ from .util import float12, frac_str
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # here, not at the top: loading it maps OpenSSL, which most runs never use
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())

@@ -20,12 +20,12 @@ one MDS code over all K*S messages, (K - c)*S rows, and none when S = 0.
 
 Packets reach the code as bytes, never as ints: round_messages gathers and
 XORs a round's messages straight from the library's uint8 array, and their
-symbols are those bytes read as big-endian words. The batch's payloads are
-ints, as the CodedBatch format says, but delivery hands the batch the coded
-symbols they came from (CodedBatch.symbols), so no decode converts them. A
-user reads only the messages that carry its missing rows, one per row
-outside its views: one dot_logs of their coefficients against its seen
-rounds, and it rebuilds the file with one gather from the library array
+symbols are those bytes read as big-endian words. A delivered batch keeps
+its coded symbols and derives its int payloads only on request. A user
+reads only the messages that carry its missing rows, one per row outside
+its views: it takes the logs of its c seen rounds once, gathers those of
+each message's integer and sums the products with its coefficients in one
+step, then rebuilds the file with one gather from the library array
 (sim.file_from_messages). The coefficients' logs, with the user's rounds,
 are one table per user and field width, built on the first decode and kept
 on the scheme.
@@ -46,7 +46,6 @@ from .gf2 import (
     field,
     packets_to_symbols,
     symbols_to_bytes,
-    symbols_to_packets,
 )
 from .pda import Pda, star_profile
 from .sim import (
@@ -58,7 +57,7 @@ from .sim import (
     round_messages,
 )
 from .transform import Scheme, check_degree
-from .util import mod1, require_ints, require_type
+from .util import mod1, packet_ints, require_ints, require_type
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ class CodedBatch:
     message (i+1, s) plus sum_j P[i, j] * message (m1/S + j + 1, s), and
     column (g-1)*S + s - 1 weights the message at that log position. G is not
     stored, so the batch names it by its shape, block count and field and
-    compares by value.
+    compares by value. A delivered batch keeps only its coded `symbols`.
     """
 
     field_width: int
@@ -140,12 +139,19 @@ class CodedBatch:
         require_ints(m1=self.m1, m2=self.m2, blocks=self.blocks, field_width=self.field_width)
         return _coding_matrix(self.m1, self.m2, self.blocks, self.field_width)
 
+    def __getattr__(self, name):
+        """payloads of a batch kept as its coded rows, read off them once."""
+        if name != "payloads":
+            raise AttributeError(name)
+        raw = symbols_to_bytes(self.symbols, self.field_width).tobytes()
+        object.__setattr__(self, "payloads", tuple(packet_ints(raw, self.packet_bytes)))
+        return self.payloads
+
     @cached_property
     def symbols(self) -> np.ndarray:
-        """The payloads split into field symbols, one read-only uint32 row per
-        payload. compressed_deliver hands over the symbols it coded; any other
-        batch, a dataclasses.replace copy included, converts its payloads on
-        first use, once for every user decoding it."""
+        """The coded rows as field symbols, one read-only uint32 row per payload:
+        kept by a delivered batch, split off the payloads on first use by any
+        other (a dataclasses.replace copy included), once for all its users."""
         symbols = packets_to_symbols(self.payloads, self.packet_bytes, self.field_width)
         symbols.flags.writeable = False
         return symbols
@@ -182,7 +188,7 @@ def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
     k - rows columns of cauchy_matrix(rows, k) over GF(2^width), 0 x k at rows = 0,
     built once and read-only. Entry (i, g - rows) is 1/(i + g) for 0-based parity round g."""
     block = cauchy_matrix(rows, k, field(width))[:, :k - rows] if rows else np.zeros((rows, k), np.uint32)
-    block = np.ascontiguousarray(block)
+    block = block.astype(np.min_scalar_type((1 << width) - 1))  # symbols' type: no check in matmul
     block.flags.writeable = False
     return block
 
@@ -223,25 +229,18 @@ def compressed_deliver(
     x = bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)), gf.width).reshape(k, -1)
     coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
     coded = coded.reshape(rows * s, b * 8 // gf.width)
-    batch = CodedBatch(
-        field_width=gf.width,
-        m1=rows * s,
-        m2=k * s,
-        blocks=s,
-        packet_bytes=b,
-        payloads=tuple(symbols_to_packets(coded, b, gf.width)),
-    )
     coded.flags.writeable = False
-    object.__setattr__(batch, "symbols", coded)  # CodedBatch.symbols, already converted
+    batch = object.__new__(CodedBatch)  # kept as its rows: no payloads until a caller reads them
+    vars(batch).update(field_width=gf.width, m1=rows * s, m2=k * s, blocks=s, packet_bytes=b, symbols=coded)
     return batch
 
 
 def _check_batch(batch: CodedBatch, m2: int, blocks: int, packet_bytes: int) -> None:
-    """The batch's rows and dimensions fit K*S messages of packet_bytes bytes."""
-    shape = (batch.m2, batch.blocks, batch.packet_bytes, len(batch.payloads))
-    if shape != (m2, blocks, packet_bytes, batch.m1):
+    """The batch's rows, counted as kept, and dimensions fit K*S messages of packet_bytes bytes."""
+    rows = len(vars(batch)["payloads"] if "payloads" in vars(batch) else batch.symbols)
+    if (batch.m2, batch.blocks, batch.packet_bytes, rows) != (m2, blocks, packet_bytes, batch.m1):
         raise DimensionMismatch(
-            f"batch of {len(batch.payloads)} rows, m1={batch.m1}, m2={batch.m2}, "
+            f"batch of {rows} rows, m1={batch.m1}, m2={batch.m2}, "
             f"{batch.blocks} blocks, {batch.packet_bytes}-byte packets does not fit "
             f"K*S={m2}, S={blocks}, {packet_bytes}-byte packets"
         )
@@ -295,10 +294,10 @@ def compressed_decode(
     of P's minor on the seen systematic and unseen parity rounds, a square
     Cauchy matrix, so no elimination runs. Every needed message is thus a
     fixed combination of its integer's z, plus its coded row when its round
-    is systematic: one dot_logs over the needed messages, and the messages
-    fill the rows outside the user's view in one gather. The coefficients
-    depend on the scheme, the user and the field only: the first decode at
-    a field width builds them and the scheme keeps them.
+    is systematic: z's logs are taken once and the c products summed in one
+    step, and the messages fill the rows outside the user's view in one
+    gather. The coefficients depend on the scheme, the user and the field
+    only: the first decode at a field width builds them and the scheme keeps them.
     """
     _check_dims(library, scheme)
     k, s = scheme.params.k, scheme.pda.s
@@ -321,7 +320,7 @@ def compressed_decode(
     z = bytes_to_symbols(round_messages(library, scheme, d, table.known + 1), gf.width)
     ks = table.known[table.known < n]
     z[:len(ks)] ^= coded[ks]
-    messages = gf.dot_logs(table.logs, z[:, ints])
+    messages = gf._dot_logs(table.logs, gf.logs(z)[:, ints])  # each seen symbol's log taken once
     messages[table.sys_at] ^= coded[table.sys_rounds, ints[table.sys_at]]
     return file_from_messages(library, scheme, d, user, symbols_to_bytes(messages, gf.width))
 

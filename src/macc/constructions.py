@@ -10,6 +10,8 @@ from .errors import OutOfRange
 from .pda import Pda
 from .util import require_ints
 
+MAX_CELLS = 1 << 24  # the most cells a construction builds; each bounds its count in ints first
+
 
 @dataclass(frozen=True)
 class MnParams:
@@ -40,6 +42,10 @@ def mn_pda(k_prime: int, t: int) -> Pda:
     that member, for every i.
     """
     MnParams(k_prime, t)  # range check
+    # C(K', r) rises with r up to K'/2: an r past the cap's bit length is past the cap
+    least = comb(k_prime, min(t, k_prime - t, MAX_CELLS.bit_length())) * k_prime
+    if least > MAX_CELLS:
+        raise OutOfRange(f"mn_pda({k_prime}, {t}) has at least {least} cells, past the {MAX_CELLS}-cell cap")
     n, rows = k_prime, comb(k_prime, t)
     ups = np.fromiter(chain.from_iterable(combinations(range(n), t + 1)), np.intp)
     ups = ups.reshape(-1, t + 1)  # 0-based, in lex order
@@ -84,6 +90,9 @@ def partition_pda(m: int, q: int) -> tuple[Pda, tuple[tuple[int, ...], ...]]:
     vector behind integer s.
     """
     PartitionParams(m, q)  # range check
+    least = q ** min(m - 1, MAX_CELLS.bit_length()) * m * q  # as q >= 2, exact below the cap
+    if least > MAX_CELLS:
+        raise OutOfRange(f"partition_pda({m}, {q}) has at least {least} cells, past the {MAX_CELLS}-cell cap")
     # Vectors are 1-based; a vector's key is its 0-based digits read base q.
     free = np.indices((q,) * (m - 1)).reshape(m - 1, -1).T + 1  # lex order
     f = np.column_stack([free, (free.sum(axis=1) - 1) % q + 1])

@@ -7,7 +7,7 @@ that index, a sentinel: any sum with it lands at or past the end, and the
 gathers clip to the last entry. So a product is exp[log a + log b] for every
 a and b, zero included, with no reduction and no mask. The antilog table
 holds the narrowest unsigned type that fits the field; vectors and matrices
-are numpy uint32 arrays of field elements.
+are numpy uint32 arrays of field elements, packet symbols the narrowest type.
 
 Packets split into big-endian 8- or 16-bit symbols, so only GF(2^8) and
 GF(2^16) carry packets; the narrower fields have arithmetic only.
@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
-from .util import converted, is_int, require_ints, require_type
+from .util import converted, is_int, packet_ints, require_ints, require_type
 
 PRIMITIVE_POLY = {
     2: 0b111,
@@ -84,9 +84,11 @@ class GF:
         Raises OutOfRange for anything else: the log table is indexed by raw
         values, so a negative one would wrap around to a wrong answer, and
         one past the table, a float or a string would raise a TypeError or
-        an IndexError.
+        an IndexError. An unsigned type no wider than the field is not scanned.
         """
         arr = self._integers(x)
+        if arr.dtype.kind == "u" and arr.dtype.itemsize * 8 <= self.width:
+            return arr
         if arr.size and (arr.min() < 0 or arr.max() >= self.order):
             raise OutOfRange(f"element outside GF(2^{self.width})")
         return arr
@@ -147,7 +149,7 @@ class GF:
     def logs(self, a) -> np.ndarray:
         """The logs of field elements a, 0's being the sentinel: the form in
         which dot_logs takes its matrix."""
-        return self._log[self._elements(a)]
+        return self._log.take(self._elements(a))
 
     def dot_logs(self, a_logs, x) -> np.ndarray:
         """Each row of a matrix a times its own vectors of x: out[i] =
@@ -158,11 +160,11 @@ class GF:
         a_logs, x = self._log_operand(a_logs), self._elements(x)
         if a_logs.ndim != 2 or x.ndim != 3 or x.shape[:2] != a_logs.shape[::-1]:
             raise DimensionMismatch(f"cannot take rows of {a_logs.shape} against {x.shape}")
-        out = np.zeros(x.shape[1:], dtype=self._exp.dtype)
-        lx = self._log.take(x)
-        for j in range(a_logs.shape[1]):
-            out ^= self._antilog(a_logs[:, j, None] + lx[j])
-        return out.astype(np.uint32)
+        return self._dot_logs(a_logs, self._log.take(x)).astype(np.uint32)
+
+    def _dot_logs(self, a_logs: np.ndarray, x_logs: np.ndarray) -> np.ndarray:
+        """dot_logs of checked operands, x as logs: one add, gather and XOR-reduce over k."""
+        return np.bitwise_xor.reduce(self._antilog(a_logs.T[:, :, None] + x_logs), axis=0)
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve a @ x = b by Gauss-Jordan elimination; a must be square."""
@@ -297,10 +299,10 @@ def _symbol_dtype(sw: int) -> np.dtype:
 
 
 def bytes_to_symbols(packets: np.ndarray, width: int) -> np.ndarray:
-    """uint8 packets, bytes on the last axis, as big-endian symbols: a uint32
-    array with width/8 times fewer entries on that axis."""
+    """uint8 packets, bytes on the last axis, as big-endian symbols: a new uint8
+    or uint16 array with width/8 times fewer entries on that axis."""
     sw = _symbol_bytes(width, packets.shape[-1])
-    return np.ascontiguousarray(packets).view(_symbol_dtype(sw)).astype(np.uint32)
+    return np.ascontiguousarray(packets).view(_symbol_dtype(sw)).astype(f"u{sw}")
 
 
 def symbols_to_bytes(symbols: np.ndarray, width: int) -> np.ndarray:
@@ -317,7 +319,7 @@ def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     except (AttributeError, OverflowError) as e:
         raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packets), packet_bytes)
-    return bytes_to_symbols(rows, width)
+    return bytes_to_symbols(rows, width).astype(np.uint32)
 
 
 def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> list[int]:
@@ -328,5 +330,4 @@ def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> li
         raise DimensionMismatch(f"symbol rows of shape {symbols.shape} do not fill {packet_bytes} bytes")
     if symbols.size and (symbols.min() < 0 or int(symbols.max()) >> width):
         raise OutOfRange(f"symbol outside GF(2^{width})")
-    raw = symbols_to_bytes(symbols, width).tobytes()
-    return [int.from_bytes(raw[i:i + packet_bytes], "big") for i in range(0, len(raw), packet_bytes)]
+    return packet_ints(symbols_to_bytes(symbols, width).tobytes(), packet_bytes)

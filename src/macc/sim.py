@@ -1,14 +1,14 @@
 """End-to-end delivery over a built scheme with real packet payloads.
 
 A file consists of K parts of F' packets each; part g is covered by the
-round-g arrays. A library holds its packets as B-byte ints, the form that
-every public payload format uses; XOR is the only server-side operation.
-The plain deliver XORs those ints, whole columns of cells at a time. A
-library also views its packets, once, as one read-only uint8 array of shape
-(N, K, F', B), from which file_bytes and the coded deliver (round_messages)
-read whole packets with no int <-> bytes work. Plain and coded decode share
-one gather from that array (file_from_messages); a plain decode turns only
-the log entries its user reads to bytes. No round-g array is built:
+round-g arrays. A library holds its packets as one read-only uint8 array of
+shape (N, K, F', B), which library_for_scheme draws into; their ints, the
+form of every public payload format, are derived on request. The plain
+deliver XORs those ints, whole columns of cells at a time; file_bytes and
+the coded deliver (round_messages) read whole packets off the array. Plain
+and coded decode share one gather from that array (file_from_messages); a
+plain decode turns only the log entries its user reads to bytes. No
+round-g array is built:
 delivery and decoding read the scheme's round-1 plan (Scheme.plan), read-only
 index arrays whose views are the delivery grid's star mask and which store
 no per-row recipe, and locate round g by offset arithmetic, round-1 column c
@@ -27,14 +27,15 @@ import numpy as np
 
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
 from .transform import Scheme
-from .util import converted, is_int, is_tuple_of, require_ints, require_type
+from .util import converted, is_int, is_tuple_of, packet_ints, require_ints, require_type
 
 MAX_LIBRARY_BYTES = 1 << 26  # the most payload bytes, N*K*F'*B, library_for_scheme draws
 
 
 @dataclass(frozen=True)
 class PacketLibrary:
-    """All packets of all files: data[n-1][g-1][j-1] is an int of packet_bytes bytes."""
+    """All packets of all files: data[n-1][g-1][j-1] is an int of packet_bytes
+    bytes. A drawn library keeps only `array` and derives data on request."""
 
     n_files: int
     parts_per_file: int
@@ -65,6 +66,15 @@ class PacketLibrary:
                             f"packet {p!r} lies outside the {self.packet_bytes}-byte integers"
                         )
 
+    def __getattr__(self, name):
+        """data of a library kept as its array, read off it once."""
+        if name != "data":
+            raise AttributeError(name)
+        packets = iter(packet_ints(self.array.tobytes(), self.packet_bytes))
+        parts = zip(*[packets] * self.packets_per_part)  # consecutive runs of F' packets
+        object.__setattr__(self, "data", tuple(zip(*[parts] * self.parts_per_file)))
+        return self.data
+
     def _check_indices(self, **indices) -> None:
         """Raise OutOfRange unless each index, file then part then packet, is an int in [1, top]."""
         tops = (self.n_files, self.parts_per_file, self.packets_per_part)
@@ -79,8 +89,8 @@ class PacketLibrary:
     @cached_property
     def array(self) -> np.ndarray:
         """The packets as one read-only uint8 array of shape (N, K, F', B):
-        array[n-1, g-1, j-1] is packet (n, g, j) in big-endian bytes. Built
-        on first use over one joined bytes object, the only copy."""
+        array[n-1, g-1, j-1] is packet (n, g, j) in big-endian bytes. Unless
+        drawn here, built on first use over one joined bytes object, the only copy."""
         b = self.packet_bytes
         raw = b"".join(p.to_bytes(b, "big") for parts in self.data for part in parts for p in part)
         shape = (self.n_files, self.parts_per_file, self.packets_per_part, b)
@@ -105,22 +115,18 @@ def library_for_scheme(
     size = n * scheme.subpacketization * packet_bytes
     if size > MAX_LIBRARY_BYTES:
         raise OutOfRange(f"a library of {size} bytes exceeds the {MAX_LIBRARY_BYTES}-byte cap")
-    rng = random.Random(seed)
-    bits = 8 * packet_bytes
-    data = tuple(
-        tuple(
-            tuple(rng.getrandbits(bits) for _ in range(scheme.pda.rows))
-            for _ in range(scheme.params.k)
-        )
-        for _ in range(n)
-    )
-    return PacketLibrary(
-        n_files=n,
-        parts_per_file=scheme.params.k,
-        packets_per_part=scheme.pda.rows,
-        packet_bytes=packet_bytes,
-        data=data,
-    )
+    k, f = scheme.params.k, scheme.pda.rows
+    if n < 0:  # as PacketLibrary(n, ...) would
+        raise DimensionMismatch(f"library data is not {n} files of {k}x{f} packets")
+    rng, bits, step, raw = random.Random(seed), 8 * packet_bytes, f * packet_bytes, bytearray(size)
+    for i in range(0, size, step):  # a draw per packet, files then parts then rows, joined by part
+        draws = map(rng.getrandbits, repeat(bits, f))
+        raw[i:i + step] = b"".join(map(int.to_bytes, draws, repeat(packet_bytes), repeat("big")))
+    lib = object.__new__(PacketLibrary)  # kept as its array: no ints until a caller reads them
+    vars(lib).update(n_files=n, parts_per_file=k, packets_per_part=f, packet_bytes=packet_bytes,
+                     array=np.frombuffer(raw, np.uint8).reshape(n, k, f, packet_bytes))
+    lib.array.flags.writeable = False
+    return lib
 
 
 def _check_dims(library: PacketLibrary, scheme: Scheme) -> None:

@@ -38,6 +38,11 @@ def converted(kind: type, value, name: str, error):
         raise error(f"{name}={value!r} cannot be read as a {kind.__name__}") from e
 
 
+def packet_ints(raw: bytes, size: int) -> list[int]:
+    """raw cut into size-byte big-endian ints, in order: the int form of packets."""
+    return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+
+
 def mod1(x: int, a: int) -> int:
     """1-based modulus: result lies in [1, a], with mod1(a, a) == a."""
     return (x - 1) % a + 1

@@ -723,6 +723,23 @@ def user_view_via_nodes(
     return frozenset(rows)
 
 
+def library_by_ints(
+    scheme: Scheme, n_files: int | None = None, packet_bytes: int = 1, seed: int = 0
+) -> PacketLibrary:
+    """library_for_scheme one packet int at a time: a getrandbits draw per
+    packet, files then parts then rows, handed to the public constructor."""
+    n = scheme.params.n if n_files is None else n_files
+    rng = random.Random(seed)
+    data = tuple(
+        tuple(
+            tuple(rng.getrandbits(8 * packet_bytes) for _ in range(scheme.pda.rows))
+            for _ in range(scheme.params.k)
+        )
+        for _ in range(n)
+    )
+    return PacketLibrary(n, scheme.params.k, scheme.pda.rows, packet_bytes, data)
+
+
 def _round_parts(library: PacketLibrary, d: tuple[int, ...], k: int, g: int) -> list:
     """Part g of each user's demanded file, listed by 0-based round-1 column."""
     data = library.data

@@ -28,6 +28,13 @@ def test_build_pda_stdout(capsys):
     assert parse_pda(out) == mn_pda(4, 2)
 
 
+@pytest.mark.parametrize("flags", [["mn", "--kprime", "40", "--t", "20"], ["partition", "--m", "12", "--q", "12"]])
+def test_build_pda_refuses_huge_arrays_as_usage(capsys, flags):
+    rc, out, err = run(capsys, "build-pda", "--family", *flags)
+    assert (rc, out) == (2, "")
+    assert "-cell cap" in err and "usage: run 'macc build-pda --help' for the flag synopsis" in err
+
+
 def test_build_pda_partition_sidecar(tmp_path, capsys):
     pda_path = tmp_path / "part.pda"
     rc, _, _ = run(

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from macc import build_scheme, mn_pda, scheme_to_json, serialize_pda
@@ -94,3 +94,15 @@ def test_simulate_never_raises(workdir, slot, value, path, spec, packet_bytes, c
     run_cli(workdir, ["simulate", "--scheme", str(scheme), f"--demand={spec}",
                         f"--packet-bytes={packet_bytes}", "--check-all-users"]
               + (["--compressed"] if compressed else []))
+
+
+huge = st.one_of(st.integers(-1, 6), st.sampled_from([12, 20, 40, 60, 10**6, 2**70]))
+
+
+@FUZZ
+@given(family=st.sampled_from(["mn", "partition"]), a=huge, b=huge)
+@example(family="mn", a=40, b=20)
+@example(family="partition", a=12, b=12)
+def test_build_pda_never_raises(workdir, family, a, b):
+    flags = ["--kprime", str(a), "--t", str(b)] if family == "mn" else ["--m", str(a), "--q", str(b)]
+    run_cli(workdir, ["build-pda", "--family", family, *flags])

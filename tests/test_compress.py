@@ -516,7 +516,9 @@ def test_compressed_decode_reads_the_library_array_only(monkeypatch):
 def test_compressed_decode_multiplies_only_needed_messages(monkeypatch):
     """The decode's products: one dot_logs row of c coefficients per needed
     message, never P's rows of every unseen round against every integer, and
-    no more than solving the unseen parity rounds of every integer first."""
+    no more than solving the unseen parity rounds of every integer first.
+    The logs of the c seen rounds are looked up once, (c, S, symbols), not
+    once per needed message."""
     p, _ = partition_pda(3, 3)
     scheme = build_scheme(p, 15, 3)
     lib = library_for_scheme(scheme, packet_bytes=256, seed=6)
@@ -524,25 +526,31 @@ def test_compressed_decode_multiplies_only_needed_messages(monkeypatch):
     batch = compressed_deliver(lib, scheme, demand)
     total = lambda_profile(p, 3).total
     n = 15 - total
-    matmul_rows, dot_shapes = [], []
-    matmul, dot_logs = GF.matmul, GF.dot_logs
+    matmul_rows, dot_shapes, log_shapes = [], [], []
+    matmul, dot_logs, logs = GF.matmul, GF._dot_logs, GF.logs
 
     def recorded_matmul(self, a, x):
         matmul_rows.append(np.shape(a)[0])
         return matmul(self, a, x)
 
-    def recorded_dot(self, a_logs, x):
-        dot_shapes.append(np.shape(a_logs))
-        return dot_logs(self, a_logs, x)
+    def recorded_dot(self, a_logs, x_logs):
+        dot_shapes.append((np.shape(a_logs), np.shape(x_logs)))
+        return dot_logs(self, a_logs, x_logs)
+
+    def recorded_logs(self, a):
+        log_shapes.append(np.shape(a))
+        return logs(self, a)
 
     monkeypatch.setattr(GF, "matmul", recorded_matmul)
-    monkeypatch.setattr(GF, "dot_logs", recorded_dot)
+    monkeypatch.setattr(GF, "_dot_logs", recorded_dot)
+    monkeypatch.setattr(GF, "logs", recorded_logs)
     for user in range(1, 16):
         dot_shapes.clear()
         assert compressed_decode(lib, scheme, demand, batch, user) == lib.file_bytes(demand[user - 1])
         read = messages_read(scheme, user)
         assert len(read) == len(scheme.plan.miss_cols) == 54
-        assert dot_shapes == [(54, total)]
+        assert dot_shapes == [((54, total), (total, 54, 128))]
+        assert log_shapes[-1] == (total, p.s, 128)
         seen_systematic = sum(g <= n for g in full_view_rounds(scheme, user))
         in_systematic = sum(i // p.s < n for i in read)
         assert 54 * total <= (seen_systematic * p.s + in_systematic) * total
@@ -755,3 +763,45 @@ def test_whole_rounds_are_sum_lambda_on_stock_lifts():
             want = Fraction(scheme.pda.s, scheme.pda.rows) * Fraction(k - prof.total, k)
             assert compressed_load(scheme) == want
     assert (len(schemes), applicable) == (97, 32)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_delivered_batch_keeps_its_coded_rows(scheme832, monkeypatch, width):
+    """compressed_deliver stores the rows it coded and builds no int: its
+    payloads, derived on request, are symbols_to_packets of those rows, and
+    a dataclasses.replace copy, built from them, decodes the same bytes."""
+    lib = library_for_scheme(scheme832, packet_bytes=4, seed=width)
+    demand = (2, 7, 7, 1, 8, 3, 5, 2)
+
+    def refuse(*args):
+        raise AssertionError("the coded path built int payloads")
+
+    with monkeypatch.context() as m:
+        for module in (gf2, compress):
+            m.setattr(module, "symbols_to_packets", refuse, raising=False)
+            m.setattr(module, "packet_ints", refuse)
+        batch = compressed_deliver(lib, scheme832, demand, field_width=width)
+        for user in range(1, 9):
+            assert compressed_decode(lib, scheme832, demand, batch, user) == lib.file_bytes(demand[user - 1])
+    assert "payloads" not in vars(batch)
+    rows = batch.symbols
+    assert not rows.flags.writeable and rows.shape == (batch.m1, 32 // width)
+    assert batch.payloads == tuple(gf2.symbols_to_packets(rows, 4, width))
+    assert batch.payloads is batch.payloads
+    assert batch == compressed_deliver_by_ints(lib, scheme832, demand, field_width=width)
+    for copy in (dataclasses.replace(batch), dataclasses.replace(batch, payloads=batch.payloads)):
+        assert copy == batch and "symbols" not in vars(copy)
+        for user in range(1, 9):
+            got = compressed_decode(lib, scheme832, demand, copy, user)
+            assert got == compressed_decode(lib, scheme832, demand, batch, user)
+            assert got == compressed_decode_by_elimination(lib, scheme832, demand, copy, user)
+        assert np.array_equal(copy.symbols, rows)
+
+
+def test_empty_batch_derives_no_payloads():
+    scheme = build_scheme(mn_pda(2, 2), 4, 2)
+    lib = library_for_scheme(scheme, packet_bytes=2, seed=1)
+    for width in (8, 16):
+        batch = compressed_deliver(lib, scheme, (4, 3, 2, 1), field_width=width)
+        assert batch.symbols.shape == (0, 16 // width) and "payloads" not in vars(batch)
+        assert batch.payloads == tuple(gf2.symbols_to_packets(batch.symbols, 2, width)) == ()

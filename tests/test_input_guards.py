@@ -380,3 +380,50 @@ def test_construction_checks_survive_python_O():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, "ok\n", "")
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: mn_pda(40, 20), r"^mn_pda\(40, 20\) has at least 5513861152800 cells, past the 16777216-cell cap$"),
+    (lambda: mn_pda(60, 30), r"^mn_pda\(60, 30\) has at least \d+ cells"),
+    (lambda: mn_pda(2**70, 2**69), r"^mn_pda\(\d+, \d+\) has at least \d+ cells"),
+    (lambda: partition_pda(12, 12), r"^partition_pda\(12, 12\) has at least 106993205379072 cells"),
+    (lambda: partition_pda(2**70, 2), r"^partition_pda\(\d+, 2\) has at least \d+ cells"),
+])
+def test_huge_constructions_are_refused_before_any_cell(build, text):
+    """C(K', t) * K' and q^(m-1) * m*q cells are bounded in exact ints before
+    anything is allocated, however large the parameters."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(OutOfRange, match=text):
+            build()
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 2**20
+
+
+def test_construction_cap_admits_its_own_size(monkeypatch):
+    """The cap is inclusive, and the count is exact below it: mn_pda(4, 2) has
+    6 x 4 cells, partition_pda(3, 2) 4 x 6 and mn_pda(26, 25) 26 x 26."""
+    from macc import constructions
+
+    for build, cells in ((lambda: mn_pda(4, 2), 24), (lambda: partition_pda(3, 2)[0], 24),
+                         (lambda: mn_pda(26, 25), 676)):
+        monkeypatch.setattr(constructions, "MAX_CELLS", cells)
+        assert build().array.size == cells
+        monkeypatch.setattr(constructions, "MAX_CELLS", cells - 1)
+        with pytest.raises(OutOfRange, match=rf"has at least {cells} cells, past the {cells - 1}-cell cap$"):
+            build()
+
+
+def test_cli_import_loads_no_openssl():
+    """hashlib maps OpenSSL on import; only a report that hashes a file loads it."""
+    src = Path(macc.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, macc.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False\n", "")

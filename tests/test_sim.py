@@ -1,5 +1,6 @@
 """Packet library, delivery and per-user decoding."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from macc import (
     DemandOutOfRange,
     DimensionMismatch,
+    PacketLibrary,
     UndecodablePacket,
     build_scheme,
     decode,
@@ -21,6 +23,7 @@ from macc.sim import check_demand
 from oracles import (
     constituents,
     demand_suite,
+    library_by_ints,
     node_cache_bytes,
     populate_caches,
     shift_grid,
@@ -61,11 +64,58 @@ def test_library_array_is_one_read_only_copy(scheme832):
     assert arr is lib.array
     assert arr.shape == (8, 8, 6, 3) and arr.dtype == np.uint8
     assert not arr.flags.writeable
-    assert isinstance(arr.base.base, bytes) and len(arr.base.base) == arr.size  # a view, no copy
+    assert memoryview(arr.base.base).nbytes == arr.size  # a view of one buffer, no copy
+    assert "data" not in vars(twin)  # drawn as its array, a library reads its ints on request
     assert arr[2, 4, 5].tobytes() == lib.packet(3, 5, 6).to_bytes(3, "big")
-    assert lib == twin and "array" not in vars(twin)
+    assert lib == twin and twin.data is twin.data
+    built = PacketLibrary(8, 8, 6, 3, lib.data)  # from ints, the array comes on request
+    assert built == lib and "array" not in vars(built)
+    assert np.array_equal(built.array, arr) and memoryview(built.array.base.base).nbytes == arr.size
     for n in range(1, 9):
         assert lib.file_bytes(n) == b"".join(p.to_bytes(3, "big") for part in lib.data[n - 1] for p in part)
+
+
+@pytest.mark.parametrize("packet_bytes", [1, 2, 3, 4, 5, 64, 256])
+def test_drawn_library_matches_the_int_oracle(scheme832, packet_bytes):
+    """The array drawn part by part holds the bytes of one getrandbits int
+    per packet; its ints and files match the int-built library's."""
+    for n_files, seed in ((None, 0), (None, 1), (3, 17), (11, 2**40)):
+        lib = library_for_scheme(scheme832, n_files=n_files, packet_bytes=packet_bytes, seed=seed)
+        want = library_by_ints(scheme832, n_files=n_files, packet_bytes=packet_bytes, seed=seed)
+        assert lib.array.shape == want.array.shape and not lib.array.flags.writeable
+        assert lib.array.tobytes() == want.array.tobytes()
+        assert lib.data == want.data and lib == want
+        for n in range(1, lib.n_files + 1):
+            assert lib.file_bytes(n) == want.file_bytes(n)
+        assert lib.packet(lib.n_files, 8, 6) == want.data[-1][-1][-1]
+
+
+def test_library_defaults_and_edges(scheme832):
+    """One-byte packets drawn from seed 0 by default; no files make an empty
+    library; a negative count and empty packets are refused, with the texts
+    the public constructor gives them."""
+    assert library_for_scheme(scheme832) == library_by_ints(scheme832, packet_bytes=1, seed=0)
+    empty = library_for_scheme(scheme832, n_files=0, packet_bytes=2)
+    assert empty.array.shape == (0, 8, 6, 2) and empty == PacketLibrary(0, 8, 6, 2, ())
+    with pytest.raises(DimensionMismatch, match=r"^library data is not -1 files of 8x6 packets$"):
+        library_for_scheme(scheme832, n_files=-1)
+    with pytest.raises(DimensionMismatch, match=r"^packet_bytes=0 must be >= 1$"):
+        library_for_scheme(scheme832, packet_bytes=0)
+
+
+def test_drawn_library_peaks_near_its_payload():
+    """One-byte packets cost their bytes, not a Python int each: drawing
+    mn_pda(12, 2) at K = 16 for 64 files (67,584 packets) peaks under 2 B
+    per payload byte plus a small constant."""
+    scheme = build_scheme(mn_pda(12, 2), 16, 3)
+    tracemalloc.start()
+    try:
+        lib = library_for_scheme(scheme, n_files=64, packet_bytes=1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lib.array.size == 64 * 16 * 66
+    assert peak < 2 * lib.array.size + (16 << 10)
 
 
 def test_library_is_seed_deterministic(scheme832):

@@ -149,10 +149,11 @@ class CodedBatch:
 
     @cached_property
     def symbols(self) -> np.ndarray:
-        """The coded rows as field symbols, one read-only uint32 row per payload:
-        kept by a delivered batch, split off the payloads on first use by any
-        other (a dataclasses.replace copy included), once for all its users."""
+        """The coded rows as read-only symbols of the field's GF.dtype, one row
+        per payload: kept by a delivered batch, split off the payloads on first
+        use by any other (a dataclasses.replace copy included), once for all its users."""
         symbols = packets_to_symbols(self.payloads, self.packet_bytes, self.field_width)
+        symbols = symbols.astype(field(self.field_width).dtype)
         symbols.flags.writeable = False
         return symbols
 
@@ -188,7 +189,7 @@ def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
     k - rows columns of cauchy_matrix(rows, k) over GF(2^width), 0 x k at rows = 0,
     built once and read-only. Entry (i, g - rows) is 1/(i + g) for 0-based parity round g."""
     block = cauchy_matrix(rows, k, field(width))[:, :k - rows] if rows else np.zeros((rows, k), np.uint32)
-    block = block.astype(np.min_scalar_type((1 << width) - 1))  # symbols' type: no check in matmul
+    block = block.astype(field(width).dtype)  # the symbols' type, which matmul need not check
     block.flags.writeable = False
     return block
 
@@ -227,7 +228,7 @@ def compressed_deliver(
     d = check_demand(demand, k, library.n_files)
     gf = _pick_field(rows, k, s, b, field_width)
     x = bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)), gf.width).reshape(k, -1)
-    coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
+    coded = np.bitwise_xor(x[:rows], gf.matmul(_coding_block(rows, k, gf.width), x[rows:]), dtype=x.dtype)
     coded = coded.reshape(rows * s, b * 8 // gf.width)
     coded.flags.writeable = False
     batch = object.__new__(CodedBatch)  # kept as its rows: no payloads until a caller reads them
@@ -320,7 +321,7 @@ def compressed_decode(
     z = bytes_to_symbols(round_messages(library, scheme, d, table.known + 1), gf.width)
     ks = table.known[table.known < n]
     z[:len(ks)] ^= coded[ks]
-    messages = gf._dot_logs(table.logs, gf.logs(z)[:, ints])  # each seen symbol's log taken once
+    messages = gf._dot_logs(table.logs, gf.logs(z)[:, ints])  # z's logs taken once, then gathered
     messages[table.sys_at] ^= coded[table.sys_rounds, ints[table.sys_at]]
     return file_from_messages(library, scheme, d, user, symbols_to_bytes(messages, gf.width))
 

@@ -6,8 +6,9 @@ nonzero logs, 0..2n-2, and ends in one zero entry at 2n-1. The log of 0 is
 that index, a sentinel: any sum with it lands at or past the end, and the
 gathers clip to the last entry. So a product is exp[log a + log b] for every
 a and b, zero included, with no reduction and no mask. The antilog table
-holds the narrowest unsigned type that fits the field; vectors and matrices
-are numpy uint32 arrays of field elements, packet symbols the narrowest type.
+holds GF.dtype, the narrowest unsigned type that fits the field, and so do
+the symbols bytes_to_symbols reads; vectors and matrices, and the symbols of
+packet ints, are numpy uint32 arrays of field elements.
 
 Packets split into big-endian 8- or 16-bit symbols, so only GF(2^8) and
 GF(2^16) carry packets; the narrower fields have arithmetic only.
@@ -43,6 +44,7 @@ class GF:
             raise OutOfRange(f"unsupported field width {width}, know {sorted(PRIMITIVE_POLY)}")
         self.width = width
         self.order = 1 << width
+        self.dtype = np.dtype(np.uint8 if width <= 8 else np.uint16)  # the narrowest that fits
         n = self.order - 1
         powers = array("I")
         x = 1
@@ -52,7 +54,7 @@ class GF:
             if x & self.order:
                 x ^= PRIMITIVE_POLY[width]
         self.zero_log = 2 * n - 1
-        exp = np.zeros(2 * n, dtype=np.uint8 if width <= 8 else np.uint16)
+        exp = np.zeros(2 * n, dtype=self.dtype)
         exp[:n] = np.frombuffer(powers, dtype=np.uint32)
         exp[n:self.zero_log] = exp[:n - 1]
         log = np.full(self.order, self.zero_log, dtype=np.int32)
@@ -136,7 +138,7 @@ class GF:
         if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[0]:
             raise DimensionMismatch(f"cannot multiply {a.shape} by {x.shape}")
         m, k = a.shape
-        out = np.zeros((m, x.shape[1]), dtype=self._exp.dtype)
+        out = np.zeros((m, x.shape[1]), dtype=self.dtype)
         lx = self._log.take(x)
         block = max(1, _STEP_ELEMENTS // max(1, x.shape[1]))
         for i in range(0, m, block):
@@ -154,8 +156,10 @@ class GF:
     def dot_logs(self, a_logs, x) -> np.ndarray:
         """Each row of a matrix a times its own vectors of x: out[i] =
         sum_j a[i, j] * x[j, i] for a (m, k) given by its logs and x of shape
-        (k, m, n). One gather per j is XORed into the output, so m rows cost
-        m*k*n products however many rows a full matmul would take.
+        (k, m, n), so m rows cost m*k*n products however many rows a full
+        matmul would take. The checked public form of _dot_logs, the one
+        kernel, which the coded decode calls itself on operands it built in
+        the field, having taken x's logs once per seen row.
         """
         a_logs, x = self._log_operand(a_logs), self._elements(x)
         if a_logs.ndim != 2 or x.ndim != 3 or x.shape[:2] != a_logs.shape[::-1]:
@@ -294,32 +298,29 @@ def symbols_to_packet(symbols, packet_bytes: int, width: int) -> int:
     return symbols_to_packets([symbols], packet_bytes, width)[0]
 
 
-def _symbol_dtype(sw: int) -> np.dtype:
-    return np.dtype(">u2" if sw == 2 else np.uint8)
-
-
 def bytes_to_symbols(packets: np.ndarray, width: int) -> np.ndarray:
     """uint8 packets, bytes on the last axis, as big-endian symbols: a new uint8
-    or uint16 array with width/8 times fewer entries on that axis."""
-    sw = _symbol_bytes(width, packets.shape[-1])
-    return np.ascontiguousarray(packets).view(_symbol_dtype(sw)).astype(f"u{sw}")
+    or uint16 array, GF.dtype, with width/8 times fewer entries on that axis."""
+    _symbol_bytes(width, packets.shape[-1])
+    narrow = field(width).dtype
+    return np.ascontiguousarray(packets).view(narrow.newbyteorder(">")).astype(narrow)
 
 
 def symbols_to_bytes(symbols: np.ndarray, width: int) -> np.ndarray:
     """Inverse of bytes_to_symbols for symbols already in the field."""
-    return symbols.astype(_symbol_dtype(width // 8), order="C").view(np.uint8)
+    return symbols.astype(field(width).dtype.newbyteorder(">"), order="C").view(np.uint8)
 
 
 def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     """Split many packet integers into symbols at once: one uint32 row per packet."""
-    _symbol_bytes(width, packet_bytes)
+    sw = _symbol_bytes(width, packet_bytes)
     packets = converted(list, packets, "packets", OutOfRange)
     try:
         raw = b"".join(p.to_bytes(packet_bytes, "big") for p in packets)
     except (AttributeError, OverflowError) as e:
         raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packets), packet_bytes)
-    return bytes_to_symbols(rows, width).astype(np.uint32)
+    symbols = np.frombuffer(raw, field(width).dtype.newbyteorder(">"))
+    return symbols.reshape(len(packets), packet_bytes // sw).astype(np.uint32)
 
 
 def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> list[int]:

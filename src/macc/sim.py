@@ -8,13 +8,12 @@ deliver XORs those ints, whole columns of cells at a time; file_bytes and
 the coded deliver (round_messages) read whole packets off the array. Plain
 and coded decode share one gather from that array (file_from_messages); a
 plain decode turns only the log entries its user reads to bytes. No
-round-g array is built:
-delivery and decoding read the scheme's round-1 plan (Scheme.plan), read-only
-index arrays whose views are the delivery grid's star mask and which store
-no per-row recipe, and locate round g by offset arithmetic, round-1 column c
-standing for column mod1(c + g - 1, K). Message (g, s), the XOR for integer
-s of round g, is named by its log position (g - 1)*S + s - 1; the coded
-batch's Cauchy columns use that order.
+round-g array is built: delivery and decoding read the scheme's round-1
+plan (Scheme.plan), read-only index arrays whose views are the delivery
+grid's star mask and which store no per-row recipe, and locate round g by
+offset arithmetic, round-1 column c standing for column mod1(c + g - 1,
+K). Message (g, s), the XOR for integer s of round g, is named by its log
+position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
 
 import random
@@ -122,10 +121,9 @@ def library_for_scheme(
     for i in range(0, size, step):  # a draw per packet, files then parts then rows, joined by part
         draws = map(rng.getrandbits, repeat(bits, f))
         raw[i:i + step] = b"".join(map(int.to_bytes, draws, repeat(packet_bytes), repeat("big")))
-    lib = object.__new__(PacketLibrary)  # kept as its array: no ints until a caller reads them
-    vars(lib).update(n_files=n, parts_per_file=k, packets_per_part=f, packet_bytes=packet_bytes,
-                     array=np.frombuffer(raw, np.uint8).reshape(n, k, f, packet_bytes))
-    lib.array.flags.writeable = False
+    array = np.frombuffer(memoryview(raw).toreadonly(), np.uint8).reshape(n, k, f, packet_bytes)
+    lib = object.__new__(PacketLibrary)  # kept as its array, never writable: ints on request
+    vars(lib).update(n_files=n, parts_per_file=k, packets_per_part=f, packet_bytes=packet_bytes, array=array)
     return lib
 
 

@@ -786,6 +786,7 @@ def test_delivered_batch_keeps_its_coded_rows(scheme832, monkeypatch, width):
     assert "payloads" not in vars(batch)
     rows = batch.symbols
     assert not rows.flags.writeable and rows.shape == (batch.m1, 32 // width)
+    assert rows.dtype == gf2.field(width).dtype  # the symbols' own type, not matmul's uint32
     assert batch.payloads == tuple(gf2.symbols_to_packets(rows, 4, width))
     assert batch.payloads is batch.payloads
     assert batch == compressed_deliver_by_ints(lib, scheme832, demand, field_width=width)
@@ -795,7 +796,7 @@ def test_delivered_batch_keeps_its_coded_rows(scheme832, monkeypatch, width):
             got = compressed_decode(lib, scheme832, demand, copy, user)
             assert got == compressed_decode(lib, scheme832, demand, batch, user)
             assert got == compressed_decode_by_elimination(lib, scheme832, demand, copy, user)
-        assert np.array_equal(copy.symbols, rows)
+        assert np.array_equal(copy.symbols, rows) and copy.symbols.dtype == rows.dtype
 
 
 def test_empty_batch_derives_no_payloads():

@@ -11,10 +11,12 @@ from macc import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
 from macc.gf2 import (
     GF,
     PRIMITIVE_POLY,
+    bytes_to_symbols,
     cauchy_matrix,
     field,
     packet_to_symbols,
     packets_to_symbols,
+    symbols_to_bytes,
     symbols_to_packet,
     symbols_to_packets,
 )
@@ -322,6 +324,21 @@ def test_batch_symbol_packing_matches_per_packet(width):
             symbols_to_packet_by_bytes(row, nbytes, width) for row in syms
         ] == packets
     assert packets_to_symbols([], 2, width).shape == (0, 2 // (width // 8))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_bytes_to_symbols_reads_words_of_the_fields_narrow_type(width):
+    """Symbols read from bytes are GF.dtype, the one narrow type of a field,
+    and hold the same big-endian words as the uint32 symbols of packet ints."""
+    gf = field(width)
+    assert gf.dtype == (np.uint8 if width == 8 else np.uint16) == gf._exp.dtype
+    packets = np.random.default_rng(width).integers(0, 256, size=(3, 5, 6), dtype=np.uint8)
+    syms = bytes_to_symbols(packets, width)
+    assert syms.dtype == gf.dtype and syms.shape == (3, 5, 48 // width)
+    ints = [int.from_bytes(row.tobytes(), "big") for row in packets.reshape(15, 6)]
+    assert syms.reshape(15, -1).tolist() == packets_to_symbols(ints, 6, width).tolist()
+    assert symbols_to_bytes(syms, width).tobytes() == packets.tobytes()
+    assert field(4).dtype == np.uint8
 
 
 def test_symbol_packing_rejects_ragged_packets():

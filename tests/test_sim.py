@@ -64,6 +64,8 @@ def test_library_array_is_one_read_only_copy(scheme832):
     assert arr is lib.array
     assert arr.shape == (8, 8, 6, 3) and arr.dtype == np.uint8
     assert not arr.flags.writeable
+    with pytest.raises(ValueError):  # its buffer is read-only, so no caller can write a frozen library
+        arr.flags.writeable = True
     assert memoryview(arr.base.base).nbytes == arr.size  # a view of one buffer, no copy
     assert "data" not in vars(twin)  # drawn as its array, a library reads its ints on request
     assert arr[2, 4, 5].tobytes() == lib.packet(3, 5, 6).to_bytes(3, "big")
@@ -71,6 +73,8 @@ def test_library_array_is_one_read_only_copy(scheme832):
     built = PacketLibrary(8, 8, 6, 3, lib.data)  # from ints, the array comes on request
     assert built == lib and "array" not in vars(built)
     assert np.array_equal(built.array, arr) and memoryview(built.array.base.base).nbytes == arr.size
+    with pytest.raises(ValueError):
+        built.array.flags.writeable = True
     for n in range(1, 9):
         assert lib.file_bytes(n) == b"".join(p.to_bytes(3, "big") for part in lib.data[n - 1] for p in part)
 

@@ -130,22 +130,17 @@ class GF:
     def matmul(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Matrix product over the field; a is (m, k), x is (k, n).
 
-        For each inner index j, the products a[:, j] * x[j, :] are one gather
-        XORed into the output. Rows of a go in blocks of _STEP_ELEMENTS // n,
-        which bounds the temporaries of one step.
+        Rows of a go in blocks of _STEP_ELEMENTS // (k*n), which bounds the
+        temporaries of one step, each block one _dot_logs against all of x.
         """
         a, x = self._elements(a), self._elements(x)
         if a.ndim != 2 or x.ndim != 2 or a.shape[1] != x.shape[0]:
             raise DimensionMismatch(f"cannot multiply {a.shape} by {x.shape}")
-        m, k = a.shape
-        out = np.zeros((m, x.shape[1]), dtype=self.dtype)
-        lx = self._log.take(x)
-        block = max(1, _STEP_ELEMENTS // max(1, x.shape[1]))
-        for i in range(0, m, block):
-            la = self._log[a[i:i + block].T][:, :, None]
-            acc = out[i:i + block]
-            for j in range(k):
-                acc ^= self._antilog(la[j] + lx[j])
+        out = np.empty((a.shape[0], x.shape[1]), dtype=self.dtype)
+        la, lx = self._log.take(a), self._log.take(x)[:, None]
+        block = max(1, _STEP_ELEMENTS // max(1, x.size))
+        for i in range(0, len(a), block):
+            out[i:i + block] = self._dot_logs(la[i:i + block], lx)
         return out.astype(np.uint32)
 
     def logs(self, a) -> np.ndarray:

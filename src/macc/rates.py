@@ -18,6 +18,20 @@ from .errors import DuplicateRatio, EmptyInput, OutOfRange
 from .util import comb0, converted, require_ints, require_type
 
 SCHEME_KEYS = ("hkd", "rk", "sr", "t1")
+MAX_TERMS = 1 << 20  # the most corners, r_sr sum terms or table cells one call computes
+
+
+def _check_terms(n: int, what: str) -> None:
+    if n > MAX_TERMS:
+        raise OutOfRange(f"{n} {what} exceed the {MAX_TERMS} cap")
+
+
+def _check_corners(k: int, l: int, sr: bool) -> None:
+    """The corners t = 0..K // L and, with sr, r_sr's terms over them, about (K - tL)/2 at t."""
+    tmax = k // l
+    _check_terms(tmax + 1, "corners")
+    if sr:
+        _check_terms((tmax + 1) * (2 * k - l * tmax) // 4, "r_sr terms")
 
 
 def _check_kl(k: int, l: int) -> None:
@@ -62,21 +76,15 @@ def r_rk(k: int, l: int, t: int) -> Fraction:
 
 
 def r_sr(k: int, l: int, t: int) -> Fraction:
-    """Low-subpacketization scheme; three branches on K - tL."""
+    """Low-subpacketization scheme. Its three branches on r = K - tL are one
+    sum over h = ceil(r/2) + 1..r plus, for odd r, a head term, which at
+    r = 1 is 1/K alone."""
     _check_klt(k, l, t)
     r = k - t * l
-    if r == 1:
-        return Fraction(1, k)
-    if r % 2 == 0:
-        return sum(
-            (Fraction(2, 1 + ceil(Fraction(t * l, h))) for h in range((r + 2) // 2, r + 1)),
-            Fraction(0),
-        )
-    head = Fraction(1, ceil(Fraction(2 * t * l, r + 1)) + 1)
-    return head + sum(
-        (Fraction(2, 1 + ceil(Fraction(t * l, h))) for h in range((r + 3) // 2, r + 1)),
-        Fraction(0),
-    )
+    first = (r + 3) // 2
+    _check_terms(r + 1 - first, "r_sr terms")
+    head = Fraction(1, ceil(Fraction(2 * t * l, r + 1)) + 1) if r % 2 else Fraction(0)
+    return head + sum((Fraction(2, 1 + ceil(Fraction(t * l, h))) for h in range(first, r + 1)), Fraction(0))
 
 
 def r_t1(k: int, l: int, t: int) -> Fraction:
@@ -238,32 +246,15 @@ def scheme_points(k: int, l: int, scheme: str) -> tuple[LoadPoint, ...]:
     last integer corner.
     """
     _check_kl(k, l)
-    tmax = k // l
-    pts: list[LoadPoint] = []
-    if scheme == "hkd":
-        if k % l == 0:
-            pts = [LoadPoint(Fraction(t, k), r_hkd(k, l, t)) for t in range(tmax + 1)]
-        else:
-            pts = [
-                LoadPoint(Fraction(t, k), r_hkd(k, l, t))
-                for t in range(k // (2 * l) + 1)
-            ]
-        pts.append(LoadPoint(Fraction(1, l), Fraction(0)))
-    elif scheme == "rk":
-        pts = [LoadPoint(Fraction(t, k), r_rk(k, l, t)) for t in range(tmax + 1)]
-    elif scheme == "sr":
-        pts = [LoadPoint(Fraction(t, k), r_sr(k, l, t)) for t in range(tmax + 1)]
-        pts.append(LoadPoint(Fraction(1, l), Fraction(0)))
-    elif scheme == "t1":
-        pts = [LoadPoint(Fraction(t, k), r_t1(k, l, t)) for t in range(tmax + 1)]
-        pts.append(LoadPoint(Fraction(1, l), Fraction(0)))
-    else:
+    if scheme not in SCHEME_KEYS:
         raise OutOfRange(f"unknown scheme {scheme!r}, know {SCHEME_KEYS}")
-    dedup: dict[Fraction, Fraction] = {}
-    for p in pts:
-        if p.ratio not in dedup or p.load < dedup[p.ratio]:
-            dedup[p.ratio] = p.load
-    return tuple(LoadPoint(r, dedup[r]) for r in sorted(dedup))
+    _check_corners(k, l, scheme == "sr")
+    load = dict(zip(SCHEME_KEYS, (r_hkd, r_rk, r_sr, r_t1)))[scheme]
+    tmax = k // (2 * l) if scheme == "hkd" and k % l else k // l  # hkd's branch without L | K
+    pts = [LoadPoint(Fraction(t, k), load(k, l, t)) for t in range(tmax + 1)]
+    if scheme != "rk" and pts[-1].ratio != Fraction(1, l):  # else t = K/L already loads 0 there
+        pts.append(LoadPoint(Fraction(1, l), Fraction(0)))
+    return tuple(pts)
 
 
 def scheme_curve(k: int, l: int, scheme: str) -> LoadCurve:
@@ -307,10 +298,12 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
     step = converted(Fraction, step, "step", OutOfRange)
     if step <= 0:
         raise OutOfRange(f"step={step} must be positive")
-    curves = {name: scheme_curve(k, l, name) for name in schemes if name != "conv"}
-    top = Fraction(1, l)
     num, den = step.numerator, step.denominator
     n = (den - 1) // (num * l) + 1  # grid rows x = i * step below top, then top itself
+    _check_terms((n + 1) * (len(schemes) + 1), "table cells")
+    _check_corners(max(k, 0), l, "sr" in schemes)
+    curves = {name: scheme_curve(k, l, name) for name in schemes if name != "conv"}
+    top = Fraction(1, l)
     xs = [Fraction(i * num, den) for i in range(n)] + [top]
     columns = {
         name: _column(curve, num, den, n) + [envelope_eval(curve, top)]
@@ -343,6 +336,7 @@ def gap_checks(k: int, l: int) -> dict:
     hypothesis that licenses it (tests assert on the proven regions only).
     """
     _check_kl(k, l)
+    _check_corners(k, l, True)
     tmax = k // l
     report: dict = {"k": k, "l": l}
 

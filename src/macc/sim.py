@@ -3,24 +3,22 @@
 A file consists of K parts of F' packets each; part g is covered by the
 round-g arrays. A library holds its packets as one read-only uint8 array of
 shape (N, K, F', B), which library_for_scheme draws into; their ints, the
-form of every public payload format, are derived on request. The plain
-deliver XORs those ints, whole columns of cells at a time; file_bytes and
-the coded deliver (round_messages) read whole packets off the array. Plain
-and coded decode share one gather from that array (file_from_messages); a
-plain decode turns only the log entries its user reads to bytes. No
-round-g array is built: delivery and decoding read the scheme's round-1
-plan (Scheme.plan), read-only index arrays whose views are the delivery
-grid's star mask and which store no per-row recipe, and locate round g by
-offset arithmetic, round-1 column c standing for column mod1(c + g - 1,
-K). Message (g, s), the XOR for integer s of round g, is named by its log
-position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
+form of every public payload format, are derived on request. Both delivers
+take their messages from one gather of that array (round_messages), and
+both decodes their files from another (file_from_messages); a plain log
+keeps its messages' bytes for decode. No round-g array is built: delivery
+and decoding read the scheme's round-1 plan (Scheme.plan), read-only index
+arrays whose views are the delivery grid's star mask and which store no
+per-row recipe, and locate round g by offset arithmetic, round-1 column c
+standing for column mod1(c + g - 1, K). Message (g, s), the XOR for integer
+s of round g, is named by its log position (g - 1)*S + s - 1; the coded
+batch's Cauchy columns use that order.
 """
 
 import random
-from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
-from operator import itemgetter, xor
 
 import numpy as np
 
@@ -34,13 +32,14 @@ MAX_LIBRARY_BYTES = 1 << 26  # the most payload bytes, N*K*F'*B, library_for_sch
 @dataclass(frozen=True)
 class PacketLibrary:
     """All packets of all files: data[n-1][g-1][j-1] is an int of packet_bytes
-    bytes. A drawn library keeps only `array` and derives data on request."""
+    bytes. A drawn library keeps only `array` and derives data on request;
+    ==, hash and repr read the array's shape and bytes, never data."""
 
     n_files: int
     parts_per_file: int
     packets_per_part: int
     packet_bytes: int
-    data: tuple[tuple[tuple[int, ...], ...], ...]
+    data: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
     def __post_init__(self):
         require_ints(n_files=self.n_files, parts_per_file=self.parts_per_file,
@@ -57,13 +56,9 @@ class PacketLibrary:
                 f"{self.packets_per_part} packets"
             )
         limit = 1 << 8 * self.packet_bytes
-        for parts in self.data:
-            for part in parts:
-                for p in part:
-                    if not (is_int(p) and 0 <= p < limit):
-                        raise OutOfRange(
-                            f"packet {p!r} lies outside the {self.packet_bytes}-byte integers"
-                        )
+        for p in (p for parts in self.data for part in parts for p in part):
+            if not (is_int(p) and 0 <= p < limit):
+                raise OutOfRange(f"packet {p!r} lies outside the {self.packet_bytes}-byte integers")
 
     def __getattr__(self, name):
         """data of a library kept as its array, read off it once."""
@@ -74,6 +69,21 @@ class PacketLibrary:
         object.__setattr__(self, "data", tuple(zip(*[parts] * self.parts_per_file)))
         return self.data
 
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        """The dims and the packets' bytes: the kept array's, else joined from data afresh."""
+        dims = (self.n_files, self.parts_per_file, self.packets_per_part, self.packet_bytes)
+        return dims, self.array.tobytes() if "array" in vars(self) else self._joined()
+
+    def _joined(self) -> bytes:
+        b = self.packet_bytes
+        return b"".join(p.to_bytes(b, "big") for parts in self.data for part in parts for p in part)
+
     def _check_indices(self, **indices) -> None:
         """Raise OutOfRange unless each index, file then part then packet, is an int in [1, top]."""
         tops = (self.n_files, self.parts_per_file, self.packets_per_part)
@@ -83,17 +93,15 @@ class PacketLibrary:
 
     def packet(self, n: int, g: int, j: int) -> int:
         self._check_indices(n=n, g=g, j=j)
-        return self.data[n - 1][g - 1][j - 1]
+        return int.from_bytes(self.array[n - 1, g - 1, j - 1].tobytes(), "big")
 
     @cached_property
     def array(self) -> np.ndarray:
         """The packets as one read-only uint8 array of shape (N, K, F', B):
         array[n-1, g-1, j-1] is packet (n, g, j) in big-endian bytes. Unless
         drawn here, built on first use over one joined bytes object, the only copy."""
-        b = self.packet_bytes
-        raw = b"".join(p.to_bytes(b, "big") for parts in self.data for part in parts for p in part)
-        shape = (self.n_files, self.parts_per_file, self.packets_per_part, b)
-        return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+        shape = (self.n_files, self.parts_per_file, self.packets_per_part, self.packet_bytes)
+        return np.frombuffer(self._joined(), dtype=np.uint8).reshape(shape)
 
     def file_bytes(self, n: int) -> bytes:
         """Whole file n, parts then packets in ascending order."""
@@ -142,7 +150,8 @@ def _check_dims(library: PacketLibrary, scheme: Scheme) -> None:
 
 @dataclass(frozen=True)
 class TransmissionLog:
-    """Server output: the K*S message payloads, message (g, s) at (g - 1)*S + s - 1."""
+    """Server output: the K*S message payloads, message (g, s) at (g - 1)*S + s - 1.
+    A delivered log also keeps their bytes, read-only (K*S, B) uint8, in no field."""
 
     payloads: tuple[int, ...]
     packet_bytes: int
@@ -179,31 +188,17 @@ def check_user(user: int, k: int) -> None:
 
 
 def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
-    """XOR the demanded packets cell-group by cell-group, all K rounds.
-
-    Round g lists the demanded packets of part g column by column, plus a
-    trailing 0 that padding cells read. Row n of plan.cell_* holds the n-th
-    cell of each of the S integers: one gather per row takes those S packets
-    from the list, and the gathered columns fold together with XOR.
-    """
+    """All K rounds' messages as round_messages gathers them, each the XOR
+    of the demanded packets in the cells of one integer; the log reads its
+    payload ints off those bytes and keeps the bytes for decode."""
     _check_dims(library, scheme)
-    k, f, n_s = scheme.params.k, scheme.pda.rows, scheme.pda.s
+    k, b = scheme.params.k, library.packet_bytes
     d = check_demand(demand, k, library.n_files)
-    payloads: list[int] = []
-    if n_s:
-        plan = scheme.plan
-        index = np.where(plan.cell_pad, k * f, plan.cell_cols * f + plan.cell_rows).tolist()
-        # itemgetter of one index returns the item itself, not a 1-tuple
-        gathers = [itemgetter(*row) if n_s > 1 else (lambda seq, i=row[0]: (seq[i],))
-                   for row in index]
-        data = library.data
-        for g in range(k):
-            packets = []
-            for c in range(k):
-                packets += data[d[(c + g) % k] - 1][g]
-            packets.append(0)
-            payloads.extend(reduce(partial(map, xor), [gather(packets) for gather in gathers]))
-    return TransmissionLog(payloads=tuple(payloads), packet_bytes=library.packet_bytes)
+    messages = round_messages(library, scheme, d, range(1, k + 1)).reshape(-1, b)
+    messages.flags.writeable = False
+    log = TransmissionLog(payloads=tuple(packet_ints(messages.tobytes(), b)), packet_bytes=b)
+    object.__setattr__(log, "_messages", messages)  # no field: replace copies and built logs lack it
+    return log
 
 
 def _words(packets: np.ndarray) -> np.ndarray:
@@ -239,16 +234,9 @@ def decode_from_messages(
     when it is None, else OutOfRange unless it is an int of packet_bytes
     bytes. The good entries reach file_from_messages as one bytes array.
     """
-    _check_dims(library, scheme)
-    k, n_s = scheme.params.k, scheme.pda.s
-    d = check_demand(demand, k, library.n_files)
-    check_user(user, k)
-    payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
-    if len(payloads) != k * n_s:
-        raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
+    d, payloads, rounds = _reads(library, scheme, demand, user, payloads)
     plan, b = scheme.plan, library.packet_bytes
-    rounds = (user - 1 - plan.miss_cols) % k
-    values = [payloads[i] for i in (rounds * n_s + plan.miss_ints).tolist()]
+    values = [payloads[i] for i in (rounds * scheme.pda.s + plan.miss_ints).tolist()]
     limit = 1 << 8 * b
     ints = set(map(type, values)) <= {int}
     if not (ints and 0 <= min(values, default=0) <= max(values, default=0) < limit):
@@ -262,6 +250,21 @@ def decode_from_messages(
                 raise OutOfRange(f"message payload {val!r} lies outside the {b}-byte integers")
     raw = b"".join(map(int.to_bytes, values, repeat(b), repeat("big")))
     return file_from_messages(library, scheme, d, user, np.frombuffer(raw, np.uint8).reshape(-1, b))
+
+
+def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, kept=False):
+    """A plain decode's checks, in order: dims, demand, user, then K*S payloads,
+    a log's kept rows or else read as a tuple. Returns the checked demand, the
+    payloads and the 0-based round of each missing row of plan.miss_*."""
+    _check_dims(library, scheme)
+    k, n_s = scheme.params.k, scheme.pda.s
+    d = check_demand(demand, k, library.n_files)
+    check_user(user, k)
+    if not kept:
+        payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
+    if len(payloads) != k * n_s:
+        raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
+    return d, payloads, (user - 1 - scheme.plan.miss_cols) % k
 
 
 def file_from_messages(
@@ -289,11 +292,16 @@ def file_from_messages(
 def decode(
     library: PacketLibrary, scheme: Scheme, demand, log: TransmissionLog, user: int
 ) -> bytes:
-    """Decode straight from a transmission log of the library's packet size."""
+    """Decode straight from a transmission log of the library's packet size;
+    a delivered log gives the rows its user reads from its kept bytes, after
+    decode_from_messages's checks, any other log its payloads to that decode."""
     require_type(log, TransmissionLog, "log")
     _check_dims(library, scheme)
     if log.packet_bytes != library.packet_bytes:
         raise DimensionMismatch(
             f"log packets are {log.packet_bytes} bytes, library packets {library.packet_bytes}"
         )
-    return decode_from_messages(library, scheme, demand, log.payloads, user)
+    if "_messages" not in vars(log):
+        return decode_from_messages(library, scheme, demand, log.payloads, user)
+    d, messages, rounds = _reads(library, scheme, demand, user, log._messages, kept=True)
+    return file_from_messages(library, scheme, d, user, messages[rounds * scheme.pda.s + scheme.plan.miss_ints])

@@ -40,7 +40,8 @@ def converted(kind: type, value, name: str, error):
 
 def packet_ints(raw: bytes, size: int) -> list[int]:
     """raw cut into size-byte big-endian ints, in order: the int form of packets."""
-    return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+    from_bytes = int.from_bytes  # bound once, not on every packet
+    return [from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
 
 
 def mod1(x: int, a: int) -> int:

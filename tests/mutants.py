@@ -92,6 +92,12 @@ EQUIVALENT = {
         "short of exhaustive, _clashes returns at most one pair",
     "rates.converse_step: t > k // l -> t >= k // l":
         "converse_bound(k, l, k // l) is 0 for every K < 60, so both branches return 0",
+    "rates.comparison_table: max(k, 0) -> max(k, 1)":
+        "below K = 1 every clamp from -1 to 1 counts at most two corners and no r_sr term past"
+        " the cap, so the curves still raise their own error",
+    "rates.comparison_table: max(k, 0) -> max(k, -1)":
+        "below K = 1 every clamp from -1 to 1 counts at most two corners and no r_sr term past"
+        " the cap, so the curves still raise their own error",
     "rates.gap_checks: ratio > rhs -> ratio >= rhs":
         "the hkd ratio exceeds rhs strictly at every probe inside the gap region, as the report"
         " shows (no probe equals it for K <= 150, L <= 15), so equality never decides",
@@ -105,19 +111,19 @@ EQUIVALENT = {
     "gf2.GF._log_sums: max(1, len(b)) -> max(2, len(b))":
         "only the block of rows per step moves, and it stays at least 1; every block gives the"
         " same result",
-    "gf2.GF.matmul: max(1, _STEP_ELEMENTS // max(1, x.shape[1])) -> max(2, _STEP_ELEMENTS //"
-    " max(1, x.shape[1]))":
+    "gf2.GF.matmul: max(1, _STEP_ELEMENTS // max(1, x.size)) -> max(2, _STEP_ELEMENTS //"
+    " max(1, x.size))":
         "only the block of rows per step moves, and it stays at least 1; every block gives the"
         " same result",
-    "gf2.GF.matmul: _STEP_ELEMENTS // max(1, x.shape[1]) -> _STEP_ELEMENTS * max(1, x.shape[1])":
+    "gf2.GF.matmul: _STEP_ELEMENTS // max(1, x.size) -> _STEP_ELEMENTS * max(1, x.size)":
         "only the block of rows per step moves, and it stays at least 1; every block gives the"
         " same result",
-    "gf2.GF.matmul: max(1, x.shape[1]) -> max(2, x.shape[1])":
+    "gf2.GF.matmul: max(1, x.size) -> max(2, x.size)":
         "only the block of rows per step moves, and it stays at least 1; every block gives the"
         " same result",
-    "gf2.GF.matmul: x.shape[1] -> x.shape[0] #2":
-        "only the block of rows per step moves, and it stays at least 1; every block gives the"
-        " same result",
+    "sim.deliver: round_messages(library, scheme, d, range(1, k + 1)).reshape(-1, b)"
+    " -> round_messages(library, scheme, d, range(1, k + 1)).reshape(-2, b)":
+        "numpy reads any negative size in reshape as 'the rest'",
     "sim.decode_from_messages: set(map(type, values)) <= {int} -> set(map(type, values)) < {int}":
         "the fast check only decides whether the exact per-entry loop runs, and that loop"
         " accepts every payload the unmutated check passes",

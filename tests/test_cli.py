@@ -1,6 +1,7 @@
 """Command line behaviour: artifacts, reports, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,19 @@ def test_simulate_exit_two_on_a_library_past_the_cap(tmp_path, capsys):
     assert rc == 2
     assert "a library of 153600000000 bytes exceeds the" in err and "usage:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["gaps", "--K", "1000000000", "--L", "3"],
+                                  ["compare", "--K", "100000", "--L", "3", "--step", "1/1000000"],
+                                  ["compare", "--K", "100000", "--L", "3"]])
+def test_huge_rates_exit_two_at_once(tmp_path, capsys, argv):
+    if argv[0] == "compare":
+        argv = [*argv, "--csv", str(tmp_path / "table.csv")]
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out) == (2, "") and "exceed the 1048576 cap" in err
+    assert f"usage: run 'macc {argv[0]} --help'" in err and "Traceback" not in err
 
 
 def test_transform_and_simulate(tmp_path, capsys):

@@ -9,6 +9,7 @@ UndecodablePacket or OutOfRange it raises, must match the loops exactly, and
 its arrays must equal the walk's.
 """
 
+import copy
 import dataclasses
 import tracemalloc
 from itertools import product
@@ -256,6 +257,66 @@ def test_plain_decode_is_one_gather(monkeypatch):
             calls.clear()
             assert decode(library, scheme, demand, log, u) == library.file_bytes(demand[u - 1])
             assert calls == [(len(scheme.plan.miss_cols), 3)]
+
+
+# (array, K, L) of a ragged plan, one integer (S = 1) and none (S = 0)
+KEPT_CASES = ((ragged_pda(), 8, 3), (mn_pda(2, 1), 2, 1), (mn_pda(3, 3), 3, 1))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a delivered log decodes from its kept bytes alone")
+
+
+@pytest.mark.parametrize("p, k, l", KEPT_CASES)
+def test_delivered_log_decodes_from_its_kept_bytes(monkeypatch, p, k, l):
+    """deliver keeps its messages' bytes, read-only and in no field, and
+    every user's decode of that log reads them: no int payload is read,
+    converted or derived, and the library never derives its ints. A
+    dataclasses.replace copy or a hand-built log, which keep no bytes,
+    decode through decode_from_messages to the same files."""
+    scheme = build_scheme(p, k, l)
+    library = library_for_scheme(scheme, packet_bytes=3, seed=k)
+    demand = tuple(range(k, 0, -1))
+    log = deliver(library, scheme, demand)
+    kept = vars(log)["_messages"]
+    assert kept.shape == (k * p.s, 3) and not kept.flags.writeable
+    assert kept.tobytes() == b"".join(v.to_bytes(3, "big") for v in log.payloads)
+    blind = copy.copy(log)  # the kept bytes without a readable payload
+    object.__setattr__(blind, "payloads", (None,) * len(log.payloads))
+    copies = (dataclasses.replace(log), TransmissionLog(log.payloads, 3))
+    assert all(c == log and "_messages" not in vars(c) for c in copies)
+    files = [library.file_bytes(n) for n in demand]
+    with monkeypatch.context() as m:
+        m.setattr(sim, "decode_from_messages", refuse)
+        m.setattr(sim, "packet_ints", refuse)
+        for u in range(1, k + 1):
+            assert decode(library, scheme, demand, log, u) == files[u - 1]
+            assert decode(library, scheme, demand, blind, u) == files[u - 1]
+    assert "data" not in vars(library)
+    for u in range(1, k + 1):
+        assert all(decode(library, scheme, demand, c, u) == files[u - 1] for c in copies)
+    assert log == deliver_by_cells(library, scheme, demand)
+
+
+def test_kept_and_int_decodes_raise_alike(scheme832):
+    """A delivered log and its replace copy fail with the same error type and
+    text, checked in decode_from_messages's order: dims, demand, user, then
+    the K*S count (the ragged scheme has the same K and F' but S = 5)."""
+    library = library_for_scheme(scheme832, packet_bytes=2, seed=3)
+    demand = tuple(range(1, 9))
+    log = deliver(library, scheme832, demand)
+    ragged = build_scheme(ragged_pda(), 8, 3)
+    foreign = library_for_scheme(build_scheme(mn_pda(5, 2), 9, 3), packet_bytes=2, seed=0)
+    cases = [(library, ragged, demand, u) for u in (1, 8, 0, 9, 1.0, None)]
+    cases += [(library, scheme832, demand, u) for u in (0, 9, 1.0, "1")]
+    cases += [(library, ragged, demand[:7], 1), (library, scheme832, (9,) * 8, 0), (foreign, ragged, demand, 0)]
+    for lib, scheme, d, u in cases:
+        want = outcome(decode, lib, scheme, d, dataclasses.replace(log), u)
+        assert want.split(":")[0] in ("DimensionMismatch", "DemandOutOfRange"), want
+        assert outcome(decode, lib, scheme, d, log, u) == want, (scheme is ragged, d, u)
+    assert outcome(decode, library, ragged, demand, log, 1) == (
+        "DimensionMismatch: 32 message payloads, K*S=40 expected"
+    )
 
 
 def outcome_of_build(build):

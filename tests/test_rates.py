@@ -1,5 +1,7 @@
 """Load formulas, the converse bound, counting oracle and envelopes."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +28,7 @@ from macc import (
     r_t3,
     scheme_curve,
 )
+from macc import rates
 from macc.rates import SCHEME_KEYS, converse_step, scheme_points
 from oracles import count_sq_oracle
 
@@ -80,6 +83,9 @@ def test_sr_branch_dispatch():
     assert r_sr(8, 3, 2) == F(1, 2)
     # K - tL odd and > 1
     assert r_sr(9, 3, 2) == F(1, 4) + F(2, 3)
+    assert r_sr(13, 2, 5) == F(1, 6) + F(2, 5)  # r = 3: head 1/(ceil(20/4) + 1), then h = 3
+    # the last corner, K = tL, loads nothing
+    assert r_sr(9, 3, 3) == r_sr(12, 2, 6) == 0
     with pytest.raises(OutOfRange):
         r_sr(9, 3, 4)
 
@@ -198,6 +204,27 @@ def test_scheme_points_corners():
         scheme_points(8, 3, "nope")
 
 
+def scheme_points_by_branches(k, l, scheme):
+    """The corners as the per-scheme listing they came from: hkd without
+    L | K stops at K // (2L), hkd, sr and t1 end at (1/L, 0), and a
+    repeated ratio keeps its least load."""
+    load = {"hkd": r_hkd, "rk": r_rk, "sr": r_sr, "t1": r_t1}[scheme]
+    top = k // (2 * l) if scheme == "hkd" and k % l else k // l
+    pts = [(F(t, k), load(k, l, t)) for t in range(top + 1)]
+    pts += [] if scheme == "rk" else [(F(1, l), F(0))]
+    least = {}
+    for x, y in pts:
+        least[x] = min(y, least.get(x, y))
+    return tuple(LoadPoint(x, least[x]) for x in sorted(least))
+
+
+def test_scheme_points_match_the_branch_listing():
+    for k in range(1, 25):
+        for l in range(1, 7):
+            for name in SCHEME_KEYS:
+                assert scheme_points(k, l, name) == scheme_points_by_branches(k, l, name), (k, l, name)
+
+
 def test_comparison_table_grid():
     header, rows = comparison_table(8, 3, ["hkd", "rk", "sr", "t1", "conv"], F(1, 12))
     assert header == ["m_over_n", "hkd", "rk", "sr", "t1", "conv"]
@@ -284,3 +311,46 @@ def test_unknown_scheme_names_raise_before_the_cache():
 def test_non_integer_parameters_raise_out_of_range(call):
     with pytest.raises(OutOfRange, match="not an integer"):
         call()
+
+
+ALL_CURVES = ["hkd", "rk", "sr", "t1", "conv"]
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: gap_checks(10**9, 3), r"^333333334 corners exceed the 1048576 cap$"),
+    (lambda: comparison_table(100000, 3, ALL_CURVES, "1/1000000"), r"^2000010 table cells exceed"),
+    (lambda: comparison_table(100000, 3, ALL_CURVES, "1/60"), r"^833358333 r_sr terms exceed"),
+    (lambda: comparison_table(10**7, 1, ["t1"], "1/2"), r"^10000001 corners exceed"),
+    (lambda: scheme_curve(10**5, 3, "sr"), r"^833358333 r_sr terms exceed"),
+    (lambda: scheme_points(2**70, 2**40, "rk"), r"^1073741825 corners exceed"),
+    (lambda: r_sr(10**9, 1, 0), r"^500000000 r_sr terms exceed"),
+    (lambda: comparison_table(-10**9, 3, ["sr"], "1/6"), r"^k=-1000000000, l=3 must be >= 1$"),
+])
+def test_huge_rates_work_is_refused_before_any_corner(call, text):
+    """Corners, r_sr's sum terms over them and table cells are counted in
+    exact ints and refused past MAX_TERMS before any load is computed."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(OutOfRange, match=text):
+            call()
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.05 and peak < 2**20
+
+
+def test_rates_cap_admits_its_own_size(monkeypatch):
+    """The cap is inclusive: gap_checks(12, 3) takes 5 corners and at most 15
+    r_sr terms, a 4-row table of five curves at L = 3 has 5 x 6 cells, and
+    r_sr(9, 1, 0) sums 4 terms."""
+    for call, n, what in ((lambda: gap_checks(12, 3), 15, "r_sr terms"),
+                          (lambda: comparison_table(8, 3, ALL_CURVES, F(1, 12)), 30, "table cells"),
+                          (lambda: scheme_points(8, 1, "t1"), 9, "corners"),
+                          (lambda: r_sr(9, 1, 0), 4, "r_sr terms")):
+        monkeypatch.setattr(rates, "MAX_TERMS", n)
+        call()
+        monkeypatch.setattr(rates, "MAX_TERMS", n - 1)
+        with pytest.raises(OutOfRange, match=rf"^{n} {what} exceed the {n - 1} cap$"):
+            call()

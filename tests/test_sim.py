@@ -79,6 +79,25 @@ def test_library_array_is_one_read_only_copy(scheme832):
         assert lib.file_bytes(n) == b"".join(p.to_bytes(3, "big") for part in lib.data[n - 1] for p in part)
 
 
+def test_libraries_compare_and_hash_without_their_ints():
+    """==, hash, repr and packet read a drawn library's array and never derive
+    its ints; a library built from ints compares and hashes by the same bytes
+    without building its array."""
+    scheme = build_scheme(mn_pda(12, 2), 16, 3)  # the plain benchmark instance
+    a, b = (library_for_scheme(scheme, packet_bytes=64, seed=5) for _ in range(2))
+    other = library_for_scheme(scheme, packet_bytes=64, seed=6)
+    assert a == b and hash(a) == hash(b) and a != other
+    assert repr(a) == "PacketLibrary(n_files=16, parts_per_file=16, packets_per_part=66, packet_bytes=64)"
+    assert a.packet(16, 16, 66) == int.from_bytes(a.array[-1, -1, -1].tobytes(), "big")
+    assert all("data" not in vars(lib) for lib in (a, b, other))
+    built = PacketLibrary(16, 16, 66, 64, a.data)
+    assert built == b and b == built and hash(built) == hash(b) and built != other
+    assert "array" not in vars(built) and "data" not in vars(b)
+    assert a != PacketLibrary(16, 16, 66, 64, other.data) and a != scheme
+    assert PacketLibrary(0, 16, 66, 64, ()) == library_for_scheme(scheme, n_files=0, packet_bytes=64)
+    assert PacketLibrary(0, 16, 66, 64, ()) != PacketLibrary(0, 16, 66, 32, ())
+
+
 @pytest.mark.parametrize("packet_bytes", [1, 2, 3, 4, 5, 64, 256])
 def test_drawn_library_matches_the_int_oracle(scheme832, packet_bytes):
     """The array drawn part by part holds the bytes of one getrandbits int

@@ -57,7 +57,7 @@ from .sim import (
     round_messages,
 )
 from .transform import Scheme, check_degree
-from .util import mod1, packet_ints, require_ints, require_type
+from .util import packet_ints, require_ints, require_type
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,8 @@ def lambda_profile(p: Pda, l: int) -> LambdaProfile:
 def full_view_rounds(scheme: Scheme, user: int) -> tuple[int, ...]:
     """Rounds in which the user's view holds every row of the part."""
     require_type(scheme, Scheme, "scheme")
-    k = scheme.params.k
-    check_user(user, k)
-    full = np.flatnonzero(scheme.plan.views.all(axis=0))
-    return tuple(sorted(mod1(user - c, k) for c in full.tolist()))
+    check_user(user, scheme.params.k)
+    return tuple(sorted((scheme.plan.rounds(user, scheme.plan.full_cols) + 1).tolist()))
 
 
 def reconstructable_messages(scheme: Scheme, user: int) -> frozenset[int]:
@@ -105,12 +103,11 @@ def coverable_messages(scheme: Scheme, user: int) -> frozenset[int]:
     full-view rounds.
     """
     require_type(scheme, Scheme, "scheme")
-    k = scheme.params.k
-    check_user(user, k)
+    check_user(user, scheme.params.k)
     plan = scheme.plan
     # covered[s - 1, c]: every cell of integer s lies in round-1 column c's view
     covered = (plan.views[plan.cell_rows] | plan.cell_pad[..., None]).all(axis=0)
-    g, s = np.nonzero(covered[:, (user - 1 - np.arange(k)) % k].T)
+    g, s = np.nonzero(covered[:, plan.rounds(user, np.arange(scheme.params.k))].T)
     return frozenset((g * scheme.pda.s + s).tolist())
 
 
@@ -153,7 +150,6 @@ class CodedBatch:
         per payload: kept by a delivered batch, split off the payloads on first
         use by any other (a dataclasses.replace copy included), once for all its users."""
         symbols = packets_to_symbols(self.payloads, self.packet_bytes, self.field_width)
-        symbols = symbols.astype(field(self.field_width).dtype)
         symbols.flags.writeable = False
         return symbols
 
@@ -161,7 +157,8 @@ class CodedBatch:
 def _coded_rounds(scheme: Scheme) -> int:
     """K - c, the coded rows per integer, c the rounds each user sees whole
     (the same for every user, by cyclic symmetry); NotApplicable when c = 0."""
-    c = len(full_view_rounds(scheme, 1))
+    require_type(scheme, Scheme, "scheme")
+    c = len(scheme.plan.full_cols)
     if not c:
         raise NotApplicable("no user sees a whole round: each delivery grid column holds an integer")
     return scheme.params.k - c
@@ -188,8 +185,8 @@ def _coding_block(rows: int, k: int, width: int) -> np.ndarray:
     """P, the parity part of the systematic block [I_rows | P]: the first
     k - rows columns of cauchy_matrix(rows, k) over GF(2^width), 0 x k at rows = 0,
     built once and read-only. Entry (i, g - rows) is 1/(i + g) for 0-based parity round g."""
-    block = cauchy_matrix(rows, k, field(width))[:, :k - rows] if rows else np.zeros((rows, k), np.uint32)
-    block = block.astype(field(width).dtype)  # the symbols' type, which matmul need not check
+    gf = field(width)
+    block = cauchy_matrix(rows, k, gf)[:, :k - rows] if rows else np.zeros((rows, k), gf.dtype)
     block.flags.writeable = False
     return block
 
@@ -199,15 +196,15 @@ def _coding_matrix(m1: int, m2: int, blocks: int, width: int) -> np.ndarray:
     """kron([I | P], I_blocks) for the (m1/blocks) x (m2/blocks) block, read-only;
     0 x 0 for the empty batch of an array with no integer (S = 0)."""
     if m1 == m2 == blocks == 0:
-        g_mat = np.zeros((0, 0), dtype=np.uint32)
+        g_mat = np.zeros((0, 0), field(width).dtype)
     else:
         if blocks < 1 or m1 % blocks or m2 % blocks:
             raise DimensionMismatch(f"m1={m1} and m2={m2} are not multiples of {blocks} >= 1 blocks")
         rows, k = m1 // blocks, m2 // blocks
         if not 1 <= rows <= k:
             raise DimensionMismatch(f"a {rows} x {k} block needs 1 <= {rows} <= {k} rows")
-        block = np.hstack([np.eye(rows, dtype=np.uint32), _coding_block(rows, k, width)])
-        g_mat = np.kron(block, np.eye(blocks, dtype=np.uint32))
+        block = _coding_block(rows, k, width)
+        g_mat = np.kron(np.hstack([np.eye(rows, dtype=block.dtype), block]), np.eye(blocks, dtype=block.dtype))
     g_mat.flags.writeable = False
     return g_mat
 
@@ -228,7 +225,7 @@ def compressed_deliver(
     d = check_demand(demand, k, library.n_files)
     gf = _pick_field(rows, k, s, b, field_width)
     x = bytes_to_symbols(round_messages(library, scheme, d, range(1, k + 1)), gf.width).reshape(k, -1)
-    coded = np.bitwise_xor(x[:rows], gf.matmul(_coding_block(rows, k, gf.width), x[rows:]), dtype=x.dtype)
+    coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
     coded = coded.reshape(rows * s, b * 8 // gf.width)
     coded.flags.writeable = False
     batch = object.__new__(CodedBatch)  # kept as its rows: no payloads until a caller reads them
@@ -265,19 +262,19 @@ class _DecodeTable(NamedTuple):
 
 def _decode_table(scheme: Scheme, user: int, gf: GF) -> _DecodeTable:
     k, plan = scheme.params.k, scheme.plan
-    known = np.array(full_view_rounds(scheme, user), dtype=np.intp) - 1
+    known = np.sort(plan.rounds(user, plan.full_cols))
     c = len(known)
     n = k - c  # systematic rounds, one per coded row of an integer
     ks, kp = known[known < n], known[known >= n] - n
     p_mat = _coding_block(n, k, gf.width)
-    b = np.zeros((c, c), dtype=np.uint32)
+    b = np.zeros((c, c), gf.dtype)
     b[kp, len(ks) + np.arange(len(kp))] = 1  # a seen parity round is its own row of z
     if len(ks):  # as many unseen parity rounds as seen systematic ones
         up = np.delete(np.arange(c), kp)
         inverse = gf.cauchy_inverse(n, up, rows=ks)
         b[up] = np.hstack([inverse, gf.matmul(inverse, p_mat[np.ix_(ks, kp)])])
-    coefficients = gf.matmul(np.vstack([p_mat, np.eye(c, dtype=np.uint32)]), b)
-    rounds = (user - 1 - plan.miss_cols) % k  # of each missing row, as in file_from_messages
+    coefficients = gf.matmul(np.vstack([p_mat, np.eye(c, dtype=gf.dtype)]), b)
+    rounds = plan.rounds(user, plan.miss_cols)
     sys_at = np.flatnonzero(rounds < n)
     return _DecodeTable(known, gf.logs(coefficients[rounds]), sys_at, rounds[sys_at])
 
@@ -306,15 +303,13 @@ def compressed_decode(
     check_user(user, k)
     require_type(batch, CodedBatch, "batch")
     gf = field(batch.field_width)
-    key = ("decode", user, gf.width)
-    table = scheme._tables.get(key)
-    # the batch checks run before any field work, so a first decode counts
-    # its rounds without building the table
-    n = k - len(full_view_rounds(scheme, user) if table is None else table.known)
+    n = k - len(scheme.plan.full_cols)
     if n * s != batch.m1:
         raise SingularSystem(f"{n * s} unknowns against {batch.m1} coded rows")
     _check_batch(batch, k * s, s, library.packet_bytes)
     coded = batch.symbols.reshape(n, s, batch.symbols.shape[1])
+    key = ("decode", user, gf.width)
+    table = scheme._tables.get(key)
     if table is None:
         table = scheme._tables[key] = _decode_table(scheme, user, gf)
     ints = scheme.plan.miss_ints

@@ -47,16 +47,19 @@ def mn_pda(k_prime: int, t: int) -> Pda:
     if least > MAX_CELLS:
         raise OutOfRange(f"mn_pda({k_prime}, {t}) has at least {least} cells, past the {MAX_CELLS}-cell cap")
     n, rows = k_prime, comb(k_prime, t)
+    a, z = np.zeros((rows, n), np.int64), comb(n - 1, t - 1) if t >= 1 else 0
+    if t == n:  # one all-star row: no (t+1)-subset to rank
+        return Pda._of(a, z, 0)
     ups = np.fromiter(chain.from_iterable(combinations(range(n), t + 1)), np.intp)
     ups = ups.reshape(-1, t + 1)  # 0-based, in lex order
-    # The 0-based lex rank of a t-subset x_0 < ... < x_{t-1} of [0, n) is
-    # C(n, t) - 1 - sum_h C(n - 1 - x_h, t - h).
-    binom = np.array([[comb(x, h) for h in range(t + 1)] for x in range(n)], np.int64)
-    a, ranks = np.zeros((rows, n), np.int64), np.arange(1, len(ups) + 1)
+    # The 0-based lex rank of a t-subset x_0 < ... < x_{t-1} of [0, n) is C(n, t) - 1
+    # - sum_h C(n - 1 - x_h, t - h): binom[d, j] = C(d + j, j + 1) at d = n - t - x_h + h
+    # in [0, n - t], as h <= x_h <= n - t + h, and j = t - 1 - h; each at most C(n - 1, t).
+    binom = np.array([[comb(d + j, j + 1) for j in range(t)] for d in range(n - t + 1)], np.int64)
+    ranks, h = np.arange(1, len(ups) + 1), np.arange(t)
     for i in range(t + 1):
         rest = np.delete(ups, i, axis=1)
-        a[rows - 1 - binom[n - 1 - rest, t - np.arange(t)].sum(axis=1), ups[:, i]] = ranks
-    z = comb(k_prime - 1, t - 1) if t >= 1 else 0
+        a[rows - 1 - binom[n - t - rest + h, t - 1 - h].sum(axis=1), ups[:, i]] = ranks
     return Pda._of(a, z, len(ups))
 
 

@@ -5,10 +5,10 @@ polynomials. With n = 2^w - 1, the antilog table covers every sum of two
 nonzero logs, 0..2n-2, and ends in one zero entry at 2n-1. The log of 0 is
 that index, a sentinel: any sum with it lands at or past the end, and the
 gathers clip to the last entry. So a product is exp[log a + log b] for every
-a and b, zero included, with no reduction and no mask. The antilog table
-holds GF.dtype, the narrowest unsigned type that fits the field, and so do
-the symbols bytes_to_symbols reads; vectors and matrices, and the symbols of
-packet ints, are numpy uint32 arrays of field elements.
+a and b, zero included, with no reduction and no mask. A field element is
+stored in one type, GF.dtype, the narrowest unsigned type that fits the
+field (uint8 up to GF(2^8), uint16 for GF(2^16)): the antilog table, and so
+every product, vector, matrix and packet symbol the module returns, hold it.
 
 Packets split into big-endian 8- or 16-bit symbols, so only GF(2^8) and
 GF(2^16) carry packets; the narrower fields have arithmetic only.
@@ -141,7 +141,7 @@ class GF:
         block = max(1, _STEP_ELEMENTS // max(1, x.size))
         for i in range(0, len(a), block):
             out[i:i + block] = self._dot_logs(la[i:i + block], lx)
-        return out.astype(np.uint32)
+        return out
 
     def logs(self, a) -> np.ndarray:
         """The logs of field elements a, 0's being the sentinel: the form in
@@ -159,7 +159,7 @@ class GF:
         a_logs, x = self._log_operand(a_logs), self._elements(x)
         if a_logs.ndim != 2 or x.ndim != 3 or x.shape[:2] != a_logs.shape[::-1]:
             raise DimensionMismatch(f"cannot take rows of {a_logs.shape} against {x.shape}")
-        return self._dot_logs(a_logs, self._log.take(x)).astype(np.uint32)
+        return self._dot_logs(a_logs, self._log.take(x))
 
     def _dot_logs(self, a_logs: np.ndarray, x_logs: np.ndarray) -> np.ndarray:
         """dot_logs of checked operands, x as logs: one add, gather and XOR-reduce over k."""
@@ -167,8 +167,7 @@ class GF:
 
     def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Solve a @ x = b by Gauss-Jordan elimination; a must be square."""
-        a = self._elements(a).astype(np.uint32)
-        b = self._elements(b).astype(np.uint32)
+        a, b = self._elements(a).astype(self.dtype), self._elements(b).astype(self.dtype)
         n = a.shape[0] if a.ndim else 0
         if a.shape != (n, n) or b.shape[:1] != (n,):
             raise DimensionMismatch(f"cannot solve {a.shape} against {b.shape}")
@@ -231,7 +230,7 @@ class GF:
         num_i = self._log_sums(x, y) - self._log_sums(x, x) + self.zero_log
         num_r = self._log_sums(y, x) - self._log_sums(y, y) + self.zero_log
         logs = num_r[:, None] + num_i - self._log[y[:, None] ^ x]
-        return self._exp[logs % (self.order - 1)].astype(np.uint32)
+        return self._exp[logs % (self.order - 1)]
 
 
 def _labels(values, name: str) -> list[int]:
@@ -267,7 +266,7 @@ def cauchy_matrix(m1: int, m2: int, gf: GF) -> np.ndarray:
         raise FieldTooSmall(f"m1+m2={m1 + m2} exceeds field order {gf.order}")
     # x_i + y_j = i ^ (m1 + j) is never 0, so the inverse is exp[-log]
     sums = np.arange(m1, dtype=np.uint32)[:, None] ^ np.arange(m1, m1 + m2, dtype=np.uint32)
-    return gf._exp[gf.order - 1 - gf._log[sums]].astype(np.uint32)
+    return gf._exp[gf.order - 1 - gf._log[sums]]
 
 
 def _symbol_bytes(width: int, packet_bytes: int) -> int:
@@ -307,15 +306,14 @@ def symbols_to_bytes(symbols: np.ndarray, width: int) -> np.ndarray:
 
 
 def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
-    """Split many packet integers into symbols at once: one uint32 row per packet."""
-    sw = _symbol_bytes(width, packet_bytes)
+    """Split many packet integers into symbols at once: bytes_to_symbols of their joined bytes."""
+    _symbol_bytes(width, packet_bytes)
     packets = converted(list, packets, "packets", OutOfRange)
     try:
         raw = b"".join(p.to_bytes(packet_bytes, "big") for p in packets)
     except (AttributeError, OverflowError) as e:
         raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
-    symbols = np.frombuffer(raw, field(width).dtype.newbyteorder(">"))
-    return symbols.reshape(len(packets), packet_bytes // sw).astype(np.uint32)
+    return bytes_to_symbols(np.frombuffer(raw, np.uint8).reshape(len(packets), packet_bytes), width)
 
 
 def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> list[int]:

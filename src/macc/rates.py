@@ -18,7 +18,7 @@ from .errors import DuplicateRatio, EmptyInput, OutOfRange
 from .util import comb0, converted, require_ints, require_type
 
 SCHEME_KEYS = ("hkd", "rk", "sr", "t1")
-MAX_TERMS = 1 << 20  # the most corners, r_sr sum terms or table cells one call computes
+MAX_TERMS = 1 << 20  # the most corners, r_sr sum terms, table cells or binomial bits one call computes
 
 
 def _check_terms(n: int, what: str) -> None:
@@ -40,13 +40,13 @@ def _check_kl(k: int, l: int) -> None:
         raise OutOfRange(f"k={k}, l={l} must be >= 1")
 
 
-def _check_klt(k: int, l: int, t: int, span: int = 1) -> None:
-    """Check k and l, then t in [0, K // (span * L)]."""
+def _check_klt(k: int, l: int, t: int, span: int = 1, low: int = 0) -> None:
+    """Check k and l, then t in [low, K // (span * L)]."""
     _check_kl(k, l)
     require_ints(t=t)
     t_max = k // (span * l)
-    if not (0 <= t <= t_max):
-        raise OutOfRange(f"t={t} outside [0, {t_max}]")
+    if not (low <= t <= t_max):
+        raise OutOfRange(f"t={t} outside [{low}, {t_max}]")
 
 
 def r_mn(k: int, t: int) -> Fraction:
@@ -136,10 +136,8 @@ class ConverseInstance:
 
 def converse_bound(k: int, l: int, t: int) -> Fraction:
     """Lower bound on the optimal load under the gap-constrained placement."""
-    _check_kl(k, l)
-    require_ints(t=t)
-    if not (1 <= t <= k // l):
-        raise OutOfRange(f"t={t} outside [1, {k // l}]")
+    _check_klt(k, l, t, low=1)
+    _check_terms((t + 1) * k.bit_length(), "binomial bits")  # each C(n, r) has n <= K, r <= t + 1
     x = t * l - t + 1
     num = (
         comb0(k - l - x, t - 1)
@@ -311,7 +309,9 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
     }
     if "conv" in schemes:
         ts = [max(1, -(-i * num * k // den)) for i in range(n)] + [max(1, -(-k // l))]  # ceil(xK)
-        bounds = {t: converse_step(k, l, x) for t, x in dict(zip(ts, xs)).items()}
+        firsts = dict(zip(ts, xs))  # each distinct t at its first x, and its bound's binomial bits
+        _check_terms(sum(t + 1 for t in firsts) * k.bit_length(), "binomial bits")
+        bounds = {t: converse_step(k, l, x) for t, x in firsts.items()}
         columns["conv"] = [bounds[t] for t in ts]
     rows = zip(xs, *map(columns.get, schemes), strict=True)
     return ["m_over_n", *schemes], [list(row) for row in rows]

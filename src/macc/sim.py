@@ -2,22 +2,21 @@
 
 A file consists of K parts of F' packets each; part g is covered by the
 round-g arrays. A library holds its packets as one read-only uint8 array of
-shape (N, K, F', B), which library_for_scheme draws into; their ints, the
-form of every public payload format, are derived on request. Both delivers
-take their messages from one gather of that array (round_messages), and
-both decodes their files from another (file_from_messages); a plain log
-keeps its messages' bytes for decode. No round-g array is built: delivery
-and decoding read the scheme's round-1 plan (Scheme.plan), read-only index
-arrays whose views are the delivery grid's star mask and which store no
-per-row recipe, and locate round g by offset arithmetic, round-1 column c
-standing for column mod1(c + g - 1, K). Message (g, s), the XOR for integer
-s of round g, is named by its log position (g - 1)*S + s - 1; the coded
-batch's Cauchy columns use that order.
+shape (N, K, F', B), which library_for_scheme draws into and the constructor
+joins its ints into; the ints, the form of every public payload format, are
+derived on request. Both delivers take their messages from one gather of
+that array (round_messages), and both decodes their files from another
+(file_from_messages); a plain log keeps its messages' bytes for decode. No
+round-g array is built: delivery and decoding read the scheme's round-1 plan
+(Scheme.plan), read-only index arrays whose views are the delivery grid's
+star mask and which store no per-row recipe, and locate round g by offset
+arithmetic, round-1 column c standing for column mod1(c + g - 1, K).
+Message (g, s), the XOR for integer s of round g, is named by its log
+position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -31,9 +30,10 @@ MAX_LIBRARY_BYTES = 1 << 26  # the most payload bytes, N*K*F'*B, library_for_sch
 
 @dataclass(frozen=True)
 class PacketLibrary:
-    """All packets of all files: data[n-1][g-1][j-1] is an int of packet_bytes
-    bytes. A drawn library keeps only `array` and derives data on request;
-    ==, hash and repr read the array's shape and bytes, never data."""
+    """All packets of all files as one read-only uint8 array, however the library
+    was built: array[n-1, g-1, j-1] is packet (n, g, j) in big-endian bytes, and
+    data[n-1][g-1][j-1] its int, read off the array on request. ==, hash and
+    repr read the array's shape and bytes, never data."""
 
     n_files: int
     parts_per_file: int
@@ -55,13 +55,18 @@ class PacketLibrary:
                 f"library data is not {self.n_files} files of {self.parts_per_file}x"
                 f"{self.packets_per_part} packets"
             )
-        limit = 1 << 8 * self.packet_bytes
-        for p in (p for parts in self.data for part in parts for p in part):
+        b, limit = self.packet_bytes, 1 << 8 * self.packet_bytes
+        packets = [p for parts in self.data for part in parts for p in part]
+        for p in packets:
             if not (is_int(p) and 0 <= p < limit):
-                raise OutOfRange(f"packet {p!r} lies outside the {self.packet_bytes}-byte integers")
+                raise OutOfRange(f"packet {p!r} lies outside the {b}-byte integers")
+        raw = b"".join(map(int.to_bytes, packets, repeat(b), repeat("big")))
+        shape = (self.n_files, self.parts_per_file, self.packets_per_part, b)
+        object.__setattr__(self, "array", np.frombuffer(raw, np.uint8).reshape(shape))
+        object.__delattr__(self, "data")
 
     def __getattr__(self, name):
-        """data of a library kept as its array, read off it once."""
+        """data, read off the array once."""
         if name != "data":
             raise AttributeError(name)
         packets = iter(packet_ints(self.array.tobytes(), self.packet_bytes))
@@ -76,13 +81,8 @@ class PacketLibrary:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        """The dims and the packets' bytes: the kept array's, else joined from data afresh."""
-        dims = (self.n_files, self.parts_per_file, self.packets_per_part, self.packet_bytes)
-        return dims, self.array.tobytes() if "array" in vars(self) else self._joined()
-
-    def _joined(self) -> bytes:
-        b = self.packet_bytes
-        return b"".join(p.to_bytes(b, "big") for parts in self.data for part in parts for p in part)
+        """The four dims, as the array's shape, and the packets' bytes."""
+        return self.array.shape, self.array.tobytes()
 
     def _check_indices(self, **indices) -> None:
         """Raise OutOfRange unless each index, file then part then packet, is an int in [1, top]."""
@@ -94,14 +94,6 @@ class PacketLibrary:
     def packet(self, n: int, g: int, j: int) -> int:
         self._check_indices(n=n, g=g, j=j)
         return int.from_bytes(self.array[n - 1, g - 1, j - 1].tobytes(), "big")
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The packets as one read-only uint8 array of shape (N, K, F', B):
-        array[n-1, g-1, j-1] is packet (n, g, j) in big-endian bytes. Unless
-        drawn here, built on first use over one joined bytes object, the only copy."""
-        shape = (self.n_files, self.parts_per_file, self.packets_per_part, self.packet_bytes)
-        return np.frombuffer(self._joined(), dtype=np.uint8).reshape(shape)
 
     def file_bytes(self, n: int) -> bytes:
         """Whole file n, parts then packets in ascending order."""
@@ -264,7 +256,7 @@ def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, 
         payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
     if len(payloads) != k * n_s:
         raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
-    return d, payloads, (user - 1 - scheme.plan.miss_cols) % k
+    return d, payloads, scheme.plan.rounds(user, scheme.plan.miss_cols)
 
 
 def file_from_messages(
@@ -281,7 +273,7 @@ def file_from_messages(
     plan, k = scheme.plan, scheme.params.k
     packets = _words(library.array)
     files = np.array(d, dtype=np.intp) - 1
-    g = (user - 1 - plan.miss_cols) % k  # 0-based round of each missing row
+    g = plan.rounds(user, plan.miss_cols)
     peers = packets[files[(plan.peer_cols + g) % k], g, plan.peer_rows]
     peers[plan.peer_pad] = 0
     out = packets[files[user - 1]].copy()

@@ -164,6 +164,17 @@ class DeliveryPlan:
     peer_cols: np.ndarray
     peer_pad: np.ndarray
 
+    @cached_property
+    def full_cols(self) -> np.ndarray:
+        """The round-1 columns whose view holds every row, ascending, read-only."""
+        cols = np.flatnonzero(self.views.all(axis=0))
+        cols.flags.writeable = False
+        return cols
+
+    def rounds(self, user: int, cols) -> np.ndarray:
+        """(user - 1 - cols) mod K: the user's 0-based round of each round-1 column, and back."""
+        return (user - 1 - cols) % self.views.shape[1]
+
 
 def _delivery_plan(shape: tuple[int, int], index) -> DeliveryPlan:
     """Index the (F', K) round-1 delivery grid from the lift's integer cells,

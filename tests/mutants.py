@@ -63,8 +63,8 @@ EQUIVALENT = {
         "the cache's size changes how often a matrix is rebuilt, never its entries",
     "compress._coding_matrix: maxsize=4 -> maxsize=3":
         "the cache's size changes how often a matrix is rebuilt, never its entries",
-    "constructions.mn_pda: t + 1 -> t + 2 #3":
-        "binom gains a column h = t + 1, which no index t - h reaches",
+    "constructions.mn_pda: n - t + 1 -> n - t + 2":
+        "binom gains a row d = n - t + 1, which no term reaches, as d <= n - t",
     "constructions.partition_pda: np.indices((q,) * (m - 1)).reshape(m - 1, -1)"
     " -> np.indices((q,) * (m - 1)).reshape(m - 1, -2)":
         "numpy reads any negative size in reshape as 'the rest'",

@@ -143,7 +143,8 @@ def test_simulate_exit_two_on_a_library_past_the_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["gaps", "--K", "1000000000", "--L", "3"],
                                   ["compare", "--K", "100000", "--L", "3", "--step", "1/1000000"],
-                                  ["compare", "--K", "100000", "--L", "3"]])
+                                  ["compare", "--K", "100000", "--L", "3"],
+                                  ["converse", "--K", "10000000", "--L", "3", "--t", "3000000"]])
 def test_huge_rates_exit_two_at_once(tmp_path, capsys, argv):
     if argv[0] == "compare":
         argv = [*argv, "--csv", str(tmp_path / "table.csv")]

@@ -103,6 +103,8 @@ huge = st.one_of(st.integers(-1, 6), st.sampled_from([12, 20, 40, 60, 10**6, 2**
 @given(family=st.sampled_from(["mn", "partition"]), a=huge, b=huge)
 @example(family="mn", a=40, b=20)
 @example(family="partition", a=12, b=12)
+@example(family="mn", a=10**6, b=10**6)
+@example(family="mn", a=70, b=68)
 def test_build_pda_never_raises(workdir, family, a, b):
     flags = ["--kprime", str(a), "--t", str(b)] if family == "mn" else ["--m", str(a), "--q", str(b)]
     run_cli(workdir, ["build-pda", "--family", family, *flags])

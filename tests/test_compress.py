@@ -679,6 +679,7 @@ def test_all_star_scheme_sends_an_empty_batch(kprime, k, l):
         batch = compressed_deliver(lib, scheme, demand, field_width=width)
         assert (batch.m1, batch.m2, batch.blocks, batch.payloads) == (0, 0, 0, ())
         assert batch.coding_matrix.shape == (0, 0) and not batch.coding_matrix.flags.writeable
+        assert batch.coding_matrix.dtype == field(batch.field_width).dtype
         for copy in (batch, dataclasses.replace(batch)):
             for user in range(1, k + 1):
                 got = compressed_decode(lib, scheme, demand, copy, user)
@@ -791,7 +792,7 @@ def test_delivered_batch_keeps_its_coded_rows(scheme832, monkeypatch, width):
     assert "payloads" not in vars(batch)
     rows = batch.symbols
     assert not rows.flags.writeable and rows.shape == (batch.m1, 32 // width)
-    assert rows.dtype == gf2.field(width).dtype  # the symbols' own type, not matmul's uint32
+    assert rows.dtype == batch.coding_matrix.dtype == gf2.field(width).dtype  # the field's one type
     assert batch.payloads == tuple(gf2.symbols_to_packets(rows, 4, width))
     assert batch.payloads is batch.payloads
     assert batch == compressed_deliver_by_ints(lib, scheme832, demand, field_width=width)

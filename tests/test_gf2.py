@@ -123,7 +123,7 @@ def test_matmul_wide_with_zeros_matches_scalar_loop():
     a[2] = 0
     x[:, 1] = 0
     got = gf.matmul(a, x)
-    assert got.dtype == np.uint32
+    assert got.dtype == gf.dtype
     for i in range(6):
         for j in range(5):
             acc = 0
@@ -182,7 +182,7 @@ def test_cauchy_inverse_matches_identity_and_solve(width, m1, m2):
     for trial in range(3 if width == 16 else 20):
         cols = sorted(rng.sample(range(m2), m1)) if trial else list(range(m2 - m1, m2))
         inv = gf.cauchy_inverse(m1, cols)
-        assert inv.dtype == np.uint32
+        assert inv.dtype == gf.dtype
         assert np.array_equal(gf.matmul(inv, g[:, cols]), eye)
         assert np.array_equal(gf.matmul(g[:, cols], inv), eye)
         if trial < 3:
@@ -246,7 +246,7 @@ def test_cauchy_matches_entrywise_definition(width, m1, m2):
     gf = field(width)
     want = [[gf.inv(i ^ (m1 + j)) for j in range(m2)] for i in range(m1)]
     got = cauchy_matrix(m1, m2, gf)
-    assert got.dtype == np.uint32
+    assert got.dtype == gf.dtype
     assert got.tolist() == want
 
 
@@ -318,7 +318,7 @@ def test_batch_symbol_packing_matches_per_packet(width):
     for nbytes in (2, 6, 256):
         packets = [rng.getrandbits(8 * nbytes) for _ in range(17)] + [0, (1 << 8 * nbytes) - 1]
         syms = packets_to_symbols(packets, nbytes, width)
-        assert syms.dtype == np.uint32
+        assert syms.dtype == field(width).dtype
         assert syms.tolist() == [packet_to_symbols_by_bytes(p, nbytes, width) for p in packets]
         assert symbols_to_packets(syms, nbytes, width) == [
             symbols_to_packet_by_bytes(row, nbytes, width) for row in syms
@@ -329,7 +329,7 @@ def test_batch_symbol_packing_matches_per_packet(width):
 @pytest.mark.parametrize("width", [8, 16])
 def test_bytes_to_symbols_reads_words_of_the_fields_narrow_type(width):
     """Symbols read from bytes are GF.dtype, the one narrow type of a field,
-    and hold the same big-endian words as the uint32 symbols of packet ints."""
+    and hold the same big-endian words as the symbols of packet ints."""
     gf = field(width)
     assert gf.dtype == (np.uint8 if width == 8 else np.uint16) == gf._exp.dtype
     packets = np.random.default_rng(width).integers(0, 256, size=(3, 5, 6), dtype=np.uint8)
@@ -339,6 +339,34 @@ def test_bytes_to_symbols_reads_words_of_the_fields_narrow_type(width):
     assert syms.reshape(15, -1).tolist() == packets_to_symbols(ints, 6, width).tolist()
     assert symbols_to_bytes(syms, width).tobytes() == packets.tobytes()
     assert field(4).dtype == np.uint8
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_packets_to_symbols_is_bytes_to_symbols_of_the_joined_bytes(width):
+    rng = random.Random(3 * width)
+    for nbytes in (2, 6, 64):
+        packets = [rng.getrandbits(8 * nbytes) for _ in range(9)] + [0, (1 << 8 * nbytes) - 1]
+        raw = b"".join(p.to_bytes(nbytes, "big") for p in packets)
+        want = bytes_to_symbols(np.frombuffer(raw, np.uint8).reshape(len(packets), nbytes), width)
+        got = packets_to_symbols(packets, nbytes, width)
+        assert got.dtype == want.dtype == field(width).dtype and got.flags.writeable
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", sorted(PRIMITIVE_POLY))
+def test_every_field_array_is_the_fields_one_type(width):
+    """Products, solutions, inverses and Cauchy matrices are GF.dtype,
+    whatever integer type the operands came in."""
+    gf = field(width)
+    a = cauchy_matrix(2, 2, gf)
+    wide = a.astype(np.int64)
+    assert a.dtype == gf.dtype
+    assert gf.matmul(wide, wide).dtype == gf.dtype
+    assert gf.dot_logs(gf.logs(wide), wide.T[:, :, None]).dtype == gf.dtype
+    assert gf.cauchy_inverse(2, [0, 1]).dtype == gf.dtype
+    solved = gf.solve(wide, wide)
+    assert solved.dtype == gf.dtype and solved.tolist() == np.eye(2).tolist()
+    assert gf.scale_row(wide[0], 1).dtype == gf.dtype
 
 
 def test_symbol_packing_rejects_ragged_packets():
@@ -415,7 +443,7 @@ def test_dot_logs_matches_one_matmul_per_row(width):
     logs = gf.logs(a)
     assert logs[1].tolist() == [gf.zero_log] * 3
     got = gf.dot_logs(logs, x)
-    assert got.dtype == np.uint32 and got.shape == (7, 5)
+    assert got.dtype == gf.dtype and got.shape == (7, 5)
     for i in range(7):
         assert got[i].tolist() == gf.matmul(a[i:i + 1], x[:, i])[0].tolist()
     assert gf.dot_logs(logs[:0], x[:, :0]).shape == (0, 5)

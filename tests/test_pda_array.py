@@ -149,6 +149,17 @@ def test_mn_pda_is_the_lex_rank_walk():
             assert mn_pda(kp, t) == mn_pda_by_lex_rank(kp, t), (kp, t)
 
 
+def test_mn_pda_near_all_stars_needs_no_wide_binomial():
+    """Every rank term is at most C(K' - 1, t), under the cell cap, so t near
+    K' overflows no int64 (C(69, 34) would), and t = K', one all-star row,
+    builds no binomial table at all."""
+    for kp, t in ((70, 68), (100, 99)):
+        assert mn_pda(kp, t) == mn_pda_by_lex_rank(kp, t), (kp, t)
+    p = mn_pda(10**6, 10**6)
+    assert (p.rows, p.cols, p.z, p.s) == (1, 10**6, 1, 0) and not p.array.any()
+    assert peak_bytes(lambda: mn_pda(10**6, 10**6)) < 2**26  # a few copies of the 8 MB row
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_partition_pda_is_the_walk(m, q):

@@ -325,10 +325,13 @@ ALL_CURVES = ["hkd", "rk", "sr", "t1", "conv"]
     (lambda: scheme_points(2**70, 2**40, "rk"), r"^1073741825 corners exceed"),
     (lambda: r_sr(10**9, 1, 0), r"^500000000 r_sr terms exceed"),
     (lambda: comparison_table(-10**9, 3, ["sr"], "1/6"), r"^k=-1000000000, l=3 must be >= 1$"),
+    (lambda: converse_bound(10**7, 3, 3 * 10**6), r"^72000024 binomial bits exceed the 1048576 cap$"),
+    (lambda: comparison_table(10**5, 3, ["conv"], "1/1000"), r"^\d+ binomial bits exceed"),
 ])
 def test_huge_rates_work_is_refused_before_any_corner(call, text):
-    """Corners, r_sr's sum terms over them and table cells are counted in
-    exact ints and refused past MAX_TERMS before any load is computed."""
+    """Corners, r_sr's sum terms over them, table cells and the converse's
+    binomial bits are counted in exact ints and refused past MAX_TERMS before
+    any load or bound is computed."""
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
@@ -343,10 +346,14 @@ def test_huge_rates_work_is_refused_before_any_corner(call, text):
 
 def test_rates_cap_admits_its_own_size(monkeypatch):
     """The cap is inclusive: gap_checks(12, 3) takes 5 corners and at most 15
-    r_sr terms, a 4-row table of five curves at L = 3 has 5 x 6 cells, and
-    r_sr(9, 1, 0) sums 4 terms."""
+    r_sr terms, a 4-row table of four curves at L = 3 has 5 x 5 cells, and
+    r_sr(9, 1, 0) sums 4 terms. converse_bound's binomials at K = 8, of 4 bits
+    a factor, hold (t + 1) * 4 bits: 12 at t = 2, and 36 over the conv column
+    of that table, whose corners are t = 1, 2 and 3."""
     for call, n, what in ((lambda: gap_checks(12, 3), 15, "r_sr terms"),
-                          (lambda: comparison_table(8, 3, ALL_CURVES, F(1, 12)), 30, "table cells"),
+                          (lambda: comparison_table(8, 3, ALL_CURVES[:4], F(1, 12)), 25, "table cells"),
+                          (lambda: comparison_table(8, 3, ["conv"], F(1, 12)), 36, "binomial bits"),
+                          (lambda: converse_bound(8, 3, 2), 12, "binomial bits"),
                           (lambda: scheme_points(8, 1, "t1"), 9, "corners"),
                           (lambda: r_sr(9, 1, 0), 4, "r_sr terms")):
         monkeypatch.setattr(rates, "MAX_TERMS", n)

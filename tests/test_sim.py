@@ -70,8 +70,9 @@ def test_library_array_is_one_read_only_copy(scheme832):
     assert "data" not in vars(twin)  # drawn as its array, a library reads its ints on request
     assert arr[2, 4, 5].tobytes() == lib.packet(3, 5, 6).to_bytes(3, "big")
     assert lib == twin and twin.data is twin.data
-    built = PacketLibrary(8, 8, 6, 3, lib.data)  # from ints, the array comes on request
-    assert built == lib and "array" not in vars(built)
+    built = PacketLibrary(8, 8, 6, 3, lib.data)  # from ints, joined into the array at once
+    assert "data" not in vars(built) and "array" in vars(built)
+    assert built == lib and built.data == lib.data
     assert np.array_equal(built.array, arr) and memoryview(built.array.base.base).nbytes == arr.size
     with pytest.raises(ValueError):
         built.array.flags.writeable = True
@@ -80,9 +81,9 @@ def test_library_array_is_one_read_only_copy(scheme832):
 
 
 def test_libraries_compare_and_hash_without_their_ints():
-    """==, hash, repr and packet read a drawn library's array and never derive
-    its ints; a library built from ints compares and hashes by the same bytes
-    without building its array."""
+    """==, hash, repr and packet read a library's array and never derive its
+    ints, however the library was built: one built from ints keeps only the
+    array its ints were joined into, and compares and hashes by the same bytes."""
     scheme = build_scheme(mn_pda(12, 2), 16, 3)  # the plain benchmark instance
     a, b = (library_for_scheme(scheme, packet_bytes=64, seed=5) for _ in range(2))
     other = library_for_scheme(scheme, packet_bytes=64, seed=6)
@@ -91,8 +92,9 @@ def test_libraries_compare_and_hash_without_their_ints():
     assert a.packet(16, 16, 66) == int.from_bytes(a.array[-1, -1, -1].tobytes(), "big")
     assert all("data" not in vars(lib) for lib in (a, b, other))
     built = PacketLibrary(16, 16, 66, 64, a.data)
+    assert "data" not in vars(built) and "array" in vars(built)
     assert built == b and b == built and hash(built) == hash(b) and built != other
-    assert "array" not in vars(built) and "data" not in vars(b)
+    assert "data" not in vars(built) and "data" not in vars(b)
     assert a != PacketLibrary(16, 16, 66, 64, other.data) and a != scheme
     assert PacketLibrary(0, 16, 66, 64, ()) == library_for_scheme(scheme, n_files=0, packet_bytes=64)
     assert PacketLibrary(0, 16, 66, 64, ()) != PacketLibrary(0, 16, 66, 32, ())

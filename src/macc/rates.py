@@ -34,6 +34,11 @@ def _check_corners(k: int, l: int, sr: bool) -> None:
         _check_terms((tmax + 1) * (2 * k - l * tmax) // 4, "r_sr terms")
 
 
+def _check_binomial(n: int, r: int) -> None:
+    """Refuse C(n, r), 0 <= r <= n, past MAX_TERMS bits: it is below n ** min(r, n - r)."""
+    _check_terms(min(r, n - r) * n.bit_length(), "binomial bits")
+
+
 def _check_kl(k: int, l: int) -> None:
     require_ints(k=k, l=l)
     if k < 1 or l < 1:
@@ -96,7 +101,9 @@ def r_t1(k: int, l: int, t: int) -> Fraction:
 def f_t1(k: int, l: int, t: int) -> int:
     """Subpacketization of the cyclic-transform scheme at corner t."""
     _check_klt(k, l, t)
-    return k * comb(k - t * (l - 1), t)
+    n = k - t * (l - 1)
+    _check_binomial(n, t)
+    return k * comb(n, t)
 
 
 def r_t3(q: int) -> Fraction:
@@ -161,6 +168,7 @@ def count_sq(k: int, l: int, t: int, q: int) -> int:
     if not (t * l <= q <= k):
         raise OutOfRange(f"q={q} outside [tL, K] = [{t * l}, {k}]")
     x = t * l - t + 1
+    _check_binomial(q - x, t - 1)
     return comb0(q - x, t - 1) * q // t
 
 

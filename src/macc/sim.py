@@ -10,7 +10,11 @@ that array (round_messages), and both decodes their files from another
 round-g array is built: delivery and decoding read the scheme's round-1 plan
 (Scheme.plan), read-only index arrays whose views are the delivery grid's
 star mask and which store no per-row recipe, and locate round g by offset
-arithmetic, round-1 column c standing for column mod1(c + g - 1, K).
+arithmetic, round-1 column c standing for column mod1(c + g - 1, K). A
+gather reads the array as one flat (N*K*F', W) view of packet words, W the
+widest word that divides a packet: the plan keeps every offset's
+demand-free part, so a gather is one lookup of the demanded files' base
+offsets, one add and one take.
 Message (g, s), the XOR for integer s of round g, is named by its log
 position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
@@ -194,20 +198,28 @@ def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
 
 
 def _words(packets: np.ndarray) -> np.ndarray:
-    """A uint8 array's last axis of packet bytes viewed as the widest unsigned
-    words that divide it, for XOR; the words keep the bytes' memory order."""
+    """A uint8 array's packets, its last axis, as the rows of a 2-D array of
+    the widest unsigned words that divide a packet, for XOR; the words keep
+    the bytes' memory order. A library's rows are its flat (N*K*F', W) view."""
     size = next(w for w in (8, 4, 2, 1) if packets.shape[-1] % w == 0)
-    return packets.view(f"u{size}")
+    words = packets.view(f"u{size}")
+    return words.reshape(-1, words.shape[-1])
+
+
+def _bases(scheme: Scheme, d: tuple[int, ...]) -> np.ndarray:
+    """The flat offset of each demanded file's first packet, user by user."""
+    return (np.array(d, dtype=np.intp) - 1) * scheme.subpacketization
 
 
 def round_messages(library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], rounds) -> np.ndarray:
     """Messages s = 1..S of each listed round under a checked demand d, as a
-    (len(rounds), S, B) uint8 array: one gather of every integer's cells from
-    the library array, padding zeroed, then one XOR-reduce over the cells."""
+    (len(rounds), S, B) uint8 array: one take of every integer's cells from
+    the library's flat view, at the plan's kept offsets of those rounds plus
+    their files' bases, padding zeroed, then one XOR-reduce over the cells."""
     plan = scheme.plan
-    g = np.array(rounds, dtype=np.intp).reshape(-1, 1, 1) - 1
-    files = np.array(d, dtype=np.intp)[(plan.cell_cols + g) % scheme.params.k] - 1
-    cells = _words(library.array)[files, g, plan.cell_rows]
+    cols, offsets = plan._round_cells
+    g = np.array(rounds, dtype=np.intp) - 1
+    cells = _words(library.array).take(_bases(scheme, d)[cols[g]] + offsets[g], axis=0)
     cells[:, plan.cell_pad] = 0
     return np.bitwise_xor.reduce(cells, axis=1).view(np.uint8)
 
@@ -226,17 +238,17 @@ def decode_from_messages(
     when it is None, else OutOfRange unless it is an int of packet_bytes
     bytes. The good entries reach file_from_messages as one bytes array.
     """
-    d, payloads, rounds = _reads(library, scheme, demand, user, payloads)
+    d, payloads, reads = _reads(library, scheme, demand, user, payloads)
     plan, b = scheme.plan, library.packet_bytes
-    values = [payloads[i] for i in (rounds * scheme.pda.s + plan.miss_ints).tolist()]
+    values = [payloads[i] for i in reads.at.tolist()]
     limit = 1 << 8 * b
     ints = set(map(type, values)) <= {int}
     if not (ints and 0 <= min(values, default=0) <= max(values, default=0) < limit):
-        for i in np.lexsort((plan.miss_rows, rounds)).tolist():
+        for i in np.lexsort((plan.miss_rows, reads.rounds)).tolist():
             val = values[i]
             if val is None:
                 raise UndecodablePacket(
-                    f"message (g={rounds[i] + 1}, s={plan.miss_ints[i] + 1}) missing from the log"
+                    f"message (g={reads.rounds[i] + 1}, s={plan.miss_ints[i] + 1}) missing from the log"
                 )
             if not (is_int(val) and 0 <= val < limit):
                 raise OutOfRange(f"message payload {val!r} lies outside the {b}-byte integers")
@@ -247,7 +259,7 @@ def decode_from_messages(
 def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, kept=False):
     """A plain decode's checks, in order: dims, demand, user, then K*S payloads,
     a log's kept rows or else read as a tuple. Returns the checked demand, the
-    payloads and the 0-based round of each missing row of plan.miss_*."""
+    payloads and the user's reads, plan._reads(user)."""
     _check_dims(library, scheme)
     k, n_s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
@@ -256,7 +268,7 @@ def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, 
         payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
     if len(payloads) != k * n_s:
         raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
-    return d, payloads, scheme.plan.rounds(user, scheme.plan.miss_cols)
+    return d, payloads, scheme.plan._reads(user)
 
 
 def file_from_messages(
@@ -267,17 +279,18 @@ def file_from_messages(
     missing row i of plan.miss_*, read in the round where the user's view
     lacks it.
 
-    One gather: a copy of the demanded file whose rows outside the user's
-    views are each overwritten by its message XOR its peer cells.
+    One take of the peer cells from the library's flat view, at the user's
+    kept offsets plus their files' bases, and one copy of the demanded file,
+    whose rows outside the user's views are each overwritten by its message
+    XOR its peer cells.
     """
-    plan, k = scheme.plan, scheme.params.k
-    packets = _words(library.array)
-    files = np.array(d, dtype=np.intp) - 1
-    g = plan.rounds(user, plan.miss_cols)
-    peers = packets[files[(plan.peer_cols + g) % k], g, plan.peer_rows]
+    plan, reads = scheme.plan, scheme.plan._reads(user)
+    packets, bases = _words(library.array), _bases(scheme, d)
+    peers = packets.take(bases[reads.peer_cols] + reads.peer_rows, axis=0)
     peers[plan.peer_pad] = 0
-    out = packets[files[user - 1]].copy()
-    out[g, plan.miss_rows] = _words(messages) ^ np.bitwise_xor.reduce(peers, axis=0)
+    start = bases[user - 1]
+    out = packets[start:start + scheme.subpacketization].copy()
+    out[reads.rows] = _words(messages) ^ np.bitwise_xor.reduce(peers, axis=0)
     return out.tobytes()
 
 
@@ -295,5 +308,5 @@ def decode(
         )
     if "_messages" not in vars(log):
         return decode_from_messages(library, scheme, demand, log.payloads, user)
-    d, messages, rounds = _reads(library, scheme, demand, user, log._messages, kept=True)
-    return file_from_messages(library, scheme, d, user, messages[rounds * scheme.pda.s + scheme.plan.miss_ints])
+    d, messages, reads = _reads(library, scheme, demand, user, log._messages, kept=True)
+    return file_from_messages(library, scheme, d, user, messages[reads.at])

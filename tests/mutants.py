@@ -43,9 +43,6 @@ SWAPS = {
 
 # Mutants no test can kill, by the key the run prints, with the reason.
 EQUIVALENT = {
-    "sim.round_messages: np.array(rounds, dtype=np.intp).reshape(-1, 1, 1)"
-    " -> np.array(rounds, dtype=np.intp).reshape(-2, 1, 1)":
-        "numpy reads any negative size in reshape as 'the rest'",
     "sim.decode_from_messages: np.frombuffer(raw, np.uint8).reshape(-1, b)"
     " -> np.frombuffer(raw, np.uint8).reshape(-2, b)":
         "numpy reads any negative size in reshape as 'the rest'",
@@ -123,6 +120,12 @@ EQUIVALENT = {
         " same result",
     "sim.deliver: round_messages(library, scheme, d, range(1, k + 1)).reshape(-1, b)"
     " -> round_messages(library, scheme, d, range(1, k + 1)).reshape(-2, b)":
+        "numpy reads any negative size in reshape as 'the rest'",
+    "sim._words: words.reshape(-1, words.shape[-1]) -> words.reshape(-2, words.shape[-1])":
+        "numpy reads any negative size in reshape as 'the rest'",
+    "sim._words: (8, 4, 2, 1) -> (8, 4, 1, 1)":
+        "2-byte packets are then XORed as bytes instead of 2-byte words, which gives the same bytes",
+    "transform._round_cells: np.arange(k).reshape(-1, 1, 1) -> np.arange(k).reshape(-2, 1, 1)":
         "numpy reads any negative size in reshape as 'the rest'",
     "sim.decode_from_messages: set(map(type, values)) <= {int} -> set(map(type, values)) < {int}":
         "the fast check only decides whether the exact per-entry loop runs, and that loop"
@@ -217,6 +220,40 @@ def unary_minus_constants(tree):
     return ast.fix_missing_locations(Fold().visit(tree))
 
 
+def wanted_of(names):
+    """{module: set of qualnames} of module.qualname names."""
+    wanted = {}
+    for name in names:
+        module, _, qualname = name.strip().partition(".")
+        wanted.setdefault(module, set()).add(qualname)
+    return wanted
+
+
+def collect_sites(src, wanted):
+    """(trees, sites) for wanted, {module: qualnames} of macc under the src
+    directory: each module's (path, folded syntax tree) and the mutation
+    sites of the functions, a repeated key numbered by its occurrence
+    (" #2"). LookupError names a function the module lacks."""
+    trees, sites = {}, []
+    for module, names in sorted(wanted.items()):
+        path = os.path.join(src, "macc", f"{module}.py")
+        with open(path) as f:
+            tree = unary_minus_constants(ast.parse(f.read()))
+        trees[module] = (path, tree)
+        found = dict(functions_of(tree))
+        missing = sorted(names - set(found))
+        if missing:
+            raise LookupError(f"no function {', '.join(missing)} in macc.{module}")
+        for qualname in sorted(names):
+            sites += sites_in(module, qualname, found[qualname])
+    seen = {}
+    for site in sites:
+        seen[site.key] = seen.get(site.key, 0) + 1
+        if seen[site.key] > 1:
+            site.key += f" #{seen[site.key]}"
+    return trees, sites
+
+
 def run_tests(copy_src, tests, timeout):
     """Exit status of pytest -x over the test files against the copy (None on timeout)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -241,32 +278,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     tests = [os.path.abspath(t) for t in args.tests]
 
-    wanted = {}
-    for name in args.functions.split(","):
-        module, _, qualname = name.strip().partition(".")
-        wanted.setdefault(module, set()).add(qualname)
+    wanted = wanted_of(args.functions.split(","))
     work = tempfile.mkdtemp(prefix="macc-mutants-")
     try:
         copy_src = os.path.join(work, "src")
         shutil.copytree(os.path.join(ROOT, "src"), copy_src,
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        trees, sites = {}, []
-        for module, names in sorted(wanted.items()):
-            path = os.path.join(copy_src, "macc", f"{module}.py")
-            with open(path) as f:
-                tree = unary_minus_constants(ast.parse(f.read()))
-            trees[module] = (path, tree)
-            found = dict(functions_of(tree))
-            missing = sorted(names - set(found))
-            if missing:
-                ap.error(f"no function {', '.join(missing)} in macc.{module}")
-            for qualname in sorted(names):
-                sites += sites_in(module, qualname, found[qualname])
-        seen = {}
-        for site in sites:  # a repeated key gets its occurrence number
-            seen[site.key] = seen.get(site.key, 0) + 1
-            if seen[site.key] > 1:
-                site.key += f" #{seen[site.key]}"
+        try:
+            trees, sites = collect_sites(copy_src, wanted)
+        except LookupError as e:
+            ap.error(str(e))
         if args.sample is not None and args.sample < len(sites):
             sites = sorted(random.Random(args.seed).sample(sites, args.sample),
                            key=lambda s: (s.module, s.node.lineno, s.node.col_offset))

@@ -32,6 +32,8 @@ from macc import (
     UndecodablePacket,
     build_scheme,
     check_c5,
+    compressed_decode,
+    compressed_deliver,
     coverable_messages,
     decode,
     decode_from_messages,
@@ -46,6 +48,8 @@ from macc import pda, sim, transform
 from macc.sim import TransmissionLog, check_demand
 from oracles import (
     build_scheme_by_steps,
+    compressed_decode_by_elimination,
+    compressed_deliver_by_ints,
     constituents,
     decode_by_recipes,
     deliver_by_cells,
@@ -55,6 +59,7 @@ from oracles import (
     plan_by_walk,
     plan_record,
     populate_caches,
+    round_payloads,
     shift_grid,
     user_view,
     view_sets,
@@ -317,6 +322,115 @@ def test_kept_and_int_decodes_raise_alike(scheme832):
     assert outcome(decode, library, ragged, demand, log, 1) == (
         "DimensionMismatch: 32 message payloads, K*S=40 expected"
     )
+
+
+@pytest.mark.parametrize("p, k, l", KEPT_CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kept_offsets_match_the_loops(p, k, l, data):
+    """Every gather through the plan's kept offsets gives the loops' bytes on
+    drawn demands, files and packet sizes: round_messages over drawn rounds,
+    deliver, every user's decode of the delivered log and of its payloads,
+    and, where some user sees a whole round, the coded delivery and every
+    coded decode."""
+    scheme = build_scheme(p, k, l)
+    b = data.draw(st.sampled_from([1, 2, 3, 4, 8]), label="packet_bytes")
+    n = data.draw(st.integers(1, k + 2), label="files")
+    library = library_for_scheme(scheme, n_files=n, packet_bytes=b, seed=k)
+    demand = tuple(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k), label="demand"))
+    rounds = data.draw(st.lists(st.integers(1, k), max_size=2 * k), label="rounds")
+    got = sim.round_messages(library, scheme, demand, rounds)
+    assert got.shape == (len(rounds), p.s, b)
+    want = [v for g in rounds for v in round_payloads(library, scheme, demand, g)]
+    assert got.tobytes() == b"".join(v.to_bytes(b, "big") for v in want)
+    log = deliver(library, scheme, demand)
+    assert log == deliver_by_cells(library, scheme, demand)
+    batch = compressed_deliver(library, scheme, demand) if scheme.plan.full_cols.size else None
+    if batch is not None:  # the int oracle cannot shape the empty batch of S = 0
+        assert batch == compressed_deliver_by_ints(library, scheme, demand) if p.s else not batch.payloads
+    for u in range(1, k + 1):
+        want = decode_by_recipes(library, scheme, demand, log.payloads, u)
+        assert want == library.file_bytes(demand[u - 1])
+        assert decode(library, scheme, demand, log, u) == want
+        assert decode_from_messages(library, scheme, demand, log.payloads, u) == want
+        if batch is not None:
+            assert compressed_decode(library, scheme, demand, batch, u) == want
+            assert compressed_decode_by_elimination(library, scheme, demand, batch, u) == want
+
+
+@pytest.mark.parametrize("b", range(1, 10))
+def test_gathers_alike_at_every_word_width(b):
+    """Packets of 1 to 9 bytes, gathered as words of 8, 4, 2 or 1 bytes:
+    deliver matches the loop and every user decodes its file."""
+    scheme = build_scheme(ragged_pda(), 8, 3)
+    library = library_for_scheme(scheme, packet_bytes=b, seed=b)
+    demand = (3, 1, 4, 1, 5, 2, 6, 8)
+    log = deliver(library, scheme, demand)
+    assert log == deliver_by_cells(library, scheme, demand)
+    for u in range(1, 9):
+        assert decode(library, scheme, demand, log, u) == library.file_bytes(demand[u - 1])
+
+
+def counted(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call's arguments."""
+    calls, real = [], getattr(module, name)
+
+    def spied(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def tables_of(plan):
+    """The plan's kept gather tables so far: its round cells, then each user's reads."""
+    kept = [vars(plan)["_round_cells"]] if "_round_cells" in vars(plan) else []
+    return kept + list(vars(plan).get("_reads_by_user", {}).values())
+
+
+@pytest.mark.parametrize("p, k, l", KEPT_CASES)
+def test_kept_offsets_are_read_only_and_built_once(monkeypatch, p, k, l):
+    """The plan builds its round cells on the first gather and each user's
+    reads on that user's first decode, plain or coded, and never again; every
+    kept array is read-only and the plan's own fields are untouched. A
+    dataclasses.replace copy of the plan, or of the scheme, builds its own."""
+    cells = counted(monkeypatch, transform, "_round_cells")
+    reads = counted(monkeypatch, transform, "_user_reads")
+    scheme = build_scheme(p, k, l)
+    plan = scheme.plan
+    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    assert tables_of(plan) == [] and (cells, reads) == ([], [])
+    library = library_for_scheme(scheme, packet_bytes=2, seed=k)
+    demand = tuple(range(k, 0, -1))
+    coded = scheme.plan.full_cols.size > 0
+    for _ in range(2):
+        log = deliver(library, scheme, demand)
+        batch = compressed_deliver(library, scheme, demand) if coded else None
+        for u in range(1, k + 1):
+            decode(library, scheme, demand, log, u)
+            decode_from_messages(library, scheme, demand, log.payloads, u)
+            if coded:
+                compressed_decode(library, scheme, demand, batch, u)
+    assert [args[0] for args in cells] == [plan]
+    assert sorted(args[1] for args in reads) == list(range(1, k + 1))
+    assert all(args[0] is plan for args in reads)
+    round_cols, offsets = plan._round_cells
+    assert round_cols.shape == offsets.shape == (k, *plan.cell_rows.shape)
+    assert all(plan._reads(u) is plan._reads(u) for u in range(1, k + 1))
+    kept = [a for table in tables_of(plan) for a in table]
+    assert len(kept) == 2 + 5 * k
+    assert all(a.dtype == np.intp and not a.flags.writeable for a in kept)
+    assert all(getattr(plan, name) is a for name, a in fields.items())
+    twin = dataclasses.replace(plan)
+    assert tables_of(twin) == []
+    assert twin._reads(1) is not plan._reads(1) and len(reads) == k + 1
+    assert all(np.array_equal(a, b) for a, b in zip(twin._reads(1), plan._reads(1)))
+    copy_scheme = dataclasses.replace(scheme)
+    assert copy_scheme.plan is not plan and deliver(library, copy_scheme, demand) == log
+    assert decode(library, copy_scheme, demand, log, 1) == library.file_bytes(demand[0])
+    assert [args[0] for args in cells] == [plan, copy_scheme.plan]
+    assert len(reads) == k + 2 and reads[-1] == (copy_scheme.plan, 1)
 
 
 def outcome_of_build(build):

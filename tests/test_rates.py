@@ -327,10 +327,12 @@ ALL_CURVES = ["hkd", "rk", "sr", "t1", "conv"]
     (lambda: comparison_table(-10**9, 3, ["sr"], "1/6"), r"^k=-1000000000, l=3 must be >= 1$"),
     (lambda: converse_bound(10**7, 3, 3 * 10**6), r"^72000024 binomial bits exceed the 1048576 cap$"),
     (lambda: comparison_table(10**5, 3, ["conv"], "1/1000"), r"^\d+ binomial bits exceed"),
+    (lambda: f_t1(10**7, 3, 3 * 10**6), r"^22000000 binomial bits exceed the 1048576 cap$"),
+    (lambda: count_sq(10**7, 3, 3 * 10**6, 10**7), r"^22000000 binomial bits exceed the 1048576 cap$"),
 ])
 def test_huge_rates_work_is_refused_before_any_corner(call, text):
-    """Corners, r_sr's sum terms over them, table cells and the converse's
-    binomial bits are counted in exact ints and refused past MAX_TERMS before
+    """Corners, r_sr's sum terms over them, table cells and the binomial bits
+    of the converse, f_t1 and count_sq are counted in exact ints and refused past MAX_TERMS before
     any load or bound is computed."""
     tracemalloc.start()
     try:
@@ -342,6 +344,23 @@ def test_huge_rates_work_is_refused_before_any_corner(call, text):
     finally:
         tracemalloc.stop()
     assert elapsed < 0.05 and peak < 2**20
+
+
+def test_binomial_caps_admit_the_tested_inputs(monkeypatch):
+    """f_t1 and count_sq bound C(n, r)'s bits by min(r, n - r) times n's bit
+    length, and the cap is inclusive: f_t1(8, 3, 2) takes C(4, 2), 2 * 3
+    bits, and count_sq(14, 1, 7, 14), the largest binomial of the count
+    tests, C(13, 6), 6 * 4 bits. At the real cap a huge n with a small side
+    still passes."""
+    for call, n in ((lambda: f_t1(8, 3, 2), 6), (lambda: count_sq(14, 1, 7, 14), 24)):
+        monkeypatch.setattr(rates, "MAX_TERMS", n)
+        call()
+        monkeypatch.setattr(rates, "MAX_TERMS", n - 1)
+        with pytest.raises(OutOfRange, match=rf"^{n} binomial bits exceed the {n - 1} cap$"):
+            call()
+    monkeypatch.undo()
+    assert f_t1(10**6, 1, 10**6 - 1) == 10**12
+    assert count_sq(10**6, 1, 10**6, 10**6) == 1
 
 
 def test_rates_cap_admits_its_own_size(monkeypatch):

@@ -274,7 +274,7 @@ def _decode_table(scheme: Scheme, user: int, gf: GF) -> _DecodeTable:
         inverse = gf.cauchy_inverse(n, up, rows=ks)
         b[up] = np.hstack([inverse, gf.matmul(inverse, p_mat[np.ix_(ks, kp)])])
     coefficients = gf.matmul(np.vstack([p_mat, np.eye(c, dtype=gf.dtype)]), b)
-    rounds = plan._reads(user).rounds
+    rounds = plan.rounds(user, plan.miss_cols)
     sys_at = np.flatnonzero(rounds < n)
     return _DecodeTable(known, gf.logs(coefficients[rounds]), sys_at, rounds[sys_at])
 

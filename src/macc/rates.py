@@ -144,7 +144,9 @@ class ConverseInstance:
 def converse_bound(k: int, l: int, t: int) -> Fraction:
     """Lower bound on the optimal load under the gap-constrained placement."""
     _check_klt(k, l, t, low=1)
-    _check_terms((t + 1) * k.bit_length(), "binomial bits")  # each C(n, r) has n <= K, r <= t + 1
+    # One coarse count for its four binomials, each C(n, r) with n <= K and r <= t + 1,
+    # not _check_binomial on each: a conv column sums this same count over its corners.
+    _check_terms((t + 1) * k.bit_length(), "binomial bits")
     x = t * l - t + 1
     num = (
         comb0(k - l - x, t - 1)

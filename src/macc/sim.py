@@ -12,9 +12,10 @@ round-g array is built: delivery and decoding read the scheme's round-1 plan
 star mask and which store no per-row recipe, and locate round g by offset
 arithmetic, round-1 column c standing for column mod1(c + g - 1, K). A
 gather reads the array as one flat (N*K*F', W) view of packet words, W the
-widest word that divides a packet: the plan keeps every offset's
-demand-free part, so a gather is one lookup of the demanded files' base
-offsets, one add and one take.
+widest word that divides a packet. Only a file's base offset depends on
+the demand: the plan keeps the rest for every round's cells, and a decode
+works out its user's rest on each call, so a gather is one lookup of the
+demanded files' base offsets, one add and one take.
 Message (g, s), the XOR for integer s of round g, is named by its log
 position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
@@ -238,17 +239,17 @@ def decode_from_messages(
     when it is None, else OutOfRange unless it is an int of packet_bytes
     bytes. The good entries reach file_from_messages as one bytes array.
     """
-    d, payloads, reads = _reads(library, scheme, demand, user, payloads)
+    d, payloads, rounds = _reads(library, scheme, demand, user, payloads)
     plan, b = scheme.plan, library.packet_bytes
-    values = [payloads[i] for i in reads.at.tolist()]
+    values = [payloads[i] for i in (rounds * scheme.pda.s + plan.miss_ints).tolist()]
     limit = 1 << 8 * b
     ints = set(map(type, values)) <= {int}
     if not (ints and 0 <= min(values, default=0) <= max(values, default=0) < limit):
-        for i in np.lexsort((plan.miss_rows, reads.rounds)).tolist():
+        for i in np.lexsort((plan.miss_rows, rounds)).tolist():
             val = values[i]
             if val is None:
                 raise UndecodablePacket(
-                    f"message (g={reads.rounds[i] + 1}, s={plan.miss_ints[i] + 1}) missing from the log"
+                    f"message (g={rounds[i] + 1}, s={plan.miss_ints[i] + 1}) missing from the log"
                 )
             if not (is_int(val) and 0 <= val < limit):
                 raise OutOfRange(f"message payload {val!r} lies outside the {b}-byte integers")
@@ -259,7 +260,7 @@ def decode_from_messages(
 def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, kept=False):
     """A plain decode's checks, in order: dims, demand, user, then K*S payloads,
     a log's kept rows or else read as a tuple. Returns the checked demand, the
-    payloads and the user's reads, plan._reads(user)."""
+    payloads and the 0-based round of each missing row of plan.miss_*."""
     _check_dims(library, scheme)
     k, n_s = scheme.params.k, scheme.pda.s
     d = check_demand(demand, k, library.n_files)
@@ -268,7 +269,7 @@ def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, 
         payloads = converted(tuple, payloads, "message payloads", DimensionMismatch)
     if len(payloads) != k * n_s:
         raise DimensionMismatch(f"{len(payloads)} message payloads, K*S={k * n_s} expected")
-    return d, payloads, scheme.plan._reads(user)
+    return d, payloads, scheme.plan.rounds(user, scheme.plan.miss_cols)
 
 
 def file_from_messages(
@@ -279,18 +280,21 @@ def file_from_messages(
     missing row i of plan.miss_*, read in the round where the user's view
     lacks it.
 
-    One take of the peer cells from the library's flat view, at the user's
-    kept offsets plus their files' bases, and one copy of the demanded file,
-    whose rows outside the user's views are each overwritten by its message
-    XOR its peer cells.
+    One take of the peer cells from the library's flat view and one copy of
+    the demanded file, whose rows outside the user's views are each
+    overwritten by its message XOR its peer cells. The offsets are worked
+    out on each call: a row missing in 0-based round g sits at g*F' +
+    miss_rows within the file, and its peers at their file's base (column
+    (peer_cols + g) mod K, the wrap of a take) plus g*F' + peer_rows.
     """
-    plan, reads = scheme.plan, scheme.plan._reads(user)
-    packets, bases = _words(library.array), _bases(scheme, d)
-    peers = packets.take(bases[reads.peer_cols] + reads.peer_rows, axis=0)
+    plan, f = scheme.plan, scheme.plan.views.shape[0]
+    g = plan.rounds(user, plan.miss_cols)
+    packets, bases, rows = _words(library.array), _bases(scheme, d), g * f
+    peers = packets.take(bases.take(plan.peer_cols + g, mode="wrap") + (rows + plan.peer_rows), axis=0)
     peers[plan.peer_pad] = 0
     start = bases[user - 1]
     out = packets[start:start + scheme.subpacketization].copy()
-    out[reads.rows] = _words(messages) ^ np.bitwise_xor.reduce(peers, axis=0)
+    out[rows + plan.miss_rows] = _words(messages) ^ np.bitwise_xor.reduce(peers, axis=0)
     return out.tobytes()
 
 
@@ -308,5 +312,5 @@ def decode(
         )
     if "_messages" not in vars(log):
         return decode_from_messages(library, scheme, demand, log.payloads, user)
-    d, messages, reads = _reads(library, scheme, demand, user, log._messages, kept=True)
-    return file_from_messages(library, scheme, d, user, messages[reads.at])
+    d, messages, rounds = _reads(library, scheme, demand, user, log._messages, kept=True)
+    return file_from_messages(library, scheme, d, user, messages[rounds * scheme.pda.s + scheme.plan.miss_ints])

@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,10 +155,11 @@ class DeliveryPlan:
     A gather reads the library as one flat (N*K*F', W) view of packet words,
     file n's part g row j at offset ((n - 1)*K + g - 1)*F' + j - 1: the
     demand picks a file's base offset, the rest depends on the plan alone.
-    That demand-free rest is kept, read-only and built on first use, beside
-    full_cols: _round_cells for every round's cells, and _reads(user) for a
-    user's missing rows and their peers, built once per user. The fields
-    above build nothing, and a dataclasses.replace copy builds its own.
+    For the cells of every round that rest is kept beside full_cols,
+    read-only and built on the first gather: _round_cells. A decode works out
+    its user's offsets from the fields above on each call and keeps nothing
+    per user. The fields build nothing, and a dataclasses.replace copy builds
+    its own _round_cells.
     """
 
     views: np.ndarray
@@ -191,32 +191,6 @@ class DeliveryPlan:
         (cell_cols + g) mod K and offsets g*F' + cell_rows within a file."""
         return _round_cells(self)
 
-    @cached_property
-    def _reads_by_user(self) -> dict:
-        return {}
-
-    def _reads(self, user: int) -> "_Reads":
-        """The user's _Reads, built on its first request and kept."""
-        reads = self._reads_by_user.get(user)
-        if reads is None:
-            reads = self._reads_by_user[user] = _user_reads(self, user)
-        return reads
-
-
-class _Reads(NamedTuple):
-    """What one user reads under a DeliveryPlan, in plan.miss_* order, 0-based.
-    rounds: the round in which each missing row is missing. at: the log
-    position rounds*S + miss_ints of the message that carries it. rows: its
-    offset rounds*F' + miss_rows within a file. peer_cols, peer_rows: its
-    peer cells' columns (peer_cols + rounds) mod K in that round, and their
-    offsets rounds*F' + peer_rows within a file."""
-
-    rounds: np.ndarray
-    at: np.ndarray
-    rows: np.ndarray
-    peer_cols: np.ndarray
-    peer_rows: np.ndarray
-
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
@@ -228,15 +202,6 @@ def _round_cells(plan: DeliveryPlan) -> tuple[np.ndarray, np.ndarray]:
     f, k = plan.views.shape
     g = np.arange(k).reshape(-1, 1, 1)
     return _read_only((plan.cell_cols + g) % k, g * f + plan.cell_rows)
-
-
-def _user_reads(plan: DeliveryPlan, user: int) -> _Reads:
-    f, k = plan.views.shape
-    rounds = plan.rounds(user, plan.miss_cols)
-    return _Reads(*_read_only(
-        rounds, rounds * plan.cell_rows.shape[1] + plan.miss_ints, rounds * f + plan.miss_rows,
-        (plan.peer_cols + rounds) % k, rounds * f + plan.peer_rows,
-    ))
 
 
 def _delivery_plan(shape: tuple[int, int], index) -> DeliveryPlan:

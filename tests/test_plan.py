@@ -383,24 +383,17 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-def tables_of(plan):
-    """The plan's kept gather tables so far: its round cells, then each user's reads."""
-    kept = [vars(plan)["_round_cells"]] if "_round_cells" in vars(plan) else []
-    return kept + list(vars(plan).get("_reads_by_user", {}).values())
-
-
 @pytest.mark.parametrize("p, k, l", KEPT_CASES)
 def test_kept_offsets_are_read_only_and_built_once(monkeypatch, p, k, l):
-    """The plan builds its round cells on the first gather and each user's
-    reads on that user's first decode, plain or coded, and never again; every
-    kept array is read-only and the plan's own fields are untouched. A
-    dataclasses.replace copy of the plan, or of the scheme, builds its own."""
+    """The plan builds its round cells on the first gather and never again,
+    and a decode, plain or coded, keeps nothing on it; both kept arrays are
+    read-only and the plan's own fields are untouched. A dataclasses.replace
+    copy of the plan, or of the scheme, builds its own."""
     cells = counted(monkeypatch, transform, "_round_cells")
-    reads = counted(monkeypatch, transform, "_user_reads")
     scheme = build_scheme(p, k, l)
     plan = scheme.plan
     fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-    assert tables_of(plan) == [] and (cells, reads) == ([], [])
+    assert set(vars(plan)) == set(fields) and cells == []
     library = library_for_scheme(scheme, packet_bytes=2, seed=k)
     demand = tuple(range(k, 0, -1))
     coded = scheme.plan.full_cols.size > 0
@@ -412,25 +405,20 @@ def test_kept_offsets_are_read_only_and_built_once(monkeypatch, p, k, l):
             decode_from_messages(library, scheme, demand, log.payloads, u)
             if coded:
                 compressed_decode(library, scheme, demand, batch, u)
-    assert [args[0] for args in cells] == [plan]
-    assert sorted(args[1] for args in reads) == list(range(1, k + 1))
-    assert all(args[0] is plan for args in reads)
-    round_cols, offsets = plan._round_cells
+    assert cells == [(plan,)]
+    assert set(vars(plan)) == set(fields) | {"full_cols", "_round_cells"}
+    round_cols, offsets = kept = plan._round_cells
     assert round_cols.shape == offsets.shape == (k, *plan.cell_rows.shape)
-    assert all(plan._reads(u) is plan._reads(u) for u in range(1, k + 1))
-    kept = [a for table in tables_of(plan) for a in table]
-    assert len(kept) == 2 + 5 * k
     assert all(a.dtype == np.intp and not a.flags.writeable for a in kept)
     assert all(getattr(plan, name) is a for name, a in fields.items())
     twin = dataclasses.replace(plan)
-    assert tables_of(twin) == []
-    assert twin._reads(1) is not plan._reads(1) and len(reads) == k + 1
-    assert all(np.array_equal(a, b) for a, b in zip(twin._reads(1), plan._reads(1)))
+    assert "_round_cells" not in vars(twin)
+    assert twin._round_cells is not kept and len(cells) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(twin._round_cells, kept))
     copy_scheme = dataclasses.replace(scheme)
     assert copy_scheme.plan is not plan and deliver(library, copy_scheme, demand) == log
     assert decode(library, copy_scheme, demand, log, 1) == library.file_bytes(demand[0])
-    assert [args[0] for args in cells] == [plan, copy_scheme.plan]
-    assert len(reads) == k + 2 and reads[-1] == (copy_scheme.plan, 1)
+    assert [args[0] for args in cells] == [plan, twin, copy_scheme.plan]
 
 
 def outcome_of_build(build):
@@ -587,6 +575,29 @@ def test_plan_memory_is_its_index_arrays():
         tracemalloc.stop()
     assert plan is scheme.plan
     assert kept < 200_000, kept
+
+
+def test_plan_keeps_only_its_round_cells_after_every_decode():
+    """At K=20, L=3, t=2, after a deliver and every user's decode the plan
+    holds its index arrays and its two (K, 3, 560) round-cell arrays, about
+    670 KB, and nothing per user: offsets kept for each of the 20 users
+    would add about 1.9 MB."""
+    scheme = build_scheme(mn_pda(16, 2), 20, 3)
+    library = library_for_scheme(scheme, packet_bytes=1, seed=0)
+    demand = tuple(range(20, 0, -1))
+    tracemalloc.start()
+    try:
+        plan = scheme.plan
+        log = deliver(library, scheme, demand)
+        for u in range(1, 21):
+            assert decode(library, scheme, demand, log, u) == library.file_bytes(demand[u - 1])
+            assert decode_from_messages(library, scheme, demand, log.payloads, u) == library.file_bytes(demand[u - 1])
+        del log
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan is scheme.plan and plan._round_cells[0].shape == (20, 3, 560)
+    assert kept < 800_000, kept
 
 
 def test_scheme_grids_cannot_be_supplied(scheme832):

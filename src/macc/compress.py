@@ -140,8 +140,8 @@ class CodedBatch:
         """payloads of a batch kept as its coded rows, read off them once."""
         if name != "payloads":
             raise AttributeError(name)
-        raw = symbols_to_bytes(self.symbols, self.field_width).tobytes()
-        object.__setattr__(self, "payloads", tuple(packet_ints(raw, self.packet_bytes)))
+        payloads = packet_ints(symbols_to_bytes(self.symbols, self.field_width))
+        object.__setattr__(self, "payloads", tuple(payloads))
         return self.payloads
 
     @cached_property
@@ -250,14 +250,14 @@ class _DecodeTable(NamedTuple):
     times the parity rounds. known: those rounds, ascending. logs: for each
     message the user reads, one per missing row in plan.miss_* order, the
     logs of its c coefficients over z, its round's row of [P; I_c] @ B, B the
-    map from z to the parity rounds. sys_at, sys_rounds: the position and
-    round of each message of a systematic round, which also takes its own
-    coded row."""
+    map from z to the parity rounds. rounds: each message's round,
+    plan.rounds(user, plan.miss_cols). sys_at: the position of each message
+    of a systematic round, which also takes its own coded row."""
 
     known: np.ndarray
     logs: np.ndarray
+    rounds: np.ndarray
     sys_at: np.ndarray
-    sys_rounds: np.ndarray
 
 
 def _decode_table(scheme: Scheme, user: int, gf: GF) -> _DecodeTable:
@@ -275,8 +275,7 @@ def _decode_table(scheme: Scheme, user: int, gf: GF) -> _DecodeTable:
         b[up] = np.hstack([inverse, gf.matmul(inverse, p_mat[np.ix_(ks, kp)])])
     coefficients = gf.matmul(np.vstack([p_mat, np.eye(c, dtype=gf.dtype)]), b)
     rounds = plan.rounds(user, plan.miss_cols)
-    sys_at = np.flatnonzero(rounds < n)
-    return _DecodeTable(known, gf.logs(coefficients[rounds]), sys_at, rounds[sys_at])
+    return _DecodeTable(known, gf.logs(coefficients[rounds]), rounds, np.flatnonzero(rounds < n))
 
 
 def compressed_decode(
@@ -317,8 +316,8 @@ def compressed_decode(
     ks = table.known[table.known < n]
     z[:len(ks)] ^= coded[ks]
     messages = gf._dot_logs(table.logs, gf.logs(z)[:, ints])  # z's logs taken once, then gathered
-    messages[table.sys_at] ^= coded[table.sys_rounds, ints[table.sys_at]]
-    return file_from_messages(library, scheme, d, user, symbols_to_bytes(messages, gf.width))
+    messages[table.sys_at] ^= coded[table.rounds[table.sys_at], ints[table.sys_at]]
+    return file_from_messages(library, scheme, d, user, table.rounds, symbols_to_bytes(messages, gf.width))
 
 
 def compressed_load(scheme: Scheme) -> Fraction:

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import util
 from .errors import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
 from .util import converted, is_int, packet_ints, require_ints, require_type
 
@@ -310,8 +311,8 @@ def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     _symbol_bytes(width, packet_bytes)
     packets = converted(list, packets, "packets", OutOfRange)
     try:
-        raw = b"".join(p.to_bytes(packet_bytes, "big") for p in packets)
-    except (AttributeError, OverflowError) as e:
+        raw = util.packet_bytes(packets, packet_bytes)
+    except (TypeError, OverflowError) as e:
         raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
     return bytes_to_symbols(np.frombuffer(raw, np.uint8).reshape(len(packets), packet_bytes), width)
 
@@ -324,4 +325,4 @@ def symbols_to_packets(symbols: np.ndarray, packet_bytes: int, width: int) -> li
         raise DimensionMismatch(f"symbol rows of shape {symbols.shape} do not fill {packet_bytes} bytes")
     if symbols.size and (symbols.min() < 0 or int(symbols.max()) >> width):
         raise OutOfRange(f"symbol outside GF(2^{width})")
-    return packet_ints(symbols_to_bytes(symbols, width).tobytes(), packet_bytes)
+    return list(packet_ints(symbols_to_bytes(symbols, width)))

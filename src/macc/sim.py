@@ -4,8 +4,10 @@ A file consists of K parts of F' packets each; part g is covered by the
 round-g arrays. A library holds its packets as one read-only uint8 array of
 shape (N, K, F', B), which library_for_scheme draws into and the constructor
 joins its ints into; the ints, the form of every public payload format, are
-derived on request. Both delivers take their messages from one gather of
-that array (round_messages), and both decodes their files from another
+derived on request. Ints meet bytes only in util: packet_bytes joins them,
+and packet_ints reads them off a packet array in one tolist of its void view.
+Both delivers take their messages from one gather of that array
+(round_messages), and both decodes their files from another
 (file_from_messages); a plain log keeps its messages' bytes for decode. No
 round-g array is built: delivery and decoding read the scheme's round-1 plan
 (Scheme.plan), read-only index arrays whose views are the delivery grid's
@@ -14,8 +16,8 @@ arithmetic, round-1 column c standing for column mod1(c + g - 1, K). A
 gather reads the array as one flat (N*K*F', W) view of packet words, W the
 widest word that divides a packet. Only a file's base offset depends on
 the demand: the plan keeps the rest for every round's cells, and a decode
-works out its user's rest on each call, so a gather is one lookup of the
-demanded files' base offsets, one add and one take.
+works out its user's rounds and the rest once per call, so a gather is one
+lookup of the demanded files' base offsets, one add and one take.
 Message (g, s), the XOR for integer s of round g, is named by its log
 position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
@@ -26,6 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import util
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
 from .transform import Scheme
 from .util import converted, is_int, is_tuple_of, packet_ints, require_ints, require_type
@@ -65,7 +68,7 @@ class PacketLibrary:
         for p in packets:
             if not (is_int(p) and 0 <= p < limit):
                 raise OutOfRange(f"packet {p!r} lies outside the {b}-byte integers")
-        raw = b"".join(map(int.to_bytes, packets, repeat(b), repeat("big")))
+        raw = util.packet_bytes(packets, b)
         shape = (self.n_files, self.parts_per_file, self.packets_per_part, b)
         object.__setattr__(self, "array", np.frombuffer(raw, np.uint8).reshape(shape))
         object.__delattr__(self, "data")
@@ -74,7 +77,7 @@ class PacketLibrary:
         """data, read off the array once."""
         if name != "data":
             raise AttributeError(name)
-        packets = iter(packet_ints(self.array.tobytes(), self.packet_bytes))
+        packets = packet_ints(self.array)
         parts = zip(*[packets] * self.packets_per_part)  # consecutive runs of F' packets
         object.__setattr__(self, "data", tuple(zip(*[parts] * self.parts_per_file)))
         return self.data
@@ -124,8 +127,7 @@ def library_for_scheme(
         raise DimensionMismatch(f"library data is not {n} files of {k}x{f} packets")
     rng, bits, step, raw = random.Random(seed), 8 * packet_bytes, f * packet_bytes, bytearray(size)
     for i in range(0, size, step):  # a draw per packet, files then parts then rows, joined by part
-        draws = map(rng.getrandbits, repeat(bits, f))
-        raw[i:i + step] = b"".join(map(int.to_bytes, draws, repeat(packet_bytes), repeat("big")))
+        raw[i:i + step] = util.packet_bytes(map(rng.getrandbits, repeat(bits, f)), packet_bytes)
     array = np.frombuffer(memoryview(raw).toreadonly(), np.uint8).reshape(n, k, f, packet_bytes)
     lib = object.__new__(PacketLibrary)  # kept as its array, never writable: ints on request
     vars(lib).update(n_files=n, parts_per_file=k, packets_per_part=f, packet_bytes=packet_bytes, array=array)
@@ -193,7 +195,7 @@ def deliver(library: PacketLibrary, scheme: Scheme, demand) -> TransmissionLog:
     d = check_demand(demand, k, library.n_files)
     messages = round_messages(library, scheme, d, range(1, k + 1)).reshape(-1, b)
     messages.flags.writeable = False
-    log = TransmissionLog(payloads=tuple(packet_ints(messages.tobytes(), b)), packet_bytes=b)
+    log = TransmissionLog(payloads=tuple(packet_ints(messages)), packet_bytes=b)
     object.__setattr__(log, "_messages", messages)  # no field: replace copies and built logs lack it
     return log
 
@@ -253,8 +255,8 @@ def decode_from_messages(
                 )
             if not (is_int(val) and 0 <= val < limit):
                 raise OutOfRange(f"message payload {val!r} lies outside the {b}-byte integers")
-    raw = b"".join(map(int.to_bytes, values, repeat(b), repeat("big")))
-    return file_from_messages(library, scheme, d, user, np.frombuffer(raw, np.uint8).reshape(-1, b))
+    raw = util.packet_bytes(values, b)
+    return file_from_messages(library, scheme, d, user, rounds, np.frombuffer(raw, np.uint8).reshape(-1, b))
 
 
 def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, kept=False):
@@ -273,12 +275,12 @@ def _reads(library: PacketLibrary, scheme: Scheme, demand, user: int, payloads, 
 
 
 def file_from_messages(
-    library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], user: int, messages: np.ndarray
+    library: PacketLibrary, scheme: Scheme, d: tuple[int, ...], user: int, g: np.ndarray, messages: np.ndarray
 ) -> bytes:
     """The user's file under a checked demand d, from the library array and
     an (M, B) uint8 array of the M messages it reads: message i carries
-    missing row i of plan.miss_*, read in the round where the user's view
-    lacks it.
+    missing row i of plan.miss_*, read in 0-based round g[i], where the
+    user's view lacks it (g is plan.rounds(user, plan.miss_cols)).
 
     One take of the peer cells from the library's flat view and one copy of
     the demanded file, whose rows outside the user's views are each
@@ -288,7 +290,6 @@ def file_from_messages(
     (peer_cols + g) mod K, the wrap of a take) plus g*F' + peer_rows.
     """
     plan, f = scheme.plan, scheme.plan.views.shape[0]
-    g = plan.rounds(user, plan.miss_cols)
     packets, bases, rows = _words(library.array), _bases(scheme, d), g * f
     peers = packets.take(bases.take(plan.peer_cols + g, mode="wrap") + (rows + plan.peer_rows), axis=0)
     peers[plan.peer_pad] = 0
@@ -312,5 +313,5 @@ def decode(
         )
     if "_messages" not in vars(log):
         return decode_from_messages(library, scheme, demand, log.payloads, user)
-    d, messages, rounds = _reads(library, scheme, demand, user, log._messages, kept=True)
-    return file_from_messages(library, scheme, d, user, messages[rounds * scheme.pda.s + scheme.plan.miss_ints])
+    d, messages, g = _reads(library, scheme, demand, user, log._messages, kept=True)
+    return file_from_messages(library, scheme, d, user, g, messages[g * scheme.pda.s + scheme.plan.miss_ints])

@@ -1,7 +1,10 @@
 """Small shared helpers, the input guards among them."""
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+
+import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange
 
@@ -38,10 +41,16 @@ def converted(kind: type, value, name: str, error):
         raise error(f"{name}={value!r} cannot be read as a {kind.__name__}") from e
 
 
-def packet_ints(raw: bytes, size: int) -> list[int]:
-    """raw cut into size-byte big-endian ints, in order: the int form of packets."""
-    from_bytes = int.from_bytes  # bound once, not on every packet
-    return [from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+def packet_ints(packets: np.ndarray) -> map:
+    """An iterator of the big-endian ints of a uint8 array's packets, its last axis, in
+    C order; one tolist of a void view, which keeps trailing zeros, splits the bytes."""
+    raw = np.ascontiguousarray(packets).view(f"V{packets.shape[-1]}").ravel().tolist()
+    return map(int.from_bytes, raw, repeat("big"))
+
+
+def packet_bytes(values, size: int) -> bytes:
+    """The ints' size-byte big-endian forms, joined in order: the inverse of packet_ints."""
+    return b"".join(map(int.to_bytes, values, repeat(size), repeat("big")))
 
 
 def mod1(x: int, a: int) -> int:

@@ -723,6 +723,16 @@ def user_view_via_nodes(
     return frozenset(rows)
 
 
+def packet_ints_by_slices(raw: bytes, size: int) -> list[int]:
+    """raw cut into size-byte big-endian ints by slicing, one packet at a time."""
+    return [int.from_bytes(raw[i:i + size], "big") for i in range(0, len(raw), size)]
+
+
+def packet_bytes_by_join(values, size: int) -> bytes:
+    """The ints joined as size-byte big-endian packets, one to_bytes at a time."""
+    return b"".join(v.to_bytes(size, "big") for v in values)
+
+
 def library_by_ints(
     scheme: Scheme, n_files: int | None = None, packet_bytes: int = 1, seed: int = 0
 ) -> PacketLibrary:
@@ -934,7 +944,8 @@ def compressed_deliver_by_ints(
     k, s, b = scheme.params.k, scheme.pda.s, library.packet_bytes
     rows = sum(any(row[c] != STAR for row in scheme.delivery.grid) for c in range(k))
     gf = _pick_field(rows, k, s, b, field_width)
-    x = packets_to_symbols(log.payloads, b, gf.width).reshape(k, -1)
+    width = b * 8 // gf.width  # symbols per packet, so that S = 0 shapes too
+    x = packets_to_symbols(log.payloads, b, gf.width).reshape(k, s * width)
     coded = x[:rows] ^ gf.matmul(_coding_block(rows, k, gf.width), x[rows:])
     return CodedBatch(
         field_width=gf.width,
@@ -942,7 +953,7 @@ def compressed_deliver_by_ints(
         m2=k * s,
         blocks=s,
         packet_bytes=b,
-        payloads=tuple(symbols_to_packets(coded.reshape(rows * s, -1), b, gf.width)),
+        payloads=tuple(symbols_to_packets(coded.reshape(rows * s, width), b, gf.width)),
     )
 
 

@@ -394,6 +394,8 @@ def test_symbol_packing_rejects_out_of_range():
     with pytest.raises(OutOfRange):
         symbols_to_packets(np.array([[1, 300]]), 2, 8)
     with pytest.raises(OutOfRange):
+        symbols_to_packets(np.array([[1, -1]]), 2, 8)  # -1, not only below it
+    with pytest.raises(OutOfRange):
         packet_to_symbols(1, 2, 5)
 
 

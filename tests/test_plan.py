@@ -241,16 +241,22 @@ def test_corrupted_log_matches_the_loop_oracle(label, data):
 
 
 def test_plain_decode_is_one_gather(monkeypatch):
-    """Each plain decode hands file_from_messages one array of the
-    len(plan.miss_cols) messages its user reads; deliver matches the loop on
-    a ragged plan, on one integer (S = 1) and on none (S = 0)."""
-    calls, gather = [], sim.file_from_messages
+    """Each plain decode, of a delivered log or of its payloads, works out its
+    user's rounds once and hands them to file_from_messages with one array of
+    the len(plan.miss_cols) messages its user reads; deliver matches the loop
+    on a ragged plan, on one integer (S = 1) and on none (S = 0)."""
+    calls, gather, rounds = [], sim.file_from_messages, transform.DeliveryPlan.rounds
 
-    def spied(library, scheme, d, user, messages):
-        calls.append(messages.shape)
-        return gather(library, scheme, d, user, messages)
+    def spied(library, scheme, d, user, g, messages):
+        calls.append((g.tolist(), messages.shape))
+        return gather(library, scheme, d, user, g, messages)
+
+    def counted(plan, user, cols):
+        calls.append("rounds")
+        return rounds(plan, user, cols)
 
     monkeypatch.setattr(sim, "file_from_messages", spied)
+    monkeypatch.setattr(transform.DeliveryPlan, "rounds", counted)
     for p, k, l in ((ragged_pda(), 8, 3), (mn_pda(2, 1), 2, 1), (mn_pda(3, 3), 3, 1)):
         scheme = build_scheme(p, k, l)
         library = library_for_scheme(scheme, packet_bytes=3, seed=k)
@@ -258,10 +264,13 @@ def test_plain_decode_is_one_gather(monkeypatch):
         log = deliver(library, scheme, demand)
         assert log == deliver_by_cells(library, scheme, demand)
         assert len(log.payloads) == k * p.s
+        miss_cols = scheme.plan.miss_cols
         for u in range(1, k + 1):
+            want = ["rounds", (rounds(scheme.plan, u, miss_cols).tolist(), (len(miss_cols), 3))]
             calls.clear()
             assert decode(library, scheme, demand, log, u) == library.file_bytes(demand[u - 1])
-            assert calls == [(len(scheme.plan.miss_cols), 3)]
+            assert decode_from_messages(library, scheme, demand, log.payloads, u) == library.file_bytes(demand[u - 1])
+            assert calls == want * 2
 
 
 # (array, K, L) of a ragged plan, one integer (S = 1) and none (S = 0)
@@ -346,8 +355,8 @@ def test_kept_offsets_match_the_loops(p, k, l, data):
     log = deliver(library, scheme, demand)
     assert log == deliver_by_cells(library, scheme, demand)
     batch = compressed_deliver(library, scheme, demand) if scheme.plan.full_cols.size else None
-    if batch is not None:  # the int oracle cannot shape the empty batch of S = 0
-        assert batch == compressed_deliver_by_ints(library, scheme, demand) if p.s else not batch.payloads
+    if batch is not None:
+        assert batch == compressed_deliver_by_ints(library, scheme, demand)
     for u in range(1, k + 1):
         want = decode_by_recipes(library, scheme, demand, log.payloads, u)
         assert want == library.file_bytes(demand[u - 1])

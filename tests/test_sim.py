@@ -20,10 +20,13 @@ from macc import (
     partition_pda,
 )
 from macc.sim import check_demand
+from macc.util import packet_bytes, packet_ints
 from oracles import (
     constituents,
     demand_suite,
     library_by_ints,
+    packet_bytes_by_join,
+    packet_ints_by_slices,
     node_cache_bytes,
     populate_caches,
     shift_grid,
@@ -312,3 +315,24 @@ def test_demand_suite_shapes():
     # fewer files than users wraps cyclically
     wrapped = demand_suite(5, 2, seed=0, n_random=0, exhaustive_cap=4)
     assert wrapped[0] == (1, 2, 1, 2, 1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 256, 4096])
+def test_packet_edges_match_the_slicing_and_join_loops(size):
+    """packet_ints reads the slicing loop's ints off any uint8 array of packets,
+    trailing and leading zero bytes kept, and packet_bytes joins them back."""
+    rng = np.random.default_rng(size)
+    packets = rng.integers(0, 256, size=(2, 3, 5, size), dtype=np.uint8)
+    packets[0, 0, 0], packets[0, 0, 1] = 0, 255
+    packets[0, 1, 0, -1] = packets[0, 1, 1, 0] = 0  # one trailing, one leading zero byte
+    packets[0, 1, 2, 1:] = packets[0, 1, 3, :-1] = 0  # runs of them
+    for array in (packets, packets[:, 1::2], packets[1, :, ::-2], np.zeros((0, size), np.uint8)):
+        want = packet_ints_by_slices(array.tobytes(), size)
+        got = packet_ints(array)
+        assert list(got) == want and list(got) == []  # an iterator, read once
+        assert packet_bytes(want, size) == packet_bytes_by_join(want, size) == array.tobytes()
+    assert packet_bytes(iter(want), size) == b""
+    lib = library_for_scheme(build_scheme(mn_pda(3, 1), 3, 1), n_files=4, packet_bytes=size, seed=size)
+    for array in (lib.array[::2, 1:], lib.array[1, :, ::-1]):  # not contiguous
+        assert list(packet_ints(array)) == packet_ints_by_slices(array.tobytes(), size)
+

@@ -19,9 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import util
 from .errors import DimensionMismatch, FieldTooSmall, OutOfRange, SingularSystem
-from .util import converted, is_int, packet_ints, require_ints, require_type
+from .util import converted, is_int, join_packets, packet_ints, require_ints, require_type
 
 PRIMITIVE_POLY = {
     2: 0b111,
@@ -311,7 +310,7 @@ def packets_to_symbols(packets, packet_bytes: int, width: int) -> np.ndarray:
     _symbol_bytes(width, packet_bytes)
     packets = converted(list, packets, "packets", OutOfRange)
     try:
-        raw = util.packet_bytes(packets, packet_bytes)
+        raw = join_packets(packets, packet_bytes)
     except (TypeError, OverflowError) as e:
         raise OutOfRange(f"packet lies outside the {packet_bytes}-byte integers") from e
     return bytes_to_symbols(np.frombuffer(raw, np.uint8).reshape(len(packets), packet_bytes), width)

@@ -1,24 +1,22 @@
 """End-to-end delivery over a built scheme with real packet payloads.
 
-A file consists of K parts of F' packets each; part g is covered by the
-round-g arrays. A library holds its packets as one read-only uint8 array of
-shape (N, K, F', B), which library_for_scheme draws into and the constructor
-joins its ints into; the ints, the form of every public payload format, are
-derived on request. Ints meet bytes only in util: packet_bytes joins them,
-and packet_ints reads them off a packet array in one tolist of its void view.
-Both delivers take their messages from one gather of that array
-(round_messages), and both decodes their files from another
-(file_from_messages); a plain log keeps its messages' bytes for decode. No
-round-g array is built: delivery and decoding read the scheme's round-1 plan
-(Scheme.plan), read-only index arrays whose views are the delivery grid's
-star mask and which store no per-row recipe, and locate round g by offset
-arithmetic, round-1 column c standing for column mod1(c + g - 1, K). A
-gather reads the array as one flat (N*K*F', W) view of packet words, W the
-widest word that divides a packet. Only a file's base offset depends on
-the demand: the plan keeps the rest for every round's cells, and a decode
-works out its user's rounds and the rest once per call, so a gather is one
-lookup of the demanded files' base offsets, one add and one take.
-Message (g, s), the XOR for integer s of round g, is named by its log
+A file consists of K parts of F' packets each; part g is covered by the round-g
+arrays. A library holds its packets as one read-only uint8 array of shape
+(N, K, F', B), which library_for_scheme draws into and the constructor joins
+its ints into; the ints, the form of every public payload format, are read off
+it on request. Ints meet bytes only in util's join_packets and packet_ints. Both
+delivers take their messages from one gather of the array (round_messages), and
+both decodes their files from another (file_from_messages); a plain log keeps
+its messages' bytes for decode. No round-g array is built: delivery and
+decoding read the scheme's round-1 plan (Scheme.plan), read-only index arrays
+whose views are the delivery grid's star mask and which store no per-row
+recipe, and locate round g by offset arithmetic, round-1 column c standing for
+column mod1(c + g - 1, K). A gather reads the array as one flat (N*K*F', W)
+view of packet words, W the widest word that divides a packet. Only a file's
+base offset depends on the demand: the plan keeps the rest for every round's
+cells, and a decode works out its user's rounds and the rest once per call, so
+a gather is one lookup of the demanded files' base offsets, one add and one
+take. Message (g, s), the XOR for integer s of round g, is named by its log
 position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
 
@@ -28,10 +26,9 @@ from itertools import repeat
 
 import numpy as np
 
-from . import util
 from .errors import DemandOutOfRange, DimensionMismatch, OutOfRange, UndecodablePacket
 from .transform import Scheme
-from .util import converted, is_int, is_tuple_of, packet_ints, require_ints, require_type
+from .util import converted, is_int, is_tuple_of, join_packets, packet_ints, require_ints, require_type
 
 MAX_LIBRARY_BYTES = 1 << 26  # the most payload bytes, N*K*F'*B, library_for_scheme draws
 
@@ -68,7 +65,7 @@ class PacketLibrary:
         for p in packets:
             if not (is_int(p) and 0 <= p < limit):
                 raise OutOfRange(f"packet {p!r} lies outside the {b}-byte integers")
-        raw = util.packet_bytes(packets, b)
+        raw = join_packets(packets, b)
         shape = (self.n_files, self.parts_per_file, self.packets_per_part, b)
         object.__setattr__(self, "array", np.frombuffer(raw, np.uint8).reshape(shape))
         object.__delattr__(self, "data")
@@ -77,8 +74,7 @@ class PacketLibrary:
         """data, read off the array once."""
         if name != "data":
             raise AttributeError(name)
-        packets = packet_ints(self.array)
-        parts = zip(*[packets] * self.packets_per_part)  # consecutive runs of F' packets
+        parts = zip(*[packet_ints(self.array)] * self.packets_per_part)  # consecutive runs of F' packets
         object.__setattr__(self, "data", tuple(zip(*[parts] * self.parts_per_file)))
         return self.data
 
@@ -127,7 +123,7 @@ def library_for_scheme(
         raise DimensionMismatch(f"library data is not {n} files of {k}x{f} packets")
     rng, bits, step, raw = random.Random(seed), 8 * packet_bytes, f * packet_bytes, bytearray(size)
     for i in range(0, size, step):  # a draw per packet, files then parts then rows, joined by part
-        raw[i:i + step] = util.packet_bytes(map(rng.getrandbits, repeat(bits, f)), packet_bytes)
+        raw[i:i + step] = join_packets(map(rng.getrandbits, repeat(bits, f)), packet_bytes)
     array = np.frombuffer(memoryview(raw).toreadonly(), np.uint8).reshape(n, k, f, packet_bytes)
     lib = object.__new__(PacketLibrary)  # kept as its array, never writable: ints on request
     vars(lib).update(n_files=n, parts_per_file=k, packets_per_part=f, packet_bytes=packet_bytes, array=array)
@@ -255,7 +251,7 @@ def decode_from_messages(
                 )
             if not (is_int(val) and 0 <= val < limit):
                 raise OutOfRange(f"message payload {val!r} lies outside the {b}-byte integers")
-    raw = util.packet_bytes(values, b)
+    raw = join_packets(values, b)
     return file_from_messages(library, scheme, d, user, rounds, np.frombuffer(raw, np.uint8).reshape(-1, b))
 
 

@@ -42,13 +42,12 @@ def converted(kind: type, value, name: str, error):
 
 
 def packet_ints(packets: np.ndarray) -> map:
-    """An iterator of the big-endian ints of a uint8 array's packets, its last axis, in
-    C order; one tolist of a void view, which keeps trailing zeros, splits the bytes."""
+    """Iterator of a uint8 array's last-axis packets as big-endian ints; a V view keeps trailing zeros."""
     raw = np.ascontiguousarray(packets).view(f"V{packets.shape[-1]}").ravel().tolist()
     return map(int.from_bytes, raw, repeat("big"))
 
 
-def packet_bytes(values, size: int) -> bytes:
+def join_packets(values, size: int) -> bytes:
     """The ints' size-byte big-endian forms, joined in order: the inverse of packet_ints."""
     return b"".join(map(int.to_bytes, values, repeat(size), repeat("big")))
 

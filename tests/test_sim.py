@@ -20,7 +20,7 @@ from macc import (
     partition_pda,
 )
 from macc.sim import check_demand
-from macc.util import packet_bytes, packet_ints
+from macc.util import join_packets, packet_ints
 from oracles import (
     constituents,
     demand_suite,
@@ -320,7 +320,7 @@ def test_demand_suite_shapes():
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 256, 4096])
 def test_packet_edges_match_the_slicing_and_join_loops(size):
     """packet_ints reads the slicing loop's ints off any uint8 array of packets,
-    trailing and leading zero bytes kept, and packet_bytes joins them back."""
+    trailing and leading zero bytes kept, and join_packets joins them back."""
     rng = np.random.default_rng(size)
     packets = rng.integers(0, 256, size=(2, 3, 5, size), dtype=np.uint8)
     packets[0, 0, 0], packets[0, 0, 1] = 0, 255
@@ -328,10 +328,9 @@ def test_packet_edges_match_the_slicing_and_join_loops(size):
     packets[0, 1, 2, 1:] = packets[0, 1, 3, :-1] = 0  # runs of them
     for array in (packets, packets[:, 1::2], packets[1, :, ::-2], np.zeros((0, size), np.uint8)):
         want = packet_ints_by_slices(array.tobytes(), size)
-        got = packet_ints(array)
-        assert list(got) == want and list(got) == []  # an iterator, read once
-        assert packet_bytes(want, size) == packet_bytes_by_join(want, size) == array.tobytes()
-    assert packet_bytes(iter(want), size) == b""
+        assert list(packet_ints(array)) == want
+        assert join_packets(want, size) == packet_bytes_by_join(want, size) == array.tobytes()
+    assert join_packets(iter(want), size) == b""
     lib = library_for_scheme(build_scheme(mn_pda(3, 1), 3, 1), n_files=4, packet_bytes=size, seed=size)
     for array in (lib.array[::2, 1:], lib.array[1, :, ::-1]):  # not contiguous
         assert list(packet_ints(array)) == packet_ints_by_slices(array.tobytes(), size)

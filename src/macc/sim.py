@@ -1,22 +1,24 @@
 """End-to-end delivery over a built scheme with real packet payloads.
 
-A file consists of K parts of F' packets each; part g is covered by the round-g
-arrays. A library holds its packets as one read-only uint8 array of shape
-(N, K, F', B), which library_for_scheme draws into and the constructor joins
-its ints into; the ints, the form of every public payload format, are read off
-it on request. Ints meet bytes only in util's join_packets and packet_ints. Both
-delivers take their messages from one gather of the array (round_messages), and
-both decodes their files from another (file_from_messages); a plain log keeps
-its messages' bytes for decode. No round-g array is built: delivery and
-decoding read the scheme's round-1 plan (Scheme.plan), read-only index arrays
-whose views are the delivery grid's star mask and which store no per-row
-recipe, and locate round g by offset arithmetic, round-1 column c standing for
-column mod1(c + g - 1, K). A gather reads the array as one flat (N*K*F', W)
-view of packet words, W the widest word that divides a packet. Only a file's
-base offset depends on the demand: the plan keeps the rest for every round's
-cells, and a decode works out its user's rounds and the rest once per call, so
-a gather is one lookup of the demanded files' base offsets, one add and one
-take. Message (g, s), the XOR for integer s of round g, is named by its log
+A file consists of K parts of F' packets each; part g is covered by the
+round-g arrays. A library holds its packets as one read-only uint8 array of
+shape (N, K, F', B), which library_for_scheme draws into and the constructor
+joins its ints into; the ints, the form of every public payload format, are
+derived on request. Ints meet bytes only in util: join_packets joins them,
+and packet_ints reads them off a packet array in one tolist of its void view.
+Both delivers take their messages from one gather of that array
+(round_messages), and both decodes their files from another
+(file_from_messages); a plain log keeps its messages' bytes for decode. No
+round-g array is built: delivery and decoding read the scheme's round-1 plan
+(Scheme.plan), read-only index arrays whose views are the delivery grid's
+star mask and which store no per-row recipe, and locate round g by offset
+arithmetic, round-1 column c standing for column mod1(c + g - 1, K). A
+gather reads the array as one flat (N*K*F', W) view of packet words, W the
+widest word that divides a packet. Only a file's base offset depends on
+the demand: the plan keeps the rest for every round's cells, and a decode
+works out its user's rounds and the rest once per call, so a gather is one
+lookup of the demanded files' base offsets, one add and one take.
+Message (g, s), the XOR for integer s of round g, is named by its log
 position (g - 1)*S + s - 1; the coded batch's Cauchy columns use that order.
 """
 

@@ -42,6 +42,7 @@ class Pda:
     z: int
     s: int
     array: np.ndarray = field(init=False, repr=False, compare=False)
+    _c5_clean = 0  # the access degree whose lift check_c5 found clean; 0 for none yet
 
     def __post_init__(self):
         _check_header(self.rows, self.cols, self.z, self.s)

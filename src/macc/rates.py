@@ -4,14 +4,15 @@ Everything is exact: memory ratios and loads are Fractions end to end.
 Floats only appear when a table is rendered to CSV. A hull segment's line
 is held as integers, and envelope_eval finds a point's segment by
 bisection. A comparison table walks each curve's segments once and fills a
-segment's whole run of grid rows at a time, one Fraction per cell; the
-converse is computed once per corner.
+segment's whole run of grid rows at a time, mapping Fraction over a range
+of numerators; the converse is computed once per corner.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import ceil, comb, gcd
 
 from .errors import DuplicateRatio, EmptyInput, OutOfRange
@@ -312,7 +313,7 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
     _check_corners(max(k, 0), l, "sr" in schemes)
     curves = {name: scheme_curve(k, l, name) for name in schemes if name != "conv"}
     top = Fraction(1, l)
-    xs = [Fraction(i * num, den) for i in range(n)] + [top]
+    xs = [*map(Fraction, range(0, n * num, num), repeat(den)), top]
     columns = {
         name: _column(curve, num, den, n) + [envelope_eval(curve, top)]
         for name, curve in curves.items()
@@ -329,13 +330,14 @@ def comparison_table(k: int, l: int, schemes, step) -> tuple[list[str], list[lis
 
 def _column(curve: LoadCurve, num: int, den: int, n: int) -> list[Fraction]:
     """envelope_eval at x = i * num / den for i in range(n), for a curve whose
-    first corner is at 0: each hull segment fills, in one comprehension, the
-    rows from the last one filled up to its end."""
+    first corner is at 0: each hull segment fills, in one map of Fraction over
+    a range of numerators, the rows from the last one filled up to its end."""
     pts, col = curve.points, []
     for a, b in zip(pts, pts[1:]):
         end = min(n, -(-b.ratio.numerator * den // (b.ratio.denominator * num)))
         p, q, d = _line(a, b)
-        col += [Fraction(p * i * num + q * den, d * den) for i in range(len(col), end)]
+        step = p * num  # never 0: a named curve's least load is at its last corner alone
+        col += map(Fraction, range(step * len(col) + q * den, step * end + q * den, step), repeat(d * den))
     return col + [pts[-1].load] * (n - len(col))
 
 

@@ -7,15 +7,17 @@ placement grid the L cells are L-1 uncached nodes, then the caching node; in
 the delivery grid they are L stars, the L users that reach that node, and
 the integer cells keep their values. A user's view is the delivery grid's
 stars. The lift scatters the base array's integer cells, from the index the
-`Pda` keeps, into the delivery grid; the placement grid is never built, and
-the JSON form renders it from the base rows. `check_c5` and `Scheme` test
-C5, the crossing rule C3 on the delivery grid, on the moved cells, and
-`Scheme.plan` lays the same cells out as read-only index arrays; no per-row
-recipe is stored. A `Scheme` stores only its inputs (base array, K, L, N),
-its params and the lift's cells, so nothing stored can disagree with the
-array or break C5. Rounds 2..K are cyclic column shifts of round 1, reached
-by offset arithmetic; `Scheme.q` builds a round's grid as tuples only for
-`make_case` and `round_grid` in perfbench/.
+`Pda` keeps, into the delivery grid; the placement grid is never built. The
+JSON form renders the three grids from the base rows as whole strings, and
+writes and cross-checks them as text. `check_c5` tests C5, the crossing rule
+C3 on the delivery grid, on the moved cells and keeps a clean verdict on the
+`Pda`, which a `Scheme` of the same lift reuses. `Scheme.plan` lays the same
+cells out as read-only index arrays; no per-row recipe is stored. A `Scheme`
+stores only its inputs (base array, K, L, N), its params and the lift's
+cells, so nothing stored can disagree with the array or break C5. Rounds
+2..K are cyclic column shifts of round 1, reached by offset arithmetic;
+`Scheme.q` builds a round's grid as tuples only for `make_case` and
+`round_grid` in perfbench/.
 """
 
 import json
@@ -125,7 +127,11 @@ def check_c5(p: Pda, l: int) -> bool:
     check_degree(l)
     if not check_c4(p):
         raise C4Violation("uniform per-row star count required before this check")
-    return not _clashes(*_lift(p, min(l, p.cols + 1)))
+    degree = min(l, p.cols + 1)
+    if _clashes(*_lift(p, degree)):
+        return False
+    vars(p)["_c5_clean"] = degree  # kept like p._cells, for a Scheme that lifts p this far
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +255,10 @@ class Scheme:
     Only params and the lift's integer cells are set here; no grid is
     stored. C2 and the lift read the base array's index of its integer
     cells, which the Pda keeps, so validate_pda, check_c5 and the build of
-    one array index it once. Delivery and decoding read `plan`, a round-1
-    DeliveryPlan of read-only arrays (views, the star mask; no recipe) built
-    from the lift's cells alone, which it replaces on first use. `q(g)`
+    one array index it once, and the build does not test again a lift that
+    check_c5 found clean on the same Pda. Delivery and decoding read `plan`,
+    a round-1 DeliveryPlan of read-only arrays (views, the star mask; no
+    recipe) built from the lift's cells alone, which it replaces on first use. `q(g)`
     builds round g's grid by one re-lift and `delivery` is q(1), both kept
     for perfbench/'s make_case and round_grid. Other modules keep what they
     derive from the scheme in `_tables`, also built on first use.
@@ -280,8 +287,9 @@ class Scheme:
             put("n", k)
         t = p.z * p.cols // p.rows
         put("params", MultiaccessParams(k=k, l=l, t=t, n=self.n, k_prime=p.cols))
-        delivery, cells = _lift(p, min(l, k))  # l > K only if starless
-        bad = _clashes(delivery, cells)
+        degree = min(l, k)  # l > K only if starless
+        delivery, cells = _lift(p, degree)
+        bad = [] if p._c5_clean == degree else _clashes(delivery, cells)
         if bad:
             raise C3ViolationInQ(f"equal integers clash at {bad[0][0]} and {bad[0][1]}")
         put("_cells", cells)
@@ -330,19 +338,19 @@ def build_scheme(p: Pda, k: int, l: int, n: int | None = None) -> Scheme:
     return Scheme(p, k, l, n)
 
 
-def _arrays_text(scheme: Scheme, pda_text: str) -> dict[str, list[str]]:
-    """The round-1 grids as text rows, keyed as in the JSON form: the base
-    rows of pda_text, serialize_pda's form, and of the star marks, with each
-    star widened as the lift widens it."""
+def _arrays_text(scheme: Scheme, pda_text: str) -> dict[str, str]:
+    """The round-1 grids as text, one line per row, keyed as in the JSON form:
+    the base rows of pda_text, serialize_pda's form, and of the star marks,
+    with each star widened as the lift widens it."""
     p = scheme.pda
     l = min(scheme.l, scheme.params.k)  # l > K only if starless, where no star widens
     marks = np.full((p.rows, p.cols + 1), b"\n")  # a row of marks per line
     marks[:, :-1] = np.where(p.array == STAR, b"*", b".")
-    marks = marks.tobytes().decode()
+    marks = marks.tobytes()[:-1].decode()
     return {
-        "node_placement": marks.replace("*", "." * (l - 1) + "*").splitlines(),
-        "user_retrieve": marks.replace("*", "*" * l).splitlines(),
-        "user_delivery": pda_text.split("\n", 1)[1].replace("*", " ".join("*" * l)).splitlines(),
+        "node_placement": marks.replace("*", "." * (l - 1) + "*"),
+        "user_retrieve": marks.replace("*", "*" * l),
+        "user_delivery": pda_text.partition("\n")[2][:-1].replace("*", " ".join("*" * l)),
     }
 
 
@@ -351,9 +359,12 @@ def scheme_to_json(scheme: Scheme, include_arrays: bool = False) -> str:
     require_type(scheme, Scheme, "scheme")
     text = serialize_pda(scheme.pda)
     doc = {"format": SCHEME_FORMAT, "params": scheme.params.as_dict(), "pda": {"inline": text}}
-    if include_arrays:
-        doc["arrays"] = _arrays_text(scheme, text)
-    return json.dumps(doc, indent=2) + "\n"
+    out = json.dumps(doc, indent=2)
+    if include_arrays:  # json.dumps's bytes, joined: no JSON string escapes a digit, *, . or space
+        lists = (f'    "{name}": [\n      "' + rows.replace("\n", '",\n      "') + '"\n    ]'
+                 for name, rows in _arrays_text(scheme, text).items())
+        out = out[:-2] + ',\n  "arrays": {\n' + ",\n".join(lists) + "\n  }\n}"
+    return out + "\n"
 
 
 def scheme_from_json(text: str, read_file=None) -> Scheme:
@@ -394,9 +405,12 @@ def scheme_from_json(text: str, read_file=None) -> Scheme:
     if arrays:  # canonical text is the rendering they are compared with
         rendered = serialize_pda(scheme.pda) if p is None else ptext
         for name, rows in _arrays_text(scheme, rendered).items():
-            stored = arrays.get(name, rows)
+            if name not in arrays:
+                continue
+            stored = arrays[name]
             if not isinstance(stored, list):
                 raise ParseError(f"stored {name} array must be a list of rows")
-            if stored != rows:
+            if (len(stored) != scheme.pda.rows or not set(map(type, stored)) <= {str}
+                    or "\n".join(stored) != rows):  # a row holding a line break fails the count
                 raise ParseError(f"stored {name} array disagrees with the rebuilt one")
     return scheme

@@ -268,6 +268,14 @@ def run_tests(copy_src, tests, timeout):
     return done.returncode
 
 
+def verdict(status, key) -> str:
+    """The progress word of a mutant whose test run ended with status (None on
+    timeout): a run that passes shows a survivor, unless EQUIVALENT lists it."""
+    if status != 0:
+        return "killed"
+    return "equivalent" if key in EQUIVALENT else "survived"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--functions", required=True,
@@ -315,10 +323,10 @@ def main(argv=None) -> int:
                 site.undo()
                 with open(path, "w") as f:
                     f.write(ast.unparse(tree))
-            verdict = "survived" if status == 0 else "killed"
-            if status == 0:
-                (equivalent if site.key in EQUIVALENT else survivors).append(site.key)
-            print(f"[{i}/{len(sites)}] {verdict}: {site.key}", flush=True)
+            word = verdict(status, site.key)
+            if word != "killed":
+                (equivalent if word == "equivalent" else survivors).append(site.key)
+            print(f"[{i}/{len(sites)}] {word}: {site.key}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 

@@ -36,6 +36,7 @@ from macc import (
     check_c4,
     envelope,
     scheme_points,
+    serialize_pda,
     star_profile,
 )
 from macc.compress import (
@@ -64,7 +65,7 @@ from macc.sim import (
     deliver,
     round_messages,
 )
-from macc.transform import Scheme, scheme_to_json
+from macc.transform import SCHEME_FORMAT, Scheme, _arrays_text, scheme_to_json
 from macc.util import converted, is_int, mod1, require_ints
 
 
@@ -664,6 +665,16 @@ def json_placement(scheme: Scheme) -> tuple[tuple[bool, ...], ...]:
     the scheme's JSON form: True where the node caches the row."""
     rows = json.loads(scheme_to_json(scheme, include_arrays=True))["arrays"]["node_placement"]
     return tuple(tuple(mark == "*" for mark in row) for row in rows)
+
+
+def scheme_to_json_by_dumps(scheme: Scheme, include_arrays: bool = False) -> str:
+    """scheme_to_json's document as json.dumps(doc, indent=2) writes it, its
+    arrays section a list of _arrays_text's lines per grid."""
+    text = serialize_pda(scheme.pda)
+    doc = {"format": SCHEME_FORMAT, "params": scheme.params.as_dict(), "pda": {"inline": text}}
+    if include_arrays:
+        doc["arrays"] = {name: rows.split("\n") for name, rows in _arrays_text(scheme, text).items()}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def populate_caches(library: PacketLibrary, scheme: Scheme) -> tuple[frozenset, ...]:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import c4_arrays
-from macc import (STAR, ParseError, Pda, build_scheme, check_c4, check_c5, mn_pda,
+from macc import (STAR, MaccError, ParseError, Pda, build_scheme, check_c4, check_c5, mn_pda,
                   parse_pda_with_map, partition_pda, serialize_pda, validate_pda)
 from macc.pda import _read_canonical
 from macc.transform import _arrays_text, scheme_from_json, scheme_to_json
@@ -28,6 +28,7 @@ from oracles import (
     parse_pda_by_cells,
     plan_of_grid,
     plan_record,
+    scheme_to_json_by_dumps,
     serialize_pda_by_cells,
     validate_pda_by_walk,
     view_sets,
@@ -157,7 +158,7 @@ def scheme_view(p, k, l):
     """What a built scheme shows of its lift: params, both grids, the plan's
     views and index arrays, and the JSON form's text rows."""
     scheme = build_scheme(p, k, l)
-    text = _arrays_text(scheme, serialize_pda(p))
+    text = {name: rows.split("\n") for name, rows in _arrays_text(scheme, serialize_pda(p)).items()}
     return (scheme.params, json_placement(scheme), scheme.delivery.grid,
             view_sets(scheme.plan.views), plan_record(scheme.plan), text)
 
@@ -187,6 +188,32 @@ def test_stock_schemes_lift_and_render_as_the_steps_do():
             assert got == outcome(scheme_view_by_steps, p, k, l), (p, k, l)
             built += isinstance(got, str)
     assert built > len(STOCK)
+
+
+def json_matches_dumps(p, k, l, n):
+    """scheme_to_json against json.dumps over the split rows, with and without
+    arrays, when p lifts to k nodes at access degree l; False when it does not."""
+    try:
+        scheme = build_scheme(p, k, l, n)
+    except MaccError:
+        return False
+    for arrays in (False, True):
+        assert scheme_to_json(scheme, arrays) == scheme_to_json_by_dumps(scheme, arrays), arrays
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=ARRAYS, l=st.integers(1, 5), extra=st.integers(0, 3), spare=st.integers(0, 3))
+def test_drawn_schemes_write_the_bytes_json_dumps_writes(p, l, extra, spare):
+    k = p.cols + p.z * p.cols // p.rows * (l - 1) + extra
+    json_matches_dumps(p, k, l, k + spare)
+
+
+def test_partition_schemes_write_the_bytes_json_dumps_writes():
+    for m, q in [(2, 2), (2, 4), (3, 3), (3, 4), (4, 2), (4, 3)]:
+        p = partition_pda(m, q)[0]
+        for l in range(1, 5):
+            assert json_matches_dumps(p, p.cols + p.z * p.cols // p.rows * (l - 1), l, None), (m, q, l)
 
 
 # Tokens that parse_pda must read or refuse exactly as a token-by-token read does.

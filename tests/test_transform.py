@@ -17,10 +17,13 @@ from macc import (
     ParseError,
     Pda,
     build_scheme,
+    check_c5,
     mn_pda,
+    parse_pda,
     partition_pda,
     scheme_from_json,
     scheme_to_json,
+    serialize_pda,
 )
 from macc import pda, transform
 from macc.transform import RoundArray
@@ -204,9 +207,76 @@ def test_delivery_rejects_window_breaker(pneg):
         build_scheme(pneg, 7, 2)
 
 
+def counted_clashes(monkeypatch) -> list:
+    """Record the shape of every grid transform._clashes tests from now on."""
+    calls, real = [], transform._clashes
+
+    def counted(a, cells, *rest):
+        calls.append(a.shape)
+        return real(a, cells, *rest)
+
+    monkeypatch.setattr(transform, "_clashes", counted)
+    return calls
+
+
+def test_scheme_reuses_the_crossing_test_check_c5_ran(monkeypatch):
+    """check_c5 keeps a clean verdict on the Pda for the degree it lifts to, and
+    a Scheme lifting that Pda to that degree does not test the lift again."""
+    calls = counted_clashes(monkeypatch)
+    p = mn_pda(4, 2)
+    assert check_c5(p, 3) and check_c5(p, 3)
+    scheme = build_scheme(p, 8, 3)
+    assert calls == [(6, 8), (6, 8)]
+    assert scheme == build_scheme(mn_pda(4, 2), 8, 3)  # a fresh array tests its own lift
+    assert calls == [(6, 8)] * 3
+
+
+def test_other_degrees_and_copies_run_their_own_crossing_test(monkeypatch):
+    """A clean verdict covers one lift: a Scheme of another degree, and a
+    replaced or parsed copy of the array, tests its lift itself."""
+    calls = counted_clashes(monkeypatch)
+    p = mn_pda(3, 1)
+    assert check_c5(p, 5)  # K' = 3, so check_c5 lifts to 4
+    build_scheme(p, 7, 5)
+    build_scheme(p, 6, 4)  # the degree check_c5 tested
+    assert calls == [(3, 6), (3, 7)]
+    calls.clear()
+    starless = Pda(rows=2, cols=3, entries=((1, 2, 3), (4, 5, 6)), z=0, s=6)
+    assert check_c5(starless, 10)  # lifts to K' + 1 = 4; a Scheme on 3 nodes lifts to 3
+    build_scheme(starless, 3, 10)
+    assert len(calls) == 2
+    calls.clear()
+    q = mn_pda(4, 2)
+    assert check_c5(q, 3)
+    for copy in (dataclasses.replace(q), parse_pda(serialize_pda(q))):
+        build_scheme(copy, 8, 3)
+    assert scheme_from_json(scheme_to_json(build_scheme(q, 8, 3))) == build_scheme(q, 8, 3)
+    assert len(calls) == 4  # the check, the two copies and the parsed scheme's array
+
+
+def test_scheme_names_the_clash_whether_or_not_check_c5_ran(pneg):
+    """A failed check_c5 leaves no verdict, and a clean one at another degree
+    covers nothing: the Scheme still names the first clashing pair."""
+    with pytest.raises(C3ViolationInQ) as fresh:
+        build_scheme(dataclasses.replace(pneg), 7, 2)
+    assert str(fresh.value) == "C5: equal integers clash at (1, 5) and (2, 1)"
+    assert check_c5(pneg, 1) and not check_c5(pneg, 2)
+    with pytest.raises(C3ViolationInQ) as after:
+        build_scheme(pneg, 7, 2)
+    assert str(after.value) == str(fresh.value)
+
+
 def test_build_scheme_rejects_wrong_k():
     with pytest.raises(OutOfRange):
         build_scheme(mn_pda(4, 2), 9, 3)
+
+
+def test_build_scheme_checks_k_and_l_before_the_array():
+    """k or l below 1 is an OutOfRange even on an array that breaks C2."""
+    gapped = dataclasses.replace(mn_pda(4, 2), s=5)
+    for k, l in [(0, 3), (8, 0), (-1, -1)]:
+        with pytest.raises(OutOfRange, match=rf"^k={k}, l={l} must be >= 1$"):
+            build_scheme(gapped, k, l)
 
 
 def test_build_scheme_rejects_uncovered_alphabet():
@@ -336,6 +406,43 @@ def test_scheme_from_json_renders_canonical_text_once(monkeypatch):
     doc["arrays"]["user_delivery"][0] = doc["arrays"]["user_delivery"][1]
     with pytest.raises(ParseError, match="stored user_delivery array disagrees"):
         scheme_from_json(json.dumps(doc))
+
+
+def test_stored_arrays_are_checked_row_for_row(scheme832):
+    """Each stored section is a list of as many str rows as the rebuilt grid
+    whose lines they join to; a section left out is not checked, and the
+    first bad section in node_placement, user_retrieve, user_delivery order
+    is the one named."""
+    arrays = json.loads(scheme_to_json(scheme832, include_arrays=True))["arrays"]
+
+    def read(**sections):
+        doc = json.loads(scheme_to_json(scheme832, include_arrays=True))
+        doc["arrays"].update(sections)
+        return scheme_from_json(json.dumps(doc))
+
+    for name, rows in arrays.items():
+        disagrees = f"^stored {name} array disagrees with the rebuilt one$"
+        not_a_list = f"^stored {name} array must be a list of rows$"
+        for bad in ([rows[0] + "\n" + rows[1], *rows[2:]], [*rows[:-2], rows[-2] + "\n" + rows[-1]],
+                    [7, *rows[1:]], [*rows[:-1], None], [*rows[:-1], [rows[-1]]],
+                    rows[:-1], [*rows, rows[-1]], [*rows, ""], []):
+            with pytest.raises(ParseError, match=disagrees):
+                read(**{name: bad})
+        for bad in ("\n".join(rows), {"0": rows[0]}, None, 7):
+            with pytest.raises(ParseError, match=not_a_list):
+                read(**{name: bad})
+        assert read(**{name: list(rows)}) == scheme832
+    doc = json.loads(scheme_to_json(scheme832, include_arrays=True))
+    del doc["arrays"]["node_placement"], doc["arrays"]["user_delivery"]
+    assert scheme_from_json(json.dumps(doc)) == scheme832
+    placement, retrieve = arrays["node_placement"], arrays["user_retrieve"]
+    for first, later in [(placement[::-1], "not a list"), ("not a list", retrieve[1:]),
+                         (placement[:-1], [*retrieve[:-1], 1])]:
+        for name in ("user_retrieve", "user_delivery"):
+            with pytest.raises(ParseError, match="^stored node_placement array "):
+                read(node_placement=first, **{name: later})
+    with pytest.raises(ParseError, match="^stored user_retrieve array disagrees"):
+        read(user_retrieve=retrieve[1:], user_delivery="not a list")
 
 
 # The corners of the design-sweep benchmark grid with K <= 12: mn_pda(K', t)
